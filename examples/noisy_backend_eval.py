@@ -15,11 +15,9 @@ so all three engines stay green.
 The trajectory engines run JIT-compiled simulation programs with 1q+2q
 gate fusion by default (see "Compiled programs & fusion" in the
 README); on the standing ``BENCH_sim.json`` workload (10 qubits, 600
-gates, 50 trajectories) that path is ~3.5x faster than the PR-6
-interpreting engine's committed baseline while producing byte-identical
-states.  Pass ``compiled=False`` / ``fuse=False`` to
-``evaluate_fidelity`` (or ``--uncompiled`` / ``--fusion none`` to the
-CLI) to time the retained reference path against it.
+gates, 50 trajectories) fusion makes noisy trajectories ~1.5x faster.
+Pass ``fuse=False`` to ``evaluate_fidelity`` (or ``--fusion none`` to
+the CLI) to time the unfused program against it.
 """
 
 import sys

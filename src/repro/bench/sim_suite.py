@@ -2,13 +2,10 @@
 
 The statevector benchmarks time the trajectory engine's layered batch
 application — noiseless (pure layer application, where fusion acts)
-and noisy Monte-Carlo trajectories.  Each headline benchmark (compiled
-program, 1q+2q fusion) is paired with an ``/unfused`` baseline
-(compiled, no fusion) and an ``/uncompiled`` baseline (the retained
-interpreting reference path in its PR-6 configuration: 1q fusion only)
-so the fusion and program-compilation speedups are recorded as
-standing numbers.  The MPS benchmark sweeps a nearest-neighbor circuit
-through the bond-truncated engine.
+and noisy Monte-Carlo trajectories.  Each headline benchmark (1q+2q
+fusion) is paired with an ``/unfused`` baseline so the fusion speedup
+is recorded as a standing number.  The MPS benchmark sweeps a
+nearest-neighbor circuit through the bond-truncated engine.
 """
 
 from __future__ import annotations
@@ -44,7 +41,6 @@ def _statevector_spec(
     noisy: bool,
     fuse: bool,
     fuse2q: bool = True,
-    compiled: bool = True,
 ) -> BenchSpec:
     def setup():
         from repro.sim.backends.statevector import (
@@ -59,7 +55,7 @@ def _statevector_spec(
         # steady state of sweeps) without touching the process cache.
         backend = StatevectorTrajectoryBackend(
             trajectories=trajectories, seed=5,
-            fuse=fuse, fuse2q=fuse2q, compiled=compiled,
+            fuse=fuse, fuse2q=fuse2q,
             program_cache=ProgramCache(),
         )
 
@@ -77,7 +73,6 @@ def _statevector_spec(
             "noise": "t_gates_only(1e-3)" if noisy else None,
             "fuse": fuse,
             "fuse2q": fuse2q,
-            "compiled": compiled,
             "seed": 11,
         },
         setup=setup,
@@ -119,10 +114,6 @@ def specs(quick: bool) -> list[BenchSpec]:
                 "statevector/trajectories/noisy", 6, 80, 8,
                 noisy=True, fuse=True,
             ),
-            _statevector_spec(
-                "statevector/trajectories/noisy/uncompiled", 6, 80, 8,
-                noisy=True, fuse=True, fuse2q=False, compiled=False,
-            ),
             _mps_spec(8, 80, max_bond=16),
         ]
     return [
@@ -142,23 +133,13 @@ def specs(quick: bool) -> list[BenchSpec]:
             "statevector/trajectories/noisy/unfused", 10, 600, 50,
             noisy=True, fuse=False, fuse2q=False,
         ),
-        _statevector_spec(
-            "statevector/trajectories/noisy/uncompiled", 10, 600, 50,
-            noisy=True, fuse=True, fuse2q=False, compiled=False,
-        ),
         _mps_spec(16, 300, max_bond=32),
     ]
 
 
 def finalize(results: list[BenchResult]) -> None:
-    """Record fusion and program-compilation speedups from the pairs.
-
-    ``speedup_vs_unfused`` compares against the compiled-but-unfused
-    entry (fusion's contribution); ``speedup_vs_uncompiled`` against
-    the interpreting reference path in its PR-6 configuration — 1q
-    fusion only, per-chunk channel resolution, every noise outcome
-    applied (the program layer's contribution).
-    """
+    """Record ``speedup_vs_unfused`` (fusion's contribution) from the
+    ``/unfused`` pairs."""
     by_name = {r.name: r for r in results}
     for fused_name in (
         "statevector/layers/noiseless",
@@ -173,9 +154,3 @@ def finalize(results: list[BenchResult]) -> None:
                 unfused.median_s / fused.median_s, 2
             )
             fused.extra["unfused_median_s"] = unfused.median_s
-        uncompiled = by_name.get(f"{fused_name}/uncompiled")
-        if uncompiled is not None:
-            fused.extra["speedup_vs_uncompiled"] = round(
-                uncompiled.median_s / fused.median_s, 2
-            )
-            fused.extra["uncompiled_median_s"] = uncompiled.median_s

@@ -67,26 +67,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return bench_main(argv)
 
 
-def _load_cache(path: str | None, cache_dir: str | None = None):
-    """Open (or create) the synthesis cache backing a compile command.
+def _load_cache(cache_dir: str | None):
+    """The synthesis cache backing a compile command.
 
-    ``path`` is the legacy single-file JSON persistence; ``cache_dir``
-    attaches the cross-process segment store as the L2 tier.
+    ``cache_dir`` attaches the cross-process segment store as the L2
+    tier — the one way a cache persists across runs.
     """
-    import os
-
     from repro.pipeline import SynthesisCache
 
-    cache = None
-    if path and os.path.exists(path):
-        try:
-            cache = SynthesisCache.load(path)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            # A corrupt or incompatible cache only costs recomputation.
-            print(f"warning: ignoring unreadable cache {path}: {exc}",
-                  file=sys.stderr)
-    if cache is None:
-        cache = SynthesisCache()
+    cache = SynthesisCache()
     if cache_dir:
         from repro.pipeline import DiskSynthesisStore
 
@@ -126,7 +115,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
     with open(args.input) as f:
         circuit = from_qasm(f.read())
-    cache = _load_cache(args.cache_file, args.cache_dir)
+    cache = _load_cache(args.cache_dir)
     target = _parse_target_arg(args.target)
     result = compile_circuit(
         circuit, workflow=args.workflow, eps=args.eps, cache=cache,
@@ -164,8 +153,6 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
         atomic_write_text(args.output, to_qasm(out))
         print(f"wrote {args.output}")
-    if args.cache_file:
-        cache.save(args.cache_file)
     return 0
 
 
@@ -183,7 +170,7 @@ def _cmd_compile_batch(args: argparse.Namespace) -> int:
         circuits.append(circuit)
     from repro.pipeline.warm import parse_workers_arg
 
-    cache = _load_cache(args.cache_file, args.cache_dir)
+    cache = _load_cache(args.cache_dir)
     target = _parse_target_arg(args.target)
     workers = (
         parse_workers_arg(args.workers) if args.workers is not None else None
@@ -235,8 +222,6 @@ def _cmd_compile_batch(args: argparse.Namespace) -> int:
             dest = os.path.join(args.output_dir, f"{base}_compiled.qasm")
             atomic_write_text(dest, to_qasm(result.circuit))
             print(f"wrote {dest}")
-    if args.cache_file:
-        cache.save(args.cache_file)
     return 0
 
 
@@ -348,7 +333,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         trajectories=args.trajectories,
         max_bond=args.max_bond,
         seed=args.seed,
-        compiled=not args.uncompiled,
         fuse=fusion != "none",
         fuse2q=fusion == "2q",
     )
@@ -432,8 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="verify IR invariants and pass contracts at every "
                         "compilation stage (see repro.analysis)")
     p.add_argument("--output", default=None)
-    p.add_argument("--cache-file", default=None,
-                   help="JSON synthesis cache to reuse and update")
     p.add_argument("--cache-dir", default=None,
                    help="cross-process synthesis store directory to attach "
                         "as the L2 tier (created if missing)")
@@ -474,8 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="compile on a true process pool instead of threads: "
                         "a process count or 'auto' (scheduler-affinity CPU "
                         "count); results are byte-identical to serial")
-    p.add_argument("--cache-file", default=None,
-                   help="JSON synthesis cache to reuse and update")
     p.add_argument("--cache-dir", default=None,
                    help="cross-process synthesis store directory shared by "
                         "all workers as the L2 tier (created if missing)")
@@ -565,10 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(needs a saved Target .json with gate_errors; "
                         "bare topology specs carry no calibration)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--uncompiled", action="store_true",
-                   help="bypass the JIT-compiled simulation program and "
-                        "run the interpreting reference path (bit-identical "
-                        "states, mainly for debugging and benchmarks)")
     p.add_argument("--fusion", choices=("2q", "1q", "none"), default="2q",
                    help="gate fusion level for the dense engine: same-pair "
                         "2q blocks + 1q runs (default), 1q runs only, or "

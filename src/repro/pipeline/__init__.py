@@ -12,9 +12,9 @@ compiler service:
   targeting a :class:`repro.target.Target`,
 * :func:`preset_pipeline` — the paper's optimization levels 0-3 plus
   the DAG-pass level 4, for both target IRs as ready-made pipelines,
-* :class:`SynthesisCache` — a thread-safe LRU of synthesized rotations
-  with JSON persistence; attach a :class:`DiskSynthesisStore`
-  (:mod:`repro.pipeline.store`) and it becomes the L1 of a two-tier,
+* :class:`SynthesisCache` — a thread-safe LRU of synthesized rotations;
+  attach a :class:`DiskSynthesisStore` (:mod:`repro.pipeline.store`,
+  the one persistence format) and it becomes the L1 of a two-tier,
   cross-process hierarchy with epsilon-band reuse,
 * :func:`compile_circuit` / :func:`compile_batch` — the end-to-end
   transpile→synthesize flow, parallel over circuits on threads or

@@ -5,15 +5,15 @@ whole benchmark suites repeat them across circuits, so the synthesis
 result for a ``(kind, angles, eps, method)`` key is worth keeping far
 beyond one circuit.  :class:`SynthesisCache` is a thread-safe LRU shared
 by every workflow and by the :func:`repro.pipeline.compile_batch`
-worker pool, with optional JSON persistence so a warm cache survives
-the process.
+worker pool.
 
-The cross-process half of the paper's caching argument lives in
-:mod:`repro.pipeline.store`: pass ``store=`` (a
+Persistence — and the cross-process half of the paper's caching
+argument — lives in :mod:`repro.pipeline.store`: pass ``store=`` (a
 :class:`~repro.pipeline.store.DiskSynthesisStore`) and the LRU becomes
 the L1 write-through tier of a two-level hierarchy — L1 misses probe
 the shared on-disk segment store before synthesizing, and fresh results
-are written through to it.  Per-tier hits land in :class:`CacheStats`.
+are written through to it, so a warm cache survives the process.
+Per-tier hits land in :class:`CacheStats`.
 
 Epsilon banding
 ---------------
@@ -29,9 +29,7 @@ reverse.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -51,8 +49,6 @@ KEY_DIGITS = 12
 EPS_BANDS_PER_DECADE = 4
 
 Key = tuple  # (kind, method, *rounded params, banded eps)
-
-_FORMAT_VERSION = 1
 
 
 def eps_band(eps: float) -> int:
@@ -148,8 +144,8 @@ class SynthesisCache:
     """Thread-safe LRU of :class:`GateSequence` results by rotation key.
 
     Drop-in successor of the old per-run ``_SequenceCache``: the same
-    ``get_or(key, compute)`` interface, plus bounded size, hit/miss
-    accounting, and JSON round-tripping via :meth:`save`/:meth:`load`.
+    ``get_or(key, compute)`` interface, plus bounded size and hit/miss
+    accounting.
 
     With ``store=`` (a :class:`repro.pipeline.store.DiskSynthesisStore`
     or anything matching its ``get``/``get_fallback``/``put`` surface)
@@ -317,53 +313,3 @@ class SynthesisCache:
             self._l2_hits += l2_hits
             self._l2_fallback_hits += l2_fallback_hits
             self._l2_misses += l2_misses
-
-    # -- persistence -------------------------------------------------------
-    def save(self, path: str | os.PathLike) -> None:
-        """Write every entry as JSON (atomic replace).
-
-        Routed through :func:`repro.analysis.atomic_write_json`: the
-        payload is serialized first and published with a unique temp
-        file + ``os.replace``, so a failed save (full disk, kill) can
-        never truncate or corrupt an existing cache file.
-        """
-        from repro.analysis.atomic_io import atomic_write_json
-
-        with self._lock:
-            entries = [
-                {"key": list(k), "gates": list(s.gates), "error": s.error}
-                for k, s in self._store.items()
-            ]
-        payload = {"version": _FORMAT_VERSION, "entries": entries}
-        atomic_write_json(path, payload)
-
-    @classmethod
-    def load(
-        cls, path: str | os.PathLike, maxsize: int | None = 100_000
-    ) -> "SynthesisCache":
-        """Rebuild a cache from :meth:`save` output."""
-        cache = cls(maxsize=maxsize)
-        cache.merge_from(path)
-        return cache
-
-    def merge_from(self, path: str | os.PathLike) -> int:
-        """Load entries from disk into this cache; returns count added."""
-        with open(path) as f:
-            payload = json.load(f)
-        if payload.get("version") != _FORMAT_VERSION:
-            raise ValueError(f"unsupported cache format in {path!r}")
-        added = 0
-        for entry in payload["entries"]:
-            key = tuple(
-                tuple(p) if isinstance(p, list) else p for p in entry["key"]
-            )
-            if key not in self:
-                self.put(
-                    key,
-                    GateSequence(
-                        gates=tuple(entry["gates"]),
-                        error=float(entry["error"]),
-                    ),
-                )
-                added += 1
-        return added

@@ -21,7 +21,6 @@ from repro.sim.backends.base import (
     ScheduleCache,
     SimulationResult,
     SimulatorBackend,
-    fused_gate_schedule,
     gate_schedule,
     is_noisy,
     reference_statevector,
@@ -73,8 +72,8 @@ def _make(
         if trajectories is not None:
             kwargs["trajectories"] = trajectories
         return StatevectorTrajectoryBackend(**kwargs)
-    # The MPS engine understands the program knobs but not the dense
-    # fusion ones (fusion would change its truncation sequence).
+    # The MPS engine shares the program cache but not the dense fusion
+    # knobs (fusion would change its truncation sequence).
     options.pop("fuse", None)
     options.pop("fuse2q", None)
     kwargs = {"seed": seed, "max_workers": max_workers, **options}
@@ -95,7 +94,6 @@ def select_backend(
     seed: int = 0,
     memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET,
     max_workers: int | None = None,
-    compiled: bool = True,
     fuse: bool = True,
     fuse2q: bool = True,
     program_cache: ProgramCache | None = None,
@@ -113,13 +111,11 @@ def select_backend(
     common aliases) bypasses the heuristics but still validates the
     qubit count against the engine's own hard limits.
 
-    ``compiled``/``fuse``/``fuse2q`` configure the stochastic engines'
-    JIT program compilation and gate fusion (see
-    :mod:`repro.sim.program`); ``program_cache`` injects a private
+    ``fuse``/``fuse2q`` configure the statevector engine's gate fusion
+    (see :mod:`repro.sim.program`); ``program_cache`` injects a private
     compiled-program cache in place of the process-wide shared one.
     """
     sim_options = {
-        "compiled": compiled,
         "fuse": fuse,
         "fuse2q": fuse2q,
         "program_cache": program_cache,
@@ -174,7 +170,6 @@ __all__ = [
     "SimulatorBackend",
     "StatevectorTrajectoryBackend",
     "TrajectoryResult",
-    "fused_gate_schedule",
     "gate_schedule",
     "is_noisy",
     "reference_statevector",

@@ -38,24 +38,6 @@ def _circuit_key(circuit: Circuit) -> tuple:
     )
 
 
-def _noise_signature(circuit: Circuit, noise: NoiseModel | None):
-    """What fusion actually consumes from a noise model on this circuit.
-
-    Mirrors :func:`repro.sim.program.program_key`: per-gate noisy qubits
-    and rates plus the channel factory's identity, so two model objects
-    behaving identically share cache entries and a model tweak is never
-    masked by object reuse.
-    """
-    if not is_noisy(noise):
-        return None
-    events = tuple(
-        (pos, qubits, noise.rate_for(g))
-        for pos, g in enumerate(circuit.gates)
-        if (qubits := noise.noisy_qubits(g))
-    )
-    return (events, getattr(noise, "kraus", None))
-
-
 def _compute_gate_schedule(
     circuit: Circuit, layered: bool
 ) -> tuple[tuple[tuple[int, Gate], ...], ...]:
@@ -68,14 +50,13 @@ def _compute_gate_schedule(
 
 
 class ScheduleCache:
-    """Thread-safe LRU of layer schedules and their fused variants.
+    """Thread-safe LRU of layer schedules.
 
     The ProgramCache pattern applied one stage earlier: repeated
-    evaluation of the same circuit (objective grids, fidelity sweeps,
-    per-chunk backend calls) skips the ``as_layers()`` front-layer
-    scan — and, for the reference engine paths, the dense
-    fusion re-derivation — by keying on gate-stream content rather
-    than object identity.  Entries are immutable tuple-of-tuples
+    program compilation of the same circuit (objective grids, fidelity
+    sweeps, differing noise models) skips the ``as_layers()``
+    front-layer scan by keying on gate-stream content rather than
+    object identity.  Entries are immutable tuple-of-tuples
     layers, shared read-only by every consumer; gates are immutable, so
     sharing is safe.  Two threads missing one key may both compute, but
     the results are identical and the last insert wins.
@@ -90,7 +71,9 @@ class ScheduleCache:
         self.hits = 0
         self.misses = 0
 
-    def _lookup(self, key: tuple):
+    def layers(self, circuit: Circuit, layered: bool):
+        """The (cached) layer schedule of :func:`gate_schedule`."""
+        key = (layered, _circuit_key(circuit))
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
@@ -98,50 +81,12 @@ class ScheduleCache:
                 self.hits += 1
                 return entry
             self.misses += 1
-        return None
-
-    def _insert(self, key: tuple, value) -> None:
+        entry = _compute_gate_schedule(circuit, layered)
         with self._lock:
-            self._entries[key] = value
+            self._entries[key] = entry
             self._entries.move_to_end(key)
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
-
-    def layers(self, circuit: Circuit, layered: bool):
-        """The (cached) layer schedule of :func:`gate_schedule`."""
-        key = ("layers", layered, _circuit_key(circuit))
-        entry = self._lookup(key)
-        if entry is None:
-            entry = _compute_gate_schedule(circuit, layered)
-            self._insert(key, entry)
-        return entry
-
-    def fused(
-        self,
-        circuit: Circuit,
-        noise: NoiseModel | None,
-        *,
-        layered: bool,
-        two_qubit: bool = False,
-    ):
-        """The (cached) fused schedule for a circuit + noise behavior."""
-        key = (
-            "fused",
-            layered,
-            two_qubit,
-            _circuit_key(circuit),
-            _noise_signature(circuit, noise),
-        )
-        entry = self._lookup(key)
-        if entry is None:
-            entry = tuple(
-                tuple(layer)
-                for layer in fuse_schedule(
-                    self.layers(circuit, layered), noise,
-                    two_qubit=two_qubit,
-                )
-            )
-            self._insert(key, entry)
         return entry
 
     def __len__(self) -> int:
@@ -199,36 +144,14 @@ def gate_schedule(
     return cache.layers(circuit, layered)
 
 
-def fused_gate_schedule(
-    circuit: Circuit,
-    noise: NoiseModel | None,
-    *,
-    layered: bool,
-    two_qubit: bool = False,
-    cache: ScheduleCache | None = None,
-):
-    """:func:`gate_schedule` + :func:`fuse_schedule`, content-cached.
-
-    One lookup covers both derivations, so repeated evaluation of the
-    same circuit under the same noise behavior (the compile-batch
-    objective loop, fidelity sweeps) skips the front-layer scan *and*
-    the dense operator fusion.
-    """
-    if cache is None:
-        cache = _GLOBAL_SCHEDULE_CACHE
-    return cache.fused(
-        circuit, noise, layered=layered, two_qubit=two_qubit
-    )
-
-
 class Fused1Q:
     """A run of adjacent 1q gates on one wire, collapsed to a 2x2.
 
-    Quacks like a :class:`~repro.circuits.circuit.Gate` as far as the
-    engines care (``qubits``/``params``/``matrix()``); it never appears
-    in circuits, only in engine schedules.  Fused entries carry no
-    noise events, so they are scheduled with position ``-1`` and the
-    noise loop skips them.
+    Quacks like a :class:`~repro.circuits.circuit.Gate` as far as
+    program compilation cares (``qubits``/``params``/``matrix()``); it
+    never appears in circuits, only in fused schedules.  Fused entries
+    carry no noise events, so they are scheduled with position ``-1``
+    and the noise loop skips them.
     """
 
     __slots__ = ("name", "qubits", "params", "_matrix")
@@ -373,14 +296,6 @@ def fuse_schedule(
             leftovers, key=lambda item: item[0]
         )])
     return out
-
-
-def fuse_1q_schedule(
-    schedule: list[list[tuple[int, Gate]]],
-    noise: NoiseModel | None,
-) -> list[list[tuple[int, Gate]]]:
-    """1q-only fusion (see :func:`fuse_schedule`); kept as the stable name."""
-    return fuse_schedule(schedule, noise, two_qubit=False)
 
 
 def noise_event_layout(

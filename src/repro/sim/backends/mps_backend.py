@@ -10,8 +10,11 @@ tell a genuine infidelity from a truncation artifact.
 Noise uses the same Monte-Carlo Kraus unravelling as the statevector
 engine, one MPS per trajectory, with the identical per-trajectory
 ``default_rng([seed, t])`` uniform streams — so a given trajectory count
-and seed is comparable across both stochastic backends.  Trajectories
-fan out over :func:`repro.pipeline.map_parallel`.
+and seed is comparable across both stochastic backends.  Noisy
+trajectories drive the same JIT-compiled
+:class:`~repro.sim.program.SimProgram`, in flat gate order and unfused
+(either would change the bond-truncation sequence), and fan out over
+:func:`repro.pipeline.map_parallel`.
 """
 
 from __future__ import annotations
@@ -26,15 +29,12 @@ from repro.sim.backends.base import (
     _ITEMSIZE,
     SimulationResult,
     SimulatorBackend,
-    gate_schedule,
-    is_noisy,
     noise_event_layout,
 )
 from repro.sim.noise import NoiseModel
 from repro.sim.program import (
     ProgramCache,
     SimProgram,
-    channels_for,
     default_program_cache,
 )
 from repro.tensornet.circuit_mps import CircuitMPS
@@ -119,8 +119,6 @@ class MPSBackend(SimulatorBackend):
         seed: int = 0,
         svd_cutoff: float = 1e-12,
         max_workers: int | None = None,
-        layered: bool = False,
-        compiled: bool = True,
         program_cache: ProgramCache | None = None,
     ):
         if trajectories < 1:
@@ -130,18 +128,6 @@ class MPSBackend(SimulatorBackend):
         self.seed = int(seed)
         self.svd_cutoff = float(svd_cutoff)
         self.max_workers = max_workers
-        # Layer-batched application via the DAG front-layer schedule.
-        # Exact when nothing truncates; under aggressive bond caps the
-        # truncation sequence differs from the flat order, so layering
-        # is opt-in here (unlike the exact statevector engine).
-        self.layered = bool(layered)
-        # Noisy runs drive a JIT-compiled SimProgram (schedule, channel
-        # tables, and event columns resolved once, shared read-only by
-        # every trajectory/worker) instead of re-interpreting the gate
-        # stream per trajectory.  Fusion stays off: collapsing gates
-        # would change the bond-truncation sequence, and the MPS noisy
-        # path must stay bit-identical to the per-gate reference.
-        self.compiled = bool(compiled)
         self.program_cache = program_cache
 
     def supports(self, n_qubits: int, noisy: bool) -> bool:
@@ -151,51 +137,28 @@ class MPSBackend(SimulatorBackend):
         return _ITEMSIZE * n_qubits * 2 * self.max_bond**2
 
     def make_reference(self, circuit: Circuit) -> CircuitMPS:
-        return self._run_one(circuit, None, np.empty(0))
+        return self._run_noiseless(circuit)
 
     # -- execution ---------------------------------------------------------
-    def _run_one(
-        self,
-        circuit: Circuit,
-        noise: NoiseModel | None,
-        uniforms: np.ndarray,
-    ) -> CircuitMPS:
-        """The retained reference path: re-interpret the gate stream."""
-        mps = CircuitMPS(
+    def _run_noiseless(self, circuit: Circuit) -> CircuitMPS:
+        """The whole-circuit path, pre-routing long-range gates.
+
+        Noisy trajectories cannot take it: each noise event must land
+        on the qubit's un-permuted site.
+        """
+        return CircuitMPS(
             circuit.n_qubits, max_bond=self.max_bond,
             svd_cutoff=self.svd_cutoff,
-        )
-        if not is_noisy(noise):
-            # Noiseless runs (references included) take the whole-circuit
-            # path, which pre-routes long-range gates with the lookahead
-            # router.  Noisy trajectories stay per-gate below: each noise
-            # event must land on the qubit's un-permuted site.
-            return mps.run(circuit)
-        channels = channels_for(noise)
-        offsets, _ = noise_event_layout(circuit, noise)
-        for layer in gate_schedule(circuit, self.layered):
-            for _, gate in layer:
-                mps.apply_gate(gate)
-            for pos, gate in layer:
-                qubits = noise.noisy_qubits(gate)
-                if not qubits:
-                    continue
-                kraus, mixture = channels.get(noise.rate_for(gate))
-                for j, q in enumerate(qubits):
-                    self._kraus_event(
-                        mps, kraus, mixture, q, uniforms[offsets[pos] + j]
-                    )
-        return mps
+        ).run(circuit)
 
-    def _run_one_program(
+    def _run_one(
         self, program: SimProgram, uniforms: np.ndarray
     ) -> CircuitMPS:
         """One noisy trajectory driven by a compiled program.
 
         Matrices, channel tables, and uniform columns are all
-        precomputed; with fusion off the application sequence matches
-        :meth:`_run_one` operator for operator, so the trajectory —
-        including its truncation sequence — is bit-identical.
+        precomputed; the program is unfused and in flat gate order, so
+        operators apply one source gate at a time.
         """
         mps = CircuitMPS(
             program.n_qubits, max_bond=self.max_bond,
@@ -253,25 +216,22 @@ class MPSBackend(SimulatorBackend):
         start = time.monotonic()
         _, n_events = noise_event_layout(circuit, noise)
         if n_events == 0:
-            states = [self._run_one(circuit, None, np.empty(0))]
+            states = [self._run_noiseless(circuit)]
         else:
-            program = None
-            if self.compiled:
-                cache = self.program_cache
-                if cache is None:
-                    cache = default_program_cache()
-                program = cache.get(
-                    circuit, noise,
-                    layered=self.layered, fuse=False, fuse2q=False,
-                )
+            cache = self.program_cache
+            if cache is None:
+                cache = default_program_cache()
+            # Flat order and no fusion: layering or collapsing gates
+            # would change the bond-truncation sequence.
+            program = cache.get(
+                circuit, noise, layered=False, fuse=False, fuse2q=False,
+            )
 
             def job(t: int) -> CircuitMPS:
                 uniforms = np.random.default_rng(
                     [self.seed, t]
                 ).random(n_events)
-                if program is not None:
-                    return self._run_one_program(program, uniforms)
-                return self._run_one(circuit, noise, uniforms)
+                return self._run_one(program, uniforms)
 
             states = map_parallel(
                 job, list(range(self.trajectories)), self.max_workers

@@ -9,17 +9,16 @@ are batched as one stacked ``(n_traj, 2, ..., 2)`` array driven through
 the same BLAS calls — beats the density matrix on wall-clock well below
 it.
 
-Execution is two-phase (``compiled=True``, the default): the circuit,
-noise model, and schedule configuration are JIT-compiled once per run
-into a flat :class:`~repro.sim.program.SimProgram` — precomputed dense
-matrices (including 1q/2q fusion products), resolved channel tables,
-and per-event uniform columns — memoized in a shared
+Execution is two-phase: the circuit, noise model, and fusion
+configuration are JIT-compiled once per run into a flat
+:class:`~repro.sim.program.SimProgram` — precomputed dense matrices
+(including 1q/2q fusion products) in DAG front-layer order, resolved
+channel tables, and per-event uniform columns — memoized in a shared
 :class:`~repro.sim.program.ProgramCache` and driven read-only by every
 chunk and worker.  Mixture outcome choices for a whole chunk come from
 one batched ``searchsorted`` per distinct channel, and the identity
 outcome (the overwhelming majority at calibrated rates) is skipped
-outright.  ``compiled=False`` retains the per-chunk interpreting
-reference path; both produce bit-identical trajectory states.
+outright.
 
 Determinism
 -----------
@@ -27,7 +26,7 @@ Trajectory ``t`` consumes only the uniform stream of
 ``np.random.default_rng([seed, t])``, pre-drawn as one row of a
 ``(n_traj, n_events)`` matrix (the number of noise events per circuit is
 known upfront).  Results are therefore bit-identical regardless of chunk
-size, worker count, scheduling, or program compilation — the same
+size, worker count, or program caching — the same
 contract :func:`repro.pipeline.compile_batch` makes for compilation, and
 the chunks fan out over the same :func:`repro.pipeline.map_parallel`
 thread-pool machinery.
@@ -44,26 +43,19 @@ import time
 
 import numpy as np
 
-from repro.circuits.circuit import Circuit, Gate
+from repro.circuits.circuit import Circuit
 from repro.pipeline.batch import map_parallel
 from repro.sim.backends.base import (
     _ITEMSIZE,
     SimulationResult,
     SimulatorBackend,
-    fused_gate_schedule,
-    gate_schedule,
-    is_noisy,
-    noise_event_layout,
     reference_statevector,
 )
 from repro.sim.noise import NoiseModel
-from repro.sim.program import (  # noqa: F401  (re-exported legacy names)
-    DepolarizingChannels,
+from repro.sim.program import (
     ProgramCache,
     SimProgram,
-    _as_unitary_mixture,
     _UnitaryMixture,
-    channels_for,
     default_program_cache,
 )
 
@@ -79,8 +71,7 @@ def _apply_1q_batch(states: np.ndarray, m: np.ndarray, q: int) -> np.ndarray:
     (x/y) a flip plus multiply.  Path selection depends only on the
     matrix and axis geometry — never on the batch size — so chunking
     and worker count cannot change which kernel (and rounding) a given
-    operator gets; compiled and reference execution share these
-    helpers, which is what keeps their states bit-identical.
+    operator gets.
     """
     axis = 1 + q
     last = states.ndim - 1
@@ -101,7 +92,7 @@ def _apply_1q_batch(states: np.ndarray, m: np.ndarray, q: int) -> np.ndarray:
 def _apply_matrix_batch(
     states: np.ndarray, m: np.ndarray, qubits: tuple[int, ...]
 ) -> np.ndarray:
-    """Apply a dense 1q/2q operator — shared by program and reference."""
+    """Apply a dense 1q/2q operator to every state of the batch."""
     if len(qubits) == 1:
         return _apply_1q_batch(states, m, qubits[0])
     a, b = qubits
@@ -117,10 +108,6 @@ def _apply_matrix_batch(
     m = m.reshape(2, 2, 2, 2)
     out = np.tensordot(m, states, axes=([2, 3], [1 + a, 1 + b]))
     return np.moveaxis(out, (0, 1), (1 + a, 1 + b))
-
-
-def _apply_gate_batch(states: np.ndarray, gate: Gate) -> np.ndarray:
-    return _apply_matrix_batch(states, gate.matrix(), gate.qubits)
 
 
 def _apply_mixture_selected(
@@ -171,32 +158,6 @@ def _apply_kraus_general(
             continue
         out[rows] = flat[i][rows] / np.sqrt(norms2[i, rows])[:, None]
     return out.reshape(states.shape)
-
-
-def _apply_kraus_mc(
-    states: np.ndarray,
-    kraus: list[np.ndarray],
-    mixture: _UnitaryMixture | None,
-    q: int,
-    uniforms: np.ndarray,
-) -> np.ndarray:
-    """One Monte-Carlo Kraus event on qubit ``q`` for every trajectory.
-
-    The reference (un-compiled) event path: one ``searchsorted`` per
-    event, every outcome applied — including the identity, whose exact
-    unitary makes the result value-identical to the compiled path's
-    identity skip.  ``uniforms`` holds one pre-drawn uniform per
-    trajectory; the state batch is mutated out-of-place and returned.
-    """
-    if mixture is not None:
-        choice = np.searchsorted(mixture.cum, uniforms, side="right")
-        for i, u in enumerate(mixture.unitaries):
-            rows = np.nonzero(choice == i)[0]
-            if rows.size == 0:
-                continue
-            states[rows] = _apply_1q_batch(states[rows], u, q)
-        return states
-    return _apply_kraus_general(states, kraus, q, uniforms)
 
 
 class TrajectoryResult(SimulationResult):
@@ -252,10 +213,8 @@ class StatevectorTrajectoryBackend(SimulatorBackend):
         max_qubits: int = 24,
         chunk_size: int = 64,
         max_workers: int | None = None,
-        layered: bool = True,
         fuse: bool = True,
         fuse2q: bool = True,
-        compiled: bool = True,
         program_cache: ProgramCache | None = None,
     ):
         if trajectories < 1:
@@ -265,20 +224,11 @@ class StatevectorTrajectoryBackend(SimulatorBackend):
         self.max_qubits = max_qubits
         self.chunk_size = max(1, int(chunk_size))
         self.max_workers = max_workers
-        # Layer-batched application: the DAG front-layer schedule is
-        # computed once per run (not per chunk) and noise-event offsets
-        # stay keyed by flat gate position, so results match the
-        # sequential stream for any chunking or worker count.
-        self.layered = bool(layered)
         # Fuse runs of noise-free 1q gates per wire into single 2x2
         # matrices; ``fuse2q`` additionally collapses same-pair 2q
         # blocks (and sandwiched 1q runs) into 4x4 operators.
         self.fuse = bool(fuse)
         self.fuse2q = bool(fuse2q)
-        # JIT-compile (circuit, noise, config) into a SimProgram once
-        # per run, memoized across runs; False retains the per-chunk
-        # interpreting reference path (bit-identical states).
-        self.compiled = bool(compiled)
         self.program_cache = program_cache
 
     def supports(self, n_qubits: int, noisy: bool) -> bool:
@@ -294,17 +244,6 @@ class StatevectorTrajectoryBackend(SimulatorBackend):
         return _ITEMSIZE * 2**n_qubits * width
 
     # -- execution ---------------------------------------------------------
-    def _program_for(
-        self, circuit: Circuit, noise: NoiseModel | None
-    ) -> SimProgram:
-        cache = self.program_cache
-        if cache is None:
-            cache = default_program_cache()
-        return cache.get(
-            circuit, noise,
-            layered=self.layered, fuse=self.fuse, fuse2q=self.fuse2q,
-        )
-
     def _run_chunk_program(
         self, program: SimProgram, uniforms: np.ndarray
     ) -> np.ndarray:
@@ -334,45 +273,6 @@ class StatevectorTrajectoryBackend(SimulatorBackend):
                     )
         return states.reshape(k, -1)
 
-    def _run_chunk(
-        self,
-        schedule: list[list[tuple[int, Gate]]],
-        offsets: list[int],
-        n: int,
-        noise: NoiseModel | None,
-        uniforms: np.ndarray,
-    ) -> np.ndarray:
-        """The retained reference path: re-interpret the gate stream.
-
-        ``schedule`` is the (possibly layer-batched, possibly fused)
-        gate stream from :func:`gate_schedule`; each layer's gates are
-        applied back to back and the layer's noise events follow in
-        flat-list order — gates within a layer act on disjoint qubits,
-        so this equals the sequential stream.  ``offsets[pos]`` indexes
-        the uniform column of gate ``pos``'s first noise event.
-        """
-        k = uniforms.shape[0]
-        states = np.zeros((k,) + (2,) * n, dtype=complex)
-        states[(slice(None),) + (0,) * n] = 1.0
-        channels = channels_for(noise) if is_noisy(noise) else None
-        for layer in schedule:
-            for _, gate in layer:
-                states = _apply_gate_batch(states, gate)
-            if channels is not None:
-                for pos, gate in layer:
-                    if pos < 0:
-                        continue  # fused operators carry no noise events
-                    qubits = noise.noisy_qubits(gate)
-                    if not qubits:
-                        continue
-                    kraus, mixture = channels.get(noise.rate_for(gate))
-                    for j, q in enumerate(qubits):
-                        states = _apply_kraus_mc(
-                            states, kraus, mixture, q,
-                            uniforms[:, offsets[pos] + j],
-                        )
-        return states.reshape(k, -1)
-
     def run(
         self, circuit: Circuit, noise: NoiseModel | None = None
     ) -> TrajectoryResult:
@@ -382,35 +282,21 @@ class StatevectorTrajectoryBackend(SimulatorBackend):
                 f"refused (limit {self.max_qubits})"
             )
         start = time.monotonic()
-        if self.compiled:
-            # Compiled once per (circuit, noise, config) — and memoized
-            # across runs — then shared read-only by every chunk/worker.
-            program = self._program_for(circuit, noise)
-            n_events = program.n_events
-
-            def run_chunk(rows: np.ndarray) -> np.ndarray:
-                return self._run_chunk_program(program, rows)
-        else:
-            # Reference path: schedule and event offsets are shared by
-            # every chunk/worker, and content-cached across runs so a
-            # repeated circuit skips as_layers() + fusion re-derivation.
-            if self.fuse:
-                schedule = fused_gate_schedule(
-                    circuit, noise,
-                    layered=self.layered, two_qubit=self.fuse2q,
-                )
-            else:
-                schedule = gate_schedule(circuit, self.layered)
-            event_offsets, n_events = noise_event_layout(circuit, noise)
-
-            def run_chunk(rows: np.ndarray) -> np.ndarray:
-                return self._run_chunk(
-                    schedule, event_offsets, circuit.n_qubits, noise, rows
-                )
-
+        cache = self.program_cache
+        if cache is None:
+            cache = default_program_cache()
+        # Compiled once per (circuit, noise, config) — and memoized
+        # across runs — then shared read-only by every chunk/worker.
+        # Layer-batched application: the DAG front-layer schedule is
+        # exact for a dense state, and noise-event columns stay keyed by
+        # flat gate position, so results match the sequential stream.
+        program = cache.get(
+            circuit, noise, layered=True, fuse=self.fuse, fuse2q=self.fuse2q,
+        )
+        n_events = program.n_events
         if n_events == 0:
             # Deterministic evolution: every trajectory is identical.
-            states = run_chunk(np.empty((1, 0)))
+            states = self._run_chunk_program(program, np.empty((1, 0)))
             return TrajectoryResult(
                 states, circuit.n_qubits, self.seed,
                 time.monotonic() - start,
@@ -432,7 +318,9 @@ class StatevectorTrajectoryBackend(SimulatorBackend):
 
         def job(lo: int) -> None:
             rows = uniforms[lo : lo + self.chunk_size]
-            states[lo : lo + rows.shape[0]] = run_chunk(rows)
+            states[lo : lo + rows.shape[0]] = self._run_chunk_program(
+                program, rows
+            )
 
         map_parallel(job, offsets, self.max_workers)
         return TrajectoryResult(

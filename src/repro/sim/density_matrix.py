@@ -1,7 +1,8 @@
-"""Exact density-matrix simulation with per-gate depolarizing noise.
+"""Exact density-matrix simulation with per-gate Kraus noise.
 
 The density matrix is stored as a rank-2n tensor (ket axes then bra
-axes); gates act on both sides and Kraus channels are summed explicitly.
+axes); gates act on both sides and Kraus channels — depolarizing unless
+the model supplies its own factory — are summed explicitly.
 Memory is 4^n complex entries, so the simulator guards at 12 qubits —
 matching the paper's fidelity-evaluation cutoff.
 """
@@ -70,13 +71,14 @@ class DensityMatrixSimulator:
     def run(self, circuit: Circuit, noise: NoiseModel | None = None) -> np.ndarray:
         if circuit.n_qubits != self.n:
             raise ValueError("circuit size mismatch")
+        factory = None
+        if noise is not None:
+            factory = noise.kraus or depolarizing_kraus
         for gate in circuit.gates:
             self.apply_gate(gate)
-            if noise is not None:
+            if factory is not None:
                 for q in noise.noisy_qubits(gate):
-                    self.apply_kraus_1q(
-                        depolarizing_kraus(noise.rate_for(gate)), q
-                    )
+                    self.apply_kraus_1q(factory(noise.rate_for(gate)), q)
         return self.rho
 
 

@@ -75,7 +75,6 @@ def evaluate_fidelity(
     seed: int = 0,
     max_workers: int | None = None,
     reference_state=None,
-    compiled: bool = True,
     fuse: bool = True,
     fuse2q: bool = True,
     program_cache=None,
@@ -93,9 +92,9 @@ def evaluate_fidelity(
     callers scoring many circuits against one ideal state should
     precompute it once.
 
-    ``compiled``/``fuse``/``fuse2q``/``program_cache`` configure the
-    stochastic engines' JIT program compilation (see
-    :mod:`repro.sim.program`); the defaults give the fast path.
+    ``fuse``/``fuse2q``/``program_cache`` configure the stochastic
+    engines' JIT-compiled programs (see :mod:`repro.sim.program`); the
+    defaults give the fast path.
     """
     if reference is None:
         reference = circuit
@@ -109,7 +108,6 @@ def evaluate_fidelity(
         max_bond=max_bond,
         seed=seed,
         max_workers=max_workers,
-        compiled=compiled,
         fuse=fuse,
         fuse2q=fuse2q,
         program_cache=program_cache,

@@ -1,10 +1,10 @@
 """JIT-compiled simulation programs: compile once, run every chunk.
 
-The stochastic engines used to re-interpret the gate stream on every
-chunk of every run — ``gate.matrix()`` per gate per chunk, a channel
-table resolved per noise event, one ``searchsorted`` per event column.
-:func:`compile_program` lowers a ``(circuit, noise, schedule-config)``
-triple into a flat :class:`SimProgram` instead:
+Rather than re-interpret the gate stream on every chunk of every run —
+``gate.matrix()`` per gate per chunk, a channel table resolved per
+noise event, one ``searchsorted`` per event column — the stochastic
+engines drive a :class:`SimProgram`: :func:`compile_program` lowers a
+``(circuit, noise, schedule-config)`` triple into flat form once:
 
 * every operator is a precomputed dense matrix (including the 1q/2q
   fusion products of :func:`repro.sim.backends.base.fuse_schedule`),
@@ -12,7 +12,7 @@ triple into a flat :class:`SimProgram` instead:
   column into the pre-drawn ``(n_traj, n_events)`` uniform matrix,
 * mixture events are grouped by channel so a whole run's outcome
   choices come from one batched ``searchsorted`` per distinct rate —
-  bit-identical to the per-event sampling by construction — and the
+  element-for-element the per-event sampling — and the
   identity outcome (the overwhelming majority at calibrated rates) is
   marked so engines can skip it outright.
 
@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.circuits.circuit import Circuit, Gate
+from repro.circuits.circuit import Circuit
 from repro.sim.backends.base import (
     fuse_schedule,
     gate_schedule,
@@ -204,8 +204,8 @@ class SimProgram:
 
         One batched ``searchsorted`` per distinct channel over the
         chunk's pre-drawn uniforms — element-for-element the same
-        values the per-event reference sampling produces, so results
-        stay chunk- and worker-invariant.  Columns of general (non-
+        values per-event sampling produces, so results stay chunk- and
+        worker-invariant.  Columns of general (non-
         mixture) events are left untouched; their probabilities depend
         on the state and are resolved at application time.
         """
@@ -229,8 +229,9 @@ def compile_program(
 ) -> SimProgram:
     """Lower a circuit (+ noise model) into a :class:`SimProgram`.
 
-    ``layered``/``fuse``/``fuse2q`` mirror the engine knobs: DAG
-    front-layer scheduling, 1q fusion, and same-pair 2q fusion.  The
+    ``layered`` selects DAG front-layer scheduling (the statevector
+    engine) over flat gate order (the MPS engine); ``fuse``/``fuse2q``
+    mirror the engine knobs for 1q and same-pair 2q fusion.  The
     returned program is self-contained — engines touch neither the
     circuit nor the noise model again.
     """

@@ -112,10 +112,8 @@ class TestGeneralKrausPath:
         return [k0, k1]
 
     def test_statevector_general_path(self):
-        from repro.sim.backends.statevector import (
-            _apply_kraus_mc,
-            _as_unitary_mixture,
-        )
+        from repro.sim.backends.statevector import _apply_kraus_general
+        from repro.sim.program import _as_unitary_mixture
 
         kraus = self._damping_kraus(0.4)
         assert _as_unitary_mixture(kraus) is None
@@ -124,8 +122,8 @@ class TestGeneralKrausPath:
         states = np.zeros((k, 2), dtype=complex)
         states[:, 1] = 1.0
         uniforms = np.random.default_rng(0).random(k)
-        out = _apply_kraus_mc(
-            states.reshape(k, 2), kraus, None, 0, uniforms
+        out = _apply_kraus_general(
+            states.reshape(k, 2), kraus, 0, uniforms
         ).reshape(k, 2)
         norms = np.abs(out) ** 2
         assert np.allclose(norms.sum(axis=1), 1.0)
@@ -146,6 +144,36 @@ class TestGeneralKrausPath:
             assert mps.norm() == pytest.approx(1.0, abs=1e-9)
             counts += abs(mps.amplitude([0, 0])) ** 2 > 0.99
         assert counts / n_traj == pytest.approx(0.4, abs=0.1)
+
+
+    def test_density_honors_custom_kraus(self):
+        # Regression: the density engine used to apply depolarizing
+        # noise whatever the model's channel factory said.
+        noise = NoiseModel(
+            0.2, NoiseModel.non_pauli_gates(0.2).applies_to,
+            kraus=self._damping_kraus,
+        )
+        c = Circuit(2).x(0).h(1).t(1).cx(0, 1).t(0)
+        eye = np.eye(2)
+        rho = np.zeros((4, 4), dtype=complex)
+        rho[0, 0] = 1.0
+        for g in c.gates:
+            m = g.matrix()
+            if len(g.qubits) == 1:
+                m = np.kron(m, eye) if g.qubits == (0,) else np.kron(eye, m)
+            rho = m @ rho @ m.conj().T
+            for q in noise.noisy_qubits(g):
+                ops = [
+                    np.kron(k, eye) if q == 0 else np.kron(eye, k)
+                    for k in self._damping_kraus(0.2)
+                ]
+                rho = sum(k @ rho @ k.conj().T for k in ops)
+        psi = c.statevector()
+        expected = float(np.real(psi.conj() @ rho @ psi))
+        ev = evaluate_fidelity(c, noise=noise)
+        assert ev.backend == "density"
+        assert ev.fidelity == pytest.approx(expected, abs=1e-12)
+        assert expected == pytest.approx(0.5490, abs=1e-4)
 
 
 class TestCircuitMPS:
@@ -418,46 +446,6 @@ class TestScheduleCache:
             for layer in CircuitDAG.from_circuit(c).as_layers()
         ]
         assert [list(layer) for layer in got] == want
-
-    def test_fused_keyed_by_noise_behavior(self):
-        from repro.sim import NoiseModel
-        from repro.sim.backends import ScheduleCache, fused_gate_schedule
-
-        cache = ScheduleCache()
-        c = self._circuit()
-        n1 = NoiseModel(rate=0.01, applies_to=lambda g: True)
-        n2 = NoiseModel(rate=0.01, applies_to=lambda g: True)
-        n3 = NoiseModel(rate=0.02, applies_to=lambda g: True)
-        a = fused_gate_schedule(c, n1, layered=True, cache=cache)
-        b = fused_gate_schedule(c, n2, layered=True, cache=cache)
-        d = fused_gate_schedule(c, n3, layered=True, cache=cache)
-        assert a is b  # same behavior, different model object
-        assert a is not d  # different rate -> different fusion key
-
-    def test_fused_matches_direct_fusion(self):
-        from repro.sim.backends import (
-            ScheduleCache,
-            fused_gate_schedule,
-            gate_schedule,
-        )
-        from repro.sim.backends.base import fuse_schedule
-
-        c = self._circuit()
-        cached = fused_gate_schedule(
-            c, None, layered=True, two_qubit=True, cache=ScheduleCache()
-        )
-        direct = fuse_schedule(
-            gate_schedule(c, True), None, two_qubit=True
-        )
-        flat = [
-            (pos, g.name, g.qubits)
-            for layer in cached for pos, g in layer
-        ]
-        flat_direct = [
-            (pos, g.name, g.qubits)
-            for layer in direct for pos, g in layer
-        ]
-        assert flat == flat_direct
 
     def test_lru_eviction_and_clear(self):
         from repro.circuits import Circuit

@@ -1,6 +1,5 @@
 """End-to-end CLI tests: ``main(argv)`` against small QASM fixtures."""
 
-import json
 import re
 
 import pytest
@@ -73,34 +72,29 @@ class TestCompile:
 
     def test_compile_survives_corrupt_cache_file(self, qasm_file, tmp_path,
                                                  capsys):
-        for blob in ("{garbage", '{"version": 1, "entries": '
-                     '[{"key": ["rz", "g", 0.4, 0.05], "gates": 5, '
-                     '"error": null}]}'):
-            cache_path = tmp_path / "bad.json"
-            cache_path.write_text(blob)
-            rc = main([
-                "compile", str(qasm_file), "--workflow", "gridsynth",
-                "--eps", "0.05", "--cache-file", str(cache_path),
-            ])
-            captured = capsys.readouterr()
-            assert rc == 0
-            assert "ignoring unreadable cache" in captured.err
-            # The bad file is replaced by a valid cache afterwards.
-            assert json.loads(cache_path.read_text())["entries"]
-
-    def test_compile_cache_file_round_trip(self, qasm_file, tmp_path,
-                                           capsys):
-        cache_path = tmp_path / "cache.json"
-        argv = [
-            "compile", str(qasm_file), "--workflow", "gridsynth",
-            "--eps", "0.05", "--cache-file", str(cache_path),
-        ]
-        assert main(argv) == 0
+        store_dir = tmp_path / "store"
+        seg_dir = store_dir / "segments"
+        seg_dir.mkdir(parents=True)
+        (store_dir / "index.json").write_text("{garbage")
+        for shard in range(16):
+            blob = "{garbage" if shard % 2 else (
+                '{"format": "repro-segstore/v1", "entries": '
+                '[{"key": ["rz", "g", 0.4, 0.05], "gates": 5, '
+                '"error": null}]}'
+            )
+            (seg_dir / f"seg-{shard:02d}-bad000000000.json").write_text(blob)
+        argv = ["compile", str(qasm_file), "--workflow", "gridsynth",
+                "--eps", "0.05", "--cache-dir", str(store_dir)]
+        with pytest.warns(UserWarning, match="unreadable"):
+            assert main(argv) == 0
         first = capsys.readouterr().out
-        payload = json.loads(cache_path.read_text())
-        assert payload["entries"]
-        assert main(argv) == 0
+        assert _field(first, "disk store").startswith("0 exact")
+        # Valid segments were published beside the bad ones: a rerun is
+        # served from the store with identical results.
+        with pytest.warns(UserWarning, match="unreadable"):
+            assert main(argv) == 0
         second = capsys.readouterr().out
+        assert _field(second, "disk store").endswith(" 0 misses")
         assert _field(first, "T count") == _field(second, "T count")
 
 
@@ -226,12 +220,12 @@ class TestCompileBatch:
 
     def test_batch_parallel_with_cache(self, tmp_path, capsys):
         paths = self._write_fixtures(tmp_path, 3)
-        cache_path = tmp_path / "cache.json"
+        store_dir = tmp_path / "store"
         out_dir = tmp_path / "out"
         rc = main([
             "compile-batch", *paths, "--workflow", "gridsynth",
             "--eps", "0.05", "--jobs", "2",
-            "--cache-file", str(cache_path), "--output-dir", str(out_dir),
+            "--cache-dir", str(store_dir), "--output-dir", str(out_dir),
         ])
         out = capsys.readouterr().out
         assert rc == 0
@@ -243,18 +237,17 @@ class TestCompileBatch:
         assert len(compiled) == 3
         for p in compiled:
             from_qasm(p.read_text())  # parses cleanly
-        assert cache_path.exists()
+        assert list((store_dir / "segments").glob("seg-*.json"))
 
-        # Second run is fully warm: zero misses reported.
+        # Second run is fully warm: every rotation comes from the store.
         rc = main([
             "compile-batch", *paths, "--workflow", "gridsynth",
-            "--eps", "0.05", "--cache-file", str(cache_path),
+            "--eps", "0.05", "--cache-dir", str(store_dir),
         ])
         out2 = capsys.readouterr().out
         assert rc == 0
-        hits, misses = _field(out2, "cache hits/misses").split("/")
-        assert int(misses) == 0
-        assert int(hits) > 0
+        assert _field(out2, "disk store").endswith(" 0 misses")
+        assert int(_field(out2, "disk store").partition(" exact")[0]) > 0
 
     def test_batch_process_workers_with_store(self, tmp_path, capsys):
         paths = self._write_fixtures(tmp_path, 3)

@@ -288,48 +288,6 @@ class TestPostOptAcceptance:
         assert run_rq5([]) == []
 
 
-class TestLayeredSimulation:
-    """Layer-batched gate streams match sequential ones exactly."""
-
-    @pytest.fixture(scope="class")
-    def circuit(self):
-        return _random_circuit(33, max_qubits=5, max_gates=40)
-
-    def test_statevector_layered_equals_sequential(self, circuit):
-        from repro.sim import NoiseModel
-        from repro.sim.backends.statevector import (
-            StatevectorTrajectoryBackend,
-        )
-
-        ref = circuit.statevector()
-        for noise in (None, NoiseModel.non_pauli_gates(0.02)):
-            seq = StatevectorTrajectoryBackend(
-                trajectories=30, seed=7, layered=False
-            ).run(circuit, noise)
-            lay = StatevectorTrajectoryBackend(
-                trajectories=30, seed=7, layered=True
-            ).run(circuit, noise)
-            assert lay.fidelity(ref) == pytest.approx(
-                seq.fidelity(ref), abs=1e-9
-            )
-
-    def test_mps_layered_equals_sequential(self, circuit):
-        from repro.sim import NoiseModel
-        from repro.sim.backends.mps_backend import MPSBackend
-
-        ref = circuit.statevector()
-        for noise in (None, NoiseModel.non_pauli_gates(0.02)):
-            seq = MPSBackend(
-                trajectories=8, seed=7, layered=False
-            ).run(circuit, noise)
-            lay = MPSBackend(
-                trajectories=8, seed=7, layered=True
-            ).run(circuit, noise)
-            assert lay.fidelity(ref) == pytest.approx(
-                seq.fidelity(ref), abs=1e-8
-            )
-
-
 class TestCLIOptimizationLevel:
     _QASM = """OPENQASM 2.0;
 include "qelib1.inc";

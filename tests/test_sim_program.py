@@ -1,11 +1,12 @@
-"""JIT-compiled simulation programs: identity, caching, determinism.
+"""JIT-compiled simulation programs: correctness, caching, determinism.
 
-The contract under test: the compiled program path (and every fusion
-level on top of it) produces **byte-identical** trajectory states to
-the retained interpreting reference path, for mixture and general-Kraus
-channels alike, regardless of chunk size or worker count — while the
-program cache memoizes by content and the batched choice sampling
-matches per-event sampling element for element.
+The contract under test: the compiled program path, at every fusion
+level, matches an independent trajectory oracle — one dense state per
+trajectory, flat gate order, the same per-trajectory uniforms — for
+mixture and general-Kraus channels alike; results are byte-identical
+regardless of chunk size or worker count; the program cache memoizes
+by content; and the batched choice sampling matches per-event sampling
+element for element.
 """
 
 import random
@@ -18,9 +19,10 @@ from repro.sim import evaluate_fidelity
 from repro.sim.backends import select_backend
 from repro.sim.backends.mps_backend import MPSBackend
 from repro.sim.backends.statevector import StatevectorTrajectoryBackend
-from repro.sim.noise import NoiseModel
+from repro.sim.noise import NoiseModel, depolarizing_kraus
 from repro.sim.program import (
     ProgramCache,
+    _as_unitary_mixture,
     compile_program,
     default_program_cache,
     program_key,
@@ -58,11 +60,10 @@ def _amp_damping_model(rate):
     )
 
 
-def _sv(circuit, noise, *, compiled, fuse=True, fuse2q=True, **kw):
+def _sv(circuit, noise, *, fuse=True, fuse2q=True, **kw):
     return StatevectorTrajectoryBackend(
         trajectories=kw.pop("trajectories", 12),
         seed=kw.pop("seed", 7),
-        compiled=compiled,
         fuse=fuse,
         fuse2q=fuse2q,
         program_cache=ProgramCache(),
@@ -70,8 +71,52 @@ def _sv(circuit, noise, *, compiled, fuse=True, fuse2q=True, **kw):
     ).run(circuit, noise)
 
 
+def _apply(psi, m, qubits):
+    k = len(qubits)
+    m = m.reshape((2,) * (2 * k))
+    psi = np.tensordot(m, psi, axes=(list(range(k, 2 * k)), list(qubits)))
+    return np.moveaxis(psi, list(range(k)), list(qubits))
+
+
+def _oracle(circuit, noise, trajectories, seed=7):
+    """Independent reference: one dense state per trajectory, flat order.
+
+    Trajectory ``t`` consumes ``default_rng([seed, t])`` uniforms one
+    per noise event in gate order; unitary mixtures pick an outcome by
+    ``searchsorted`` on the channel's ``cum``, general channels by the
+    branch norms.
+    """
+    n = circuit.n_qubits
+    noisy = noise is not None and noise.rate > 0
+    factory = (noise.kraus or depolarizing_kraus) if noisy else None
+    events = [noise.noisy_qubits(g) if noisy else () for g in circuit.gates]
+    n_events = sum(len(qs) for qs in events)
+    out = []
+    for t in range(trajectories if n_events else 1):
+        uniforms = iter(np.random.default_rng([seed, t]).random(n_events))
+        psi = np.zeros((2,) * n, dtype=complex)
+        psi[(0,) * n] = 1.0
+        for gate, qubits in zip(circuit.gates, events):
+            psi = _apply(psi, gate.matrix(), gate.qubits)
+            for q in qubits:
+                u = next(uniforms)
+                kraus = factory(noise.rate_for(gate))
+                mixture = _as_unitary_mixture(kraus)
+                if mixture is not None:
+                    i = np.searchsorted(mixture.cum, u, side="right")
+                    psi = _apply(psi, mixture.unitaries[i], (q,))
+                    continue
+                branches = [_apply(psi, k, (q,)) for k in kraus]
+                p = np.array([np.vdot(b, b).real for b in branches])
+                i = min(np.searchsorted(np.cumsum(p / p.sum()), u),
+                        len(p) - 1)
+                psi = branches[i] / np.sqrt(p[i])
+        out.append(psi.reshape(-1))
+    return np.array(out)
+
+
 class TestByteIdentity:
-    """Compiled states equal the reference path's, byte for byte."""
+    """Compiled states match the independent trajectory oracle."""
 
     @pytest.mark.parametrize(
         "fuse,fuse2q", [(False, False), (True, False), (True, True)]
@@ -88,60 +133,59 @@ class TestByteIdentity:
     def test_compiled_matches_reference(self, fuse, fuse2q, noise_factory):
         circuit = _clifford_t_circuit(6, 120, seed=3)
         noise = noise_factory()
-        compiled = _sv(circuit, noise, compiled=True, fuse=fuse,
-                       fuse2q=fuse2q)
-        reference = _sv(circuit, noise, compiled=False, fuse=fuse,
-                        fuse2q=fuse2q)
-        assert np.array_equal(compiled.states, reference.states)
+        compiled = _sv(circuit, noise, fuse=fuse, fuse2q=fuse2q)
+        assert np.allclose(
+            compiled.states, _oracle(circuit, noise, 12), atol=1e-10
+        )
 
     def test_noiseless_compiled_matches_reference(self):
         circuit = _clifford_t_circuit(7, 90, seed=5)
-        compiled = _sv(circuit, None, compiled=True, trajectories=1)
-        reference = _sv(circuit, None, compiled=False, trajectories=1)
-        assert np.array_equal(compiled.states, reference.states)
+        compiled = _sv(circuit, None, trajectories=1)
+        assert np.allclose(
+            compiled.states, _oracle(circuit, None, 1), atol=1e-10
+        )
 
     def test_fused_2q_preserves_the_state(self):
         # Fusion reorders float products, so exact equality is not the
         # contract across fusion levels — closeness to the unfused
         # gate-by-gate state is.
         circuit = _clifford_t_circuit(6, 150, seed=11)
-        fused = _sv(circuit, None, compiled=True, trajectories=1)
-        plain = _sv(circuit, None, compiled=True, trajectories=1,
-                    fuse=False, fuse2q=False)
+        fused = _sv(circuit, None, trajectories=1)
+        plain = _sv(circuit, None, trajectories=1, fuse=False, fuse2q=False)
         assert np.allclose(fused.states[0], plain.states[0], atol=1e-10)
 
     def test_mps_compiled_matches_reference(self):
+        # A bond cap of 16 never truncates 6 qubits (max bond 8).
         circuit = _clifford_t_circuit(6, 100, seed=9)
-        noise = NoiseModel.t_gates_only(1e-2)
-        kwargs = dict(trajectories=4, seed=7, max_bond=16)
-        a = MPSBackend(compiled=True, program_cache=ProgramCache(),
-                       **kwargs).run(circuit, noise)
-        b = MPSBackend(compiled=False, program_cache=ProgramCache(),
-                       **kwargs).run(circuit, noise)
-        assert a.truncation_error == b.truncation_error
-        for ta, tb in zip(a.trajectories, b.trajectories):
-            assert np.array_equal(ta.to_statevector(), tb.to_statevector())
+        for noise in (NoiseModel.t_gates_only(1e-2), _amp_damping_model(0.05)):
+            result = MPSBackend(
+                trajectories=4, seed=7, max_bond=16,
+                program_cache=ProgramCache(),
+            ).run(circuit, noise)
+            assert result.truncation_error == pytest.approx(0.0, abs=1e-12)
+            states = [t.to_statevector() for t in result.trajectories]
+            assert np.allclose(states, _oracle(circuit, noise, 4), atol=1e-10)
 
 
 class TestDeterminism:
-    """Chunking, workers, and compilation cannot change the states."""
+    """Chunking and workers cannot change the states."""
 
-    @pytest.mark.parametrize("compiled", [True, False])
-    def test_chunk_size_invariance(self, compiled):
+    @pytest.mark.parametrize("fuse", [True, False])
+    def test_chunk_size_invariance(self, fuse):
         circuit = _clifford_t_circuit(6, 120, seed=3)
         noise = NoiseModel.t_gates_only(1e-2)
-        small = _sv(circuit, noise, compiled=compiled, trajectories=16,
+        small = _sv(circuit, noise, fuse=fuse, trajectories=16,
                     chunk_size=3)
-        large = _sv(circuit, noise, compiled=compiled, trajectories=16,
+        large = _sv(circuit, noise, fuse=fuse, trajectories=16,
                     chunk_size=64)
         assert np.array_equal(small.states, large.states)
 
     def test_worker_count_invariance(self):
         circuit = _clifford_t_circuit(6, 120, seed=3)
         noise = NoiseModel.non_pauli_gates(2e-3)
-        serial = _sv(circuit, noise, compiled=True, trajectories=16,
+        serial = _sv(circuit, noise, trajectories=16,
                      chunk_size=4, max_workers=1)
-        parallel = _sv(circuit, noise, compiled=True, trajectories=16,
+        parallel = _sv(circuit, noise, trajectories=16,
                        chunk_size=4, max_workers=4)
         assert np.array_equal(serial.states, parallel.states)
 
@@ -248,24 +292,23 @@ class TestThreading:
         cache = ProgramCache()
         backend = select_backend(
             6, noise, backend="statevector", trajectories=8,
-            compiled=False, fuse2q=False, program_cache=cache,
+            fuse2q=False, program_cache=cache,
         )
-        assert backend.compiled is False
         assert backend.fuse2q is False
         assert backend.program_cache is cache
         mps = select_backend(
             6, noise, backend="mps", trajectories=4, program_cache=cache,
         )
-        assert mps.compiled is True
         assert mps.program_cache is cache
 
     def test_evaluate_fidelity_identical_across_paths(self):
+        # evaluate_fidelity and a direct backend run score the same
+        # states against the same reference.
         circuit = _clifford_t_circuit(6, 80, seed=4)
         noise = NoiseModel.t_gates_only(1e-2)
-        kwargs = dict(
-            noise=noise, backend="statevector", trajectories=8, seed=7,
-            program_cache=ProgramCache(),
+        ev = evaluate_fidelity(
+            circuit, noise=noise, backend="statevector", trajectories=8,
+            seed=7, program_cache=ProgramCache(),
         )
-        fast = evaluate_fidelity(circuit, compiled=True, **kwargs)
-        slow = evaluate_fidelity(circuit, compiled=False, **kwargs)
-        assert fast.fidelity == slow.fidelity
+        direct = _sv(circuit, noise, trajectories=8)
+        assert ev.fidelity == direct.fidelity(circuit.statevector())

@@ -316,22 +316,6 @@ class TestTieredCache:
         assert (stats.hits, stats.misses) == (3, 2)
         assert (stats.l2_hits, stats.l2_misses) == (1, 1)
 
-    def test_save_path_unaffected_by_store(self, tmp_path):
-        store = DiskSynthesisStore(tmp_path / "store")
-        cache = SynthesisCache(store=store)
-        key = key_rz(0.5, 1e-2)
-        cache.get_or(key, lambda: _seq(t=2))
-        path = tmp_path / "cache.json"
-        cache.save(path)
-        # The JSON persistence format carries exactly the L1 entries,
-        # store or no store, and loads into a store-less cache.
-        loaded = SynthesisCache.load(path)
-        assert loaded.store is None
-        assert key in loaded
-        payload = json.loads(path.read_text())
-        assert payload["version"] == 1
-        assert len(payload["entries"]) == 1
-
 
 def _batch_circuits(n: int = 6) -> list[Circuit]:
     circuits = []

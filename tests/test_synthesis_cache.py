@@ -9,6 +9,7 @@ import pytest
 from repro.circuits import Circuit
 from repro.circuits.qasm import to_qasm
 from repro.pipeline import (
+    DiskSynthesisStore,
     SynthesisCache,
     compile_batch,
     compile_circuit,
@@ -103,19 +104,19 @@ class TestColdWarmDeterminism:
 
     def test_disk_round_trip_preserves_results(self, tmp_path):
         c = _batch_circuits(1)[0]
-        cache = SynthesisCache()
+        cache = SynthesisCache(store=DiskSynthesisStore(tmp_path))
         cold = compile_circuit(c, workflow="gridsynth", eps=0.02, cache=cache)
-        path = tmp_path / "cache.json"
-        cache.save(path)
+        cache.store.flush()
 
-        loaded = SynthesisCache.load(path)
-        assert len(loaded) == len(cache)
+        loaded = SynthesisCache(store=DiskSynthesisStore(tmp_path))
+        assert len(loaded.store) == len(cache)
         warm = compile_circuit(c, workflow="gridsynth", eps=0.02, cache=loaded)
         assert to_qasm(cold.circuit) == to_qasm(warm.circuit)
         assert cold.total_synthesis_error == warm.total_synthesis_error
-        # Every rotation came from the loaded cache: zero misses.
-        assert loaded.stats().misses == 0
-        assert loaded.stats().hits > 0
+        # Every rotation came from the store: no synthesis ran.
+        stats = loaded.stats()
+        assert stats.l2_misses == 0
+        assert stats.l2_hits > 0
 
     def test_failed_save_leaves_previous_cache_intact(
         self, tmp_path, monkeypatch
@@ -123,35 +124,31 @@ class TestColdWarmDeterminism:
         import os
 
         c = _batch_circuits(1)[0]
-        cache = SynthesisCache()
+        cache = SynthesisCache(store=DiskSynthesisStore(tmp_path))
         compile_circuit(c, workflow="gridsynth", eps=0.02, cache=cache)
-        path = tmp_path / "cache.json"
-        cache.save(path)
-        before = path.read_text()
+        cache.store.flush()
 
-        cache.put(key_rz(1.234, 0.02), GateSequence(("H", "T", "H"), 0.01))
+        def snapshot():
+            return {
+                p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()
+            }
+
+        before = snapshot()
+        cache.get_or(
+            key_rz(1.234, 0.02), lambda: GateSequence(("H", "T", "H"), 0.01)
+        )
 
         def boom(src, dst):
             raise OSError("no space left on device")
 
         monkeypatch.setattr(os, "replace", boom)
         with pytest.raises(OSError):
-            cache.save(path)
+            cache.store.flush()
         monkeypatch.undo()
-        # The previous cache file is byte-identical and still loads;
-        # no temp files were left behind.
-        assert path.read_text() == before
-        assert list(tmp_path.iterdir()) == [path]
-        assert len(SynthesisCache.load(path)) == len(cache) - 1
-
-    def test_merge_from_skips_existing(self, tmp_path):
-        cache = SynthesisCache()
-        cache.put(key_rz(0.5, 0.01), GateSequence(gates=("T",), error=0.0))
-        path = tmp_path / "cache.json"
-        cache.save(path)
-        assert cache.merge_from(path) == 0
-        other = SynthesisCache()
-        assert other.merge_from(path) == 1
+        # Published segments and the index are byte-identical and still
+        # load; no temp files were left behind.
+        assert snapshot() == before
+        assert len(DiskSynthesisStore(tmp_path)) == len(cache) - 1
 
 
 class TestBatchMatchesSerial:
