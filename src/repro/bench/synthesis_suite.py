@@ -1,10 +1,12 @@
-"""Synthesis benchmarks: gridsynth Rz approximation and trasyn lookup.
+"""Synthesis benchmarks: gridsynth Rz approximation and trasyn.
 
 gridsynth is timed at two precision points (a fast everyday epsilon and
-a tight one) on a fixed irrational-ish angle; trasyn is timed with the
-enumeration table prebuilt in setup, so the number isolates the
-MPS-sampling table *lookup* the paper's Synthesize step performs —
-table construction is a one-off cost amortized by the disk cache.
+a tight one) on a fixed irrational-ish angle.  trasyn is timed with the
+enumeration table prebuilt in setup (table construction is a one-off
+cost amortized by the disk cache) in two shapes: a single-slot layout,
+which the paper's Synthesize step serves by a table scan, and a
+two-slot layout, which runs the whole tensor-network search — MPS
+sampling, beam decode, pair refinement and step-3 simplification.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ _QUICK_GRIDSYNTH_EPS = (1e-2,)
 
 _TRASYN_BUDGET = {False: 6, True: 3}
 _TRASYN_SAMPLES = {False: 500, True: 50}
+_TRASYN_LAYOUT = {False: (10, 6), True: (4, 3)}
 
 
 def _gridsynth_spec(eps: float) -> BenchSpec:
@@ -74,11 +77,52 @@ def _trasyn_spec(budget: int, n_samples: int) -> BenchSpec:
     )
 
 
+def _trasyn_layout_spec(layout: tuple[int, ...], n_samples: int) -> BenchSpec:
+    def setup():
+        import numpy as np
+
+        from repro.enumeration import get_table
+        from repro.linalg import u3
+        from repro.synthesis.trasyn import synthesize
+
+        table = get_table(max(layout))
+        target = u3(0.3, 0.7, 1.1)
+
+        def run():
+            result = synthesize(
+                target,
+                t_budgets=list(layout),
+                n_samples=n_samples,
+                rng=np.random.default_rng(17),
+                table=table,
+            )
+            return {"t_count": result.sequence.t_count}
+
+        # Untimed first call: builds the layout's memoized MPS tail and
+        # k-d trees, which every later target on this table reuses.
+        run()
+        return run
+
+    return BenchSpec(
+        name=f"trasyn/layout={'-'.join(map(str, layout))}",
+        params={
+            "t_budgets": list(layout),
+            "n_samples": n_samples,
+            "u3": [0.3, 0.7, 1.1],
+            "seed": 17,
+        },
+        setup=setup,
+    )
+
+
 def specs(quick: bool) -> list[BenchSpec]:
     eps_points = _QUICK_GRIDSYNTH_EPS if quick else _GRIDSYNTH_EPS
     out = [_gridsynth_spec(eps) for eps in eps_points]
     out.append(
         _trasyn_spec(_TRASYN_BUDGET[quick], _TRASYN_SAMPLES[quick])
+    )
+    out.append(
+        _trasyn_layout_spec(_TRASYN_LAYOUT[quick], _TRASYN_SAMPLES[quick])
     )
     return out
 

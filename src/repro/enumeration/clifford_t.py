@@ -14,6 +14,7 @@ check of the exact arithmetic, canonicalization, and search.
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 from dataclasses import dataclass, field
@@ -90,8 +91,37 @@ class UnitaryTable:
     def lookup(self, u: ExactUnitary) -> int | None:
         """Index of the stored matrix equal to ``u`` up to phase, or None."""
         coeffs, k = vec.exact_to_coeffs(u.reduce())
-        key = vec.canonical_keys(coeffs[None], np.array([k]))[0]
-        return self.key_to_index.get(key)
+        index = int(self.lookup_batch(coeffs[None], np.array([k]))[0])
+        return None if index < 0 else index
+
+    def lookup_batch(self, coeffs: np.ndarray, karr: np.ndarray) -> np.ndarray:
+        """Indices of stored matrices equal up to phase to an exact batch.
+
+        ``coeffs`` (M, 2, 2, 4) and ``karr`` (M,) hold matrices in any
+        terms (see :mod:`repro.enumeration.vectorized`); absent ones
+        map to ``-1``.
+        """
+        coeffs, karr = vec.reduce_batch(coeffs, karr)
+        get = self.key_to_index.get
+        return np.array(
+            [get(key, -1) for key in vec.canonical_keys(coeffs, karr)],
+            dtype=np.int64,
+        )
+
+    @functools.cached_property
+    def sequence_lengths(self) -> np.ndarray:
+        """Token count of every stored sequence, ``len(self.sequence(i))``."""
+        lengths = np.empty(len(self), dtype=np.int64)
+        root = self.parents < 0
+        roots = np.array([len(c.sequence) for c in cliffords()], dtype=np.int64)
+        lengths[root] = roots[self.prefixes[root]]
+        syllables = np.array([len(tokens) for _, tokens, _ in _SYLLABLES])
+        for t in range(1, self.budget + 1):  # parents sit one level down
+            level = self.t_counts == t
+            lengths[level] = (
+                lengths[self.parents[level]] + syllables[self.prefixes[level]]
+            )
+        return lengths
 
     def exact(self, index: int) -> ExactUnitary:
         return vec.coeffs_to_exact(self.coeffs[index], int(self.karr[index]))

@@ -60,7 +60,7 @@ def divisible_by_sqrt2(x: np.ndarray) -> np.ndarray:
     """
     ac = (x[..., 0] + x[..., 2]) % 2 == 0
     bd = (x[..., 1] + x[..., 3]) % 2 == 0
-    return (ac & bd).reshape(x.shape[0], -1).all(axis=1)
+    return (ac & bd).all(axis=(1, 2))
 
 
 def exact_to_coeffs(u: ExactUnitary) -> tuple[np.ndarray, int]:
@@ -82,17 +82,24 @@ def coeffs_to_exact(coeffs: np.ndarray, k: int) -> ExactUnitary:
     return ExactUnitary(zs[0], zs[1], zs[2], zs[3], int(k))
 
 
+# _ZMUL[i, j] = zmul(e_i, e_j): the Z[omega] product as a bilinear map on
+# coefficient vectors, so a batch of matrix products is one contraction.
+_ZMUL = np.stack([zmul(e, np.eye(4, dtype=np.int64))
+                  for e in np.eye(4, dtype=np.int64)])
+
+
+def matmul(x: np.ndarray, kx, y: np.ndarray, ky) -> tuple[np.ndarray, np.ndarray]:
+    """Exact matrix products ``X @ Y`` of (broadcastable) batches."""
+    terms = np.einsum("...aci,...cbj->...abij", x, y)
+    out = terms.reshape(*terms.shape[:-2], 16) @ _ZMUL.reshape(16, 4)
+    return out, np.asarray(kx + ky)
+
+
 def left_multiply(gate: ExactUnitary, coeffs: np.ndarray, karr: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Left-multiply a batch by a fixed exact gate: G @ M for every M."""
     g, gk = exact_to_coeffs(gate)
-    out = np.empty_like(coeffs)
-    for i in (0, 1):
-        for j in (0, 1):
-            out[:, i, j] = zmul(g[i, 0], coeffs[:, 0, j]) + zmul(
-                g[i, 1], coeffs[:, 1, j]
-            )
-    return out, karr + gk
+    return matmul(g, gk, coeffs, karr)
 
 
 def reduce_batch(coeffs: np.ndarray, karr: np.ndarray

@@ -20,6 +20,8 @@ search reach the information-theoretic error floor of its total T budget.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.spatial import cKDTree
 
@@ -49,11 +51,23 @@ class QuaternionIndex:
         self._tree = cKDTree(np.concatenate([q, -q], axis=0))
         self._n = mats.shape[0]
 
-    def nearest(self, targets: np.ndarray, k: int = 2) -> np.ndarray:
-        """Candidate indices (M, k) maximizing |<q_target, q_candidate>|."""
+    def nearest(
+        self,
+        targets: np.ndarray,
+        k: int = 2,
+        distance_upper_bound: float = np.inf,
+    ) -> np.ndarray:
+        """Candidate indices (M, k) maximizing |<q_target, q_candidate>|.
+
+        Only candidates within ``distance_upper_bound`` (Euclidean, between
+        unit quaternions) are returned, nearest first; a row with fewer
+        such candidates is padded with ``-1``.
+        """
         q = to_quaternions(targets)
-        _, idx = self._tree.query(q, k=k)
-        return idx % self._n
+        _, idx = self._tree.query(
+            q, k=k, distance_upper_bound=distance_upper_bound
+        )
+        return np.where(idx < 2 * self._n, idx % self._n, -1)
 
 
 def refine_pairs(
@@ -73,6 +87,9 @@ def refine_pairs(
     n_slots = len(mats)
     udag = target.conj().T
     best_amp = _amplitude(udag, mats, choice)
+    # A pair's query depends only on its environment: once queried, an
+    # unchanged environment cannot yield an amplitude above best_amp.
+    queried: dict[int, bytes] = {}
     for _ in range(max_sweeps):
         improved = False
         for i in range(n_slots - 1):
@@ -83,21 +100,37 @@ def refine_pairs(
             for j in range(i + 2, n_slots):
                 right = right @ mats[j][choice[j]]
             env = right @ udag @ left  # amplitude = Tr(env A B)
+            env_key = env.tobytes()
+            if queried.get(i) == env_key:
+                continue
+            queried[i] = env_key
             env_dag = env.conj().T
             # For every A in slot i, the ideal B is A^dag env^dag.
             a_mats = mats[i]
             targets_b = np.einsum("sji,jk->sik", a_mats.conj(), env_dag)
-            cand_b = indexes[i + 1].nearest(targets_b, k=neighbours)
-            # Exact rescoring: Tr(env A B) for the k nearest B per A.
-            ea = np.einsum("ij,sjk->sik", env, a_mats)  # (N, 2, 2)
-            b_sel = mats[i + 1][cand_b]  # (N, k, 2, 2)
+            # Between unit quaternions dist^2 = 2 - |Tr(env A B)|, so every
+            # B that could beat best_amp lies within this radius (the slack
+            # absorbs rounding); rows without such a B are never rescored.
+            radius = math.sqrt(max(2.0 - abs(best_amp) + 1e-9, 0.0))
+            cand_b = indexes[i + 1].nearest(
+                targets_b, k=neighbours, distance_upper_bound=radius
+            )
+            rows = np.nonzero(cand_b[:, 0] >= 0)[0]
+            if rows.size == 0:
+                continue
+            cand_b = cand_b[rows]
+            # Exact rescoring: Tr(env A B) for the nearest B per A.
+            ea = np.einsum("ij,sjk->sik", env, a_mats[rows])  # (R, 2, 2)
+            b_sel = mats[i + 1][cand_b]  # (R, k, 2, 2)
             scores = np.abs(np.einsum("sab,sjba->sj", ea, b_sel))
+            scores[cand_b < 0] = -1.0
             flat = int(np.argmax(scores))
-            s_a, s_b = np.unravel_index(flat, scores.shape)
-            amp = np.trace(env @ a_mats[s_a] @ mats[i + 1][cand_b[s_a, s_b]])
+            r, s_b = np.unravel_index(flat, scores.shape)
+            s_a = rows[r]
+            amp = np.trace(env @ a_mats[s_a] @ mats[i + 1][cand_b[r, s_b]])
             if abs(amp) > abs(best_amp) + 1e-12:
                 choice[i] = int(s_a)
-                choice[i + 1] = int(cand_b[s_a, s_b])
+                choice[i + 1] = int(cand_b[r, s_b])
                 best_amp = complex(amp)
                 improved = True
         if not improved:

@@ -24,8 +24,7 @@ from scipy.optimize import nnls
 from repro.enumeration import UnitaryTable, get_table
 from repro.sim.fidelity import choi_of_sequence
 from repro.synthesis.sequences import GateSequence
-from repro.synthesis.trasyn import _amp_to_error
-from repro.tensornet import TraceMPS
+from repro.synthesis.trasyn import _amp_to_error, slot_layout
 
 _PAULI = [
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -68,17 +67,16 @@ def top_candidates(
     max_hi = max(t_budgets)
     if table is None:
         table = get_table(max_hi)
-    slot_indices = [table.indices_for_t_range(0, b) for b in t_budgets]
+    layout = slot_layout(table, [(0, b) for b in t_budgets])
+    slot_indices = layout.indices
     seen: dict[tuple, complex] = {}
     if len(t_budgets) == 1:
-        mats = table.mats[slot_indices[0]]
-        amps = np.einsum("nij,ji->n", mats, target.conj().T)
+        amps = np.einsum("nij,ji->n", layout.mats[0], target.conj().T)
         order = np.argsort(-np.abs(amps))[: n_candidates * 4]
         for idx in order:
             seen[(int(slot_indices[0][idx]),)] = complex(amps[idx])
     else:
-        mps = TraceMPS(target, [table.mats[i] for i in slot_indices])
-        choices, amps = mps.sample(n_samples, rng)
+        choices, amps = layout.mps(target).sample(n_samples, rng)
         for c, a in zip(choices, amps):
             key = tuple(int(slot_indices[i][c[i]]) for i in range(len(c)))
             seen.setdefault(key, complex(a))

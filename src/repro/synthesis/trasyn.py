@@ -19,38 +19,106 @@ attempts, optionally stopping at an error threshold (Equation (4)).
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.enumeration import UnitaryTable, get_table
+from repro.enumeration import vectorized as vec
 from repro.gates.exact import ExactUnitary
 from repro.synthesis.meet import QuaternionIndex, refine_pairs
 from repro.synthesis.sequences import GateSequence, t_count_of
-from repro.tensornet import TraceMPS
+from repro.tensornet import CanonicalTail, TraceMPS
 
 DEFAULT_TENSOR_BUDGET = 6
 
-# QuaternionIndex instances are deterministic per table slice; memoize
-# per live table.  Keying by the table object (weakly) rather than
-# ``id(table)`` matters: id values are reused after garbage collection,
-# so an id-keyed cache can silently serve a stale index built from a
-# different, freed table.  The WeakKeyDictionary drops a table's slice
-# indexes the moment the table itself is collected.
-_INDEX_CACHE: "weakref.WeakKeyDictionary[UnitaryTable, dict[tuple[int, int], QuaternionIndex]]" = (
+
+@dataclass(frozen=True)
+class SlotLayout:
+    """Target-independent data of one T-range layout on one table.
+
+    ``indices[i]`` are the table indices of slot ``i`` and ``mats[i]``
+    their matrices; ``tail`` is the layout's :class:`CanonicalTail`
+    (multi-slot layouts only).  All arrays are read-only and shared.
+    """
+
+    indices: tuple[np.ndarray, ...]
+    mats: tuple[np.ndarray, ...]
+    tail: CanonicalTail | None
+
+    def mps(self, target: np.ndarray) -> TraceMPS:
+        return TraceMPS(target, list(self.mats), self.tail)
+
+
+@dataclass
+class _TableMemo:
+    slots: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict
+    )
+    indexes: dict[tuple[int, int], QuaternionIndex] = field(default_factory=dict)
+    layouts: dict[tuple[tuple[int, int], ...], SlotLayout] = field(
+        default_factory=dict
+    )
+
+
+# Slot matrices, QuaternionIndexes and canonical MPS tails are
+# deterministic per table; memoize them per live table.  Keying by the
+# table object (weakly) rather than ``id(table)`` matters: id values are
+# reused after garbage collection, so an id-keyed cache can silently
+# serve stale data built from a different, freed table.  The
+# WeakKeyDictionary drops a table's entries the moment the table itself
+# is collected (memo values must never reference their table).
+_TABLE_MEMO: "weakref.WeakKeyDictionary[UnitaryTable, _TableMemo]" = (
     weakref.WeakKeyDictionary()
 )
+# Concurrent compile_batch threads must not build the same entry twice.
+_MEMO_LOCK = threading.RLock()
+
+
+def _memo(table: UnitaryTable) -> _TableMemo:
+    with _MEMO_LOCK:
+        return _TABLE_MEMO.setdefault(table, _TableMemo())
+
+
+def _slot(table: UnitaryTable, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    slots = _memo(table).slots
+    with _MEMO_LOCK:
+        if (lo, hi) not in slots:
+            idx = table.indices_for_t_range(lo, hi)
+            mats = table.mats[idx]
+            idx.setflags(write=False)
+            mats.setflags(write=False)
+            slots[(lo, hi)] = (idx, mats)
+        return slots[(lo, hi)]
 
 
 def _slot_index(table: UnitaryTable, lo: int, hi: int) -> QuaternionIndex:
-    per_table = _INDEX_CACHE.setdefault(table, {})
-    key = (lo, hi)
-    if key not in per_table:
-        idx = table.indices_for_t_range(lo, hi)
-        per_table[key] = QuaternionIndex(table.mats[idx])
-    return per_table[key]
+    indexes = _memo(table).indexes
+    with _MEMO_LOCK:
+        if (lo, hi) not in indexes:
+            indexes[(lo, hi)] = QuaternionIndex(_slot(table, lo, hi)[1])
+        return indexes[(lo, hi)]
+
+
+def slot_layout(
+    table: UnitaryTable, ranges: list[tuple[int, int]]
+) -> SlotLayout:
+    """Memoized :class:`SlotLayout` of T-count ``ranges`` on ``table``."""
+    key = tuple((int(lo), int(hi)) for lo, hi in ranges)
+    layouts = _memo(table).layouts
+    with _MEMO_LOCK:
+        if key not in layouts:
+            slots = [_slot(table, lo, hi) for lo, hi in key]
+            mats = [m for _, m in slots]
+            tail = CanonicalTail.build(mats) if len(mats) > 1 else None
+            layouts[key] = SlotLayout(
+                tuple(i for i, _ in slots), tuple(mats), tail
+            )
+        return layouts[key]
 
 
 def _amp_to_error(amplitude: complex) -> float:
@@ -94,6 +162,10 @@ def synthesize(
         Also run the deterministic beam-search decode and keep the best
         of both (an extension the tensor representation makes cheap).
     """
+    if not t_budgets:
+        raise ValueError("t_budgets must name at least one tensor slot")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     if rng is None:
         rng = np.random.default_rng()
     ranges = [(0, b) if isinstance(b, int) else (int(b[0]), int(b[1]))
@@ -105,16 +177,18 @@ def synthesize(
         raise ValueError(
             f"table budget {table.budget} below requested T budget {max_hi}"
         )
-    slot_indices = [table.indices_for_t_range(lo, hi) for lo, hi in ranges]
+    layout = slot_layout(table, ranges)
 
     if len(ranges) == 1:
-        choice, amp = _exhaustive_best(target, table, slot_indices[0])
+        choice, amp = _exhaustive_best(
+            target, table, layout.indices[0], layout.mats[0]
+        )
         table_indices = [choice]
         best_amp = amp
         samples_drawn = 0
     else:
-        mats = [table.mats[idx] for idx in slot_indices]
-        mps = TraceMPS(target, mats)
+        mats = list(layout.mats)
+        mps = layout.mps(target)
         choices, amps = mps.sample(n_samples, rng)
         best = int(np.argmax(np.abs(amps)))
         best_choice, best_amp = choices[best], amps[best]
@@ -129,7 +203,7 @@ def synthesize(
                 target, mats, best_choice, indexes
             )
         table_indices = [
-            int(slot_indices[i][best_choice[i]]) for i in range(len(ranges))
+            int(layout.indices[i][best_choice[i]]) for i in range(len(ranges))
         ]
         samples_drawn = n_samples
 
@@ -197,14 +271,17 @@ def _amplitude_of(
 
 
 def _exhaustive_best(
-    target: np.ndarray, table: UnitaryTable, indices: np.ndarray
+    target: np.ndarray,
+    table: UnitaryTable,
+    indices: np.ndarray,
+    mats: np.ndarray,
 ) -> tuple[int, complex]:
     """Single-slot synthesis: the MPS degenerates to a table scan.
 
-    For T budgets within the precomputed table this returns the provably
-    optimal solution (paper RQ1 discussion).
+    ``mats`` are ``table.mats[indices]``.  For T budgets within the
+    precomputed table this returns the provably optimal solution (paper
+    RQ1 discussion).
     """
-    mats = table.mats[indices]
     amps = np.einsum("nij,ji->n", mats, target.conj().T)
     order = np.lexsort((table.t_counts[indices], -np.abs(amps)))
     best = order[0]
@@ -220,11 +297,12 @@ def simplify_sequence(
 ) -> list[str]:
     """Replace subsequences with cheaper table equivalents (paper step 3).
 
-    Slides windows over the sequence, computes each window's product in
-    exact arithmetic, and substitutes the stored minimal sequence when
-    it improves (T count, Clifford count, length) lexicographically.
-    Repeats until a fixed point.  The whole-sequence matrix is preserved
-    up to global phase.
+    Scans window starts left to right.  At the first start with an
+    improving window, i.e. one whose stored minimal sequence is cheaper
+    in (T count, Clifford count, length) lexicographically, the longest
+    such window is substituted and the scan resumes from that start.
+    Passes repeat until one makes no change.  Window products are exact,
+    so the whole-sequence matrix is preserved up to global phase.
     """
     if max_window_t is None:
         max_window_t = table.budget
@@ -232,45 +310,79 @@ def simplify_sequence(
     changed = True
     while changed:
         changed = False
-        n = len(gates)
-        i = 0
-        while i < n:
-            window = ExactUnitary.from_gate(gates[i])
-            window_t = 1 if gates[i] in ("T", "Tdg") else 0
-            best_rewrite = None
-            j = i + 1
-            end = i + 1
-            while j < n:
-                g = gates[j]
-                window = window @ ExactUnitary.from_gate(g)
-                window_t += 1 if g in ("T", "Tdg") else 0
-                j += 1
-                if window_t > max_window_t:
-                    break
-                if j - i < 2:
-                    continue
-                idx = table.lookup(window)
-                if idx is None:
-                    continue
-                old_cost = _segment_cost(gates[i:j])
-                new_seq = table.sequence(idx)
-                new_cost = _segment_cost(new_seq)
-                if new_cost < old_cost:
-                    best_rewrite = list(new_seq)
-                    end = j
-            if best_rewrite is not None:
-                gates[i:end] = best_rewrite
-                changed = True
-                n = len(gates)
-            else:
-                i += 1
+        start = 0
+        while (hit := _first_rewrite(gates, start, table, max_window_t)):
+            start, end, index = hit
+            gates[start:end] = table.sequence(index)
+            changed = True
     return [g for g in gates if g != "I"]
 
 
-def _segment_cost(gates) -> tuple[int, int, int]:
-    t = sum(1 for g in gates if g in ("T", "Tdg"))
-    cliff = sum(1 for g in gates if g in ("H", "S", "Sdg"))
-    return (t, cliff, len(gates))
+def _first_rewrite(
+    gates: list[str], start: int, table: UnitaryTable, max_window_t: int
+) -> tuple[int, int, int] | None:
+    """First improving window at or after ``start``: (i, end, table index).
+
+    Every window ``gates[i:j]`` with ``i >= start``, ``j - i >= 2`` and
+    at most ``max_window_t`` T gates is multiplied out and looked up in
+    one batch, one window length per step.
+    """
+    seq = gates[start:]
+    n = len(seq)
+    if n < 2:
+        return None
+    is_t = np.array([g in ("T", "Tdg") for g in seq], dtype=np.int64)
+    is_c = np.array([g in ("H", "S", "Sdg") for g in seq], dtype=np.int64)
+    t_pre = np.concatenate(([0], np.cumsum(is_t)))
+    c_pre = np.concatenate(([0], np.cumsum(is_c)))
+    # Longest window end per start: T count is monotone in the end.
+    stop = np.searchsorted(t_pre, t_pre[:-1] + max_window_t, side="right") - 1
+    gate_coeffs = np.stack([_gate_coeffs(g)[0] for g in seq])
+    gate_k = np.array([_gate_coeffs(g)[1] for g in seq], dtype=np.int64)
+    live = np.arange(n)
+    prod, prod_k = gate_coeffs, gate_k
+    found = []
+    for length in range(2, n + 1):
+        keep = stop[live] - live >= length
+        if not keep.any():
+            break
+        live, prod, prod_k = live[keep], prod[keep], prod_k[keep]
+        prod, prod_k = vec.matmul(
+            prod, prod_k, gate_coeffs[live + length - 1],
+            gate_k[live + length - 1],
+        )
+        prod, prod_k = vec.reduce_batch(prod, prod_k)
+        found.append((live, live + length, prod, prod_k))
+    if not found:
+        return None
+    lo = np.concatenate([f[0] for f in found])
+    hi = np.concatenate([f[1] for f in found])
+    index = table.lookup_batch(
+        np.concatenate([f[2] for f in found]),
+        np.concatenate([f[3] for f in found]),
+    )
+    hit = index >= 0
+    new = (table.t_counts[index], table.hs_costs[index],
+           table.sequence_lengths[index])
+    old = (t_pre[hi] - t_pre[lo], c_pre[hi] - c_pre[lo], hi - lo)
+    better = hit & (
+        (new[0] < old[0])
+        | ((new[0] == old[0])
+           & ((new[1] < old[1]) | ((new[1] == old[1]) & (new[2] < old[2]))))
+    )
+    if not better.any():
+        return None
+    first = lo[better].min()
+    pick = np.nonzero(better & (lo == first))[0]
+    w = pick[np.argmax(hi[pick])]
+    return start + int(first), start + int(hi[w]), int(index[w])
+
+
+@functools.lru_cache(maxsize=None)
+def _gate_coeffs(name: str) -> tuple[np.ndarray, int]:
+    coeffs, k = vec.exact_to_coeffs(ExactUnitary.from_gate(name))
+    coeffs.setflags(write=False)  # shared by every caller
+    return coeffs, k
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +424,14 @@ def schedule_for_threshold(error_threshold: float | None) -> list[list[int]]:
     return ladder
 
 
+class TrasynArgumentError(ValueError, RuntimeError):
+    """An argument leaves :func:`trasyn` nothing to search.
+
+    A ``ValueError`` naming the argument; also a ``RuntimeError``, which
+    an empty schedule has always raised.
+    """
+
+
 def trasyn(
     target: np.ndarray,
     t_budgets: list[int] | None = None,
@@ -334,14 +454,33 @@ def trasyn(
     ``t_budgets`` reproduces the paper interface exactly: the ladder is
     then ``t_budgets[:min_tensors], ..., t_budgets[:len(t_budgets)]``.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     if t_budgets is not None:
+        if not t_budgets:
+            raise TrasynArgumentError(
+                "t_budgets must name at least one tensor slot"
+            )
+        if not 1 <= min_tensors <= len(t_budgets):
+            raise TrasynArgumentError(
+                f"min_tensors must be between 1 and len(t_budgets) = "
+                f"{len(t_budgets)}, got {min_tensors}"
+            )
         schedule = [
             list(t_budgets[:i]) for i in range(min_tensors, len(t_budgets) + 1)
         ]
     elif schedule is None:
         schedule = schedule_for_threshold(error_threshold)
+    elif not schedule or not all(schedule):
+        raise TrasynArgumentError(
+            "schedule must be a non-empty list of non-empty budget lists"
+        )
+    if attempts < 1:
+        raise TrasynArgumentError(f"attempts must be at least 1, got {attempts}")
+    if n_samples < 1:
+        raise TrasynArgumentError(
+            f"n_samples must be at least 1, got {n_samples}"
+        )
+    if rng is None:
+        rng = np.random.default_rng()
     if table is None:
         max_budget = max(_hi(b) for budgets in schedule for b in budgets)
         table = get_table(max_budget)
@@ -356,10 +495,6 @@ def trasyn(
                 best = cand
             if error_threshold is not None and best.error < error_threshold:
                 return best
-    if best is None:
-        # An empty schedule yields no candidates; raise rather than
-        # assert (asserts vanish under ``python -O``).
-        raise RuntimeError("trasyn schedule produced no candidate sequence")
     return best
 
 

@@ -20,9 +20,65 @@ pass for free.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 _EYE2 = np.eye(2, dtype=complex)
+
+# Working-set bound of one sampling chunk: its rows are sized so the
+# (rows x N) complex conditional weights plus their float cumulative sum
+# fit in this many bytes, whatever the slot size N.
+SAMPLE_CHUNK_BYTES = 64 * 2**20
+
+
+@dataclass(frozen=True)
+class CanonicalTail:
+    """Target-independent part of a right-canonical :class:`TraceMPS`.
+
+    Only site 0 depends on the target.  Sites 1..l-1 after
+    right-canonicalization, their Gram matrices (used by sampling) and
+    the carry into site 0 depend on the slot matrices alone, so one tail
+    serves every target synthesized with the same slot layout.
+    """
+
+    tensors: tuple[np.ndarray, ...]  # sites 1..l-1, each (N, D_left, D_right)
+    grams: tuple[np.ndarray, ...]  # per tail site, (N, D_left**2)
+    carry: np.ndarray  # (4, D) folded into site 0
+
+    @classmethod
+    def build(cls, site_matrices: list[np.ndarray]) -> "CanonicalTail":
+        """Assemble and right-canonicalize sites 1..l-1; bond carries (b, a)."""
+        # Middle sites: W[s, (b,a), (c,a')] = M[s, b, c] * delta_{a,a'}.
+        tensors: list[np.ndarray] = []
+        for m in site_matrices[1:-1]:
+            w = np.einsum("sbc,ad->sbacd", m, _EYE2)
+            tensors.append(np.ascontiguousarray(w.reshape(m.shape[0], 4, 4)))
+        # Last site: V[s, (b,a)] = M[s, b, a] closes the trace loop.
+        tensors.append(np.ascontiguousarray(site_matrices[-1].reshape(-1, 4, 1)))
+        # Sequential SVDs move the orthogonality center to site 0.
+        carry = None
+        for i in range(len(tensors) - 1, -1, -1):
+            a = tensors[i]
+            n, dl, dr = a.shape
+            mat = a.transpose(1, 0, 2).reshape(dl, n * dr)
+            u, s, vh = np.linalg.svd(mat, full_matrices=False)
+            rank = s.shape[0]
+            tensors[i] = np.ascontiguousarray(
+                vh.reshape(rank, n, dr).transpose(1, 0, 2)
+            )
+            carry = u * s
+            if i > 0:
+                tensors[i - 1] = np.einsum("slm,mr->slr", tensors[i - 1], carry)
+        # Gram tensor P[s, l, l'] = sum_r A[s,l,r] conj(A[s,l',r]); the
+        # conditional sampling weight of a message m is m^dag P m.
+        grams = [
+            np.einsum("slr,smr->slm", a, a.conj()).reshape(a.shape[0], -1)
+            for a in tensors
+        ]
+        for arr in (*tensors, *grams, carry):
+            arr.setflags(write=False)
+        return cls(tuple(tensors), tuple(grams), carry)
 
 
 class TraceMPS:
@@ -34,9 +90,17 @@ class TraceMPS:
         The 2x2 unitary ``U`` being synthesized.
     site_matrices:
         List of arrays, one per slot, each of shape ``(N_i, 2, 2)``.
+    tail:
+        The :class:`CanonicalTail` of ``site_matrices``, when the caller
+        keeps one; it is built here otherwise.
     """
 
-    def __init__(self, target: np.ndarray, site_matrices: list[np.ndarray]):
+    def __init__(
+        self,
+        target: np.ndarray,
+        site_matrices: list[np.ndarray],
+        tail: CanonicalTail | None = None,
+    ):
         if len(site_matrices) < 2:
             raise ValueError("TraceMPS needs at least two slots; use a direct "
                              "table lookup for single-slot synthesis")
@@ -46,43 +110,16 @@ class TraceMPS:
         self.target = target
         self.n_sites = len(site_matrices)
         self.site_sizes = [m.shape[0] for m in site_matrices]
-        self.tensors = self._build(target, site_matrices)
-        self._canonicalize()
-
-    # -- construction -----------------------------------------------------
-    @staticmethod
-    def _build(target: np.ndarray, mats: list[np.ndarray]) -> list[np.ndarray]:
-        """Assemble site tensors (N, D_left, D_right); bond carries (b, a)."""
-        tensors: list[np.ndarray] = []
-        udag = target.conj().T
-        # Site 1: B[s] = U^dag M_1[s]; vector over bond (b1, a) = B[s, a, b1].
-        b = np.einsum("ab,sbc->sac", udag, mats[0])
+        if tail is None:
+            tail = CanonicalTail.build(site_matrices)
+        # Site 0: B[s] = U^dag M_1[s]; vector over bond (b1, a) = B[s, a, b1],
+        # times the carry that holds the rest of the chain's normalization.
+        b = np.einsum("ab,sbc->sac", target.conj().T, site_matrices[0])
         first = b.transpose(0, 2, 1).reshape(-1, 1, 4)
-        tensors.append(np.ascontiguousarray(first))
-        # Middle sites: W[s, (b,a), (c,a')] = M[s, b, c] * delta_{a,a'}.
-        for m in mats[1:-1]:
-            w = np.einsum("sbc,ad->sbacd", m, _EYE2)
-            tensors.append(np.ascontiguousarray(w.reshape(m.shape[0], 4, 4)))
-        # Last site: V[s, (b,a)] = M[s, b, a] closes the trace loop.
-        last = mats[-1].reshape(-1, 4, 1)
-        tensors.append(np.ascontiguousarray(last))
-        return tensors
-
-    def _canonicalize(self) -> None:
-        """Right-canonical form: orthogonality center moves to site 0."""
-        for i in range(self.n_sites - 1, 0, -1):
-            a = self.tensors[i]
-            n, dl, dr = a.shape
-            mat = a.transpose(1, 0, 2).reshape(dl, n * dr)
-            u, s, vh = np.linalg.svd(mat, full_matrices=False)
-            rank = s.shape[0]
-            self.tensors[i] = np.ascontiguousarray(
-                vh.reshape(rank, n, dr).transpose(1, 0, 2)
-            )
-            carry = u * s
-            self.tensors[i - 1] = np.einsum(
-                "slm,mr->slr", self.tensors[i - 1], carry
-            )
+        self.tensors = [
+            np.einsum("slm,mr->slr", first, tail.carry), *tail.tensors
+        ]
+        self._grams = tail.grams
 
     # -- exact contraction (testing / tiny instances) -----------------------
     def full_tensor(self) -> np.ndarray:
@@ -111,6 +148,8 @@ class TraceMPS:
         Returns ``(choices, amplitudes)`` with ``choices`` of shape
         ``(n_samples, n_sites)`` and exact complex trace values per
         sample (no renormalization is ever applied to amplitudes).
+        ``chunk_size`` caps the samples advanced together; the chunk is
+        smaller still when needed to stay within ``SAMPLE_CHUNK_BYTES``.
         """
         first = self.tensors[0][:, 0, :]  # (N1, D)
         probs0 = np.einsum("sd,sd->s", first, first.conj()).real
@@ -124,8 +163,10 @@ class TraceMPS:
         )
         msgs = first[choices[:, 0]]  # (k, D)
         for site in range(1, self.n_sites):
-            a = self.tensors[site]
-            sel, msgs = self._sample_site(a, msgs, rng, chunk_size)
+            sel, msgs = self._sample_site(
+                self.tensors[site], self._grams[site - 1], msgs, rng,
+                chunk_size,
+            )
             choices[:, site] = sel
         amplitudes = msgs[:, 0]
         return choices, amplitudes
@@ -133,6 +174,7 @@ class TraceMPS:
     @staticmethod
     def _sample_site(
         a: np.ndarray,
+        gram: np.ndarray,
         msgs: np.ndarray,
         rng: np.random.Generator,
         chunk_size: int,
@@ -140,22 +182,26 @@ class TraceMPS:
         """One conditional-sampling step for a batch of partial chains."""
         n, dl, dr = a.shape
         k = msgs.shape[0]
-        # Gram tensor P[s, l, l'] = sum_r A[s,l,r] conj(A[s,l',r]); the
-        # conditional weight is m^dag P m, evaluated as a real matmul.
-        gram = np.einsum("slr,smr->slm", a, a.conj()).reshape(n, dl * dl)
+        # Per entry: 16 bytes of complex weights, 8 of cumulative sum.
+        rows = max(1, min(chunk_size, SAMPLE_CHUNK_BYTES // (24 * n)))
+        cum = np.empty((min(rows, k), n))
         sel = np.empty(k, dtype=np.int64)
         new_msgs = np.empty((k, dr), dtype=complex)
-        for lo in range(0, k, chunk_size):
-            hi = min(lo + chunk_size, k)
+        for lo in range(0, k, rows):
+            hi = min(lo + rows, k)
             m = msgs[lo:hi]
+            c = cum[: hi - lo]
             m2 = (m[:, :, None] * m.conj()[:, None, :]).reshape(hi - lo, dl * dl)
-            probs = np.maximum((m2 @ gram.T).real, 0.0)  # (c, n)
-            cum = probs.cumsum(axis=1)
-            norm = cum[:, -1]
+            np.maximum((m2 @ gram.T).real, 0.0, out=c)
+            np.cumsum(c, axis=1, out=c)
+            norm = c[:, -1]
             if (norm <= 0).any():
                 raise ArithmeticError("conditional distribution vanished")
             r = rng.random(hi - lo) * norm
-            chosen = (cum < r[:, None]).sum(axis=1).clip(max=n - 1)
+            chosen = np.array(
+                [np.searchsorted(row, x) for row, x in zip(c, r)],
+                dtype=np.int64,
+            ).clip(max=n - 1)
             sel[lo:hi] = chosen
             new_msgs[lo:hi] = np.einsum("cl,clr->cr", m, a[chosen])
         return sel, new_msgs

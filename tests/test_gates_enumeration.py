@@ -112,6 +112,22 @@ class TestVectorizedArithmetic:
         x = rng.integers(-50, 50, size=(10, 2, 2, 4)).astype(np.int64)
         assert np.array_equal(vec.div_sqrt2(vec.mul_sqrt2(x)), x)
 
+    def test_matmul_matches_exact_product(self):
+        rng = np.random.default_rng(1)
+        names = list(EXACT_GATES)
+        words = [rng.choice(names, size=3) for _ in range(6)]
+        x = [ExactUnitary.from_gates(w[:2]) for w in words]
+        y = [EXACT_GATES[w[2]] for w in words]
+        xc = np.stack([vec.exact_to_coeffs(u)[0] for u in x])
+        yc = np.stack([vec.exact_to_coeffs(u)[0] for u in y])
+        prod, k = vec.matmul(xc, np.array([u.k for u in x]),
+                             yc, np.array([u.k for u in y]))
+        prod, k = vec.reduce_batch(prod, k)
+        for i in range(len(words)):
+            want = (x[i] @ y[i]).reduce()
+            assert np.array_equal(prod[i], vec.exact_to_coeffs(want)[0])
+            assert k[i] == want.k
+
 
 class TestEnumeration:
     @pytest.mark.parametrize("budget", [0, 1, 2, 3, 4, 5, 6])
@@ -141,6 +157,33 @@ class TestEnumeration:
             seq = table.sequence(i)
             n_t = sum(1 for g in seq if g in ("T", "Tdg"))
             assert n_t == table.t_counts[i]
+
+    def test_sequence_lengths_match_sequences(self):
+        table = build_table(4)
+        assert [len(table.sequence(i)) for i in range(len(table))] == (
+            table.sequence_lengths.tolist()
+        )
+        # hs_costs is the H/S/Sdg count of each stored sequence.
+        assert all(
+            sum(g in ("H", "S", "Sdg") for g in table.sequence(i))
+            == table.hs_costs[i]
+            for i in range(len(table))
+        )
+
+    def test_lookup_batch_matches_lookup(self):
+        table = build_table(3)
+        words = [("H", "T") * 2, ("T", "H") * 5, ("S", "S", "H"), ("I",)]
+        exact = [ExactUnitary.from_gates(w) for w in words]
+        # Unreduced inputs: the batch lookup reduces them itself.
+        coeffs = np.stack([vec.mul_sqrt2(vec.exact_to_coeffs(u)[0])
+                           for u in exact])
+        karr = np.array([u.k + 1 for u in exact])
+        got = table.lookup_batch(coeffs, karr)
+        assert got.tolist() == [
+            -1 if (i := table.lookup(u)) is None else i for u in exact
+        ]
+        assert got[1] == -1  # T count 5 is beyond the budget-3 table
+        assert table.lookup_batch(coeffs[:0], karr[:0]).shape == (0,)
 
     def test_lookup_miss(self):
         table = build_table(2)

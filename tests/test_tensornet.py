@@ -80,6 +80,36 @@ class TestSampling:
         assert np.array_equal(c1, c2)
         assert np.allclose(a1, a2)
 
+    def test_byte_budget_bounds_chunk_rows(self, monkeypatch):
+        import repro.tensornet.mps as mps_mod
+
+        class Recorder:
+            """Generator proxy logging the size of each uniform draw."""
+
+            def __init__(self, seed):
+                self.rng = np.random.default_rng(seed)
+                self.sizes = []
+
+            def choice(self, *args, **kwargs):
+                return self.rng.choice(*args, **kwargs)
+
+            def random(self, size):
+                self.sizes.append(size)
+                return self.rng.random(size)
+
+        rng = np.random.default_rng(8)
+        target = haar_random_u2(rng)
+        mats = _random_sites(rng, (40, 30, 20))
+        mps = TraceMPS(target, mats)
+        c1, a1 = mps.sample(64, np.random.default_rng(6))
+        # 24 bytes per entry: 2 rows of the 30-wide site, 3 of the 20-wide.
+        monkeypatch.setattr(mps_mod, "SAMPLE_CHUNK_BYTES", 24 * 60)
+        rec = Recorder(6)
+        c2, a2 = mps.sample(64, rec)
+        assert rec.sizes == [2] * 32 + [3] * 21 + [1]
+        assert np.array_equal(c1, c2)
+        assert np.allclose(a1, a2)
+
 
 class TestBeamSearch:
     def test_finds_global_max_small(self):

@@ -1,14 +1,22 @@
 """Tests for the trasyn synthesizer (steps 1-3 and Algorithm 1)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.enumeration import get_table
 from repro.gates.exact import ExactUnitary
 from repro.linalg import GATES, haar_random_u2, rz, trace_distance
 from repro.synthesis import simplify_sequence, synthesize, trasyn
 from repro.synthesis.sequences import matrix_of
-from repro.synthesis.trasyn import schedule_for_threshold
+from repro.synthesis.trasyn import schedule_for_threshold, slot_layout
+from repro.tensornet import TraceMPS
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +75,15 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             synthesize(np.eye(2), [7, 7], table=table6)
 
+    def test_rejects_empty_budget_list(self, table6):
+        with pytest.raises(ValueError, match="t_budgets"):
+            synthesize(np.eye(2), [], table=table6)
+
+    @pytest.mark.parametrize("n_samples", [0, -3])
+    def test_rejects_nonpositive_samples(self, table6, n_samples):
+        with pytest.raises(ValueError, match="n_samples"):
+            synthesize(np.eye(2), [4, 3], n_samples=n_samples, table=table6)
+
 
 class TestSimplify:
     def test_cancels_inverse_pairs(self, table6):
@@ -103,6 +120,79 @@ class TestSimplify:
             assert t_after <= t_before
 
 
+def _simplify_reference(gates, table, max_window_t=None):
+    """Sequential step-3 oracle: one exact product and lookup per window."""
+    if max_window_t is None:
+        max_window_t = table.budget
+    gates = list(gates)
+    changed = True
+    while changed:
+        changed = False
+        n = len(gates)
+        i = 0
+        while i < n:
+            window = ExactUnitary.from_gate(gates[i])
+            window_t = 1 if gates[i] in ("T", "Tdg") else 0
+            best_rewrite = None
+            j = i + 1
+            end = i + 1
+            while j < n:
+                g = gates[j]
+                window = window @ ExactUnitary.from_gate(g)
+                window_t += 1 if g in ("T", "Tdg") else 0
+                j += 1
+                if window_t > max_window_t:
+                    break
+                if j - i < 2:
+                    continue
+                idx = table.lookup(window)
+                if idx is None:
+                    continue
+                new_seq = table.sequence(idx)
+                if _segment_cost(new_seq) < _segment_cost(gates[i:j]):
+                    best_rewrite = list(new_seq)
+                    end = j
+            if best_rewrite is not None:
+                gates[i:end] = best_rewrite
+                changed = True
+                n = len(gates)
+            else:
+                i += 1
+    return [g for g in gates if g != "I"]
+
+
+def _segment_cost(gates):
+    t = sum(1 for g in gates if g in ("T", "Tdg"))
+    cliff = sum(1 for g in gates if g in ("H", "S", "Sdg"))
+    return (t, cliff, len(gates))
+
+
+class TestSimplifyOracle:
+    """The batched step 3 rewrites exactly as the sequential oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        gates=st.lists(
+            st.sampled_from(["H", "S", "Sdg", "T", "Tdg", "X", "Z", "I"]),
+            max_size=40,
+        ),
+        max_window_t=st.sampled_from([None, 2, 4]),
+    )
+    def test_matches_sequential_reference(self, table6, gates, max_window_t):
+        assert simplify_sequence(gates, table6, max_window_t) == (
+            _simplify_reference(gates, table6, max_window_t)
+        )
+
+    def test_matches_reference_on_synthesized_words(self, table6):
+        rng = np.random.default_rng(12)
+        for _ in range(4):
+            i, j, k = rng.integers(0, len(table6), size=3)
+            gates = [g for idx in (i, j, k) for g in table6.sequence(int(idx))]
+            assert simplify_sequence(gates, table6) == (
+                _simplify_reference(gates, table6)
+            )
+
+
 class TestAlgorithm1:
     def test_threshold_mode_meets_or_best_effort(self):
         rng = np.random.default_rng(8)
@@ -130,6 +220,26 @@ class TestAlgorithm1:
             seq.error, abs=1e-9
         )
 
+    @pytest.mark.parametrize("min_tensors", [0, 3])
+    def test_rejects_min_tensors_outside_budgets(self, min_tensors):
+        # No table argument: the check must come before table sizing.
+        with pytest.raises(ValueError, match="min_tensors"):
+            trasyn(np.eye(2), t_budgets=[4, 3], min_tensors=min_tensors)
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"t_budgets": []}, "t_budgets"),
+            ({"schedule": []}, "schedule"),
+            ({"schedule": [[4], []]}, "schedule"),
+            ({"t_budgets": [4, 3], "n_samples": 0}, "n_samples"),
+            ({"t_budgets": [4, 3], "attempts": 0}, "attempts"),
+        ],
+    )
+    def test_rejects_empty_arguments(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            trasyn(np.eye(2), **kwargs)
+
     def test_clifford_target_is_free(self, table6):
         seq = trasyn(GATES["H"], t_budgets=[6], rng=np.random.default_rng(11),
                      table=table6)
@@ -137,12 +247,129 @@ class TestAlgorithm1:
         assert seq.t_count == 0
 
 
+_DIGEST_SCRIPT = """
+import hashlib
+import numpy as np
+from repro.enumeration import get_table
+from repro.linalg import haar_random_u2
+from repro.synthesis import synthesize, trasyn
+
+def digest(seq):
+    key = repr((tuple(seq.gates), repr(seq.error)))
+    return hashlib.sha256(key.encode()).hexdigest()
+
+t6 = get_table(6)
+for layout, seed in [((6,), 21), ((6, 4), 22), ((6, 6), 23), ((4, 4, 3), 24)]:
+    rng = np.random.default_rng(seed)
+    u = haar_random_u2(rng)
+    res = synthesize(u, list(layout), n_samples=300, rng=rng, table=t6)
+    print(digest(res.sequence))
+rng = np.random.default_rng(25)
+u = haar_random_u2(rng)
+print(digest(trasyn(u, error_threshold=0.02, rng=rng)))
+"""
+
+# sha256 of (gates, repr(error)) per call of _DIGEST_SCRIPT, recorded
+# before the pruned pair search, memoized MPS tail, byte-bounded
+# sampling chunks and batched step 3 were introduced.
+_PINNED_DIGESTS = [
+    "681606ef3f8e29e98ac8d3fc1eb76250be1600eb4064390cfaf8ed8cc50bfb28",
+    "72eeafe51591a139e4ceacb3f65f0854db5b6a955437841ef3c79a8e59260d4e",
+    "390098cbc3d54cd1285d3491b164cf0d110fb977dd70d7b6eb1fd12a363c462b",
+    "3a5eca440f5f46ba1244beeb859eafec77ee5b69b1ea354340f76d9f6ac810f0",
+    "54dcfdc861eb14a39a502f89a32a562d04a678e77b1b8660584416616abe360c",
+]
+
+
+class TestByteIdentity:
+    """Pinned outputs at fixed seeds: hot-path rewrites must not move them.
+
+    The BLAS thread count changes float reduction order and with it the
+    sampled words, so the calls run in a subprocess with single-threaded
+    BLAS (the digests are those of single-threaded OpenBLAS on x86-64).
+    """
+
+    def test_synthesize_and_ladder_digests(self):
+        import repro
+
+        env = dict(os.environ)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS"):
+            env[var] = "1"
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", _DIGEST_SCRIPT], env=env,
+            capture_output=True, text=True, check=True,
+        ).stdout.split()
+        assert out == _PINNED_DIGESTS
+
+
+class TestSlotLayout:
+    @pytest.mark.parametrize("seed", [31, 32])
+    def test_memoized_tail_matches_fresh_build(self, table6, seed):
+        ranges = [(0, 6), (2, 4), (0, 3)]
+        layout = slot_layout(table6, ranges)  # shared by both targets
+        target = haar_random_u2(np.random.default_rng(seed))
+        fresh = TraceMPS(
+            target, [table6.mats[table6.indices_for_t_range(lo, hi)]
+                     for lo, hi in ranges]
+        )
+        memo = layout.mps(target)
+        assert len(memo.tensors) == len(fresh.tensors)
+        for a, b in zip(memo.tensors, fresh.tensors):
+            assert np.array_equal(a, b)
+        c1, a1 = memo.sample(200, np.random.default_rng(4))
+        c2, a2 = fresh.sample(200, np.random.default_rng(4))
+        assert np.array_equal(c1, c2) and np.array_equal(a1, a2)
+
+    def test_layout_is_shared_and_read_only(self, table6):
+        layout = slot_layout(table6, [(0, 6), (0, 6)])
+        assert slot_layout(table6, [(0, 6), (0, 6)]) is layout
+        assert layout.mats[0] is layout.mats[1]  # one array per T range
+        assert slot_layout(table6, [(0, 6)]).mats[0] is layout.mats[0]
+        with pytest.raises(ValueError):
+            layout.mats[0][0, 0, 0] = 0.0
+        with pytest.raises(ValueError):
+            layout.tail.tensors[0][0, 0, 0] = 0.0
+
+    def test_concurrent_first_use_builds_one_layout(self):
+        import threading
+
+        from repro.enumeration import build_table
+
+        table = build_table(4)
+        ranges = [(0, 4), (1, 3), (0, 2)]
+        got = []
+        barrier = threading.Barrier(8)
+
+        def worker():
+            barrier.wait(timeout=30)
+            got.append(slot_layout(table, ranges))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert len(got) == 8
+        assert all(layout is got[0] for layout in got)
+
+
 class TestIndexCacheLifetime:
-    """Regression: _INDEX_CACHE must not key QuaternionIndex by id(table).
+    """Regression: the per-table memo must not key entries by id(table).
 
     id() values are reused after garbage collection, so an id-keyed
     cache could silently serve an index built from a freed table.  The
-    cache is now a WeakKeyDictionary keyed by the table object itself.
+    memo is a WeakKeyDictionary keyed by the table object itself.
     """
 
     def test_index_always_matches_current_table(self):
@@ -167,15 +394,32 @@ class TestIndexCacheLifetime:
         import gc
 
         from repro.enumeration import build_table
-        from repro.synthesis.trasyn import _INDEX_CACHE, _slot_index
+        from repro.synthesis.trasyn import _TABLE_MEMO, _slot_index
 
         table = build_table(1)
         _slot_index(table, 0, 1)
-        assert table in _INDEX_CACHE
-        before = len(_INDEX_CACHE)
+        assert table in _TABLE_MEMO
+        before = len(_TABLE_MEMO)
         del table
         gc.collect()
-        assert len(_INDEX_CACHE) == before - 1
+        assert len(_TABLE_MEMO) == before - 1
+
+    def test_tails_die_with_their_table(self):
+        import gc
+        import weakref
+
+        from repro.enumeration import build_table
+        from repro.synthesis.trasyn import _TABLE_MEMO
+
+        table = build_table(2)
+        layout = slot_layout(table, [(0, 2), (0, 1)])
+        tail = weakref.ref(layout.tail)
+        mats = weakref.ref(layout.mats[0])
+        before = len(_TABLE_MEMO)
+        del table, layout
+        gc.collect()
+        assert tail() is None and mats() is None
+        assert len(_TABLE_MEMO) == before - 1
 
     def test_same_table_reuses_index(self):
         from repro.enumeration import build_table

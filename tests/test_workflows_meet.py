@@ -62,6 +62,114 @@ class TestRefinePairs:
         assert complex(np.trace(prod)) == pytest.approx(amp, abs=1e-9)
 
 
+def _refine_reference(target, mats, choice, indexes, neighbours=4,
+                      max_sweeps=4):
+    """Unpruned pair sweeps: every pair queried every sweep, unbounded."""
+    choice = np.array(choice, dtype=np.int64)
+    udag = target.conj().T
+    best_amp = complex(np.trace(
+        np.linalg.multi_dot([udag] + [m[c] for m, c in zip(mats, choice)])
+    ))
+    for _ in range(max_sweeps):
+        improved = False
+        for i in range(len(mats) - 1):
+            left = np.eye(2, dtype=complex)
+            for j in range(i):
+                left = left @ mats[j][choice[j]]
+            right = np.eye(2, dtype=complex)
+            for j in range(i + 2, len(mats)):
+                right = right @ mats[j][choice[j]]
+            env = right @ udag @ left
+            a_mats = mats[i]
+            targets_b = np.einsum("sji,jk->sik", a_mats.conj(), env.conj().T)
+            cand_b = indexes[i + 1].nearest(targets_b, k=neighbours)
+            ea = np.einsum("ij,sjk->sik", env, a_mats)
+            scores = np.abs(np.einsum("sab,sjba->sj", ea, mats[i + 1][cand_b]))
+            s_a, s_b = np.unravel_index(int(np.argmax(scores)), scores.shape)
+            amp = np.trace(env @ a_mats[s_a] @ mats[i + 1][cand_b[s_a, s_b]])
+            if abs(amp) > abs(best_amp) + 1e-12:
+                choice[i], choice[i + 1] = s_a, cand_b[s_a, s_b]
+                best_amp = complex(amp)
+                improved = True
+        if not improved:
+            break
+    return choice, best_amp
+
+
+def _all_pair_scores(env, a_mats, b_mats):
+    """|Tr(env A B)| for every (A, B): the brute-force pair oracle."""
+    ea = np.einsum("ij,sjk->sik", env, a_mats)
+    return np.abs(np.einsum("sab,tba->st", ea, b_mats))
+
+
+class TestPrunedPairSearch:
+    """The bounded, skip-repeated pair search against its oracles."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("start", ["random", "runner-up"])
+    def test_two_slot_reaches_brute_force_optimum(self, table6, seed, start):
+        rng = np.random.default_rng(seed)
+        mats = [table6.mats[table6.indices_for_t_range(0, 3)],
+                table6.mats[table6.indices_for_t_range(1, 2)]]
+        indexes = [QuaternionIndex(m) for m in mats]
+        target = haar_random_u2(rng)
+        scores = _all_pair_scores(target.conj().T, mats[0], mats[1])
+        brute = scores.max()
+        if start == "random":
+            start = rng.integers(0, [len(m) for m in mats])
+        else:
+            # Start just below the optimum: the bounded query must still
+            # reach a winner that beats the start by a hair.
+            below = np.where(scores < brute - 1e-9, scores, -1.0)
+            start = np.array(np.unravel_index(np.argmax(below), scores.shape))
+        choice, amp = refine_pairs(target, mats, start, indexes)
+        assert abs(amp) == pytest.approx(brute, abs=1e-9)
+        prod = target.conj().T @ mats[0][choice[0]] @ mats[1][choice[1]]
+        assert complex(np.trace(prod)) == amp
+
+    @pytest.mark.parametrize("n_slots", [2, 3, 4])
+    def test_matches_unpruned_reference(self, table6, n_slots):
+        mats = [table6.mats[table6.indices_for_t_range(0, 3)]] * n_slots
+        indexes = [QuaternionIndex(m) for m in mats]
+        rng = np.random.default_rng(40 + n_slots)
+        for _ in range(6):
+            target = haar_random_u2(rng)
+            start = rng.integers(0, len(mats[0]), n_slots)
+            choice, amp = refine_pairs(target, mats, start, indexes)
+            ref_choice, ref_amp = _refine_reference(target, mats, start,
+                                                    indexes)
+            assert np.array_equal(choice, ref_choice)
+            assert amp == ref_amp
+
+    def test_two_slot_queries_once(self, table6, monkeypatch):
+        # The environment of the only pair is U^dag in every sweep, so a
+        # second query could never improve on the first.
+        mats = [table6.mats[table6.indices_for_t_range(0, 4)]] * 2
+        indexes = [QuaternionIndex(m) for m in mats]
+        calls = []
+        orig = QuaternionIndex.nearest
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return orig(self, *args, **kwargs)
+
+        monkeypatch.setattr(QuaternionIndex, "nearest", counted)
+        target = haar_random_u2(np.random.default_rng(3))
+        udag = target.conj().T
+        amp0 = abs(np.trace(udag @ mats[0][0] @ mats[1][0]))
+        _, amp = refine_pairs(target, mats, np.array([0, 0]), indexes)
+        assert abs(amp) > amp0  # the first sweep improved
+        assert len(calls) == 1
+
+    def test_nearest_pads_misses(self, table6):
+        mats = table6.mats[table6.indices_for_t_range(0, 2)]
+        index = QuaternionIndex(mats)
+        got = index.nearest(mats[:5], k=3, distance_upper_bound=1e-6)
+        assert got[:, 0].tolist() == list(range(5))
+        assert (got[:, 1:] == -1).all()
+        assert (index.nearest(mats[:5], k=3) >= 0).all()
+
+
 class TestWorkflowInternals:
     def test_sequence_cache_reuses(self):
         cache = _SequenceCache()
