@@ -4,9 +4,11 @@ gridsynth is timed at two precision points (a fast everyday epsilon and
 a tight one) on a fixed irrational-ish angle.  trasyn is timed with the
 enumeration table prebuilt in setup (table construction is a one-off
 cost amortized by the disk cache) in two shapes: a single-slot layout,
-which the paper's Synthesize step serves by a table scan, and a
-two-slot layout, which runs the whole tensor-network search — MPS
-sampling, beam decode, pair refinement and step-3 simplification.
+which the paper's Synthesize step serves by a table scan, and two-slot
+layouts, which run the whole tensor-network search — MPS sampling, beam
+decode, pair refinement and step-3 simplification.  The (10,6) and
+(10,10) layouts are the first two multi-slot rungs of trasyn's ladder;
+(10,10) has the widest last beam step.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ _QUICK_GRIDSYNTH_EPS = (1e-2,)
 
 _TRASYN_BUDGET = {False: 6, True: 3}
 _TRASYN_SAMPLES = {False: 500, True: 50}
-_TRASYN_LAYOUT = {False: (10, 6), True: (4, 3)}
+_TRASYN_LAYOUTS = {False: ((10, 6), (10, 10)), True: ((4, 3), (4, 4))}
 
 
 def _gridsynth_spec(eps: float) -> BenchSpec:
@@ -121,8 +123,9 @@ def specs(quick: bool) -> list[BenchSpec]:
     out.append(
         _trasyn_spec(_TRASYN_BUDGET[quick], _TRASYN_SAMPLES[quick])
     )
-    out.append(
-        _trasyn_layout_spec(_TRASYN_LAYOUT[quick], _TRASYN_SAMPLES[quick])
+    out.extend(
+        _trasyn_layout_spec(layout, _TRASYN_SAMPLES[quick])
+        for layout in _TRASYN_LAYOUTS[quick]
     )
     return out
 

@@ -98,15 +98,14 @@ class ExactUnitary:
         phase rotations, prefixed by the reduced denominator exponent.
         """
         r = self.reduce()
+        ents = [(e.a, e.b, e.c, e.d) for e in r.entries()]
         best = None
-        for j in range(8):
-            v = r.scale_phase(j)
-            flat = []
-            for e in v.entries():
-                flat.extend((e.a, e.b, e.c, e.d))
-            t = tuple(flat)
+        for _ in range(8):
+            t = ents[0] + ents[1] + ents[2] + ents[3]
             if best is None or t < best:
                 best = t
+            # Multiplying by omega maps (a, b, c, d) to (b, c, d, -a).
+            ents = [(b, c, d, -a) for a, b, c, d in ents]
         return (r.k,) + best
 
     def equals_up_to_phase(self, other: "ExactUnitary") -> bool:

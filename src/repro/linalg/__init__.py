@@ -8,6 +8,7 @@ Euler-angle decompositions used by the transpiler.
 
 from repro.linalg.su2 import (
     GATES,
+    check_unitary_2x2,
     closest_u3_angles,
     haar_random_su2,
     haar_random_u2,
@@ -24,6 +25,7 @@ from repro.linalg.su2 import (
 
 __all__ = [
     "GATES",
+    "check_unitary_2x2",
     "closest_u3_angles",
     "haar_random_su2",
     "haar_random_u2",

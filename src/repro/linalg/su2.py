@@ -79,6 +79,28 @@ def is_unitary(m: np.ndarray, tol: float = 1e-9) -> bool:
     return bool(np.allclose(m.conj().T @ m, np.eye(m.shape[0]), atol=tol))
 
 
+# Largest ||U^dag U - I|| (Frobenius) a synthesis target may have.
+UNITARITY_TOL = 1e-6
+
+
+def check_unitary_2x2(m, name: str, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` naming ``name`` unless ``m`` is a finite 2x2 unitary."""
+    try:
+        m = np.asarray(m, dtype=complex)
+    except (TypeError, ValueError):
+        raise error(f"{name} must be a numeric 2x2 matrix") from None
+    if m.shape != (2, 2):
+        raise error(f"{name} must be a 2x2 matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise error(f"{name} has non-finite entries")
+    dev = float(np.linalg.norm(m.conj().T @ m - np.eye(2)))
+    if not dev <= UNITARITY_TOL:
+        raise error(
+            f"{name} is not unitary: ||U^dag U - I|| = {dev:.3g} "
+            f"> {UNITARITY_TOL:g}"
+        )
+
+
 def trace_value(u: np.ndarray, v: np.ndarray) -> float:
     """Hilbert-Schmidt overlap |Tr(U^dag V)| / N (1.0 means equal up to phase)."""
     n = u.shape[0]

@@ -5,6 +5,7 @@ from repro.synthesis.gridsynth.exact_synthesis import (
     exact_synthesize,
 )
 from repro.synthesis.gridsynth.rz_approx import (
+    GridsynthArgumentError,
     GridsynthError,
     gridsynth_rz,
     gridsynth_u3,
@@ -13,6 +14,7 @@ from repro.synthesis.gridsynth.rz_approx import (
 
 __all__ = [
     "ExactSynthesisError",
+    "GridsynthArgumentError",
     "GridsynthError",
     "exact_synthesize",
     "gridsynth_rz",

@@ -23,8 +23,8 @@ import math
 import numpy as np
 
 from repro.gates.exact import ExactUnitary
+from repro.linalg import check_unitary_2x2, trace_distance
 from repro.linalg import rz as rz_matrix
-from repro.linalg import trace_distance
 from repro.rings.zsqrt2 import ZSqrt2
 from repro.synthesis.gridsynth.diophantine import solve_norm_equation
 from repro.synthesis.gridsynth.exact_synthesis import (
@@ -41,6 +41,13 @@ class GridsynthError(RuntimeError):
     """No decomposition found within the search limits."""
 
 
+class GridsynthArgumentError(ValueError):
+    """An argument of :func:`gridsynth_rz` or :func:`gridsynth_u3` is invalid.
+
+    The message names the argument.
+    """
+
+
 def rz_distance(theta: float, phi: float) -> float:
     """Unitary distance between Rz(theta) and Rz(phi)."""
     return abs(math.sin((theta - phi) / 2.0))
@@ -54,8 +61,10 @@ def gridsynth_rz(
     candidate_limit: int = 64,
 ) -> GateSequence:
     """Approximate Rz(theta) to unitary distance <= eps in Clifford+T."""
+    if not math.isfinite(theta):
+        raise GridsynthArgumentError(f"theta must be finite, got {theta}")
     if not 0.0 < eps < 1.0:
-        raise ValueError("eps must be in (0, 1)")
+        raise GridsynthArgumentError(f"eps must be in (0, 1), got {eps}")
     theta = math.remainder(theta, 4.0 * math.pi)
     # Trivial rotations: integer multiples of pi/4 synthesize exactly.
     j = round(theta / _QUARTER)
@@ -105,6 +114,7 @@ def gridsynth_u3(
     """
     from repro.linalg import zyz_angles
 
+    check_unitary_2x2(u3_target, "u3_target", GridsynthArgumentError)
     theta, phi, lam, _ = zyz_angles(u3_target)
     per_gate = eps / 3.0
     parts = [

@@ -30,6 +30,7 @@ import numpy as np
 from repro.enumeration import UnitaryTable, get_table
 from repro.enumeration import vectorized as vec
 from repro.gates.exact import ExactUnitary
+from repro.linalg import check_unitary_2x2
 from repro.synthesis.meet import QuaternionIndex, refine_pairs
 from repro.synthesis.sequences import GateSequence, t_count_of
 from repro.tensornet import CanonicalTail, TraceMPS
@@ -137,6 +138,14 @@ class TrasynResult:
     raw_t_count: int  # before step-3 post-processing
 
 
+class TrasynArgumentError(ValueError, RuntimeError):
+    """An argument of :func:`trasyn` or :func:`synthesize` is invalid.
+
+    A ``ValueError`` naming the argument; also a ``RuntimeError``, which
+    an empty schedule has always raised.
+    """
+
+
 def synthesize(
     target: np.ndarray,
     t_budgets: list[int | tuple[int, int]],
@@ -162,10 +171,13 @@ def synthesize(
         Also run the deterministic beam-search decode and keep the best
         of both (an extension the tensor representation makes cheap).
     """
+    check_unitary_2x2(target, "target", TrasynArgumentError)
     if not t_budgets:
-        raise ValueError("t_budgets must name at least one tensor slot")
+        raise TrasynArgumentError("t_budgets must name at least one tensor slot")
     if n_samples < 1:
-        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+        raise TrasynArgumentError(
+            f"n_samples must be at least 1, got {n_samples}"
+        )
     if rng is None:
         rng = np.random.default_rng()
     ranges = [(0, b) if isinstance(b, int) else (int(b[0]), int(b[1]))
@@ -424,14 +436,6 @@ def schedule_for_threshold(error_threshold: float | None) -> list[list[int]]:
     return ladder
 
 
-class TrasynArgumentError(ValueError, RuntimeError):
-    """An argument leaves :func:`trasyn` nothing to search.
-
-    A ``ValueError`` naming the argument; also a ``RuntimeError``, which
-    an empty schedule has always raised.
-    """
-
-
 def trasyn(
     target: np.ndarray,
     t_budgets: list[int] | None = None,
@@ -454,6 +458,7 @@ def trasyn(
     ``t_budgets`` reproduces the paper interface exactly: the ladder is
     then ``t_budgets[:min_tensors], ..., t_budgets[:len(t_budgets)]``.
     """
+    check_unitary_2x2(target, "target", TrasynArgumentError)
     if t_budgets is not None:
         if not t_budgets:
             raise TrasynArgumentError(

@@ -1,5 +1,6 @@
 """Tests for the gridsynth stack: grid problems, Diophantine, exact synthesis."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -12,8 +13,21 @@ from repro.gates.exact import ExactUnitary
 from repro.linalg import haar_random_u2, rz, trace_distance
 from repro.rings.zomega import ZOmega
 from repro.rings.zsqrt2 import ZSqrt2
-from repro.synthesis.gridsynth import exact_synthesize, gridsynth_rz, gridsynth_u3
+import repro.synthesis.gridsynth.rz_approx as rz_approx
+from repro.synthesis.gridsynth import (
+    ExactSynthesisError,
+    GridsynthArgumentError,
+    exact_synthesize,
+    gridsynth_rz,
+    gridsynth_u3,
+)
 from repro.synthesis.gridsynth.diophantine import solve_norm_equation
+from repro.synthesis.gridsynth.exact_synthesis import (
+    _H,
+    _TDG_POWERS,
+    _monomial_tokens,
+    t_power_tokens,
+)
 from repro.synthesis.gridsynth.grid_problem import enumerate_candidates, solve_1d_grid
 from repro.synthesis.gridsynth.number_theory import (
     factorize,
@@ -148,14 +162,130 @@ class TestExactSynthesis:
             assert ExactUnitary.from_gates(tokens).equals_up_to_phase(u)
 
     def test_rejects_non_unitary(self):
-        from repro.synthesis.gridsynth import ExactSynthesisError
-
         bad = ExactUnitary(
             ZOmega(0, 0, 0, 2), ZOmega(0, 0, 0, 0),
             ZOmega(0, 0, 0, 0), ZOmega(0, 0, 0, 1), 0,
         )
         with pytest.raises(ExactSynthesisError):
             exact_synthesize(bad)
+
+
+def _exact_synthesize_reference(u, max_steps=None):
+    """Full-matrix sde search that ``exact_synthesize`` must reproduce.
+
+    Forms all eight syllable products at every step and keys every
+    visited matrix up front.
+    """
+    u = u.reduce()
+    if not u.is_unitary():
+        raise ExactSynthesisError("input matrix is not unitary")
+    if max_steps is None:
+        max_steps = 8 * u.k + 64
+
+    tokens = []
+    visited = set()
+    current = u
+    steps = 0
+    while current.k > 0:
+        if steps > max_steps:
+            raise ExactSynthesisError("sde reduction did not terminate")
+        steps += 1
+        visited.add(current.canonical_key())
+        best_m = None
+        best_next = None
+        for m in range(8):
+            cand = (_H @ _TDG_POWERS[m] @ current).reduce()
+            if cand.k >= current.k + 1:
+                continue
+            if cand.k == current.k and cand.canonical_key() in visited:
+                continue
+            if best_next is None or cand.k < best_next.k:
+                best_m, best_next = m, cand
+        if best_next is None:
+            raise ExactSynthesisError("stuck: no syllable reduces the sde")
+        tokens.extend(t_power_tokens(best_m))
+        tokens.append("H")
+        current = best_next
+    tokens.extend(_monomial_tokens(current))
+
+    produced = ExactUnitary.from_gates(tokens) if tokens else ExactUnitary.identity()
+    if not produced.equals_up_to_phase(u):
+        raise ExactSynthesisError("verification failed")
+    return tokens
+
+
+def _canonical_key_reference(u):
+    """Smallest coefficient tuple over the eight phases, by multiplication."""
+    r = u.reduce()
+    flats = []
+    for j in range(8):
+        v = r.scale_phase(j)
+        flats.append(tuple(x for e in v.entries() for x in (e.a, e.b, e.c, e.d)))
+    return (r.k,) + min(flats)
+
+
+_WORD_GATES = ("H", "T", "Tdg", "S", "Sdg", "X", "Z")
+
+
+class TestExactSynthesisMatchesReference:
+    """Column-sde synthesis emits the full-matrix search's exact tokens."""
+
+    @given(st.lists(st.sampled_from(_WORD_GATES), max_size=120))
+    @settings(max_examples=150, deadline=None)
+    def test_random_words(self, word):
+        u = ExactUnitary.from_gates(word)
+        assert u.canonical_key() == _canonical_key_reference(u)
+        assert exact_synthesize(u) == _exact_synthesize_reference(u)
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4])
+    def test_every_gridsynth_candidate(self, monkeypatch, eps):
+        seen = []
+
+        def checked(u):
+            tokens = exact_synthesize(u)
+            assert tokens == _exact_synthesize_reference(u)
+            seen.append(u)
+            return tokens
+
+        monkeypatch.setattr(rz_approx, "exact_synthesize", checked)
+        rng = np.random.default_rng(77)
+        for _ in range(6):
+            gridsynth_rz(float(rng.uniform(0, 4 * math.pi)), eps)
+        assert len(seen) >= 6
+
+    def test_max_steps_still_bounds_the_walk(self):
+        u = ExactUnitary.from_gates(["H", "T"] * 20)
+        with pytest.raises(ExactSynthesisError, match="did not terminate"):
+            exact_synthesize(u, max_steps=3)
+
+
+def _digest(seqs):
+    h = hashlib.sha256()
+    for s in seqs:
+        h.update((" ".join(s.gates) + "|" + f"{s.error:.10e}" + "\n").encode())
+    return h.hexdigest()
+
+
+class TestGridsynthDigests:
+    """Pinned words of seeded targets; exact synthesis rewrites must not move them."""
+
+    PINNED = {
+        2e-2: ("e879acf597158606fbca5e821c4fd518bcd09b9775b555eb9aa3af2efd2fbdea",
+               "f9f2a7efd6825ad0d7dbeb510063803efdb2f10ebd45696d37ffd4776a66ed6a"),
+        1e-3: ("fef05a37864cb0d5f7153ef0d12602b0105e2a04069cc04bd6e1a022e6b81cbb",
+               "d82649de93cd4a74bd63ecf40e140bfb752f1522404cccccf26137ec6b1d840e"),
+        1e-5: ("186b9b1309acaf0031c2c28f3492c8dc23c38ee7fc230d93e9be4b5a1543ca32",
+               "be06b68182f8615cb4122cb30287f3d20a8b5ccadf9c4c20f7c1c4269078eb31"),
+    }
+
+    @pytest.mark.parametrize("eps", sorted(PINNED, reverse=True))
+    def test_rz_and_u3_digests(self, eps):
+        rng = np.random.default_rng(2024)
+        thetas = [float(rng.uniform(0, 4 * math.pi)) for _ in range(4)]
+        targets = [haar_random_u2(rng) for _ in range(3)]
+        rz_digest = _digest([gridsynth_rz(t, eps) for t in thetas])
+        u3_digest = _digest([gridsynth_u3(u, eps) for u in targets])
+        assert (rz_digest, u3_digest) == self.PINNED[eps]
 
 
 class TestGridsynthRz:
@@ -194,6 +324,11 @@ class TestGridsynthRz:
         with pytest.raises(ValueError):
             gridsynth_rz(0.5, 0.0)
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_theta(self, theta):
+        with pytest.raises(GridsynthArgumentError, match="theta"):
+            gridsynth_rz(theta, 1e-2)
+
 
 class TestGridsynthU3:
     def test_threshold_and_structure(self):
@@ -211,3 +346,17 @@ class TestGridsynthU3:
         u3_t = gridsynth_u3(u, 0.01).t_count
         rz_t = gridsynth_rz(1.1, 0.01 / 3).t_count
         assert u3_t >= 2 * rz_t
+
+    @pytest.mark.parametrize(
+        "target",
+        [
+            2 * np.eye(2),
+            np.array([[1, 1], [0, 1]]),
+            np.array([[np.nan, 0], [0, 1]]),
+            np.array([[np.inf, 0], [0, 1]]),
+            np.eye(3),
+        ],
+    )
+    def test_rejects_invalid_target(self, target):
+        with pytest.raises(GridsynthArgumentError, match="u3_target"):
+            gridsynth_u3(target, 1e-2)

@@ -1,5 +1,6 @@
 """Tests for the trasyn synthesizer (steps 1-3 and Algorithm 1)."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -15,7 +16,11 @@ from repro.gates.exact import ExactUnitary
 from repro.linalg import GATES, haar_random_u2, rz, trace_distance
 from repro.synthesis import simplify_sequence, synthesize, trasyn
 from repro.synthesis.sequences import matrix_of
-from repro.synthesis.trasyn import schedule_for_threshold, slot_layout
+from repro.synthesis.trasyn import (
+    TrasynArgumentError,
+    schedule_for_threshold,
+    slot_layout,
+)
 from repro.tensornet import TraceMPS
 
 
@@ -239,6 +244,31 @@ class TestAlgorithm1:
     def test_rejects_empty_arguments(self, kwargs, name):
         with pytest.raises(ValueError, match=name):
             trasyn(np.eye(2), **kwargs)
+
+    @pytest.mark.parametrize(
+        "target",
+        [
+            3 * np.eye(2),
+            np.array([[1, 1], [0, 1]]),
+            np.array([[np.nan, 0], [0, 1]]),
+            np.array([[1, 0], [0, np.inf]]),
+            np.eye(3),
+        ],
+    )
+    def test_rejects_invalid_target_before_table_load(
+        self, monkeypatch, target
+    ):
+        # The package re-exports the function under the module's name.
+        trasyn_mod = importlib.import_module("repro.synthesis.trasyn")
+
+        def no_tables(budget):
+            raise AssertionError("table loaded before validation")
+
+        monkeypatch.setattr(trasyn_mod, "get_table", no_tables)
+        with pytest.raises(TrasynArgumentError, match="target"):
+            trasyn(target, t_budgets=[4, 3])
+        with pytest.raises(TrasynArgumentError, match="target"):
+            synthesize(target, [4, 3])
 
     def test_clifford_target_is_free(self, table6):
         seq = trasyn(GATES["H"], t_budgets=[6], rng=np.random.default_rng(11),
