@@ -5,10 +5,11 @@ a tight one) on a fixed irrational-ish angle.  trasyn is timed with the
 enumeration table prebuilt in setup (table construction is a one-off
 cost amortized by the disk cache) in two shapes: a single-slot layout,
 which the paper's Synthesize step serves by a table scan, and two-slot
-layouts, which run the whole tensor-network search — MPS sampling, beam
-decode, pair refinement and step-3 simplification.  The (10,6) and
-(10,10) layouts are the first two multi-slot rungs of trasyn's ladder;
-(10,10) has the widest last beam step.
+layouts, which run the tensor-network search without sampling — beam
+decode, exact pair refinement and step-3 simplification.  The (10,6),
+(10,10) and (12,12) layouts are the two-slot rungs of trasyn's ladder;
+(10,10) has the widest last beam step, and (12,12) is the largest
+two-slot search.
 """
 
 from __future__ import annotations
@@ -24,7 +25,10 @@ _QUICK_GRIDSYNTH_EPS = (1e-2,)
 
 _TRASYN_BUDGET = {False: 6, True: 3}
 _TRASYN_SAMPLES = {False: 500, True: 50}
-_TRASYN_LAYOUTS = {False: ((10, 6), (10, 10)), True: ((4, 3), (4, 4))}
+_TRASYN_LAYOUTS = {
+    False: ((10, 6), (10, 10), (12, 12)),
+    True: ((4, 3), (4, 4)),
+}
 
 
 def _gridsynth_spec(eps: float) -> BenchSpec:

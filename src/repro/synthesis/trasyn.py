@@ -134,7 +134,7 @@ class TrasynResult:
 
     sequence: GateSequence
     n_tensors: int
-    samples_drawn: int
+    samples_drawn: int  # 0 for one slot and for sampling-free two slots
     raw_t_count: int  # before step-3 post-processing
 
 
@@ -166,10 +166,17 @@ def synthesize(
         One entry per tensor slot; an int ``m`` means T counts ``0..m``,
         a pair ``(lo, hi)`` selects that exact range.
     n_samples:
-        Number of error-aware samples drawn from the MPS.
+        Number of error-aware samples drawn from the MPS.  They are
+        drawn only by a layout of three or more slots, or by a two-slot
+        layout with ``use_beam`` or ``refine`` off.  A two-slot layout
+        with both on is solved exactly by the pair search, seeded from
+        the beam alone; it still advances ``rng`` past the draws it
+        skips (see :func:`_sampling_free`).  A single slot never draws.
     use_beam:
         Also run the deterministic beam-search decode and keep the best
         of both (an extension the tensor representation makes cheap).
+    refine:
+        Polish the start by exact meet-in-the-middle pair sweeps.
     """
     check_unitary_2x2(target, "target", TrasynArgumentError)
     if not t_budgets:
@@ -185,10 +192,7 @@ def synthesize(
     max_hi = max(hi for _, hi in ranges)
     if table is None:
         table = get_table(max_hi)
-    if table.budget < max_hi:
-        raise ValueError(
-            f"table budget {table.budget} below requested T budget {max_hi}"
-        )
+    _check_table_budget(table, max_hi)
     layout = slot_layout(table, ranges)
 
     if len(ranges) == 1:
@@ -201,13 +205,21 @@ def synthesize(
     else:
         mats = list(layout.mats)
         mps = layout.mps(target)
-        choices, amps = mps.sample(n_samples, rng)
-        best = int(np.argmax(np.abs(amps)))
-        best_choice, best_amp = choices[best], amps[best]
-        if use_beam:
-            beam_choice, beam_amp = mps.best_first()
-            if abs(beam_amp) > abs(best_amp):
-                best_choice, best_amp = beam_choice, beam_amp
+        if _sampling_free(len(ranges), use_beam, refine):
+            # refine_pairs returns the global optimum from any start
+            # (ties aside), so the samples would only move its start.
+            rng.random(_rung_draws(len(ranges), n_samples))
+            best_choice, _ = mps.best_first()
+            samples_drawn = 0
+        else:
+            choices, amps = mps.sample(n_samples, rng)
+            best = int(np.argmax(np.abs(amps)))
+            best_choice, best_amp = choices[best], amps[best]
+            if use_beam:
+                beam_choice, beam_amp = mps.best_first()
+                if abs(beam_amp) > abs(best_amp):
+                    best_choice, best_amp = beam_choice, beam_amp
+            samples_drawn = n_samples
         best_choice, best_amp = _refine_sweeps(target, mats, best_choice)
         if refine:
             indexes = [_slot_index(table, lo, hi) for lo, hi in ranges]
@@ -217,7 +229,6 @@ def synthesize(
         table_indices = [
             int(layout.indices[i][best_choice[i]]) for i in range(len(ranges))
         ]
-        samples_drawn = n_samples
 
     gates: list[str] = []
     for idx in table_indices:
@@ -232,6 +243,39 @@ def synthesize(
         samples_drawn=samples_drawn,
         raw_t_count=raw_t,
     )
+
+
+def _sampling_free(n_slots: int, use_beam: bool, refine: bool) -> bool:
+    """Whether a :func:`synthesize` word is independent of the generator.
+
+    A single slot is a table scan.  With two slots the environment of
+    :func:`refine_pairs` is always ``U^dag``, so its one radius-bounded
+    k-d query per slot-0 candidate returns the argmax of
+    ``|Tr(U^dag A B)|`` over every pair (A, B), whatever the start; the
+    start is kept only when no pair beats it by more than 1e-12.  The
+    samples would only move that start, so such a call seeds the pair
+    search from ``best_first`` alone.
+    """
+    return n_slots == 1 or (n_slots == 2 and use_beam and refine)
+
+
+def _rung_draws(n_slots: int, n_samples: int) -> int:
+    """Doubles one :func:`synthesize` call takes from its generator.
+
+    ``TraceMPS.sample`` draws one per sample at every site:
+    ``Generator.choice`` at site 0, one uniform per row after it.  A
+    sampling-free two-slot call advances the generator by as many, so a
+    later rung, or a caller sharing the generator, sees the same stream
+    either way.
+    """
+    return 0 if n_slots == 1 else n_samples * n_slots
+
+
+def _check_table_budget(table: UnitaryTable, budget: int) -> None:
+    if table.budget < budget:
+        raise TrasynArgumentError(
+            f"table budget {table.budget} below requested T budget {budget}"
+        )
 
 
 def _refine_sweeps(
@@ -450,8 +494,10 @@ def trasyn(
     """Synthesize ``target`` into Clifford+T (paper Algorithm 1).
 
     The search walks a ladder of tensor layouts from small T budgets
-    upward, running ``attempts`` sampling rounds per layout.  With an
-    ``error_threshold`` the walk stops as soon as the threshold is met
+    upward, running ``attempts`` sampling rounds per layout.  A layout
+    whose word does not depend on the generator runs once, and the
+    generator is advanced past the draws of the skipped rounds.  With
+    an ``error_threshold`` the walk stops as soon as the threshold is met
     (Equation (4) mode); otherwise every layout is explored and the best
     sequence wins (Equation (3) mode).
 
@@ -486,12 +532,16 @@ def trasyn(
         )
     if rng is None:
         rng = np.random.default_rng()
+    max_budget = max(_hi(b) for budgets in schedule for b in budgets)
     if table is None:
-        max_budget = max(_hi(b) for budgets in schedule for b in budgets)
         table = get_table(max_budget)
+    _check_table_budget(table, max_budget)
     best: GateSequence | None = None
     for budgets in schedule:
-        for _ in range(attempts):
+        # Further attempts of a sampling-free rung would repeat its word.
+        free = _sampling_free(len(budgets), use_beam=True, refine=True)
+        runs = 1 if free else attempts
+        for _ in range(runs):
             result = synthesize(
                 target, budgets, n_samples=n_samples, rng=rng, table=table
             )
@@ -500,6 +550,7 @@ def trasyn(
                 best = cand
             if error_threshold is not None and best.error < error_threshold:
                 return best
+        rng.random((attempts - runs) * _rung_draws(len(budgets), n_samples))
     return best
 
 

@@ -15,9 +15,14 @@ from repro.enumeration import get_table
 from repro.gates.exact import ExactUnitary
 from repro.linalg import GATES, haar_random_u2, rz, trace_distance
 from repro.synthesis import simplify_sequence, synthesize, trasyn
+from repro.synthesis.meet import refine_pairs
 from repro.synthesis.sequences import matrix_of
 from repro.synthesis.trasyn import (
     TrasynArgumentError,
+    _amp_to_error,
+    _quality,
+    _refine_sweeps,
+    _slot_index,
     schedule_for_threshold,
     slot_layout,
 )
@@ -27,6 +32,11 @@ from repro.tensornet import TraceMPS
 @pytest.fixture(scope="module")
 def table6():
     return get_table(6)
+
+
+@pytest.fixture(scope="module")
+def table4():
+    return get_table(4)
 
 
 class TestSynthesize:
@@ -77,7 +87,7 @@ class TestSynthesize:
         assert res.sequence.verify(u)
 
     def test_rejects_budget_above_table(self, table6):
-        with pytest.raises(ValueError):
+        with pytest.raises(TrasynArgumentError, match="table budget 6"):
             synthesize(np.eye(2), [7, 7], table=table6)
 
     def test_rejects_empty_budget_list(self, table6):
@@ -270,11 +280,152 @@ class TestAlgorithm1:
         with pytest.raises(TrasynArgumentError, match="target"):
             synthesize(target, [4, 3])
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"schedule": [[6, 4], [8, 8]]},
+            {"t_budgets": [6, 7]},
+            {"error_threshold": 1e-3},
+        ],
+    )
+    def test_rejects_small_table_before_any_rung(
+        self, monkeypatch, table6, kwargs
+    ):
+        trasyn_mod = importlib.import_module("repro.synthesis.trasyn")
+
+        def no_rungs(*args, **kw):
+            raise AssertionError("rung ran before the table check")
+
+        monkeypatch.setattr(trasyn_mod, "synthesize", no_rungs)
+        with pytest.raises(TrasynArgumentError, match="table budget 6"):
+            trasyn(np.eye(2), table=table6, **kwargs)
+
     def test_clifford_target_is_free(self, table6):
         seq = trasyn(GATES["H"], t_budgets=[6], rng=np.random.default_rng(11),
                      table=table6)
         assert seq.error < 1e-7
         assert seq.t_count == 0
+
+
+def _synthesize_sampled_reference(target, budgets, n_samples, rng, table):
+    """Word (before step 3) and amplitude of the sampling two-slot path.
+
+    The start is the better of the best sample and the beam decode, as
+    every two-slot call had before it stopped sampling.
+    """
+    ranges = [(0, b) for b in budgets]
+    layout = slot_layout(table, ranges)
+    mats = list(layout.mats)
+    mps = layout.mps(target)
+    choices, amps = mps.sample(n_samples, rng)
+    best = int(np.argmax(np.abs(amps)))
+    best_choice, best_amp = choices[best], amps[best]
+    beam_choice, beam_amp = mps.best_first()
+    if abs(beam_amp) > abs(best_amp):
+        best_choice = beam_choice
+    best_choice, _ = _refine_sweeps(target, mats, best_choice)
+    indexes = [_slot_index(table, lo, hi) for lo, hi in ranges]
+    best_choice, best_amp = refine_pairs(target, mats, best_choice, indexes)
+    gates = tuple(g for i, c in enumerate(best_choice)
+                  for g in table.sequence(int(layout.indices[i][c])))
+    return gates, best_amp
+
+
+class TestSamplingFreeTwoSlot:
+    """Two-slot rungs skip sampling; words and generator stream stay."""
+
+    @pytest.mark.parametrize("layout", [[6, 4], [6, 6]])
+    def test_word_matches_sampled_start(self, table6, layout):
+        rng = np.random.default_rng(41)
+        targets = [haar_random_u2(rng) for _ in range(12)]
+        targets += [rz(theta) for theta in rng.uniform(0, 2 * np.pi, 6)]
+        for k, u in enumerate(targets):
+            res = synthesize(u, layout, n_samples=300, postprocess=False,
+                             rng=np.random.default_rng(k), table=table6)
+            gates, amp = _synthesize_sampled_reference(
+                u, layout, 300, np.random.default_rng(k), table6
+            )
+            assert res.sequence.gates == gates
+            assert res.sequence.error == _amp_to_error(amp)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_two_slot_is_brute_force_optimum(self, table4, seed):
+        u = haar_random_u2(np.random.default_rng(seed))
+        res = synthesize(u, [4, 3], n_samples=50, postprocess=False,
+                         rng=np.random.default_rng(seed), table=table4)
+        layout = slot_layout(table4, [(0, 4), (0, 3)])
+        left = np.einsum("ij,ajk->aik", u.conj().T, layout.mats[0])
+        amps = np.einsum("aij,bji->ab", left, layout.mats[1])
+        tv = np.minimum(np.abs(amps).max() / 2.0, 1.0)
+        assert res.sequence.error == pytest.approx(
+            np.sqrt(max(0.0, 1.0 - tv * tv)), abs=1e-12
+        )
+
+    def test_generator_advances_as_if_sampled(self, table6):
+        u = haar_random_u2(np.random.default_rng(42))
+        free, sampled = np.random.default_rng(5), np.random.default_rng(5)
+        synthesize(u, [6, 4], n_samples=300, rng=free, table=table6)
+        synthesize(u, [6, 4], n_samples=300, rng=sampled, table=table6,
+                   refine=False)
+        assert free.bit_generator.state == sampled.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "layout, kwargs, drawn",
+        [
+            ([6, 4], {}, 0),
+            ([6, 4], {"refine": False}, 300),
+            ([6, 4], {"use_beam": False}, 300),
+            ([4, 4, 3], {}, 300),
+            ([6], {}, 0),
+        ],
+    )
+    def test_samples_drawn(self, table6, layout, kwargs, drawn):
+        u = haar_random_u2(np.random.default_rng(43))
+        res = synthesize(u, layout, n_samples=300,
+                         rng=np.random.default_rng(6), table=table6, **kwargs)
+        assert res.samples_drawn == drawn
+
+    @pytest.mark.parametrize("error_threshold", [None, 1e-9])
+    def test_attempts_equal_repeated_calls(
+        self, monkeypatch, table6, error_threshold
+    ):
+        trasyn_mod = importlib.import_module("repro.synthesis.trasyn")
+        u = haar_random_u2(np.random.default_rng(44))
+        ladder = [[6], [6, 4], [4, 4, 3]]
+        loop_rng = np.random.default_rng(7)
+        best = None
+        for budgets in ladder:
+            for _ in range(3):
+                cand = synthesize(u, budgets, n_samples=200, rng=loop_rng,
+                                  table=table6).sequence
+                if best is None or _quality(cand) < _quality(best):
+                    best = cand
+        calls = []
+        real = trasyn_mod.synthesize
+
+        def counting(target, budgets, **kw):
+            calls.append(len(budgets))
+            return real(target, budgets, **kw)
+
+        monkeypatch.setattr(trasyn_mod, "synthesize", counting)
+        rng = np.random.default_rng(7)
+        seq = trasyn(u, schedule=ladder, attempts=3, n_samples=200, rng=rng,
+                     table=table6, error_threshold=error_threshold)
+        assert seq == best
+        assert rng.bit_generator.state == loop_rng.bit_generator.state
+        assert calls == [1, 2, 3, 3, 3]  # sampling-free rungs run once
+
+    def test_attempts_stop_at_threshold_without_advancing(self, table6):
+        u = haar_random_u2(np.random.default_rng(45))
+        loop_rng = np.random.default_rng(8)
+        first = synthesize(u, [6, 4], n_samples=200, rng=loop_rng,
+                           table=table6).sequence
+        rng = np.random.default_rng(8)
+        seq = trasyn(u, schedule=[[6, 4]], attempts=3, n_samples=200,
+                     rng=rng, table=table6, error_threshold=first.error * 1.01)
+        assert seq == first
+        assert rng.bit_generator.state == loop_rng.bit_generator.state
 
 
 _DIGEST_SCRIPT = """
@@ -284,8 +435,10 @@ from repro.enumeration import get_table
 from repro.linalg import haar_random_u2
 from repro.synthesis import synthesize, trasyn
 
-def digest(seq):
+def digest(seq, rng=None):
     key = repr((tuple(seq.gates), repr(seq.error)))
+    if rng is not None:  # also pin the generator's position after the call
+        key = repr((key, repr(rng.random())))
     return hashlib.sha256(key.encode()).hexdigest()
 
 t6 = get_table(6)
@@ -297,17 +450,29 @@ for layout, seed in [((6,), 21), ((6, 4), 22), ((6, 6), 23), ((4, 4, 3), 24)]:
 rng = np.random.default_rng(25)
 u = haar_random_u2(rng)
 print(digest(trasyn(u, error_threshold=0.02, rng=rng)))
+ladder = [[6, 4], [4, 4, 3]]
+for seed, attempts in [(26, 1), (27, 2)]:
+    rng = np.random.default_rng(seed)
+    u = haar_random_u2(rng)
+    seq = trasyn(u, schedule=ladder, attempts=attempts, n_samples=300,
+                 rng=rng, table=t6)
+    print(digest(seq, rng))
 """
 
-# sha256 of (gates, repr(error)) per call of _DIGEST_SCRIPT, recorded
-# before the pruned pair search, memoized MPS tail, byte-bounded
-# sampling chunks and batched step 3 were introduced.
+# sha256 of (gates, repr(error)) per call of _DIGEST_SCRIPT.  The first
+# five were recorded before the pruned pair search, memoized MPS tail,
+# byte-bounded sampling chunks and batched step 3 were introduced.  The
+# last two also hash the generator's next draw after a two-slot then
+# three-slot ladder; they were recorded while every two-slot rung still
+# sampled, so they pin the generator advance of sampling-free rungs.
 _PINNED_DIGESTS = [
     "681606ef3f8e29e98ac8d3fc1eb76250be1600eb4064390cfaf8ed8cc50bfb28",
     "72eeafe51591a139e4ceacb3f65f0854db5b6a955437841ef3c79a8e59260d4e",
     "390098cbc3d54cd1285d3491b164cf0d110fb977dd70d7b6eb1fd12a363c462b",
     "3a5eca440f5f46ba1244beeb859eafec77ee5b69b1ea354340f76d9f6ac810f0",
     "54dcfdc861eb14a39a502f89a32a562d04a678e77b1b8660584416616abe360c",
+    "1dcc5dca58aba0eb6ec67b4f998767e80cf673072cae4d523f74a82471003c08",
+    "1f65fb81b205b5b2117518c9524971589c4e81c736bd8c1718f3245e18585c49",
 ]
 
 
