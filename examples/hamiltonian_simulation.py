@@ -11,14 +11,10 @@ import numpy as np
 
 from repro.bench_circuits.hamiltonians import tfim_terms
 from repro.circuits import rotation_count
-from repro.experiments.workflows import (
-    matched_thresholds,
-    synthesize_circuit_gridsynth,
-    synthesize_circuit_trasyn,
-)
+from repro.experiments.workflows import matched_thresholds
 from repro.paulis import trotter_circuit
+from repro.pipeline import compile_circuit
 
-rng = np.random.default_rng(5)
 n = 6
 terms = tfim_terms(n, j=1.0, h=0.8)
 circuit = trotter_circuit(terms, time=0.9, steps=2)
@@ -31,8 +27,8 @@ print(f"rotations: U3 IR {rotation_count(u3_circ)} "
       f"vs Rz IR {rotation_count(rz_circ)} "
       "(weight-1 X fields merge into coupling gadgets)")
 
-tra = synthesize_circuit_trasyn(u3_circ, eps_t, rng, pre_transpiled=True)
-grid = synthesize_circuit_gridsynth(rz_circ, eps_g, pre_transpiled=True)
+tra = compile_circuit(u3_circ, "trasyn", eps_t, seed=5, pre_transpiled=True)
+grid = compile_circuit(rz_circ, "gridsynth", eps_g, pre_transpiled=True)
 
 psi_ideal = circuit.statevector()
 for label, flow in (("trasyn/U3", tra), ("gridsynth/Rz", grid)):

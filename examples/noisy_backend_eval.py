@@ -23,15 +23,10 @@ the CLI) to time the unfused program against it.
 import sys
 import time
 
-import numpy as np
-
 from repro.bench_circuits import benchmark_suite
-from repro.experiments.workflows import (
-    evaluate_synthesized,
-    matched_thresholds,
-    synthesize_circuit_trasyn,
-)
-from repro.sim import NoiseModel
+from repro.experiments.workflows import matched_thresholds
+from repro.pipeline import compile_circuit
+from repro.sim import NoiseModel, evaluate_fidelity
 
 BACKEND_CASES = {
     # backend -> (qubit count, trajectories)
@@ -53,14 +48,13 @@ def main() -> int:
     )
     print(f"case      : {case.name} ({case.n_qubits} qubits, "
           f"{len(case.circuit)} gates)")
-    rng = np.random.default_rng(0)
     u3_circ, _, eps_t, _ = matched_thresholds(case.circuit, 0.01)
-    synth = synthesize_circuit_trasyn(u3_circ, eps_t, rng, pre_transpiled=True)
+    synth = compile_circuit(u3_circ, "trasyn", eps_t, pre_transpiled=True)
     print(f"synthesis : T={synth.t_count} rotations={synth.n_rotations}")
     noise = NoiseModel.non_pauli_gates(3e-4)
     start = time.monotonic()
-    ev = evaluate_synthesized(
-        case.circuit, synth, noise,
+    ev = evaluate_fidelity(
+        synth.circuit, reference=case.circuit, noise=noise,
         backend=backend, trajectories=trajectories, seed=1,
     )
     print(f"evaluation: {ev.summary()}")

@@ -12,11 +12,8 @@ import numpy as np
 
 from repro.bench_circuits import qaoa_maxcut
 from repro.circuits import rotation_count
-from repro.experiments.workflows import (
-    matched_thresholds,
-    synthesize_circuit_gridsynth,
-    synthesize_circuit_trasyn,
-)
+from repro.experiments.workflows import matched_thresholds
+from repro.pipeline import compile_circuit
 
 rng = np.random.default_rng(7)
 circuit = qaoa_maxcut(n=10, depth=3, rng=rng)
@@ -29,8 +26,8 @@ print(f"after transpilation: U3 IR {rotation_count(u3_circ)} rotations, "
       f"Rz IR {rotation_count(rz_circ)} rotations "
       f"(merge ratio {rotation_count(rz_circ) / rotation_count(u3_circ):.2f}x)")
 
-tra = synthesize_circuit_trasyn(u3_circ, eps_t, rng, pre_transpiled=True)
-grid = synthesize_circuit_gridsynth(rz_circ, eps_g, pre_transpiled=True)
+tra = compile_circuit(u3_circ, "trasyn", eps_t, seed=7, pre_transpiled=True)
+grid = compile_circuit(rz_circ, "gridsynth", eps_g, pre_transpiled=True)
 
 print()
 print(f"{'':24}{'trasyn/U3':>12}{'gridsynth/Rz':>14}{'ratio':>8}")

@@ -17,13 +17,8 @@ from repro.experiments.rq7_schedule import (
     calibrate,
     run_rq7,
 )
-from repro.experiments.workflows import (
-    SynthesizedCircuit,
-    best_transpile,
-    matched_thresholds,
-    synthesize_circuit_gridsynth,
-    synthesize_circuit_trasyn,
-)
+from repro.experiments.workflows import best_transpile, matched_thresholds
+from repro.pipeline import SynthesizedCircuit
 
 __all__ = [
     "ConnectivityCase",
@@ -34,7 +29,5 @@ __all__ = [
     "matched_thresholds",
     "run_connectivity_comparison",
     "run_rq7",
-    "synthesize_circuit_gridsynth",
-    "synthesize_circuit_trasyn",
     "target_for",
 ]

@@ -4,6 +4,11 @@ Regenerates Figure 7 (synthesis error vs T count / Clifford count),
 Figure 8 (synthesis time), and Table 1 (reduction statistics at the
 0.001 threshold) for trasyn, gridsynth (via three Rz calls, Eq. 1), and
 the Synthetiq-style annealing baseline.
+
+Targets come from ``default_rng(seed)``.  Every trasyn and annealing
+call draws from its own ``rng_for_key(seed, ("rq1", method, i, eps))``
+generator, so the wall-clock-bounded annealer cannot shift the stream
+trasyn sees.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.linalg import haar_random_u2
+from repro.pipeline import rng_for_key
 from repro.synthesis import trasyn
 from repro.synthesis.annealing import anneal_unitary
 from repro.synthesis.gridsynth import gridsynth_u3
@@ -84,9 +90,12 @@ def run_rq1(
             get_table(max(budgets))
     result = RQ1Result()
     for eps in thresholds:
-        for u in targets:
+        for i, u in enumerate(targets):
             t0 = time.monotonic()
-            seq = trasyn(u, error_threshold=eps, rng=rng)
+            seq = trasyn(
+                u, error_threshold=eps,
+                rng=rng_for_key(seed, ("rq1", "trasyn", i, eps)),
+            )
             result.points.append(
                 SynthesisPoint(
                     "trasyn", eps, seq.error, seq.t_count,
@@ -104,7 +113,9 @@ def run_rq1(
             if include_annealing:
                 t0 = time.monotonic()
                 report = anneal_unitary(
-                    u, eps, rng=rng, time_limit=annealing_time_limit
+                    u, eps,
+                    rng=rng_for_key(seed, ("rq1", "synthetiq", i, eps)),
+                    time_limit=annealing_time_limit,
                 )
                 if report.succeeded:
                     s = report.sequence

@@ -9,21 +9,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.bench_circuits import BenchmarkCase
 from repro.circuits import rotation_count
 from repro.experiments.reporting import geomean
-from repro.experiments.workflows import (
-    DEFAULT_EPS,
-    SynthesizedCircuit,
-    _SequenceCache,
-    evaluate_synthesized,
-    matched_thresholds,
-    synthesize_circuit_gridsynth,
-    synthesize_circuit_trasyn,
-)
+from repro.experiments.workflows import matched_thresholds
 from repro.optimizers import resynthesize
+from repro.pipeline import (
+    DEFAULT_EPS,
+    SynthesisCache,
+    SynthesizedCircuit,
+    compile_circuit,
+)
+from repro.sim.evaluate import evaluate_fidelity
 
 
 @dataclass
@@ -62,7 +59,7 @@ def _state_infidelity(
     """
     if case_circuit.n_qubits > max_qubits:
         return None
-    ev = evaluate_synthesized(case_circuit, synthesized, backend=backend)
+    ev = evaluate_fidelity(synthesized, reference=case_circuit, backend=backend)
     return ev.infidelity
 
 
@@ -73,19 +70,19 @@ def run_rq3(
     fidelity_max_qubits: int = 16,
     sim_backend: str = "auto",
 ) -> list[CircuitComparison]:
-    rng = np.random.default_rng(seed)
-    tra_cache = _SequenceCache()
-    grid_cache = _SequenceCache()
+    cache = SynthesisCache()
     out = []
     for case in cases:
         u3_circ, rz_circ, eps_t, eps_g = matched_thresholds(
             case.circuit, base_eps
         )
-        tra = synthesize_circuit_trasyn(
-            u3_circ, eps_t, rng, cache=tra_cache, pre_transpiled=True
+        tra = compile_circuit(
+            u3_circ, "trasyn", eps_t, cache=cache, seed=seed,
+            pre_transpiled=True,
         )
-        grid = synthesize_circuit_gridsynth(
-            rz_circ, eps_g, cache=grid_cache, pre_transpiled=True
+        grid = compile_circuit(
+            rz_circ, "gridsynth", eps_g, cache=cache, seed=seed,
+            pre_transpiled=True,
         )
         comp = CircuitComparison(
             name=case.name, category=case.category,
@@ -165,19 +162,19 @@ def run_figure12(
     seed: int = 4,
 ) -> list[ResynthComparison]:
     """Compare the trasyn flow against block-resynthesis + gridsynth."""
-    rng = np.random.default_rng(seed)
-    tra_cache = _SequenceCache()
-    grid_cache = _SequenceCache()
+    cache = SynthesisCache()
     out = []
     for case in cases:
         u3_circ, _, eps_t, _ = matched_thresholds(case.circuit, base_eps)
-        tra = synthesize_circuit_trasyn(
-            u3_circ, eps_t, rng, cache=tra_cache, pre_transpiled=True
+        tra = compile_circuit(
+            u3_circ, "trasyn", eps_t, cache=cache, seed=seed,
+            pre_transpiled=True,
         )
         blocked = resynthesize(case.circuit)
         _, rz_circ2, _, eps_g2 = matched_thresholds(blocked, base_eps)
-        grid = synthesize_circuit_gridsynth(
-            rz_circ2, eps_g2, cache=grid_cache, pre_transpiled=True
+        grid = compile_circuit(
+            rz_circ2, "gridsynth", eps_g2, cache=cache, seed=seed,
+            pre_transpiled=True,
         )
         out.append(
             ResynthComparison(

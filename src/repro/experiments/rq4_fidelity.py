@@ -16,17 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.bench_circuits import BenchmarkCase
-from repro.experiments.workflows import (
-    _SequenceCache,
-    evaluate_synthesized,
-    matched_thresholds,
-    synthesize_circuit_gridsynth,
-    synthesize_circuit_trasyn,
-)
+from repro.experiments.workflows import matched_thresholds
+from repro.pipeline import SynthesisCache, compile_circuit
 from repro.sim import NoiseModel
+from repro.sim.backends import select_backend
+from repro.sim.evaluate import evaluate_fidelity, make_reference_state
 
 # Paper RQ4: thresholds derived from logical rates via the Fig. 9 fit.
 RATE_TO_EPS = {1e-4: 0.0122, 1e-5: 0.00386, 1e-6: 0.00122}
@@ -71,7 +66,12 @@ def run_rq4(
     use the stochastic backends.  Pass an explicit ``sim_backend`` to
     override.
     """
-    rng = np.random.default_rng(seed)
+    unknown = [r for r in logical_rates if r not in RATE_TO_EPS]
+    if unknown:
+        raise ValueError(
+            f"no synthesis threshold for logical rates {unknown}; "
+            f"known rates: {sorted(RATE_TO_EPS)}"
+        )
     out = []
     cases = [c for c in cases if c.n_qubits <= max_qubits]
 
@@ -80,28 +80,25 @@ def run_rq4(
             return "density"
         return sim_backend
 
+    cache = SynthesisCache()
     # The ideal state per case is rate-independent: compute it once.
     reference_states: dict[str, object] = {}
     for rate in logical_rates:
-        eps = RATE_TO_EPS.get(rate, 0.004)
-        tra_cache = _SequenceCache()
-        grid_cache = _SequenceCache()
+        noise = NoiseModel.non_pauli_gates(rate)
         for case in cases:
             u3_circ, rz_circ, eps_t, eps_g = matched_thresholds(
-                case.circuit, eps
+                case.circuit, RATE_TO_EPS[rate]
             )
-            tra = synthesize_circuit_trasyn(
-                u3_circ, eps_t, rng, cache=tra_cache, pre_transpiled=True
+            tra = compile_circuit(
+                u3_circ, "trasyn", eps_t, cache=cache, seed=seed,
+                pre_transpiled=True,
             )
-            grid = synthesize_circuit_gridsynth(
-                rz_circ, eps_g, cache=grid_cache, pre_transpiled=True
+            grid = compile_circuit(
+                rz_circ, "gridsynth", eps_g, cache=cache, seed=seed,
+                pre_transpiled=True,
             )
-            noise = NoiseModel.non_pauli_gates(rate)
             case_backend = backend_for(case)
             if case.name not in reference_states:
-                from repro.sim.backends import select_backend
-                from repro.sim.evaluate import make_reference_state
-
                 sim = select_backend(
                     case.n_qubits, noise, backend=case_backend,
                     trajectories=trajectories, max_bond=max_bond,
@@ -110,16 +107,14 @@ def run_rq4(
                 reference_states[case.name] = make_reference_state(
                     case.circuit, sim
                 )
-            ref_state = reference_states[case.name]
-            ev_t = evaluate_synthesized(
-                case.circuit, tra, noise, backend=case_backend,
-                trajectories=trajectories, max_bond=max_bond, seed=seed,
-                reference_state=ref_state,
-            )
-            ev_g = evaluate_synthesized(
-                case.circuit, grid, noise, backend=case_backend,
-                trajectories=trajectories, max_bond=max_bond, seed=seed,
-                reference_state=ref_state,
+            ev_t, ev_g = (
+                evaluate_fidelity(
+                    res.circuit, reference=case.circuit, noise=noise,
+                    backend=case_backend, trajectories=trajectories,
+                    max_bond=max_bond, seed=seed,
+                    reference_state=reference_states[case.name],
+                )
+                for res in (tra, grid)
             )
             total_t = len(tra.circuit)
             total_g = len(grid.circuit)

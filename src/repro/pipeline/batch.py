@@ -23,7 +23,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -192,7 +192,7 @@ def synthesize_lowered(
     basis: str,
     eps: float,
     cache: SynthesisCache,
-    rng_for: Callable[[tuple], np.random.Generator],
+    seed: int,
     name: str | None = None,
     eps_schedule: Sequence[float] | None = None,
 ) -> SynthesizedCircuit:
@@ -200,13 +200,14 @@ def synthesize_lowered(
 
     ``basis='u3'`` expects CX+U3 and synthesizes with trasyn;
     ``basis='rz'`` expects CX+H+Rz and synthesizes with gridsynth.
-    ``rng_for`` maps a cache key to the generator used on a cache miss
-    (trasyn only; gridsynth is deterministic).
+    On a cache miss trasyn draws from :func:`rng_for_key` of ``seed``
+    and the rotation's key (gridsynth is deterministic).
 
     ``eps_schedule`` overrides the flat ``eps`` with one threshold per
     nontrivial rotation in flat gate order — the consumption side of
     :func:`repro.synthesis.allocate_eps_budget` (trivial-angle
-    rotations synthesize exactly and consume no slice).
+    rotations synthesize exactly and consume no slice).  A schedule
+    whose length differs from the rotation count raises ``ValueError``.
 
     Every effective threshold is snapped down to its log-spaced band
     floor (:func:`repro.pipeline.cache.bucket_eps`) before both the
@@ -249,7 +250,8 @@ def synthesize_lowered(
             seq = cache.get_or(
                 key,
                 lambda: trasyn(
-                    target, error_threshold=eps_g, rng=rng_for(key)
+                    target, error_threshold=eps_g,
+                    rng=rng_for_key(seed, key),
                 ),
             )
             total_err += seq.error
@@ -272,6 +274,11 @@ def synthesize_lowered(
             raise ValueError(f"{basis} flow expects a {expected} circuit")
         else:
             out.gates.append(g)
+    if eps_schedule is not None and n_rot < len(eps_schedule):
+        raise ValueError(
+            f"eps_schedule has {len(eps_schedule)} entries but the "
+            f"circuit has only {n_rot} nontrivial rotations"
+        )
     return SynthesizedCircuit(
         circuit=out,
         n_rotations=n_rot,
@@ -451,8 +458,7 @@ def compile_circuit(
 
             eps_schedule = allocate_eps_budget(lowered, eps_budget, target)
         result = synthesize_lowered(
-            lowered, basis, eps, cache,
-            rng_for=lambda key: rng_for_key(seed, key),
+            lowered, basis, eps, cache, seed,
             name=circuit.name + f"_{workflow}",
             eps_schedule=eps_schedule,
         )

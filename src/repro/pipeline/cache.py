@@ -143,9 +143,8 @@ class CacheStats:
 class SynthesisCache:
     """Thread-safe LRU of :class:`GateSequence` results by rotation key.
 
-    Drop-in successor of the old per-run ``_SequenceCache``: the same
-    ``get_or(key, compute)`` interface, plus bounded size and hit/miss
-    accounting.
+    ``get_or(key, compute)`` memoizes one synthesis per key, with
+    bounded size and hit/miss accounting.
 
     With ``store=`` (a :class:`repro.pipeline.store.DiskSynthesisStore`
     or anything matching its ``get``/``get_fallback``/``put`` surface)

@@ -2,8 +2,8 @@
 
 The package's primary contribution (:func:`trasyn`) plus every baseline
 the paper evaluates against: gridsynth (number-theoretic Rz synthesis),
-the gridsynth-based U3 workflow, a Synthetiq-style simulated-annealing
-search, and the classic Solovay-Kitaev algorithm.
+the gridsynth-based U3 workflow, and a Synthetiq-style
+simulated-annealing search.
 """
 
 from repro.synthesis.budget import (

@@ -1,10 +1,9 @@
-"""Tests for the SK / annealing baselines and the meet-in-middle search."""
+"""Tests for the annealing baseline and the meet-in-middle search."""
 
 import numpy as np
-import pytest
 
 from repro.enumeration import get_table
-from repro.linalg import haar_random_u2, trace_distance, trace_value
+from repro.linalg import haar_random_u2, trace_value
 from repro.synthesis.annealing import anneal_unitary
 from repro.synthesis.meet import QuaternionIndex, to_quaternions
 from repro.synthesis.sequences import (
@@ -13,7 +12,6 @@ from repro.synthesis.sequences import (
     matrix_of,
     t_count_of,
 )
-from repro.synthesis.solovay_kitaev import solovay_kitaev
 
 
 class TestSequences:
@@ -55,33 +53,6 @@ class TestQuaternions:
         nearest = index.nearest(targets, k=1)
         for i, cand in enumerate(nearest.reshape(-1)):
             assert trace_value(table.mats[i], table.mats[cand]) > 1 - 1e-9
-
-
-class TestSolovayKitaev:
-    def test_error_decreases_with_depth(self):
-        rng = np.random.default_rng(2)
-        table = get_table(8)
-        u = haar_random_u2(rng)
-        e0 = solovay_kitaev(u, depth=0, table=table).error
-        e2 = solovay_kitaev(u, depth=2, table=table).error
-        assert e2 < e0
-
-    def test_sequence_matches_reported_error(self):
-        rng = np.random.default_rng(3)
-        table = get_table(6)
-        u = haar_random_u2(rng)
-        seq = solovay_kitaev(u, depth=1, table=table)
-        assert trace_distance(u, seq.matrix()) == pytest.approx(
-            seq.error, abs=1e-8
-        )
-
-    def test_length_grows_with_depth(self):
-        rng = np.random.default_rng(4)
-        table = get_table(6)
-        u = haar_random_u2(rng)
-        l1 = solovay_kitaev(u, depth=1, table=table).total_gates
-        l3 = solovay_kitaev(u, depth=3, table=table).total_gates
-        assert l3 > l1 * 3
 
 
 class TestAnnealing:

@@ -109,19 +109,17 @@ class TestMPSvsExhaustive:
 class TestWorkflowsVsIdealUnitary:
     @pytest.mark.slow
     def test_both_flows_agree_with_ideal(self):
-        from repro.experiments.workflows import (
-            matched_thresholds,
-            synthesize_circuit_gridsynth,
-            synthesize_circuit_trasyn,
-        )
+        from repro.experiments.workflows import matched_thresholds
         from repro.circuits import Circuit
+        from repro.pipeline import compile_circuit
 
-        rng = np.random.default_rng(4)
         c = Circuit(2)
         c.h(0).rz(0.77, 0).cx(0, 1).rx(1.31, 1).cx(0, 1).ry(0.4, 0)
         u3c, rzc, eps_t, eps_g = matched_thresholds(c, 0.01)
-        tra = synthesize_circuit_trasyn(u3c, eps_t, rng, pre_transpiled=True)
-        grid = synthesize_circuit_gridsynth(rzc, eps_g, pre_transpiled=True)
+        tra = compile_circuit(u3c, "trasyn", eps_t, seed=4,
+                              pre_transpiled=True)
+        grid = compile_circuit(rzc, "gridsynth", eps_g, seed=4,
+                               pre_transpiled=True)
         ideal = c.unitary()
         d_tra = trace_distance(ideal, tra.circuit.unitary())
         d_grid = trace_distance(ideal, grid.circuit.unitary())

@@ -16,13 +16,12 @@ from repro.experiments.rq3_circuits import (
     run_figure12,
     run_rq3,
 )
-from repro.experiments.rq4_fidelity import run_rq4
+from repro.experiments import rq1_random_unitaries
+from repro.experiments.rq4_fidelity import RATE_TO_EPS, run_rq4
 from repro.experiments.rq5_postopt import run_rq5
-from repro.experiments.workflows import (
-    matched_thresholds,
-    synthesize_circuit_gridsynth,
-    synthesize_circuit_trasyn,
-)
+from repro.experiments.workflows import matched_thresholds
+from repro.pipeline import compile_circuit
+from repro.synthesis import GateSequence
 
 
 @pytest.fixture(scope="module")
@@ -49,11 +48,12 @@ class TestReporting:
 class TestWorkflows:
     @pytest.mark.slow
     def test_flows_preserve_circuit_semantics(self, small_cases):
-        rng = np.random.default_rng(0)
         case = small_cases[0]
         u3c, rzc, eps_t, eps_g = matched_thresholds(case.circuit, 0.01)
-        tra = synthesize_circuit_trasyn(u3c, eps_t, rng, pre_transpiled=True)
-        grid = synthesize_circuit_gridsynth(rzc, eps_g, pre_transpiled=True)
+        tra = compile_circuit(u3c, "trasyn", eps_t, seed=0,
+                              pre_transpiled=True)
+        grid = compile_circuit(rzc, "gridsynth", eps_g, seed=0,
+                               pre_transpiled=True)
         psi = case.circuit.statevector()
         for flow in (tra, grid):
             psi_s = flow.circuit.statevector()
@@ -92,6 +92,41 @@ class TestRQ1:
         grid_t = np.mean([p.t_count for p in res.of("gridsynth", 0.01)])
         assert grid_t > 1.5 * tra_t
 
+    def test_trasyn_stream_independent_of_annealing(self, monkeypatch):
+        # The annealer is bounded by wall clock, so how many values it
+        # draws depends on CPU speed; no trasyn call may see that.
+        class Report:
+            succeeded = False
+            elapsed = 0.0
+
+        word = GateSequence(("H",), error=0.0)
+        monkeypatch.setattr(rq1_random_unitaries, "get_table",
+                            lambda budget: None)
+        monkeypatch.setattr(rq1_random_unitaries, "gridsynth_u3",
+                            lambda u, eps: word)
+
+        def states_seen(n_draws):
+            seen = []
+
+            def fake_trasyn(u, error_threshold, rng):
+                seen.append(rng.bit_generator.state)
+                return word
+
+            def fake_anneal(u, eps, rng, time_limit):
+                rng.random(n_draws)
+                return Report()
+
+            monkeypatch.setattr(rq1_random_unitaries, "trasyn", fake_trasyn)
+            monkeypatch.setattr(rq1_random_unitaries, "anneal_unitary",
+                                fake_anneal)
+            run_rq1(n_unitaries=3, seed=2, thresholds=(0.1, 0.01))
+            return seen
+
+        baseline = states_seen(0)
+        assert len(baseline) == 6
+        assert states_seen(7) == baseline
+        assert states_seen(1000) == baseline
+
 
 class TestRQ2:
     def test_tradeoff_shape(self):
@@ -114,6 +149,25 @@ class TestIRComparison:
         results = run_ir_comparison(small_cases)
         tally = figure6_counts(results)
         assert sum(tally.values()) >= len(results)
+
+
+class TestRunnerContracts:
+    def test_rq3_independent_of_case_order(self, small_cases):
+        def gate_lists(cases):
+            return {
+                r.name: (r.trasyn_flow.circuit.gates,
+                         r.gridsynth_flow.circuit.gates)
+                for r in run_rq3(cases, base_eps=0.1, fidelity_max_qubits=0)
+            }
+
+        cases = small_cases[:3]
+        assert gate_lists(cases[::-1]) == gate_lists(cases)
+
+    def test_rq4_rejects_unknown_rate(self, small_cases):
+        with pytest.raises(ValueError, match="known rates") as err:
+            run_rq4(small_cases[:1], logical_rates=(1e-4, 1e-3))
+        for rate in RATE_TO_EPS:
+            assert str(rate) in str(err.value)
 
 
 @pytest.mark.slow

@@ -350,22 +350,21 @@ class TestEpsBudget:
         c.rz(0.3, 0)
         cache = SynthesisCache()
         res = synthesize_lowered(
-            c, "rz", 0.1, cache,
-            rng_for=lambda key: np.random.default_rng(0),
-            eps_schedule=[1e-3],
+            c, "rz", 0.1, cache, seed=0, eps_schedule=[1e-3],
         )
         assert res.eps_allocation == (1e-3,)
         assert res.total_synthesis_error <= 1e-3
 
     def test_eps_schedule_too_short_raises(self):
+        # Two nontrivial rotations: one entry is too few, three too many.
         c = Circuit(1)
         c.rz(0.3, 0).rz(0.4, 0)
-        with pytest.raises(ValueError, match="eps_schedule"):
-            synthesize_lowered(
-                c, "rz", 0.1, SynthesisCache(),
-                rng_for=lambda key: np.random.default_rng(0),
-                eps_schedule=[1e-2],
-            )
+        for schedule in ([1e-2], [1e-2, 1e-2, 1e-2]):
+            with pytest.raises(ValueError, match="eps_schedule"):
+                synthesize_lowered(
+                    c, "rz", 0.1, SynthesisCache(), seed=0,
+                    eps_schedule=schedule,
+                )
 
 
 class TestPipelinePasses:

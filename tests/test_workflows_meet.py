@@ -9,13 +9,8 @@ from repro.circuits import Circuit, rotation_count
 from repro.enumeration import get_table
 from repro.linalg import haar_random_u2, trace_distance
 from repro.synthesis.meet import QuaternionIndex, refine_pairs
-from repro.experiments.workflows import (
-    _SequenceCache,
-    best_transpile,
-    matched_thresholds,
-    synthesize_circuit_gridsynth,
-    synthesize_circuit_trasyn,
-)
+from repro.experiments.workflows import best_transpile, matched_thresholds
+from repro.pipeline import compile_circuit
 
 
 @pytest.fixture(scope="module")
@@ -171,18 +166,6 @@ class TestPrunedPairSearch:
 
 
 class TestWorkflowInternals:
-    def test_sequence_cache_reuses(self):
-        cache = _SequenceCache()
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return "value"
-
-        assert cache.get_or("k", compute) == "value"
-        assert cache.get_or("k", compute) == "value"
-        assert len(calls) == 1
-
     def test_best_transpile_picks_minimum(self):
         c = Circuit(2)
         c.rx(0.4, 1).cx(0, 1).rz(0.7, 1).cx(0, 1)
@@ -191,12 +174,13 @@ class TestWorkflowInternals:
         assert rotation_count(best) == 1
 
     def test_trivial_rotations_cost_no_t(self):
-        rng = np.random.default_rng(4)
         c = Circuit(1)
         c.rz(math.pi / 2, 0)  # = S up to phase
         u3c, rzc, eps_t, eps_g = matched_thresholds(c, 0.01)
-        tra = synthesize_circuit_trasyn(u3c, eps_t, rng, pre_transpiled=True)
-        grid = synthesize_circuit_gridsynth(rzc, eps_g, pre_transpiled=True)
+        tra = compile_circuit(u3c, "trasyn", eps_t, seed=4,
+                              pre_transpiled=True)
+        grid = compile_circuit(rzc, "gridsynth", eps_g, seed=4,
+                               pre_transpiled=True)
         assert tra.t_count == 0
         assert grid.t_count == 0
         assert tra.n_rotations == 0 and grid.n_rotations == 0
@@ -204,28 +188,27 @@ class TestWorkflowInternals:
     def test_flow_rejects_wrong_basis(self):
         c = Circuit(1).rx(0.3, 0)
         with pytest.raises(ValueError):
-            synthesize_circuit_trasyn(c, 0.01, np.random.default_rng(0),
-                                      pre_transpiled=True)
+            compile_circuit(c, "trasyn", 0.01, pre_transpiled=True)
         with pytest.raises(ValueError):
-            synthesize_circuit_gridsynth(c, 0.01, pre_transpiled=True)
+            compile_circuit(c, "gridsynth", 0.01, pre_transpiled=True)
 
     @pytest.mark.slow
     def test_synthesized_gates_in_time_order(self):
         # The spliced sequence must realize the rotation when the
         # circuit is *executed*, i.e. reversal from matrix order is
         # correct: check a single-rotation circuit end to end.
-        rng = np.random.default_rng(5)
         c = Circuit(1).rz(0.9, 0)
         u3c, _, eps_t, _ = matched_thresholds(c, 0.01)
-        tra = synthesize_circuit_trasyn(u3c, eps_t, rng, pre_transpiled=True)
+        tra = compile_circuit(u3c, "trasyn", eps_t, seed=5,
+                              pre_transpiled=True)
         d = trace_distance(c.unitary(), tra.circuit.unitary())
         assert d <= eps_t + 1e-9
 
     def test_total_error_bounds_state_infidelity(self):
-        rng = np.random.default_rng(6)
         c = Circuit(2).h(0).rz(0.8, 0).cx(0, 1).rx(1.2, 1)
         u3c, _, eps_t, _ = matched_thresholds(c, 0.02)
-        tra = synthesize_circuit_trasyn(u3c, eps_t, rng, pre_transpiled=True)
+        tra = compile_circuit(u3c, "trasyn", eps_t, seed=6,
+                              pre_transpiled=True)
         psi = c.statevector()
         psi_s = tra.circuit.statevector()
         infid = 1 - abs(np.vdot(psi, psi_s)) ** 2
@@ -234,13 +217,11 @@ class TestWorkflowInternals:
 
     @pytest.mark.slow
     def test_t_count_scales_with_eps(self):
-        rng = np.random.default_rng(7)
         c = Circuit(1).rz(1.2345, 0)
         counts = []
         for eps in (0.05, 0.005):
             u3c, _, eps_t, _ = matched_thresholds(c, eps)
-            tra = synthesize_circuit_trasyn(
-                u3c, eps_t, rng, cache=_SequenceCache(), pre_transpiled=True
-            )
+            tra = compile_circuit(u3c, "trasyn", eps_t, seed=7,
+                                  pre_transpiled=True)
             counts.append(tra.t_count)
         assert counts[1] > counts[0]
