@@ -5,11 +5,10 @@ a tight one) on a fixed irrational-ish angle.  trasyn is timed with the
 enumeration table prebuilt in setup (table construction is a one-off
 cost amortized by the disk cache) in two shapes: a single-slot layout,
 which the paper's Synthesize step serves by a table scan, and two-slot
-layouts, which run the tensor-network search without sampling — beam
-decode, exact pair refinement and step-3 simplification.  The (10,6),
-(10,10) and (12,12) layouts are the two-slot rungs of trasyn's ladder;
-(10,10) has the widest last beam step, and (12,12) is the largest
-two-slot search.
+layouts, which run the canonical exact pair search (``meet.best_pair``:
+k-d queries from the smaller slot, no MPS) and step-3 simplification.
+The (10,6), (10,10) and (12,12) layouts are the two-slot rungs of
+trasyn's ladder; (12,12) is the largest two-slot search.
 """
 
 from __future__ import annotations

@@ -12,6 +12,9 @@ The four steps of the paper's Section 3.3:
 * **Step 3** (:func:`simplify_sequence`): peephole-replace suboptimal
   subsequences using the exact lookup table.
 
+A two-slot layout skips steps 1-2: :func:`repro.synthesis.meet.best_pair`
+returns its canonical exact optimum directly.
+
 :func:`trasyn` is the paper's Algorithm 1: it wraps the single-shot
 :func:`synthesize` in an outer loop over tensor counts and retry
 attempts, optionally stopping at an error threshold (Equation (4)).
@@ -31,7 +34,7 @@ from repro.enumeration import UnitaryTable, get_table
 from repro.enumeration import vectorized as vec
 from repro.gates.exact import ExactUnitary
 from repro.linalg import check_unitary_2x2
-from repro.synthesis.meet import QuaternionIndex, refine_pairs
+from repro.synthesis.meet import QuaternionIndex, best_pair, refine_pairs
 from repro.synthesis.sequences import GateSequence, t_count_of
 from repro.tensornet import CanonicalTail, TraceMPS
 
@@ -43,13 +46,28 @@ class SlotLayout:
     """Target-independent data of one T-range layout on one table.
 
     ``indices[i]`` are the table indices of slot ``i`` and ``mats[i]``
-    their matrices; ``tail`` is the layout's :class:`CanonicalTail`
-    (multi-slot layouts only).  All arrays are read-only and shared.
+    their matrices; :attr:`tail` is the layout's :class:`CanonicalTail`.
+    All arrays are read-only and shared.
     """
 
     indices: tuple[np.ndarray, ...]
     mats: tuple[np.ndarray, ...]
-    tail: CanonicalTail | None
+    _tail: CanonicalTail | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def tail(self) -> CanonicalTail:
+        """The :class:`CanonicalTail` of a multi-slot layout, built once.
+
+        Built on first use: two-slot rungs never build a :class:`TraceMPS`
+        (see :func:`synthesize`), so their layouts never hold one.
+        """
+        with _MEMO_LOCK:
+            if self._tail is None:
+                tail = CanonicalTail.build(list(self.mats))
+                object.__setattr__(self, "_tail", tail)
+            return self._tail
 
     def mps(self, target: np.ndarray) -> TraceMPS:
         return TraceMPS(target, list(self.mats), self.tail)
@@ -114,10 +132,8 @@ def slot_layout(
     with _MEMO_LOCK:
         if key not in layouts:
             slots = [_slot(table, lo, hi) for lo, hi in key]
-            mats = [m for _, m in slots]
-            tail = CanonicalTail.build(mats) if len(mats) > 1 else None
             layouts[key] = SlotLayout(
-                tuple(i for i, _ in slots), tuple(mats), tail
+                tuple(i for i, _ in slots), tuple(m for _, m in slots)
             )
         return layouts[key]
 
@@ -169,9 +185,10 @@ def synthesize(
         Number of error-aware samples drawn from the MPS.  They are
         drawn only by a layout of three or more slots, or by a two-slot
         layout with ``use_beam`` or ``refine`` off.  A two-slot layout
-        with both on is solved exactly by the pair search, seeded from
-        the beam alone; it still advances ``rng`` past the draws it
-        skips (see :func:`_sampling_free`).  A single slot never draws.
+        with both on builds no MPS: :func:`repro.synthesis.meet.best_pair`
+        returns its canonical exact optimum, and the call still advances
+        ``rng`` past the draws it skips (see :func:`_sampling_free`).  A
+        single slot never draws.
     use_beam:
         Also run the deterministic beam-search decode and keep the best
         of both (an extension the tensor representation makes cheap).
@@ -202,24 +219,26 @@ def synthesize(
         table_indices = [choice]
         best_amp = amp
         samples_drawn = 0
+    elif _sampling_free(len(ranges), use_beam, refine):
+        # The exact pair search needs no start: skip the MPS, keep the
+        # generator stream.
+        rng.random(_rung_draws(len(ranges), n_samples))
+        indexes = [_slot_index(table, lo, hi) for lo, hi in ranges]
+        costs = [(table.t_counts[i], table.hs_costs[i]) for i in layout.indices]
+        a, b, best_amp = best_pair(target, layout.mats, indexes, costs)
+        table_indices = [int(layout.indices[0][a]), int(layout.indices[1][b])]
+        samples_drawn = 0
     else:
         mats = list(layout.mats)
         mps = layout.mps(target)
-        if _sampling_free(len(ranges), use_beam, refine):
-            # refine_pairs returns the global optimum from any start
-            # (ties aside), so the samples would only move its start.
-            rng.random(_rung_draws(len(ranges), n_samples))
-            best_choice, _ = mps.best_first()
-            samples_drawn = 0
-        else:
-            choices, amps = mps.sample(n_samples, rng)
-            best = int(np.argmax(np.abs(amps)))
-            best_choice, best_amp = choices[best], amps[best]
-            if use_beam:
-                beam_choice, beam_amp = mps.best_first()
-                if abs(beam_amp) > abs(best_amp):
-                    best_choice, best_amp = beam_choice, beam_amp
-            samples_drawn = n_samples
+        choices, amps = mps.sample(n_samples, rng)
+        best = int(np.argmax(np.abs(amps)))
+        best_choice, best_amp = choices[best], amps[best]
+        if use_beam:
+            beam_choice, beam_amp = mps.best_first()
+            if abs(beam_amp) > abs(best_amp):
+                best_choice, best_amp = beam_choice, beam_amp
+        samples_drawn = n_samples
         best_choice, best_amp = _refine_sweeps(target, mats, best_choice)
         if refine:
             indexes = [_slot_index(table, lo, hi) for lo, hi in ranges]
@@ -248,13 +267,11 @@ def synthesize(
 def _sampling_free(n_slots: int, use_beam: bool, refine: bool) -> bool:
     """Whether a :func:`synthesize` word is independent of the generator.
 
-    A single slot is a table scan.  With two slots the environment of
-    :func:`refine_pairs` is always ``U^dag``, so its one radius-bounded
-    k-d query per slot-0 candidate returns the argmax of
-    ``|Tr(U^dag A B)|`` over every pair (A, B), whatever the start; the
-    start is kept only when no pair beats it by more than 1e-12.  The
-    samples would only move that start, so such a call seeds the pair
-    search from ``best_first`` alone.
+    A single slot is a table scan.  Two slots with the beam and the
+    pair refinement on are solved by :func:`best_pair`: the argmax of
+    ``|Tr(U^dag A B)|`` over every pair (A, B), with exact ties broken by
+    T count, Clifford cost and table index.  Its word depends on the
+    target and the layout alone, so no sample, beam or start is needed.
     """
     return n_slots == 1 or (n_slots == 2 and use_beam and refine)
 

@@ -15,13 +15,12 @@ from repro.enumeration import get_table
 from repro.gates.exact import ExactUnitary
 from repro.linalg import GATES, haar_random_u2, rz, trace_distance
 from repro.synthesis import simplify_sequence, synthesize, trasyn
-from repro.synthesis.meet import refine_pairs
+from repro.synthesis.meet import best_pair
 from repro.synthesis.sequences import matrix_of
 from repro.synthesis.trasyn import (
     TrasynArgumentError,
     _amp_to_error,
     _quality,
-    _refine_sweeps,
     _slot_index,
     schedule_for_threshold,
     slot_layout,
@@ -307,45 +306,55 @@ class TestAlgorithm1:
         assert seq.t_count == 0
 
 
-def _synthesize_sampled_reference(target, budgets, n_samples, rng, table):
-    """Word (before step 3) and amplitude of the sampling two-slot path.
+def _canonical_pair(target, table, ranges):
+    """Brute-force canonical argmax over every two-slot pair.
 
-    The start is the better of the best sample and the beam decode, as
-    every two-slot call had before it stopped sampling.
+    Every pair within 1e-12 of the best |Tr(U^dag A B)| ties; the lowest
+    T-count sum wins, then the lowest Clifford cost sum, then the lowest
+    table index of slot 0, then of slot 1.
     """
-    ranges = [(0, b) for b in budgets]
     layout = slot_layout(table, ranges)
-    mats = list(layout.mats)
-    mps = layout.mps(target)
-    choices, amps = mps.sample(n_samples, rng)
-    best = int(np.argmax(np.abs(amps)))
-    best_choice, best_amp = choices[best], amps[best]
-    beam_choice, beam_amp = mps.best_first()
-    if abs(beam_amp) > abs(best_amp):
-        best_choice = beam_choice
-    best_choice, _ = _refine_sweeps(target, mats, best_choice)
-    indexes = [_slot_index(table, lo, hi) for lo, hi in ranges]
-    best_choice, best_amp = refine_pairs(target, mats, best_choice, indexes)
-    gates = tuple(g for i, c in enumerate(best_choice)
-                  for g in table.sequence(int(layout.indices[i][c])))
-    return gates, best_amp
+    # Tr(U^dag A B) = sum_ij (U^dag A)_ij B_ji, one BLAS product per chunk
+    # of slot-0 rows; each chunk keeps the pairs tying its own best.
+    left = (target.conj().T @ layout.mats[0]).reshape(-1, 4)
+    right = layout.mats[1].transpose(0, 2, 1).reshape(-1, 4).T
+    found = []
+    for start in range(0, len(left), 512):
+        amps = np.abs(left[start:start + 512] @ right)
+        a, b = np.nonzero(amps >= amps.max() - 1e-12)
+        found.append((a + start, b, amps[a, b]))
+    a, b, amps = (np.concatenate(col) for col in zip(*found))
+    keep = amps >= amps.max() - 1e-12
+    i0, i1 = layout.indices[0][a[keep]], layout.indices[1][b[keep]]
+    pick = np.lexsort((i1, i0, table.hs_costs[i0] + table.hs_costs[i1],
+                       table.t_counts[i0] + table.t_counts[i1]))[0]
+    return int(i0[pick]), int(i1[pick])
+
+
+def _pair_word(table, pair):
+    return tuple(g for i in pair for g in table.sequence(i))
 
 
 class TestSamplingFreeTwoSlot:
-    """Two-slot rungs skip sampling; words and generator stream stay."""
+    """Two-slot rungs are solved exactly; the generator stream stays."""
 
-    @pytest.mark.parametrize("layout", [[6, 4], [6, 6]])
-    def test_word_matches_sampled_start(self, table6, layout):
+    @pytest.mark.parametrize("layout", [[6, 4], [4, 6], [6, 6]])
+    def test_word_is_canonical_argmax(self, table6, layout):
         rng = np.random.default_rng(41)
-        targets = [haar_random_u2(rng) for _ in range(12)]
+        targets = [haar_random_u2(rng) for _ in range(8)]
         targets += [rz(theta) for theta in rng.uniform(0, 2 * np.pi, 6)]
+        ranges = [(0, b) for b in layout]
+        lay = slot_layout(table6, ranges)
+        indexes = [_slot_index(table6, lo, hi) for lo, hi in ranges]
+        costs = [(table6.t_counts[i], table6.hs_costs[i])
+                 for i in lay.indices]
         for k, u in enumerate(targets):
+            pair = _canonical_pair(u, table6, ranges)
+            a, b, amp = best_pair(u, lay.mats, indexes, costs)
+            assert (int(lay.indices[0][a]), int(lay.indices[1][b])) == pair
             res = synthesize(u, layout, n_samples=300, postprocess=False,
                              rng=np.random.default_rng(k), table=table6)
-            gates, amp = _synthesize_sampled_reference(
-                u, layout, 300, np.random.default_rng(k), table6
-            )
-            assert res.sequence.gates == gates
+            assert res.sequence.gates == _pair_word(table6, pair)
             assert res.sequence.error == _amp_to_error(amp)
 
     @settings(max_examples=60, deadline=None)
@@ -361,6 +370,24 @@ class TestSamplingFreeTwoSlot:
         assert res.sequence.error == pytest.approx(
             np.sqrt(max(0.0, 1.0 - tv * tv)), abs=1e-12
         )
+        pair = _canonical_pair(u, table4, [(0, 4), (0, 3)])
+        assert res.sequence.gates == _pair_word(table4, pair)
+
+    def test_builds_no_mps_tail_or_refinement(self, monkeypatch):
+        from repro.enumeration import build_table
+
+        trasyn_mod = importlib.import_module("repro.synthesis.trasyn")
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a two-slot rung left the pair search")
+
+        for name in ("TraceMPS", "CanonicalTail", "refine_pairs",
+                     "_refine_sweeps"):
+            monkeypatch.setattr(trasyn_mod, name, forbidden)
+        table = build_table(3)  # fresh, so its memo holds no tail yet
+        u = haar_random_u2(np.random.default_rng(46))
+        synthesize(u, [3, 2], rng=np.random.default_rng(9), table=table)
+        assert slot_layout(table, [(0, 3), (0, 2)])._tail is None
 
     def test_generator_advances_as_if_sampled(self, table6):
         u = haar_random_u2(np.random.default_rng(42))
@@ -435,10 +462,8 @@ from repro.enumeration import get_table
 from repro.linalg import haar_random_u2
 from repro.synthesis import synthesize, trasyn
 
-def digest(seq, rng=None):
+def digest(seq):
     key = repr((tuple(seq.gates), repr(seq.error)))
-    if rng is not None:  # also pin the generator's position after the call
-        key = repr((key, repr(rng.random())))
     return hashlib.sha256(key.encode()).hexdigest()
 
 t6 = get_table(6)
@@ -456,23 +481,28 @@ for seed, attempts in [(26, 1), (27, 2)]:
     u = haar_random_u2(rng)
     seq = trasyn(u, schedule=ladder, attempts=attempts, n_samples=300,
                  rng=rng, table=t6)
-    print(digest(seq, rng))
+    print(digest(seq))
+    print(repr(rng.random()))  # the generator's position after the call
 """
 
-# sha256 of (gates, repr(error)) per call of _DIGEST_SCRIPT.  The first
-# five were recorded before the pruned pair search, memoized MPS tail,
-# byte-bounded sampling chunks and batched step 3 were introduced.  The
-# last two also hash the generator's next draw after a two-slot then
-# three-slot ladder; they were recorded while every two-slot rung still
-# sampled, so they pin the generator advance of sampling-free rungs.
+# Per call of _DIGEST_SCRIPT, the sha256 of (gates, repr(error)); after
+# each ladder call also the generator's next draw.  The (6,), (4, 4, 3)
+# and threshold-ladder digests were recorded before the pruned pair
+# search, memoized MPS tail, byte-bounded sampling chunks and batched
+# step 3 were introduced.  The (6, 4), (6, 6) and ladder word digests
+# were recorded when two-slot rungs took the canonical tie rule.  The
+# two draws were recorded while every two-slot rung still sampled, so
+# they pin the generator advance of sampling-free rungs.
 _PINNED_DIGESTS = [
     "681606ef3f8e29e98ac8d3fc1eb76250be1600eb4064390cfaf8ed8cc50bfb28",
-    "72eeafe51591a139e4ceacb3f65f0854db5b6a955437841ef3c79a8e59260d4e",
-    "390098cbc3d54cd1285d3491b164cf0d110fb977dd70d7b6eb1fd12a363c462b",
+    "b536b5cf6e2d451a5ed0d81f519e9d504a46954b537d27a235b43c4b9eb81220",
+    "f835ab45ecb0f03a3ddfddb8b1e48328c042f7de9ff9f11f9a2283a7f5fea20c",
     "3a5eca440f5f46ba1244beeb859eafec77ee5b69b1ea354340f76d9f6ac810f0",
     "54dcfdc861eb14a39a502f89a32a562d04a678e77b1b8660584416616abe360c",
-    "1dcc5dca58aba0eb6ec67b4f998767e80cf673072cae4d523f74a82471003c08",
-    "1f65fb81b205b5b2117518c9524971589c4e81c736bd8c1718f3245e18585c49",
+    "65d3bb22464fa3c26550c11adf92b52671eb30f96d4da3ff507c278df509d395",
+    "0.3434655400688488",
+    "2185dec9400240bbcefa3724b62fcb70ee227d5bcfc5a99bc8ce371035db5f3a",
+    "0.09497530936078724",
 ]
 
 

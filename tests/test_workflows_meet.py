@@ -7,8 +7,8 @@ import pytest
 
 from repro.circuits import Circuit, rotation_count
 from repro.enumeration import get_table
-from repro.linalg import haar_random_u2, trace_distance
-from repro.synthesis.meet import QuaternionIndex, refine_pairs
+from repro.linalg import haar_random_u2, rz, trace_distance
+from repro.synthesis.meet import QuaternionIndex, best_pair, refine_pairs
 from repro.experiments.workflows import best_transpile, matched_thresholds
 from repro.pipeline import compile_circuit
 
@@ -163,6 +163,65 @@ class TestPrunedPairSearch:
         assert got[:, 0].tolist() == list(range(5))
         assert (got[:, 1:] == -1).all()
         assert (index.nearest(mats[:5], k=3) >= 0).all()
+
+    def test_nearest_k1_keeps_candidate_axis(self, table6):
+        # Regression: cKDTree.query drops the k axis for k=1.
+        mats = table6.mats[table6.indices_for_t_range(0, 2)]
+        got = QuaternionIndex(mats).nearest(mats[:5], k=1)
+        assert got.shape == (5, 1)
+        assert got[:, 0].tolist() == list(range(5))
+
+
+def _canonical_rows(target, mats, costs):
+    """Brute-force canonical argmax: ties within 1e-12, then costs, rows."""
+    scores = _all_pair_scores(target.conj().T, mats[0], mats[1])
+    a, b = np.nonzero(scores >= scores.max() - 1e-12)
+    (t0, c0), (t1, c1) = costs
+    pick = np.lexsort((b, a, c0[a] + c1[b], t0[a] + t1[b]))[0]
+    return int(a[pick]), int(b[pick])
+
+
+class TestBestPair:
+    """The canonical two-slot search against the brute-force oracle."""
+
+    @staticmethod
+    def _slots(table, ranges):
+        idx = [table.indices_for_t_range(lo, hi) for lo, hi in ranges]
+        mats = [table.mats[i] for i in idx]
+        costs = [(table.t_counts[i], table.hs_costs[i]) for i in idx]
+        return mats, [QuaternionIndex(m) for m in mats], costs
+
+    @pytest.mark.parametrize("ranges", [[(0, 4), (0, 2)], [(0, 2), (0, 4)]])
+    def test_rz_ties_beyond_neighbours(self, ranges, monkeypatch):
+        # Rz targets of low T count tie on more partners per row than one
+        # query fetches; the rows that fill up must ask again.
+        table = get_table(4)
+        mats, indexes, costs = self._slots(table, ranges)
+        ks = []
+        orig = QuaternionIndex.nearest
+
+        def recording(self, targets, k=2, **kw):
+            ks.append(k)
+            return orig(self, targets, k=k, **kw)
+
+        monkeypatch.setattr(QuaternionIndex, "nearest", recording)
+        rng = np.random.default_rng(7)
+        for theta in rng.uniform(0, 2 * np.pi, 12):
+            target = rz(theta)
+            a, b, amp = best_pair(target, mats, indexes, costs)
+            assert (a, b) == _canonical_rows(target, mats, costs)
+            prod = target.conj().T @ mats[0][a] @ mats[1][b]
+            assert complex(np.trace(prod)) == amp
+        assert max(ks) > 4  # some row asked again
+
+    def test_haar_matches_oracle_both_directions(self, table6):
+        rng = np.random.default_rng(8)
+        for ranges in ([(0, 6), (1, 3)], [(1, 3), (0, 6)]):
+            mats, indexes, costs = self._slots(table6, ranges)
+            for _ in range(4):
+                target = haar_random_u2(rng)
+                a, b, _ = best_pair(target, mats, indexes, costs)
+                assert (a, b) == _canonical_rows(target, mats, costs)
 
 
 class TestWorkflowInternals:
