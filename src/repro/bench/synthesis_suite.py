@@ -3,12 +3,12 @@
 gridsynth is timed at two precision points (a fast everyday epsilon and
 a tight one) on a fixed irrational-ish angle.  trasyn is timed with the
 enumeration table prebuilt in setup (table construction is a one-off
-cost amortized by the disk cache) in two shapes: a single-slot layout,
-which the paper's Synthesize step serves by a table scan, and two-slot
-layouts, which run the canonical exact pair search (``meet.best_pair``:
-k-d queries from the smaller slot, no MPS) and step-3 simplification.
-The (10,6), (10,10) and (12,12) layouts are the two-slot rungs of
-trasyn's ladder; (12,12) is the largest two-slot search.
+cost amortized by the disk cache): a single slot is a table scan, two
+slots run the canonical exact pair search (``meet.best_pair``, no MPS),
+and three slots sample the MPS, then polish several starts by pair
+sweeps of ``meet.best_pair``; step-3 simplification follows.  The
+(10,6), (10,10), (12,12) and (12,12,8) layouts are trasyn's multi-slot
+rungs.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ _QUICK_GRIDSYNTH_EPS = (1e-2,)
 _TRASYN_BUDGET = {False: 6, True: 3}
 _TRASYN_SAMPLES = {False: 500, True: 50}
 _TRASYN_LAYOUTS = {
-    False: ((10, 6), (10, 10), (12, 12)),
-    True: ((4, 3), (4, 4)),
+    False: ((10, 6), (10, 10), (12, 12), (12, 12, 8)),
+    True: ((4, 3), (4, 4), (4, 4, 3)),
 }
 
 

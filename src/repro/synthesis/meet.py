@@ -1,4 +1,4 @@
-"""Meet-in-the-middle pair refinement for trasyn.
+"""Meet-in-the-middle pair search for trasyn.
 
 For two adjacent tensor slots with environment ``E`` (a unitary), the
 amplitude of choices (A, B) is ``Tr(E A B)``; maximizing it over both
@@ -13,11 +13,11 @@ maps to the unit 4-vector ``q = (Re a, Im a, Re b, Im b)``, and
 
 exactly.  Maximizing |Tr| is therefore a max-|dot| query, served by a
 Euclidean k-d tree over ``{+q, -q}`` of every table candidate.
-:func:`best_pair` solves a two-slot layout exactly this way, with a
-canonical tie rule; :func:`refine_pairs` sweeps the same query over the
-adjacent pairs of longer layouts.  Candidates are rescored exactly, and
-the joint pair optimum is what lets the search reach the
-information-theoretic error floor of its total T budget.
+:func:`best_pair` is the one pair search: it solves a two-slot layout
+exactly, with a canonical tie rule.  :func:`refine_pairs` sweeps it over
+the adjacent pairs of longer layouts (target ``E^dag``), and the joint
+pair optimum is what lets the search reach the information-theoretic
+error floor of its total T budget.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ _NEIGHBOURS = 4
 # Pairs within this of the best |Tr| tie: exact ties, e.g. (A C, C^-1 B)
 # for a Clifford C, differ only by float noise.
 _TIE_TOL = 1e-12
+# refine_pairs stops after this many sweeps over the adjacent pairs.
+_PAIR_SWEEPS = 4
 # SU(2) matrices of the unit quaternions e_0..e_3 (see to_quaternions).
 _QUAT_BASIS = np.array([[[1, 0], [0, 1]], [[1j, 0], [0, -1j]],
                         [[0, -1], [1, 0]], [[0, 1j], [1j, 0]]])
@@ -162,74 +164,60 @@ def best_pair(
 
 def refine_pairs(
     target: np.ndarray,
-    mats: list[np.ndarray],
+    mats: Sequence[np.ndarray],
     choice: np.ndarray,
-    indexes: list[QuaternionIndex],
-    neighbours: int = 4,
-    max_sweeps: int = 4,
+    indexes: Sequence[QuaternionIndex],
+    costs: Sequence[tuple[np.ndarray, np.ndarray]],
 ) -> tuple[np.ndarray, complex]:
-    """Sweep jointly-optimal updates over adjacent slot pairs.
+    """Sweep :func:`best_pair` over adjacent slot pairs (coordinate ascent).
 
-    ``indexes[i]`` must be the :class:`QuaternionIndex` of ``mats[i]``.
-    Returns the improved choice vector and its exact amplitude.
+    With the other slots fixed, the amplitude of slots ``i, i+1`` is
+    ``Tr(env A B)``: :func:`best_pair`'s objective for target ``env^dag``
+    (``indexes`` and ``costs`` as there).  A step takes that argmax when
+    it beats the current amplitude by more than 1e-12.  Returns the
+    improved choice vector and its amplitude.
     """
     choice = np.array(choice, dtype=np.int64)
-    n_slots = len(mats)
     udag = target.conj().T
-    best_amp = _amplitude(udag, mats, choice)
-    # A pair's query depends only on its environment: once queried, an
-    # unchanged environment cannot yield an amplitude above best_amp.
+    best_amp = amplitude(udag, mats, choice)
+    # An unchanged environment has the same argmax, which cannot beat
+    # best_amp again: such a pair is not searched twice.
     queried: dict[int, bytes] = {}
-    for _ in range(max_sweeps):
+    for _ in range(_PAIR_SWEEPS):
         improved = False
-        for i in range(n_slots - 1):
-            left = np.eye(2, dtype=complex)
-            for j in range(i):
-                left = left @ mats[j][choice[j]]
-            right = np.eye(2, dtype=complex)
-            for j in range(i + 2, n_slots):
-                right = right @ mats[j][choice[j]]
-            env = right @ udag @ left  # amplitude = Tr(env A B)
-            env_key = env.tobytes()
-            if queried.get(i) == env_key:
-                continue
-            queried[i] = env_key
-            env_dag = env.conj().T
-            # For every A in slot i, the ideal B is A^dag env^dag.
-            a_mats = mats[i]
-            targets_b = np.einsum("sji,jk->sik", a_mats.conj(), env_dag)
-            # Between unit quaternions dist^2 = 2 - |Tr(env A B)|, so every
-            # B that could beat best_amp lies within this radius (the slack
-            # absorbs rounding); rows without such a B are never rescored.
-            radius = math.sqrt(max(2.0 - abs(best_amp) + 1e-9, 0.0))
-            cand_b = indexes[i + 1].nearest(
-                targets_b, k=neighbours, distance_upper_bound=radius
+        for i in range(len(mats) - 1):
+            env = product(mats[i + 2:], choice[i + 2:]) @ udag @ product(
+                mats[:i], choice[:i]
             )
-            rows = np.nonzero(cand_b[:, 0] >= 0)[0]
-            if rows.size == 0:
+            if queried.get(i) == env.tobytes():
                 continue
-            cand_b = cand_b[rows]
-            # Exact rescoring: Tr(env A B) for the nearest B per A.
-            ea = np.einsum("ij,sjk->sik", env, a_mats[rows])  # (R, 2, 2)
-            b_sel = mats[i + 1][cand_b]  # (R, k, 2, 2)
-            scores = np.abs(np.einsum("sab,sjba->sj", ea, b_sel))
-            scores[cand_b < 0] = -1.0
-            flat = int(np.argmax(scores))
-            r, s_b = np.unravel_index(flat, scores.shape)
-            s_a = rows[r]
-            amp = np.trace(env @ a_mats[s_a] @ mats[i + 1][cand_b[r, s_b]])
-            if abs(amp) > abs(best_amp) + 1e-12:
-                choice[i] = int(s_a)
-                choice[i + 1] = int(cand_b[r, s_b])
-                best_amp = complex(amp)
+            queried[i] = env.tobytes()
+            pair = slice(i, i + 2)
+            a, b, amp = best_pair(
+                env.conj().T, mats[pair], indexes[pair], costs[pair]
+            )
+            if abs(amp) > abs(best_amp) + _TIE_TOL:
+                choice[pair] = a, b
+                best_amp = amp
                 improved = True
         if not improved:
             break
     return choice, best_amp
 
 
-def _amplitude(udag: np.ndarray, mats: list[np.ndarray], choice) -> complex:
+def amplitude(
+    udag: np.ndarray, mats: Sequence[np.ndarray], choice: np.ndarray
+) -> complex:
+    """``Tr(U^dag M_0[c_0] M_1[c_1] ...)`` of a choice vector."""
     prod = udag.copy()
     for j, m in enumerate(mats):
         prod = prod @ m[choice[j]]
     return complex(np.trace(prod))
+
+
+def product(mats: Sequence[np.ndarray], choice: np.ndarray) -> np.ndarray:
+    """``M_0[c_0] M_1[c_1] ...``, left to right; the identity for no slots."""
+    prod = np.eye(2, dtype=complex)
+    for m, c in zip(mats, choice):
+        prod = prod @ m[c]
+    return prod

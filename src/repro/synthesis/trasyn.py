@@ -13,7 +13,8 @@ The four steps of the paper's Section 3.3:
   subsequences using the exact lookup table.
 
 A two-slot layout skips steps 1-2: :func:`repro.synthesis.meet.best_pair`
-returns its canonical exact optimum directly.
+returns its canonical exact optimum directly; longer layouts polish
+several starts by :func:`repro.synthesis.meet.refine_pairs` pair sweeps.
 
 :func:`trasyn` is the paper's Algorithm 1: it wraps the single-shot
 :func:`synthesize` in an outer loop over tensor counts and retry
@@ -34,11 +35,16 @@ from repro.enumeration import UnitaryTable, get_table
 from repro.enumeration import vectorized as vec
 from repro.gates.exact import ExactUnitary
 from repro.linalg import check_unitary_2x2
-from repro.synthesis.meet import QuaternionIndex, best_pair, refine_pairs
+from repro.synthesis.meet import (QuaternionIndex, amplitude, best_pair,
+                                  product, refine_pairs)
 from repro.synthesis.sequences import GateSequence, t_count_of
 from repro.tensornet import CanonicalTail, TraceMPS
 
 DEFAULT_TENSOR_BUDGET = 6
+# Distinct samples polished as starts by layouts of three or more slots.
+_STARTS = 4
+# _refine_sweeps stops after this many sweeps over the slots.
+_SLOT_SWEEPS = 8
 
 
 @dataclass(frozen=True)
@@ -168,7 +174,6 @@ def synthesize(
     n_samples: int = 1000,
     rng: np.random.Generator | None = None,
     table: UnitaryTable | None = None,
-    use_beam: bool = True,
     postprocess: bool = True,
     refine: bool = True,
 ) -> TrasynResult:
@@ -184,16 +189,16 @@ def synthesize(
     n_samples:
         Number of error-aware samples drawn from the MPS.  They are
         drawn only by a layout of three or more slots, or by a two-slot
-        layout with ``use_beam`` or ``refine`` off.  A two-slot layout
-        with both on builds no MPS: :func:`repro.synthesis.meet.best_pair`
-        returns its canonical exact optimum, and the call still advances
-        ``rng`` past the draws it skips (see :func:`_sampling_free`).  A
-        single slot never draws.
-    use_beam:
-        Also run the deterministic beam-search decode and keep the best
-        of both (an extension the tensor representation makes cheap).
+        layout with ``refine`` off.  A two-slot layout with ``refine`` on
+        builds no MPS: :func:`repro.synthesis.meet.best_pair` returns its
+        canonical exact optimum, and the call still advances ``rng`` past
+        the draws it skips (see :func:`_sampling_free`).  A single slot
+        never draws.
     refine:
-        Polish the start by exact meet-in-the-middle pair sweeps.
+        Search by exact meet-in-the-middle pair steps.  Off, the best
+        sample is polished by per-slot sweeps alone.  On, a layout of
+        three or more slots polishes several starts (see
+        :func:`_polish_starts`).
     """
     check_unitary_2x2(target, "target", TrasynArgumentError)
     if not t_budgets:
@@ -211,47 +216,31 @@ def synthesize(
         table = get_table(max_hi)
     _check_table_budget(table, max_hi)
     layout = slot_layout(table, ranges)
+    mats = list(layout.mats)
 
+    samples_drawn = 0
     if len(ranges) == 1:
-        choice, amp = _exhaustive_best(
-            target, table, layout.indices[0], layout.mats[0]
-        )
-        table_indices = [choice]
-        best_amp = amp
-        samples_drawn = 0
-    elif _sampling_free(len(ranges), use_beam, refine):
+        choice, best_amp = _exhaustive_best(target, table, layout)
+    elif _sampling_free(len(ranges), refine):
         # The exact pair search needs no start: skip the MPS, keep the
         # generator stream.
         rng.random(_rung_draws(len(ranges), n_samples))
-        indexes = [_slot_index(table, lo, hi) for lo, hi in ranges]
-        costs = [(table.t_counts[i], table.hs_costs[i]) for i in layout.indices]
-        a, b, best_amp = best_pair(target, layout.mats, indexes, costs)
-        table_indices = [int(layout.indices[0][a]), int(layout.indices[1][b])]
-        samples_drawn = 0
+        a, b, best_amp = best_pair(target, mats, *_pair_data(table, ranges))
+        choice = [a, b]
     else:
-        mats = list(layout.mats)
-        mps = layout.mps(target)
-        choices, amps = mps.sample(n_samples, rng)
-        best = int(np.argmax(np.abs(amps)))
-        best_choice, best_amp = choices[best], amps[best]
-        if use_beam:
-            beam_choice, beam_amp = mps.best_first()
-            if abs(beam_amp) > abs(best_amp):
-                best_choice, best_amp = beam_choice, beam_amp
+        choices, amps = layout.mps(target).sample(n_samples, rng)
         samples_drawn = n_samples
-        best_choice, best_amp = _refine_sweeps(target, mats, best_choice)
         if refine:
-            indexes = [_slot_index(table, lo, hi) for lo, hi in ranges]
-            best_choice, best_amp = refine_pairs(
-                target, mats, best_choice, indexes
+            choice, best_amp = _polish_starts(
+                target, mats, *_pair_data(table, ranges), choices, amps
             )
-        table_indices = [
-            int(layout.indices[i][best_choice[i]]) for i in range(len(ranges))
-        ]
+        else:
+            best = int(np.argmax(np.abs(amps)))
+            choice, best_amp = _refine_sweeps(target, mats, choices[best])
 
     gates: list[str] = []
-    for idx in table_indices:
-        gates.extend(table.sequence(idx))
+    for rows, row in zip(layout.indices, choice):
+        gates.extend(table.sequence(int(rows[row])))
     raw_t = t_count_of(gates)
     if postprocess:
         gates = simplify_sequence(gates, table)
@@ -264,16 +253,16 @@ def synthesize(
     )
 
 
-def _sampling_free(n_slots: int, use_beam: bool, refine: bool) -> bool:
+def _sampling_free(n_slots: int, refine: bool) -> bool:
     """Whether a :func:`synthesize` word is independent of the generator.
 
-    A single slot is a table scan.  Two slots with the beam and the
-    pair refinement on are solved by :func:`best_pair`: the argmax of
-    ``|Tr(U^dag A B)|`` over every pair (A, B), with exact ties broken by
-    T count, Clifford cost and table index.  Its word depends on the
-    target and the layout alone, so no sample, beam or start is needed.
+    A single slot is a table scan.  Two slots with the pair refinement
+    on are solved by :func:`best_pair`: the argmax of ``|Tr(U^dag A B)|``
+    over every pair (A, B), with exact ties broken by T count, Clifford
+    cost and table index.  Its word depends on the target and the layout
+    alone, so no sample or start is needed.
     """
-    return n_slots == 1 or (n_slots == 2 and use_beam and refine)
+    return n_slots == 1 or (n_slots == 2 and refine)
 
 
 def _rung_draws(n_slots: int, n_samples: int) -> int:
@@ -295,11 +284,52 @@ def _check_table_budget(table: UnitaryTable, budget: int) -> None:
         )
 
 
+def _pair_data(
+    table: UnitaryTable, ranges: list[tuple[int, int]]
+) -> tuple[list[QuaternionIndex], list[tuple[np.ndarray, np.ndarray]]]:
+    """The per-slot indexes and (T count, Clifford cost)s of a pair search."""
+    layout = slot_layout(table, ranges)
+    return ([_slot_index(table, lo, hi) for lo, hi in ranges],
+            [(table.t_counts[i], table.hs_costs[i]) for i in layout.indices])
+
+
+def _polish_starts(
+    target: np.ndarray,
+    mats: list[np.ndarray],
+    indexes: list[QuaternionIndex],
+    costs: list[tuple[np.ndarray, np.ndarray]],
+    choices: np.ndarray,
+    amps: np.ndarray,
+) -> tuple[np.ndarray, complex]:
+    """Best polished start of a layout of three or more slots.
+
+    Starts: the padded two-slot optimum (later slots at their row nearest
+    the identity, :func:`best_pair` over slots 0-1), then the ``_STARTS``
+    best distinct ``choices`` by ``|amps|``.  Each is polished by
+    :func:`_refine_sweeps` and :func:`refine_pairs`; the largest
+    ``|amplitude|`` wins, ties going to the earlier start.
+    """
+    pad = [int(np.argmax(np.abs(np.trace(m, axis1=1, axis2=2))))
+           for m in mats[2:]]
+    rest = product(mats[2:], pad)
+    # Tr(U^dag A B rest) is best_pair's objective for target U rest^dag.
+    a, b, _ = best_pair(target @ rest.conj().T, mats[:2], indexes[:2],
+                        costs[:2])
+    order = np.argsort(-np.abs(amps), kind="stable")
+    _, first = np.unique(choices[order], axis=0, return_index=True)
+    starts = [[a, b, *pad], *choices[order[np.sort(first)[:_STARTS]]]]
+    polished = [
+        refine_pairs(target, mats, _refine_sweeps(target, mats, start)[0],
+                     indexes, costs)
+        for start in starts
+    ]
+    return max(polished, key=lambda p: abs(p[1]))  # the first of equals
+
+
 def _refine_sweeps(
     target: np.ndarray,
     mats: list[np.ndarray],
     choice: np.ndarray,
-    max_sweeps: int = 8,
 ) -> tuple[np.ndarray, complex]:
     """Alternating per-slot exhaustive improvement of a sampled sequence.
 
@@ -310,19 +340,15 @@ def _refine_sweeps(
     (the DMRG-flavoured counterpart of the paper's sampling step).
     """
     choice = np.array(choice, dtype=np.int64)
-    n_slots = len(mats)
     udag = target.conj().T
-    best_amp = _amplitude_of(udag, mats, choice)
-    for _ in range(max_sweeps):
+    best_amp = amplitude(udag, mats, choice)
+    for _ in range(_SLOT_SWEEPS):
         improved = False
-        for i in range(n_slots):
-            left = np.eye(2, dtype=complex)
-            for j in range(i):
-                left = left @ mats[j][choice[j]]
-            right = np.eye(2, dtype=complex)
-            for j in range(i + 1, n_slots):
-                right = right @ mats[j][choice[j]]
-            env = right @ udag @ left  # Tr(env @ M_s) is the amplitude
+        for i in range(len(mats)):
+            # Tr(env @ M_s) is the amplitude
+            env = product(mats[i + 1:], choice[i + 1:]) @ udag @ product(
+                mats[:i], choice[:i]
+            )
             scores = np.einsum("sij,ji->s", mats[i], env)
             s = int(np.argmax(np.abs(scores)))
             if abs(scores[s]) > abs(best_amp) + 1e-12:
@@ -334,31 +360,18 @@ def _refine_sweeps(
     return choice, best_amp
 
 
-def _amplitude_of(
-    udag: np.ndarray, mats: list[np.ndarray], choice: np.ndarray
-) -> complex:
-    prod = udag.copy()
-    for j, m in enumerate(mats):
-        prod = prod @ m[choice[j]]
-    return complex(np.trace(prod))
-
-
 def _exhaustive_best(
-    target: np.ndarray,
-    table: UnitaryTable,
-    indices: np.ndarray,
-    mats: np.ndarray,
-) -> tuple[int, complex]:
+    target: np.ndarray, table: UnitaryTable, layout: SlotLayout
+) -> tuple[list[int], complex]:
     """Single-slot synthesis: the MPS degenerates to a table scan.
 
-    ``mats`` are ``table.mats[indices]``.  For T budgets within the
-    precomputed table this returns the provably optimal solution (paper
+    Returns the one-slot choice and its amplitude.  For T budgets within
+    the precomputed table this is the provably optimal solution (paper
     RQ1 discussion).
     """
-    amps = np.einsum("nij,ji->n", mats, target.conj().T)
-    order = np.lexsort((table.t_counts[indices], -np.abs(amps)))
-    best = order[0]
-    return int(indices[best]), complex(amps[best])
+    amps = np.einsum("nij,ji->n", layout.mats[0], target.conj().T)
+    best = np.lexsort((table.t_counts[layout.indices[0]], -np.abs(amps)))[0]
+    return [int(best)], complex(amps[best])
 
 
 # ---------------------------------------------------------------------------
@@ -556,8 +569,7 @@ def trasyn(
     best: GateSequence | None = None
     for budgets in schedule:
         # Further attempts of a sampling-free rung would repeat its word.
-        free = _sampling_free(len(budgets), use_beam=True, refine=True)
-        runs = 1 if free else attempts
+        runs = 1 if _sampling_free(len(budgets), refine=True) else attempts
         for _ in range(runs):
             result = synthesize(
                 target, budgets, n_samples=n_samples, rng=rng, table=table

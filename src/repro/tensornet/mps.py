@@ -212,9 +212,8 @@ class TraceMPS:
 
         The conditional weights used for sampling also steer a
         deterministic beam search; this is the "fine-grained control"
-        extension the paper's tensor formulation makes cheap.  The last
-        step needs only its single best entry and selects it without a
-        full sort when :func:`_last_site_pick` can prove the same result.
+        extension the paper's tensor formulation makes cheap.  trasyn's
+        :func:`~repro.synthesis.trasyn.synthesize` does not use it.
         """
         if beam_width < 1:
             raise ValueError(f"beam_width must be at least 1, got {beam_width}")
@@ -223,54 +222,13 @@ class TraceMPS:
         order = np.argsort(weights)[::-1][:beam_width]
         beams = [((int(s),), first[s]) for s in order]
         for site in range(1, self.n_sites):
-            a = self.tensors[site]
             msgs = np.stack([m for _, m in beams])
-            b = np.einsum("kl,slr->ksr", msgs, a)
+            b = np.einsum("kl,slr->ksr", msgs, self.tensors[site])
             scores = np.einsum("ksr,ksr->ks", b, b.conj()).real
-            if site == self.n_sites - 1:
-                pick = _last_site_pick(scores, b[:, :, 0], beam_width)
-                if pick is not None:
-                    ki, si = np.unravel_index(pick, scores.shape)
-                    return (np.array(beams[ki][0] + (int(si),), dtype=np.int64),
-                            complex(b[ki, si, 0]))
-            candidates = []
-            flat = np.argsort(scores, axis=None)[::-1][: beam_width * 4]
-            for f in flat[: beam_width * 4]:
-                ki, si = np.unravel_index(f, scores.shape)
-                candidates.append((beams[ki][0] + (int(si),), b[ki, si]))
-                if len(candidates) >= beam_width:
-                    break
-            beams = candidates
+            flat = np.argsort(scores, axis=None)[::-1][:beam_width]
+            beams = [
+                (beams[ki][0] + (int(si),), b[ki, si])
+                for ki, si in zip(*np.unravel_index(flat, scores.shape))
+            ]
         best_idx, best_msg = max(beams, key=lambda t: abs(t[1][0]))
         return np.array(best_idx, dtype=np.int64), complex(best_msg[0])
-
-
-def _last_site_pick(
-    scores: np.ndarray, amps: np.ndarray, beam_width: int
-) -> int | None:
-    """Flat index the last beam step keeps, or None when unproven.
-
-    The argsort path keeps the ``beam_width`` best scores (ties at the
-    cutoff resolved however the sort leaves them) and returns the first
-    of them, in descending score order, with the largest ``abs``
-    amplitude.  Every entry scoring at least the cutoff, the
-    ``beam_width``-th largest score, is gathered here instead; that set
-    contains the kept one.  If its ``abs`` maximum is unique and scores
-    strictly above the cutoff, it is surely kept and is the kept set's
-    unique maximum: the argsort answer.  ``abs`` is taken per scalar as
-    the argsort path does; the vectorized ``np.abs`` can differ from it
-    in the last ulp.
-    """
-    flat = scores.ravel()
-    if flat.size <= beam_width:
-        return None
-    cutoff = np.partition(flat, flat.size - beam_width)[flat.size - beam_width]
-    gathered = np.flatnonzero(flat >= cutoff)
-    mags = [abs(v) for v in amps.ravel()[gathered]]
-    top = max(mags)
-    if mags.count(top) != 1:
-        return None
-    winner = int(gathered[mags.index(top)])
-    if not flat[winner] > cutoff:
-        return None
-    return winner

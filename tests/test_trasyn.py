@@ -402,7 +402,7 @@ class TestSamplingFreeTwoSlot:
         [
             ([6, 4], {}, 0),
             ([6, 4], {"refine": False}, 300),
-            ([6, 4], {"use_beam": False}, 300),
+            ([4, 4, 3], {"refine": False}, 300),
             ([4, 4, 3], {}, 300),
             ([6], {}, 0),
         ],
@@ -455,6 +455,57 @@ class TestSamplingFreeTwoSlot:
         assert rng.bit_generator.state == loop_rng.bit_generator.state
 
 
+def _padded_start_error(u, table, ranges):
+    """Error of the padded two-slot start: best_pair, then the identity."""
+    layout = slot_layout(table, ranges)
+    indexes = [_slot_index(table, lo, hi) for lo, hi in ranges[:2]]
+    costs = [(table.t_counts[i], table.hs_costs[i])
+             for i in layout.indices[:2]]
+    return _amp_to_error(best_pair(u, layout.mats[:2], indexes, costs)[2])
+
+
+class TestMultiStartThreeSlot:
+    """Three-slot rungs polish the padded two-slot optimum and samples."""
+
+    @pytest.mark.parametrize(
+        "ranges", [[(0, 4), (0, 4), (0, 3)], [(0, 6), (2, 4), (0, 3)]]
+    )
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_never_above_padded_start(self, table6, ranges, seed):
+        rng = np.random.default_rng(seed)
+        u = haar_random_u2(rng)
+        res = synthesize(u, ranges, n_samples=40, rng=rng,
+                         postprocess=False, table=table6)
+        assert res.sequence.error <= _padded_start_error(u, table6, ranges)
+        assert res.sequence.verify(u)
+
+    @pytest.mark.parametrize("n_samples, starts", [(1, 2), (300, 5)])
+    def test_polishes_padded_start_and_distinct_samples(
+        self, monkeypatch, table6, n_samples, starts
+    ):
+        # One sample is fewer distinct starts than _STARTS: the padded
+        # start and that sample are polished, nothing else.
+        trasyn_mod = importlib.import_module("repro.synthesis.trasyn")
+        calls = []
+        real = trasyn_mod.refine_pairs
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(trasyn_mod, "refine_pairs", counting)
+        u = haar_random_u2(np.random.default_rng(47))
+        res = synthesize(u, [4, 4, 3], n_samples=n_samples,
+                         rng=np.random.default_rng(10), table=table6)
+        assert res.samples_drawn == n_samples
+        assert len(calls) == starts
+        assert res.sequence.verify(u)
+        assert res.sequence.error <= _padded_start_error(
+            u, table6, [(0, 4), (0, 4), (0, 3)]
+        )
+
+
 _DIGEST_SCRIPT = """
 import hashlib
 import numpy as np
@@ -486,22 +537,23 @@ for seed, attempts in [(26, 1), (27, 2)]:
 """
 
 # Per call of _DIGEST_SCRIPT, the sha256 of (gates, repr(error)); after
-# each ladder call also the generator's next draw.  The (6,), (4, 4, 3)
-# and threshold-ladder digests were recorded before the pruned pair
-# search, memoized MPS tail, byte-bounded sampling chunks and batched
-# step 3 were introduced.  The (6, 4), (6, 6) and ladder word digests
-# were recorded when two-slot rungs took the canonical tie rule.  The
+# each ladder call also the generator's next draw.  The (6,) and
+# threshold-ladder digests were recorded before the pruned pair search,
+# memoized MPS tail, byte-bounded sampling chunks and batched step 3
+# were introduced.  The (6, 4) and (6, 6) digests were recorded when
+# two-slot rungs took the canonical tie rule; the (4, 4, 3) and ladder
+# word digests when three-slot rungs took the multi-start search.  The
 # two draws were recorded while every two-slot rung still sampled, so
 # they pin the generator advance of sampling-free rungs.
 _PINNED_DIGESTS = [
     "681606ef3f8e29e98ac8d3fc1eb76250be1600eb4064390cfaf8ed8cc50bfb28",
     "b536b5cf6e2d451a5ed0d81f519e9d504a46954b537d27a235b43c4b9eb81220",
     "f835ab45ecb0f03a3ddfddb8b1e48328c042f7de9ff9f11f9a2283a7f5fea20c",
-    "3a5eca440f5f46ba1244beeb859eafec77ee5b69b1ea354340f76d9f6ac810f0",
+    "89b898eef3b9561f9d463afbb368386cf6b31d6cd2b26925a3019f5331c1a58a",
     "54dcfdc861eb14a39a502f89a32a562d04a678e77b1b8660584416616abe360c",
-    "65d3bb22464fa3c26550c11adf92b52671eb30f96d4da3ff507c278df509d395",
+    "d11202ef8ca31aab24b44b22f2c1894583e0ea190459c626dfa1b0dd2864cb76",
     "0.3434655400688488",
-    "2185dec9400240bbcefa3724b62fcb70ee227d5bcfc5a99bc8ce371035db5f3a",
+    "ca8eb2ab1c30eb4ed7e34d715bfba420ff97e529ac9774ba5d9133e311123310",
     "0.09497530936078724",
 ]
 

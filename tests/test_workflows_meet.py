@@ -8,6 +8,7 @@ import pytest
 from repro.circuits import Circuit, rotation_count
 from repro.enumeration import get_table
 from repro.linalg import haar_random_u2, rz, trace_distance
+import repro.synthesis.meet as meet
 from repro.synthesis.meet import QuaternionIndex, best_pair, refine_pairs
 from repro.experiments.workflows import best_transpile, matched_thresholds
 from repro.pipeline import compile_circuit
@@ -18,77 +19,45 @@ def table6():
     return get_table(6)
 
 
+def _slots(table, ranges):
+    """Slot matrices, QuaternionIndexes and (T count, Clifford cost)s."""
+    idx = [table.indices_for_t_range(lo, hi) for lo, hi in ranges]
+    mats = [table.mats[i] for i in idx]
+    costs = [(table.t_counts[i], table.hs_costs[i]) for i in idx]
+    return mats, [QuaternionIndex(m) for m in mats], costs
+
+
 class TestRefinePairs:
     def test_improves_or_keeps_amplitude(self, table6):
         rng = np.random.default_rng(0)
-        idx = table6.indices_for_t_range(0, 6)
-        mats = [table6.mats[idx]] * 2
-        indexes = [QuaternionIndex(m) for m in mats]
+        mats, indexes, costs = _slots(table6, [(0, 6)] * 2)
         target = haar_random_u2(rng)
         start = np.array([0, 0])
         udag = target.conj().T
         amp0 = abs(np.trace(udag @ mats[0][0] @ mats[1][0]))
-        choice, amp = refine_pairs(target, mats, start, indexes)
+        choice, amp = refine_pairs(target, mats, start, indexes, costs)
         assert abs(amp) >= amp0 - 1e-12
 
     def test_two_slot_near_optimal(self, table6):
         # Pair refinement from any start must land close to the true
-        # 2-slot optimum (estimated by a sampling baseline).
+        # 2-slot optimum.
         rng = np.random.default_rng(1)
-        idx = table6.indices_for_t_range(0, 6)
-        mats = [table6.mats[idx]] * 2
-        indexes = [QuaternionIndex(m) for m in mats]
+        mats, indexes, costs = _slots(table6, [(0, 6)] * 2)
         target = haar_random_u2(rng)
-        _, amp = refine_pairs(target, mats, np.array([0, 0]), indexes,
-                              neighbours=8)
+        _, amp = refine_pairs(target, mats, np.array([0, 0]), indexes, costs)
         err = math.sqrt(max(0.0, 1 - (abs(amp) / 2) ** 2))
         assert err < 0.05  # T<=12 affords ~0.02-0.03
 
     def test_amplitude_matches_choice(self, table6):
         rng = np.random.default_rng(2)
-        idx = table6.indices_for_t_range(0, 4)
-        mats = [table6.mats[idx]] * 3
-        indexes = [QuaternionIndex(m) for m in mats]
+        mats, indexes, costs = _slots(table6, [(0, 4)] * 3)
         target = haar_random_u2(rng)
-        choice, amp = refine_pairs(target, mats, np.array([1, 2, 3]), indexes)
+        choice, amp = refine_pairs(target, mats, np.array([1, 2, 3]), indexes,
+                                   costs)
         prod = target.conj().T
         for i, m in enumerate(mats):
             prod = prod @ m[choice[i]]
         assert complex(np.trace(prod)) == pytest.approx(amp, abs=1e-9)
-
-
-def _refine_reference(target, mats, choice, indexes, neighbours=4,
-                      max_sweeps=4):
-    """Unpruned pair sweeps: every pair queried every sweep, unbounded."""
-    choice = np.array(choice, dtype=np.int64)
-    udag = target.conj().T
-    best_amp = complex(np.trace(
-        np.linalg.multi_dot([udag] + [m[c] for m, c in zip(mats, choice)])
-    ))
-    for _ in range(max_sweeps):
-        improved = False
-        for i in range(len(mats) - 1):
-            left = np.eye(2, dtype=complex)
-            for j in range(i):
-                left = left @ mats[j][choice[j]]
-            right = np.eye(2, dtype=complex)
-            for j in range(i + 2, len(mats)):
-                right = right @ mats[j][choice[j]]
-            env = right @ udag @ left
-            a_mats = mats[i]
-            targets_b = np.einsum("sji,jk->sik", a_mats.conj(), env.conj().T)
-            cand_b = indexes[i + 1].nearest(targets_b, k=neighbours)
-            ea = np.einsum("ij,sjk->sik", env, a_mats)
-            scores = np.abs(np.einsum("sab,sjba->sj", ea, mats[i + 1][cand_b]))
-            s_a, s_b = np.unravel_index(int(np.argmax(scores)), scores.shape)
-            amp = np.trace(env @ a_mats[s_a] @ mats[i + 1][cand_b[s_a, s_b]])
-            if abs(amp) > abs(best_amp) + 1e-12:
-                choice[i], choice[i + 1] = s_a, cand_b[s_a, s_b]
-                best_amp = complex(amp)
-                improved = True
-        if not improved:
-            break
-    return choice, best_amp
 
 
 def _all_pair_scores(env, a_mats, b_mats):
@@ -97,62 +66,99 @@ def _all_pair_scores(env, a_mats, b_mats):
     return np.abs(np.einsum("sab,tba->st", ea, b_mats))
 
 
+def _refine_oracle(target, mats, choice, costs, sweeps=4):
+    """Pair sweeps whose every step is the brute-force canonical argmax."""
+    choice = np.array(choice, dtype=np.int64)
+    udag = target.conj().T
+    best_amp = complex(np.trace(
+        np.linalg.multi_dot([udag] + [m[c] for m, c in zip(mats, choice)])
+    ))
+    for _ in range(sweeps):
+        improved = False
+        for i in range(len(mats) - 1):
+            left = np.eye(2, dtype=complex)
+            for j in range(i):
+                left = left @ mats[j][choice[j]]
+            right = np.eye(2, dtype=complex)
+            for j in range(i + 2, len(mats)):
+                right = right @ mats[j][choice[j]]
+            env = right @ udag @ left  # amplitude = Tr(env A B)
+            a, b = _canonical_rows(env.conj().T, mats[i:i + 2],
+                                   costs[i:i + 2])
+            amp = complex(np.trace(env @ mats[i][a] @ mats[i + 1][b]))
+            if abs(amp) > abs(best_amp) + 1e-12:
+                choice[i], choice[i + 1] = a, b
+                best_amp = amp
+                improved = True
+        if not improved:
+            break
+    return choice, best_amp
+
+
 class TestPrunedPairSearch:
-    """The bounded, skip-repeated pair search against its oracles."""
+    """The pair sweeps and the k-d query against their oracles."""
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("start", ["random", "runner-up"])
     def test_two_slot_reaches_brute_force_optimum(self, table6, seed, start):
         rng = np.random.default_rng(seed)
-        mats = [table6.mats[table6.indices_for_t_range(0, 3)],
-                table6.mats[table6.indices_for_t_range(1, 2)]]
-        indexes = [QuaternionIndex(m) for m in mats]
+        mats, indexes, costs = _slots(table6, [(0, 3), (1, 2)])
         target = haar_random_u2(rng)
         scores = _all_pair_scores(target.conj().T, mats[0], mats[1])
         brute = scores.max()
         if start == "random":
             start = rng.integers(0, [len(m) for m in mats])
         else:
-            # Start just below the optimum: the bounded query must still
-            # reach a winner that beats the start by a hair.
+            # Start just below the optimum: the search must still reach
+            # a winner that beats the start by a hair.
             below = np.where(scores < brute - 1e-9, scores, -1.0)
             start = np.array(np.unravel_index(np.argmax(below), scores.shape))
-        choice, amp = refine_pairs(target, mats, start, indexes)
+        choice, amp = refine_pairs(target, mats, start, indexes, costs)
         assert abs(amp) == pytest.approx(brute, abs=1e-9)
         prod = target.conj().T @ mats[0][choice[0]] @ mats[1][choice[1]]
         assert complex(np.trace(prod)) == amp
 
     @pytest.mark.parametrize("n_slots", [2, 3, 4])
-    def test_matches_unpruned_reference(self, table6, n_slots):
-        mats = [table6.mats[table6.indices_for_t_range(0, 3)]] * n_slots
-        indexes = [QuaternionIndex(m) for m in mats]
+    def test_matches_unpruned_reference(self, table6, n_slots, monkeypatch):
+        # Every pair step is the brute-force canonical argmax of its
+        # environment, and the sweeps end where the oracle's do.
+        mats, indexes, costs = _slots(table6, [(0, 3)] * n_slots)
+        steps = []
+        real = meet.best_pair
+
+        def checked(target, mats, indexes, costs):
+            a, b, amp = real(target, mats, indexes, costs)
+            assert (a, b) == _canonical_rows(target, mats, costs)
+            steps.append((a, b))
+            return a, b, amp
+
+        monkeypatch.setattr(meet, "best_pair", checked)
         rng = np.random.default_rng(40 + n_slots)
         for _ in range(6):
             target = haar_random_u2(rng)
             start = rng.integers(0, len(mats[0]), n_slots)
-            choice, amp = refine_pairs(target, mats, start, indexes)
-            ref_choice, ref_amp = _refine_reference(target, mats, start,
-                                                    indexes)
+            choice, amp = refine_pairs(target, mats, start, indexes, costs)
+            ref_choice, ref_amp = _refine_oracle(target, mats, start, costs)
             assert np.array_equal(choice, ref_choice)
-            assert amp == ref_amp
+            assert amp == pytest.approx(ref_amp, abs=1e-12)
+        assert len(steps) >= 6 * (n_slots - 1)
 
     def test_two_slot_queries_once(self, table6, monkeypatch):
         # The environment of the only pair is U^dag in every sweep, so a
-        # second query could never improve on the first.
-        mats = [table6.mats[table6.indices_for_t_range(0, 4)]] * 2
-        indexes = [QuaternionIndex(m) for m in mats]
+        # second search could never improve on the first.
+        mats, indexes, costs = _slots(table6, [(0, 4)] * 2)
         calls = []
-        orig = QuaternionIndex.nearest
+        real = meet.best_pair
 
-        def counted(self, *args, **kwargs):
+        def counted(*args):
             calls.append(1)
-            return orig(self, *args, **kwargs)
+            return real(*args)
 
-        monkeypatch.setattr(QuaternionIndex, "nearest", counted)
+        monkeypatch.setattr(meet, "best_pair", counted)
         target = haar_random_u2(np.random.default_rng(3))
         udag = target.conj().T
         amp0 = abs(np.trace(udag @ mats[0][0] @ mats[1][0]))
-        _, amp = refine_pairs(target, mats, np.array([0, 0]), indexes)
+        _, amp = refine_pairs(target, mats, np.array([0, 0]), indexes, costs)
         assert abs(amp) > amp0  # the first sweep improved
         assert len(calls) == 1
 
@@ -184,19 +190,12 @@ def _canonical_rows(target, mats, costs):
 class TestBestPair:
     """The canonical two-slot search against the brute-force oracle."""
 
-    @staticmethod
-    def _slots(table, ranges):
-        idx = [table.indices_for_t_range(lo, hi) for lo, hi in ranges]
-        mats = [table.mats[i] for i in idx]
-        costs = [(table.t_counts[i], table.hs_costs[i]) for i in idx]
-        return mats, [QuaternionIndex(m) for m in mats], costs
-
     @pytest.mark.parametrize("ranges", [[(0, 4), (0, 2)], [(0, 2), (0, 4)]])
     def test_rz_ties_beyond_neighbours(self, ranges, monkeypatch):
         # Rz targets of low T count tie on more partners per row than one
         # query fetches; the rows that fill up must ask again.
         table = get_table(4)
-        mats, indexes, costs = self._slots(table, ranges)
+        mats, indexes, costs = _slots(table, ranges)
         ks = []
         orig = QuaternionIndex.nearest
 
@@ -217,7 +216,7 @@ class TestBestPair:
     def test_haar_matches_oracle_both_directions(self, table6):
         rng = np.random.default_rng(8)
         for ranges in ([(0, 6), (1, 3)], [(1, 3), (0, 6)]):
-            mats, indexes, costs = self._slots(table6, ranges)
+            mats, indexes, costs = _slots(table6, ranges)
             for _ in range(4):
                 target = haar_random_u2(rng)
                 a, b, _ = best_pair(target, mats, indexes, costs)
