@@ -6,8 +6,9 @@ vocabulary:
 
 ``structural``
     The circuit is well-formed (:func:`repro.analysis.verify_circuit`,
-    and for DAG passes :func:`repro.analysis.verify_dag`).  Every pass
-    implicitly requires and ensures this; the checker enforces it.
+    and for DAG passes :func:`repro.analysis.verify_table` on the
+    rewritten columns).  Every pass implicitly requires and ensures
+    this; the checker enforces it.
 ``basis``
     Every gate is drawn from a declared vocabulary.  A pass ensuring
     ``basis`` names the vocabulary in its ``basis`` attribute (a
@@ -31,8 +32,8 @@ vocabulary:
 :class:`ContractChecker` is the stateful verifier a
 ``PassManager(validate=...)`` run instantiates: ``"structural"`` mode
 runs the cheap structural check after every pass; ``"full"`` mode
-additionally enforces requires/ensures, persistent properties, DAG
-wire consistency for DAG passes, and unitary preservation.
+additionally enforces requires/ensures, persistent properties, table
+column consistency for DAG passes, and unitary preservation.
 """
 
 from __future__ import annotations
@@ -46,11 +47,10 @@ from repro.analysis.verify import (
     resolve_basis,
     unitaries_equivalent,
     verify_circuit,
-    verify_dag,
     verify_table,
     UNITARY_CHECK_MAX_QUBITS,
 )
-from repro.circuits import Circuit, CircuitDAG
+from repro.circuits import Circuit
 
 #: The contract vocabulary passes may draw ``requires``/``ensures`` from.
 CONTRACT_VOCABULARY = frozenset(
@@ -130,27 +130,13 @@ class ContractChecker:
                     pass_name=p.name,
                 )
 
-    def check_dag(self, p, dag: CircuitDAG) -> None:
-        """Verify a DAG pass's mutated DAG before linearization.
-
-        Called by ``PassManager`` between ``run_dag`` and
-        ``to_circuit`` so wire corruption is caught — and attributed to
-        the pass — before the linearization crashes on it or silently
-        hides it.
-        """
-        if not self.full:
-            return
-        try:
-            verify_dag(dag)
-        except VerificationError as exc:
-            raise exc.with_pass(p.name) from None
-
     def check_table(self, p, table) -> None:
-        """Verify a columnar pass's mutated :class:`DAGTable`.
+        """Verify a DAG pass's mutated :class:`DAGTable`.
 
-        The columnar twin of :meth:`check_dag`: called between a table
-        kernel and ``to_circuit`` so corrupted columns are caught — and
-        attributed to the pass — pre-linearization.
+        Called by ``PassManager`` between ``run_table`` and
+        ``to_circuit`` so corrupted columns are caught — and attributed
+        to the pass — before the linearization crashes on them or
+        silently hides them.
         """
         if not self.full:
             return

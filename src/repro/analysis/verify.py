@@ -287,7 +287,7 @@ def verify_table(table) -> None:
     """Structural verification of a columnar :class:`DAGTable`.
 
     The struct-of-arrays twin of :func:`verify_dag`, run by
-    ``PassManager(validate="full")`` on the columnar path between a
+    ``PassManager(validate="full")`` on every DAG pass between a
     table kernel and linearization.  Validates the per-gate invariants
     plus the column invariants every vectorized kernel relies on: the
     alive count matches the mask, dead rows are never linked, each

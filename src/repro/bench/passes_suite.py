@@ -1,7 +1,7 @@
 """Optimizer-pass benchmarks: columnar kernels vs reference loops.
 
-Every DAG pass — cancel_inverses, merge_rotations, fold_phases,
-collect_two_qubit_blocks — plus the full ``optimize_dag`` fixpoint is
+Every DAG pass — cancel inverses, merge rotations, fold phases,
+collect 2q blocks — plus the full ``optimize_table`` fixpoint is
 benchmarked end-to-end as ``optimize_circuit`` drives it: IR build,
 kernel, linearize.  Each columnar
 :class:`~repro.circuits.dag_table.DAGTable` entry is paired with the

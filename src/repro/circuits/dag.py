@@ -5,9 +5,9 @@ for every qubit a gate touches, the node records the previous and next
 node on that wire.  That gives O(1) predecessor/successor access, cheap
 node removal/substitution (splice the wire), topological iteration, and
 front-layer (ASAP) scheduling via :meth:`CircuitDAG.as_layers` — the
-structure every pass in :mod:`repro.optimizers.dag_passes` and every
-longest-path metric in :mod:`repro.circuits.metrics` shares, instead of
-each re-deriving dependencies with its own ad-hoc wire scan.
+structure every reference pass in :mod:`repro.optimizers.dag_passes`
+and every longest-path metric in :mod:`repro.circuits.metrics` shares,
+instead of each re-deriving dependencies with its own ad-hoc wire scan.
 
 Conversion is lossless both ways: ``CircuitDAG.from_circuit(c)
 .to_circuit()`` reproduces ``c``'s gate list exactly, because node ids

@@ -1,4 +1,4 @@
-"""Columnar (struct-of-arrays) mirror of :class:`~repro.circuits.dag.CircuitDAG`.
+"""Columnar (struct-of-arrays) dependency DAG: the optimizer's only IR.
 
 A :class:`DAGTable` stores one gate per *row*: the row index is the node
 id, and every per-node attribute lives in a flat numpy column — interned
@@ -7,18 +7,16 @@ ids, and an alive mask.  The optimization passes in
 :mod:`repro.optimizers.columnar` run as vectorized kernels over these
 columns (gather-and-compare over the successor columns instead of
 per-node object chasing), which is what makes ``optimization_level=4``
-cheap on wide circuits.
+cheap on wide circuits.  Every production DAG pass goes
+``Circuit`` → :meth:`DAGTable.from_circuit` → kernel →
+:meth:`DAGTable.to_circuit`; the node-object
+:class:`~repro.circuits.dag.CircuitDAG` serves only the reference
+oracles the kernels are tested against.
 
-Round-trips are exact in both directions:
-
-* ``DAGTable.from_circuit(c).to_circuit()`` reproduces ``c``'s gate list
-  gate for gate (same reason as the DAG: ids ascend in time order and
-  linearization breaks ties on id).
-* ``DAGTable.from_dag(dag)`` preserves node ids, wire links, and the id
-  counter, so ``to_dag()`` / ``write_back(dag)`` reconstruct an
-  equivalent :class:`CircuitDAG` — the bridge the engine-dispatching
-  wrappers in :mod:`repro.optimizers.dag_passes` use to run columnar
-  kernels against caller-owned DAGs.
+``DAGTable.from_circuit(c).to_circuit()`` reproduces ``c``'s gate list
+gate for gate (same reason as the DAG: ids ascend in time order and
+linearization breaks ties on id), and a table and a DAG built from the
+same circuit and rewritten by twin passes mint identical ids.
 
 Beyond the DAG's columns the table maintains a ``pos`` float column: a
 wire-monotone timestamp (original gates get 0..n-1; substituted runs get
@@ -39,7 +37,7 @@ from repro.circuits.circuit import (
     Circuit,
     Gate,
 )
-from repro.circuits.dag import BOUNDARY, CircuitDAG, DAGNode
+from repro.circuits.dag import BOUNDARY
 
 #: The fixed gate vocabulary, in a stable order: opcode = index.
 GATE_NAMES: tuple[str, ...] = (
@@ -195,8 +193,7 @@ class DAGTable:
         if gate.name not in OPCODE:
             raise ValueError(
                 f"gate {gate.name!r} is outside the fixed IR vocabulary; "
-                "the columnar engine only handles interned opcodes "
-                "(use the reference DAG passes for exotic gates)"
+                f"the DAG optimizer handles only {', '.join(GATE_NAMES)}"
             )
         if len(gate.qubits) not in (1, 2):
             raise ValueError(
@@ -271,37 +268,6 @@ class DAGTable:
         table._last[sq[tail]] = si[tail]
         return table
 
-    @classmethod
-    def from_dag(cls, dag: CircuitDAG) -> "DAGTable":
-        """Id-preserving import of a (possibly rewritten) DAG."""
-        size = dag._next_id
-        table = cls(dag.n_qubits, dag.name, capacity=max(size, 1))
-        table._size = size
-        table._n_alive = len(dag)
-        for i, node in dag._nodes.items():
-            g = node.gate
-            cls._check_gate(g)
-            table._op[i] = OPCODE[g.name]
-            qs = g.qubits
-            table._q0[i] = qs[0]
-            table._pred0[i] = node.preds[qs[0]]
-            table._succ0[i] = node.succs[qs[0]]
-            if len(qs) == 2:
-                table._q1[i] = qs[1]
-                table._pred1[i] = node.preds[qs[1]]
-                table._succ1[i] = node.succs[qs[1]]
-            if g.params:
-                table._params[i, : len(g.params)] = g.params
-                table._n_params[i] = len(g.params)
-            table._alive[i] = True
-        table._first[:] = dag._first
-        table._last[:] = dag._last
-        # Any linear extension is wire-monotone; the topological index
-        # gives every alive row a deterministic timestamp.
-        for k, i in enumerate(table.topological_ids()):
-            table._pos[i] = float(k)
-        return table
-
     # -- access --------------------------------------------------------------
     def gate(self, node_id: int) -> Gate:
         """Reconstruct the :class:`Gate` value stored in a row."""
@@ -315,16 +281,6 @@ class DAGTable:
         k = int(self._n_params[node_id])
         params = tuple(float(p) for p in self._params[node_id, :k])
         return Gate(name, qubits, params)
-
-    def preds_of(self, node_id: int) -> list[int]:
-        """Distinct non-boundary predecessor ids of a row."""
-        p0 = int(self._pred0[node_id])
-        p1 = int(self._pred1[node_id]) if self._q1[node_id] >= 0 else BOUNDARY
-        if p1 == BOUNDARY or p1 == p0:
-            return [p0] if p0 != BOUNDARY else []
-        if p0 == BOUNDARY:
-            return [p1]
-        return [p0, p1]
 
     def ids_on_wires(self, wires: Iterable[int]) -> np.ndarray:
         """Alive row ids touching any wire in ``wires`` (ascending)."""
@@ -413,98 +369,22 @@ class DAGTable:
                 self._succ0[node_id],
             )
 
-    def substitute_1q(
-        self, node_id: int, gates: Sequence[Gate]
-    ) -> list[int]:
-        """Replace a 1q row with a time-ordered run on the same wire.
-
-        Fresh ids ascend from the id counter, exactly mirroring
-        :meth:`CircuitDAG.substitute_1q`, so a table and a DAG rewritten
-        by the same pass mint identical ids.  The new rows get ``pos``
-        timestamps strictly between their wire neighbors'.
-        """
-        if not self._alive[node_id]:
-            raise KeyError(node_id)
-        if self._q1[node_id] >= 0:
-            raise ValueError("substitute_1q requires a single-qubit node")
-        q = int(self._q0[node_id])
-        prev = int(self._pred0[node_id])
-        nxt = int(self._succ0[node_id])
-        gates = list(gates)
-        for g in gates:
-            if g.qubits != (q,):
-                raise ValueError("substitute gates must stay on the wire")
-            self._check_gate(g)
-        self.remove(node_id)
-        k = len(gates)
-        if k == 0:
-            return []
-        self._ensure_capacity(self._size + k)
-        lo = float(self._pos[prev]) if prev != BOUNDARY else -1.0
-        hi = (
-            float(self._pos[nxt])
-            if nxt != BOUNDARY
-            else lo + float(k + 1)
-        )
-        step = (hi - lo) / (k + 1)
-        start = self._size
-        new_ids = list(range(start, start + k))
-        self._size = start + k
-        self._n_alive += k
-        end = start + k
-        if k == 1:
-            # Scalar fast path: the dominant case (a slot re-emitting a
-            # single phase gate) skips the slice machinery.
-            g = gates[0]
-            self._op[start] = OPCODE[g.name]
-            self._q0[start] = q
-            self._q1[start] = -1
-            if g.params:
-                self._params[start, : len(g.params)] = g.params
-                self._n_params[start] = len(g.params)
-            self._pred0[start] = prev
-            self._succ0[start] = BOUNDARY
-            self._alive[start] = True
-            self._pos[start] = lo + step
-        else:
-            # Bulk column writes for the fresh rows (they are all on one
-            # wire, chained to each other), then stitch the two ends.
-            self._op[start:end] = [OPCODE[g.name] for g in gates]
-            self._q0[start:end] = q
-            self._q1[start:end] = -1
-            for j, g in enumerate(gates):
-                if g.params:
-                    self._params[start + j, : len(g.params)] = g.params
-                    self._n_params[start + j] = len(g.params)
-            self._pred0[start:end] = [prev] + new_ids[:-1]
-            self._succ0[start:end] = new_ids[1:] + [BOUNDARY]
-            self._alive[start:end] = True
-            self._pos[start:end] = [lo + step * (j + 1) for j in range(k)]
-        if prev == BOUNDARY:
-            self._first[q] = start
-        else:
-            self._set_succ(prev, q, start)
-        tail = end - 1
-        # Reconnect the run's tail to the old wire successor.
-        if nxt == BOUNDARY:
-            self._last[q] = tail
-        else:
-            self._set_succ(tail, q, nxt)
-            self._set_pred(nxt, q, tail)
-        return new_ids
-
     def substitute_1q_bulk(
         self, items: Sequence[tuple[int, Sequence[Gate]]]
     ) -> None:
-        """Batch :meth:`substitute_1q` over pairwise non-wire-adjacent rows.
+        """Replace 1q rows with time-ordered runs on their wires, in bulk.
 
-        Semantically identical to calling :meth:`substitute_1q` on each
-        ``(node_id, gates)`` pair in order — fresh ids are minted in the
-        same sequence — but the new rows' columns are written in bulk.
+        Each ``(node_id, gates)`` item removes the row and splices
+        ``gates`` into its place on the same wire.  Fresh ids ascend from
+        the id counter in item order, exactly as
+        :meth:`CircuitDAG.substitute_1q` mints them one item at a time,
+        so a table and a DAG rewritten by twin passes mint identical
+        ids; an empty run is a plain removal.  The new rows get ``pos``
+        timestamps evenly spaced strictly between their wire neighbors'.
         The caller must guarantee no two replaced rows are wire-adjacent
         (phase-fold slots satisfy this: a parity-changing survivor
         always separates two live slots); otherwise the stitched links
-        would disagree with the sequential semantics.
+        would disagree with the one-at-a-time semantics.
         """
         if not items:
             return
@@ -513,7 +393,7 @@ class DAGTable:
         if not self._alive[ids_all].all():
             raise KeyError("bulk substitution of a dead row")
         if (self._q1[ids_all] >= 0).any():
-            raise ValueError("substitute_1q requires single-qubit nodes")
+            raise ValueError("substitute_1q_bulk requires single-qubit nodes")
         ks_all = np.fromiter(
             (len(g) for _, g in items), dtype=np.int64, count=m
         )
@@ -573,8 +453,9 @@ class DAGTable:
         succ_col[last_rel] = nxt
         self._pred0[base:end] = pred_col
         self._succ0[base:end] = succ_col
-        # pos interpolation mirrors the scalar path bit for bit: the
-        # elementwise float ops below are the same IEEE operations.
+        # Run j of k gets lo + step * j with step = (hi - lo) / (k + 1);
+        # the boundary cases mirror the open-ended wire (lo = -1, or
+        # hi = lo + k + 1).
         lo = np.where(prev == BOUNDARY, -1.0, self._pos[np.maximum(prev, 0)])
         hi = np.where(
             nxt == BOUNDARY, lo + (ks + 1.0), self._pos[np.maximum(nxt, 0)]
@@ -644,10 +525,6 @@ class DAGTable:
             raise RuntimeError("cycle in DAG table (corrupted wire columns)")
         return out
 
-    def topological_ids(self) -> list[int]:
-        """Alias of :meth:`linear_order` (DAG-parity naming)."""
-        return self.linear_order()
-
     def to_circuit(self) -> Circuit:
         """Linearize back to a time-ordered gate list (lossless)."""
         order = self.linear_order()
@@ -686,33 +563,3 @@ class DAGTable:
                 ))
         out.gates = gates
         return out
-
-    def write_back(self, dag: CircuitDAG) -> CircuitDAG:
-        """Overwrite ``dag``'s nodes/links/counter with this table's state.
-
-        The bridge for in-place pass semantics: wrappers import a
-        caller's DAG with :meth:`from_dag`, run a columnar kernel, and
-        write the result back so the caller's object reflects the
-        rewrite — ids, wire links, and the fresh-id counter all match
-        what the reference pass would have produced.
-        """
-        if dag.n_qubits != self.n_qubits:
-            raise ValueError("write_back requires a same-width DAG")
-        nodes: dict[int, DAGNode] = {}
-        for i in np.nonzero(self._alive[: self._size])[0].tolist():
-            g = self.gate(i)
-            preds = {int(self._q0[i]): int(self._pred0[i])}
-            succs = {int(self._q0[i]): int(self._succ0[i])}
-            if self._q1[i] >= 0:
-                preds[int(self._q1[i])] = int(self._pred1[i])
-                succs[int(self._q1[i])] = int(self._succ1[i])
-            nodes[i] = DAGNode(i, g, preds, succs)
-        dag._nodes = nodes
-        dag._first = [int(x) for x in self._first]
-        dag._last = [int(x) for x in self._last]
-        dag._next_id = self._size
-        return dag
-
-    def to_dag(self) -> CircuitDAG:
-        """Export to a fresh :class:`CircuitDAG` (ids preserved)."""
-        return self.write_back(CircuitDAG(self.n_qubits, self.name))

@@ -1,14 +1,13 @@
 """Post-synthesis circuit optimizers: the PyZX and BQSKit substitutes.
 
 The list-based :func:`fold_phases` remains as the paper's original
-PyZX stand-in; the DAG passes of :mod:`repro.optimizers.dag_passes`
-(:func:`optimize_circuit` and friends) are the stronger
-commutation-aware optimizer built on :class:`repro.circuits.CircuitDAG`.
-By default they run on the columnar engine — the vectorized kernels of
-:mod:`repro.optimizers.columnar` over the struct-of-arrays
-:class:`repro.circuits.DAGTable` — with the original per-node loops
-retained as byte-identical ``*_reference`` implementations
-(:func:`set_dag_engine` / ``REPRO_DAG_ENGINE`` switch engines).
+PyZX stand-in; :func:`optimize_circuit` is the stronger
+commutation-aware optimizer.  It runs the vectorized ``*_table``
+kernels of :mod:`repro.optimizers.columnar` over the struct-of-arrays
+:class:`repro.circuits.DAGTable`.  The original per-node loops over
+:class:`repro.circuits.CircuitDAG` stay in
+:mod:`repro.optimizers.dag_passes` as byte-identical ``*_reference``
+oracles for the equivalence tests and the ``passes`` speedup bench.
 """
 
 from repro.optimizers.columnar import (
@@ -20,19 +19,12 @@ from repro.optimizers.columnar import (
     optimize_table,
 )
 from repro.optimizers.dag_passes import (
-    cancel_inverses,
     cancel_inverses_reference,
-    collect_two_qubit_blocks,
     collect_two_qubit_blocks_reference,
-    dag_engine,
-    fold_phases_dag,
     fold_phases_dag_reference,
-    merge_rotations,
     merge_rotations_reference,
     optimize_circuit,
-    optimize_dag,
     optimize_dag_reference,
-    set_dag_engine,
 )
 from repro.optimizers.kak import KAKDecomposition, kak_decompose
 from repro.optimizers.phase_folding import fold_phases
@@ -41,26 +33,19 @@ from repro.optimizers.resynth import partition_two_qubit_blocks, resynthesize
 __all__ = [
     "KAKDecomposition",
     "OptimizeStats",
-    "cancel_inverses",
     "cancel_inverses_reference",
     "cancel_inverses_table",
-    "collect_two_qubit_blocks",
     "collect_two_qubit_blocks_reference",
     "collect_two_qubit_blocks_table",
-    "dag_engine",
     "fold_phases",
-    "fold_phases_dag",
     "fold_phases_dag_reference",
     "fold_phases_table",
     "kak_decompose",
-    "merge_rotations",
     "merge_rotations_reference",
     "merge_rotations_table",
     "optimize_circuit",
-    "optimize_dag",
     "optimize_dag_reference",
     "optimize_table",
     "partition_two_qubit_blocks",
     "resynthesize",
-    "set_dag_engine",
 ]

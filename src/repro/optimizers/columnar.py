@@ -1,9 +1,10 @@
 """Vectorized optimization kernels over the columnar :class:`DAGTable`.
 
-Each kernel is the struct-of-arrays twin of a stack-based pass in
-:mod:`repro.optimizers.dag_passes` and produces **byte-identical**
-output (same removed gates, same fused parameters, same minted ids) —
-the property tests in ``tests/test_dag_table.py`` hold them to it.
+Each kernel is the only production engine of one DAG pass.  Its
+stack-based twin in :mod:`repro.optimizers.dag_passes` is the oracle:
+the kernel produces **byte-identical** output (same removed gates, same
+fused parameters, same minted ids), and the property tests in
+``tests/test_dag_table.py`` hold it to that.
 Instead of walking ``DAGNode`` objects one at a time, a kernel gathers
 whole candidate populations with boolean masks over the opcode and
 successor columns, then resolves the few data-dependent decisions
@@ -549,7 +550,7 @@ def collect_two_qubit_blocks_table(
 
 @dataclass(frozen=True)
 class OptimizeStats:
-    """Outcome of one :func:`optimize_table`/``optimize_dag`` run.
+    """Outcome of one :func:`optimize_table` run.
 
     ``converged`` is False when the round cap cut the fixpoint short —
     the driver has already issued a :class:`UserWarning` in that case,
@@ -561,9 +562,6 @@ class OptimizeStats:
     rounds: int
     converged: bool
     per_pass: dict[str, int] = field(default_factory=dict)
-
-    def __int__(self) -> int:  # legacy: optimize_dag used to return int
-        return self.removed
 
 
 def optimize_table(table: DAGTable, max_rounds: int = 8) -> OptimizeStats:
@@ -602,7 +600,7 @@ def optimize_table(table: DAGTable, max_rounds: int = 8) -> OptimizeStats:
         merge_wires = set(t_fold)
     if not converged:
         warnings.warn(
-            f"optimize_dag stopped at the round cap ({max_rounds}) before "
+            f"optimize_table stopped at the round cap ({max_rounds}) before "
             "reaching a fixpoint; rerun with a higher max_rounds to finish",
             UserWarning,
             stacklevel=3,

@@ -1,59 +1,47 @@
-"""Commutation-aware optimization passes over the dependency DAG.
+"""Commutation-aware DAG optimization: the production driver and its oracles.
 
 Where the list-based passes of :mod:`repro.transpiler.passes` see only
-textual adjacency, these passes see *wire* adjacency: two gates are
+textual adjacency, the DAG passes see *wire* adjacency: two gates are
 neighbors when no gate on a shared qubit separates them, no matter how
 many gates on independent wires sit between them in the flat list.
 
-* :func:`cancel_inverses` — adjacent-inverse gate cancellation along
-  wires (H·H, CX·CX, S·Sdg, Rz(a)·Rz(-a), ...), iterated to fixpoint.
-* :func:`merge_rotations` — same-axis rotation merging (rz·rz → rz) and
-  general u3·u3 fusion through the ZYZ decomposition.
-* :func:`fold_phases_dag` — parity-tracked phase folding over a
-  topological traversal: diagonal phases merge onto the first gate with
-  the same CX-parity term, commuting across independent wires.
-* :func:`collect_two_qubit_blocks` — dependency-aware maximal 2q-block
-  collection feeding the KAK resynthesis of
-  :mod:`repro.optimizers.resynth`.
-* :func:`optimize_circuit` — the fixpoint driver combining the above;
-  the post-synthesis optimizer behind ``optimization_level=4`` and the
-  RQ5 comparison.
+:func:`optimize_circuit` is the post-synthesis optimizer behind
+``optimization_level=4`` and the RQ5 comparison.  It runs
+``Circuit`` → :class:`DAGTable` →
+:func:`~repro.optimizers.columnar.optimize_table` → ``Circuit``; the
+vectorized kernels of :mod:`repro.optimizers.columnar` are the only
+production engine, and a gate outside the 16-opcode IR vocabulary
+raises :class:`ValueError`.
+
+The ``*_reference`` functions below are the original per-node loops
+over :class:`~repro.circuits.dag.CircuitDAG`.  They are oracles only:
+the byte-identity tests compare every kernel against its twin (same
+removed gates, same fused params, same minted ids), and the ``passes``
+bench gates the kernels' ``speedup_vs_reference`` on them.
+
+* :func:`cancel_inverses_reference` — adjacent-inverse cancellation
+  along wires (H·H, CX·CX, S·Sdg, Rz(a)·Rz(-a), ...) to fixpoint.
+* :func:`merge_rotations_reference` — same-axis rotation merging
+  (rz·rz → rz) and general u3·u3 fusion through the ZYZ decomposition.
+* :func:`fold_phases_dag_reference` — parity-tracked phase folding over
+  a topological traversal, commuting across independent wires.
+* :func:`collect_two_qubit_blocks_reference` — dependency-aware maximal
+  2q-block collection.
+* :func:`optimize_dag_reference` — the rescan-everything fixpoint.
 
 Every pass preserves the circuit unitary up to global phase.
-
-Each public pass dispatches between two engines producing
-**byte-identical** output (same removed gates, same fused params, same
-minted ids):
-
-* ``"columnar"`` (default) — the vectorized kernels of
-  :mod:`repro.optimizers.columnar` over a :class:`DAGTable` imported
-  from the caller's DAG and written back after the rewrite.
-* ``"reference"`` — the original per-node loops, retained as the
-  readable specification under ``*_reference`` names.
-
-Select with :func:`set_dag_engine` or the ``REPRO_DAG_ENGINE``
-environment variable.  Circuits containing gates outside the fixed
-16-opcode IR vocabulary fall back to the reference path automatically.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import warnings
 
 from repro.circuits.circuit import ROTATION_GATES, Circuit, Gate
 from repro.circuits.dag import BOUNDARY, CircuitDAG, DAGNode
 from repro.circuits.dag_table import DAGTable
 from repro.linalg import zyz_angles
-from repro.optimizers.columnar import (
-    OptimizeStats,
-    cancel_inverses_table,
-    collect_two_qubit_blocks_table,
-    fold_phases_table,
-    merge_rotations_table,
-    optimize_table,
-)
+from repro.optimizers.columnar import OptimizeStats, optimize_table
 from repro.optimizers.phase_folding import _PHASE_ANGLE, _emit_phase
 
 _SELF_INVERSE = frozenset({"h", "x", "y", "z", "cx", "cz", "swap"})
@@ -87,62 +75,16 @@ def _is_inverse_pair(a: Gate, b: Gate) -> bool:
     return False
 
 
-# ---------------------------------------------------------------------------
-# engine selection
-# ---------------------------------------------------------------------------
-
-_ENGINES = ("columnar", "reference")
-_engine = os.environ.get("REPRO_DAG_ENGINE", "columnar")
-if _engine not in _ENGINES:
-    _engine = "columnar"
-
-
-def dag_engine() -> str:
-    """The active pass engine: ``"columnar"`` or ``"reference"``."""
-    return _engine
-
-
-def set_dag_engine(name: str) -> str:
-    """Select the pass engine; returns the previous selection."""
-    global _engine
-    if name not in _ENGINES:
-        raise ValueError(
-            f"unknown DAG engine {name!r}; expected one of {_ENGINES}"
-        )
-    previous = _engine
-    _engine = name
-    return previous
-
-
-def _import_table(dag: CircuitDAG) -> DAGTable | None:
-    """Columnar import of ``dag``, or None when it must stay on the
-    reference path (exotic gates outside the interned vocabulary)."""
-    try:
-        return DAGTable.from_dag(dag)
-    except ValueError:
-        return None
-
-
-def cancel_inverses(dag: CircuitDAG) -> int:
+def cancel_inverses_reference(dag: CircuitDAG) -> int:
     """Remove wire-adjacent inverse pairs (and bare identity gates).
 
     A pair cancels when the two nodes are adjacent on **all** wires they
     share and compose to the identity (up to global phase for
     rotations).  Removal re-exposes the spliced neighbors, so chains
     like ``H X X H`` collapse fully in one call.  Returns the number of
-    gates removed.
+    gates removed.  Oracle for
+    :func:`~repro.optimizers.columnar.cancel_inverses_table`.
     """
-    if _engine == "columnar":
-        table = _import_table(dag)
-        if table is not None:
-            removed, _ = cancel_inverses_table(table)
-            table.write_back(dag)
-            return removed
-    return cancel_inverses_reference(dag)
-
-
-def cancel_inverses_reference(dag: CircuitDAG) -> int:
-    """Per-node reference implementation of :func:`cancel_inverses`."""
     removed = 0
     work = [n.id for n in dag.topological()]
     while work:
@@ -181,25 +123,15 @@ def _fuse_1q(a: Gate, b: Gate) -> Gate | None:
     return Gate("u3", a.qubits, (theta, phi, lam))
 
 
-def merge_rotations(dag: CircuitDAG) -> int:
+def merge_rotations_reference(dag: CircuitDAG) -> int:
     """Fuse wire-adjacent rotation pairs: rz·rz → rz, u3·u3 → u3.
 
     Same-axis pairs merge exactly by angle addition; mixed rotation
     pairs involving a u3 fuse through the ZYZ decomposition.  A fused
     pair that is the identity (up to global phase) disappears entirely.
-    Returns the number of gates eliminated.
+    Returns the number of gates eliminated.  Oracle for
+    :func:`~repro.optimizers.columnar.merge_rotations_table`.
     """
-    if _engine == "columnar":
-        table = _import_table(dag)
-        if table is not None:
-            removed, _ = merge_rotations_table(table)
-            table.write_back(dag)
-            return removed
-    return merge_rotations_reference(dag)
-
-
-def merge_rotations_reference(dag: CircuitDAG) -> int:
-    """Per-node reference implementation of :func:`merge_rotations`."""
     removed = 0
     work = [n.id for n in dag.topological()]
     while work:
@@ -231,7 +163,7 @@ def merge_rotations_reference(dag: CircuitDAG) -> int:
     return removed
 
 
-def fold_phases_dag(dag: CircuitDAG) -> int:
+def fold_phases_dag_reference(dag: CircuitDAG) -> int:
     """Parity-tracked phase folding over the DAG (commutation-aware).
 
     Diagonal phase gates (T, S, Z, daggers, Rz) rotate a *parity term*
@@ -242,29 +174,10 @@ def fold_phases_dag(dag: CircuitDAG) -> int:
     own wires — phases keep folding across independent wires.  Returns
     the number of gates eliminated (net of re-emission).
 
-    The columnar engine tracks parities as arbitrary-width python
-    integer bitmasks over flat column snapshots
-    (:func:`~repro.optimizers.columnar.fold_phases_table`);
-    :func:`fold_phases_dag_reference` is the set-based specification.
-    Both fold exactly the same phases and mint identical ids.
-    """
-    if _engine == "columnar":
-        table = _import_table(dag)
-        if table is not None:
-            before = len(dag)
-            fold_phases_table(table)
-            table.write_back(dag)
-            return before - len(dag)
-    return fold_phases_dag_reference(dag)
-
-
-def fold_phases_dag_reference(dag: CircuitDAG) -> int:
-    """Set-based reference formulation of :func:`fold_phases_dag`.
-
-    Folds exactly the same phases as the columnar bitmask kernel
-    (parity-set equality is bitmask equality under the shared variable
-    numbering); kept for equivalence testing and as the readable
-    specification.
+    Set-based oracle for
+    :func:`~repro.optimizers.columnar.fold_phases_table`, which folds
+    exactly the same phases with integer bitmasks (parity-set equality
+    is bitmask equality under the shared variable numbering).
     """
     n = dag.n_qubits
     next_var = n
@@ -312,7 +225,7 @@ def fold_phases_dag_reference(dag: CircuitDAG) -> int:
     return before - len(dag)
 
 
-def collect_two_qubit_blocks(
+def collect_two_qubit_blocks_reference(
     dag: CircuitDAG,
 ) -> list[tuple[tuple[int, int], list[Gate]]]:
     """Dependency-aware maximal 2q blocks, in executable order.
@@ -323,20 +236,9 @@ def collect_two_qubit_blocks(
     gate list interleaves them with independent wires.  The reordered
     stream (a valid topological order, hence the same circuit) is then
     partitioned by the greedy scan of
-    :func:`repro.optimizers.resynth.partition_two_qubit_blocks`.
+    :func:`repro.optimizers.resynth.partition_two_qubit_blocks`.  Oracle
+    for :func:`~repro.optimizers.columnar.collect_two_qubit_blocks_table`.
     """
-    if _engine == "columnar":
-        table = _import_table(dag)
-        if table is not None:
-            return collect_two_qubit_blocks_table(table)
-    return collect_two_qubit_blocks_reference(dag)
-
-
-def collect_two_qubit_blocks_reference(
-    dag: CircuitDAG,
-) -> list[tuple[tuple[int, int], list[Gate]]]:
-    """Per-node reference implementation of
-    :func:`collect_two_qubit_blocks`."""
     from repro.optimizers.resynth import partition_two_qubit_blocks
 
     pending = {
@@ -375,36 +277,14 @@ def collect_two_qubit_blocks_reference(
     return partition_two_qubit_blocks(reordered)
 
 
-def optimize_dag(dag: CircuitDAG, max_rounds: int = 8) -> OptimizeStats:
-    """Run cancel/merge/fold rounds on ``dag`` until a fixpoint.
-
-    Each pass exposes work for the next: folding a phase chain to zero
-    makes its flanking H·H pair wire-adjacent, cancellation brings
-    rotations together, merging re-exposes inverse pairs.  Returns an
-    :class:`~repro.optimizers.columnar.OptimizeStats` whose ``removed``
-    counts eliminated gates (``int(stats)`` for the legacy count) and
-    whose ``converged`` flag reports whether a zero-work round was
-    reached; hitting the round cap first warns once via
-    :class:`UserWarning`.
-
-    On the columnar engine the DAG is imported once and the dirty-wire
-    driver (:func:`~repro.optimizers.columnar.optimize_table`) iterates
-    on flat columns, so fixpoint cost is proportional to work done, not
-    DAG size.
-    """
-    if _engine == "columnar":
-        table = _import_table(dag)
-        if table is not None:
-            stats = optimize_table(table, max_rounds=max_rounds)
-            table.write_back(dag)
-            return stats
-    return optimize_dag_reference(dag, max_rounds=max_rounds)
-
-
 def optimize_dag_reference(
     dag: CircuitDAG, max_rounds: int = 8
 ) -> OptimizeStats:
-    """Rescan-everything fixpoint over the reference pass loops."""
+    """Rescan-everything fixpoint over the reference pass loops.
+
+    Oracle for :func:`~repro.optimizers.columnar.optimize_table`, the
+    dirty-wire driver; both return the same :class:`OptimizeStats`.
+    """
     removed = 0
     rounds = 0
     converged = False
@@ -424,7 +304,7 @@ def optimize_dag_reference(
             break
     if not converged:
         warnings.warn(
-            f"optimize_dag stopped at the round cap ({max_rounds}) before "
+            f"optimize_dag_reference stopped at the round cap ({max_rounds}) before "
             "reaching a fixpoint; rerun with a higher max_rounds to finish",
             UserWarning,
             stacklevel=3,
@@ -437,25 +317,13 @@ def optimize_dag_reference(
 def optimize_circuit(circuit: Circuit, max_rounds: int = 8) -> Circuit:
     """The DAG post-synthesis optimizer (unitary preserved up to phase).
 
-    Builds the dependency IR once, iterates
-    :func:`cancel_inverses` → :func:`merge_rotations` →
-    :func:`fold_phases_dag` to a fixpoint, and linearizes back.  On
-    Clifford+T synthesis output this strictly subsumes
-    :func:`repro.optimizers.phase_folding.fold_phases`: the same parity
-    merges plus the cancellations they unlock.
-
-    The columnar engine skips the node-object DAG entirely
-    (``Circuit`` → :class:`DAGTable` → ``Circuit``); circuits with
-    exotic gates take the reference path.
+    Builds the columnar IR once, iterates cancel → merge → fold with
+    the dirty-wire driver :func:`~repro.optimizers.columnar.optimize_table`
+    to a fixpoint, and linearizes back.  On Clifford+T synthesis output
+    this strictly subsumes :func:`repro.optimizers.phase_folding.fold_phases`:
+    the same parity merges plus the cancellations they unlock.  Raises
+    :class:`ValueError` on a gate outside the IR vocabulary.
     """
-    if _engine == "columnar":
-        try:
-            table = DAGTable.from_circuit(circuit)
-        except ValueError:
-            table = None
-        if table is not None:
-            optimize_table(table, max_rounds=max_rounds)
-            return table.to_circuit()
-    dag = CircuitDAG.from_circuit(circuit)
-    optimize_dag_reference(dag, max_rounds=max_rounds)
-    return dag.to_circuit()
+    table = DAGTable.from_circuit(circuit)
+    optimize_table(table, max_rounds=max_rounds)
+    return table.to_circuit()

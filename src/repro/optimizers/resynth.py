@@ -72,15 +72,15 @@ def resynthesize(circuit: Circuit, dag_blocks: bool = False) -> Circuit:
 
     ``dag_blocks=True`` collects blocks through the dependency-aware
     traversal of
-    :func:`repro.optimizers.dag_passes.collect_two_qubit_blocks`, which
-    groups same-pair gates that the flat gate list interleaves with
-    independent wires — fewer, larger blocks, same unitary.
+    :func:`repro.optimizers.columnar.collect_two_qubit_blocks_table`,
+    which groups same-pair gates that the flat gate list interleaves
+    with independent wires — fewer, larger blocks, same unitary.
     """
     if dag_blocks:
-        from repro.circuits.dag import CircuitDAG
-        from repro.optimizers.dag_passes import collect_two_qubit_blocks
+        from repro.circuits.dag_table import DAGTable
+        from repro.optimizers.columnar import collect_two_qubit_blocks_table
 
-        blocks = collect_two_qubit_blocks(CircuitDAG.from_circuit(circuit))
+        blocks = collect_two_qubit_blocks_table(DAGTable.from_circuit(circuit))
     else:
         blocks = partition_two_qubit_blocks(circuit)
     out = Circuit(circuit.n_qubits, name=circuit.name + "_resynth")

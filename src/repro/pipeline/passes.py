@@ -15,19 +15,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-from repro.circuits import Circuit, CircuitDAG, DAGTable, rotation_count
+from repro.circuits import Circuit, DAGTable, rotation_count
 from repro.optimizers.columnar import (
     cancel_inverses_table,
     fold_phases_table,
     merge_rotations_table,
     optimize_table,
-)
-from repro.optimizers.dag_passes import (
-    cancel_inverses,
-    dag_engine,
-    fold_phases_dag,
-    merge_rotations,
-    optimize_dag,
 )
 from repro.transpiler.passes import (
     _isolate_1q,
@@ -296,48 +289,25 @@ class EstimateESP(Pass):
 
 
 class DAGPass(Pass):
-    """A rewrite running natively on the dependency IR.
+    """A rewrite running natively on the columnar dependency IR.
 
-    Subclasses implement :meth:`run_dag` over a
-    :class:`~repro.circuits.CircuitDAG` and (optionally)
-    :meth:`run_table` over the columnar
-    :class:`~repro.circuits.DAGTable`; the base class handles the
-    Circuit→IR→Circuit conversion so DAG passes drop into any
-    :class:`PassManager` beside the list-based ones.  When the active
-    engine (:func:`repro.optimizers.dag_passes.dag_engine`) is
-    ``"columnar"`` and the pass implements :meth:`run_table`, the
-    node-object DAG is skipped entirely; circuits with gates outside
-    the interned vocabulary fall back to the DAG path.
+    Subclasses implement :meth:`run_table` over a
+    :class:`~repro.circuits.DAGTable` (one of the kernels of
+    :mod:`repro.optimizers.columnar`); the base class handles the
+    ``Circuit`` → table → ``Circuit`` conversion so DAG passes drop into
+    any :class:`PassManager` beside the list-based ones.  A gate outside
+    the table's 16-opcode vocabulary raises :class:`ValueError`.
     """
 
     name = "dag_pass"
 
-    #: Set by subclasses implementing :meth:`run_table`.
-    has_table_path = False
-
-    def run_dag(self, dag: CircuitDAG) -> None:
-        raise NotImplementedError
-
     def run_table(self, table: DAGTable) -> None:
         raise NotImplementedError
 
-    def _import_table(self, circuit: Circuit) -> DAGTable | None:
-        """The circuit as a table when the columnar path applies."""
-        if not (self.has_table_path and dag_engine() == "columnar"):
-            return None
-        try:
-            return DAGTable.from_circuit(circuit)
-        except ValueError:
-            return None
-
     def run(self, circuit: Circuit) -> Circuit:
-        table = self._import_table(circuit)
-        if table is not None:
-            self.run_table(table)
-            return table.to_circuit()
-        dag = CircuitDAG.from_circuit(circuit)
-        self.run_dag(dag)
-        return dag.to_circuit()
+        table = DAGTable.from_circuit(circuit)
+        self.run_table(table)
+        return table.to_circuit()
 
 
 class CancelInverses(DAGPass):
@@ -345,10 +315,6 @@ class CancelInverses(DAGPass):
 
     name = "cancel_inverses"
     ensures = ("unitary_preserving",)
-    has_table_path = True
-
-    def run_dag(self, dag: CircuitDAG) -> None:
-        cancel_inverses(dag)
 
     def run_table(self, table: DAGTable) -> None:
         cancel_inverses_table(table)
@@ -359,10 +325,6 @@ class MergeRotations(DAGPass):
 
     name = "merge_rotations"
     ensures = ("unitary_preserving",)
-    has_table_path = True
-
-    def run_dag(self, dag: CircuitDAG) -> None:
-        merge_rotations(dag)
 
     def run_table(self, table: DAGTable) -> None:
         merge_rotations_table(table)
@@ -373,10 +335,6 @@ class FoldPhases(DAGPass):
 
     name = "fold_phases"
     ensures = ("unitary_preserving",)
-    has_table_path = True
-
-    def run_dag(self, dag: CircuitDAG) -> None:
-        fold_phases_dag(dag)
 
     def run_table(self, table: DAGTable) -> None:
         fold_phases_table(table)
@@ -393,14 +351,10 @@ class DagOptimize(DAGPass):
 
     name = "dag_optimize"
     ensures = ("unitary_preserving",)
-    has_table_path = True
 
     def __init__(self, max_rounds: int = 8):
         self.max_rounds = max_rounds
         self.stats = None
-
-    def run_dag(self, dag: CircuitDAG) -> None:
-        self.stats = optimize_dag(dag, max_rounds=self.max_rounds)
 
     def run_table(self, table: DAGTable) -> None:
         self.stats = optimize_table(table, max_rounds=self.max_rounds)
@@ -455,7 +409,7 @@ class PassManager:
     ``"off"`` (the default) adds no work, ``"structural"`` runs the
     cheap IR well-formedness check after every pass, and ``"full"``
     additionally enforces each pass's ``requires``/``ensures``
-    contract, persistent basis/connectivity properties, DAG wire
+    contract, persistent basis/connectivity properties, table column
     consistency for :class:`DAGPass` rewrites, and unitary
     preservation on small circuits.  Violations raise
     :class:`repro.analysis.VerificationError` naming the pass, the
@@ -519,20 +473,12 @@ class PassManager:
             start = time.monotonic()
             if checker.full and isinstance(p, DAGPass):
                 # Run the IR rewrite under the manager's control so a
-                # corrupted wire is caught (and attributed to the pass)
-                # before linearization crashes on it or hides it.  The
-                # columnar engine is verified on its own columns,
-                # pre-linearization, same as DAG rewrites are.
-                table = p._import_table(work)
-                if table is not None:
-                    p.run_table(table)
-                    checker.check_table(p, table)
-                    out = table.to_circuit()
-                else:
-                    dag = CircuitDAG.from_circuit(work)
-                    p.run_dag(dag)
-                    checker.check_dag(p, dag)
-                    out = dag.to_circuit()
+                # corrupted column is caught (and attributed to the
+                # pass) before linearization crashes on it or hides it.
+                table = DAGTable.from_circuit(work)
+                p.run_table(table)
+                checker.check_table(p, table)
+                out = table.to_circuit()
             else:
                 out = p.run(work)
             elapsed = time.monotonic() - start

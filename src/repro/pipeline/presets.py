@@ -6,7 +6,7 @@ target IRs (CX+U3 for trasyn, CX+H+Rz for gridsynth) at optimization
 levels 0-3, with the optional commutation pass of Figure 6.  Level 4
 goes beyond the paper: the level-3 sequence plus the commutation-aware
 DAG fixpoint (cancel inverses / merge rotations / fold phases) of
-:mod:`repro.optimizers.dag_passes`.
+:mod:`repro.optimizers.columnar`.
 :func:`repro.transpiler.transpile` itself now delegates here, so the
 presets *are* the reference lowering semantics.
 """
@@ -36,7 +36,7 @@ OPTIMIZATION_LEVELS = (0, 1, 2, 3, 4)
 
 # Optimization-level cores shared by both bases (paper Section 3.4;
 # level 4 adds the commutation-aware DAG fixpoint of
-# :mod:`repro.optimizers.dag_passes` on top of the paper's level 3).
+# :mod:`repro.optimizers.columnar` on top of the paper's level 3).
 _LEVEL_PASSES: dict[int, tuple[str, ...]] = {
     0: (),
     1: ("merge",),

@@ -249,7 +249,7 @@ def transpile(
     merging, which is where the U3 IR gains most (Figure 6).  Level 4
     extends the paper's level 3 with the commutation-aware DAG fixpoint
     (cancel inverses / merge rotations / fold phases) of
-    :mod:`repro.optimizers.dag_passes`.
+    :mod:`repro.optimizers.columnar`.
 
     ``target`` (a :class:`repro.target.Target`) makes the lowering
     connectivity-constrained: the circuit is placed (``layout`` =

@@ -250,15 +250,12 @@ class _OffBasisPass(Pass):
 
 
 class _CorruptDagPass(DAGPass):
-    """Breaks a wire link while rewriting the DAG."""
+    """Breaks a wire link while rewriting the table."""
 
     name = "corrupt_dag"
 
-    def run_dag(self, dag):
-        some_id = next(iter(dag._nodes))
-        node = dag._nodes[some_id]
-        for q in list(node.succs):
-            node.succs[q] = 10_000
+    def run_table(self, table):
+        table.succ0[0] = 10_000
 
 
 class _OffEdgePass(Pass):

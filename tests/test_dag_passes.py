@@ -8,22 +8,34 @@ from hypothesis import strategies as st
 from repro.circuits import (
     Circuit,
     CircuitDAG,
+    DAGTable,
+    Gate,
     depth,
     rotation_count,
     t_count,
 )
 from repro.linalg import trace_distance
 from repro.optimizers import (
-    cancel_inverses,
-    collect_two_qubit_blocks,
+    cancel_inverses_reference,
+    cancel_inverses_table,
+    collect_two_qubit_blocks_table,
     fold_phases,
-    fold_phases_dag,
-    merge_rotations,
+    fold_phases_dag_reference,
+    fold_phases_table,
+    merge_rotations_reference,
+    merge_rotations_table,
     optimize_circuit,
+    optimize_dag_reference,
     partition_two_qubit_blocks,
     resynthesize,
 )
-from repro.pipeline import DagOptimize, PassManager, preset_pipeline
+from repro.pipeline import (
+    DAGPass,
+    DagOptimize,
+    Pass,
+    PassManager,
+    preset_pipeline,
+)
 from repro.transpiler import transpile
 
 from tests.test_dag import _random_circuit
@@ -33,6 +45,13 @@ def _dist(c: Circuit, out: Circuit) -> float:
     return trace_distance(c.unitary(), out.unitary())
 
 
+def _run_kernel(kernel, c: Circuit) -> tuple[int, Circuit]:
+    """``from_circuit`` → kernel → ``to_circuit``: (removed, output)."""
+    table = DAGTable.from_circuit(c)
+    removed, _ = kernel(table)
+    return removed, table.to_circuit()
+
+
 class TestPassSoundness:
     """Every pass preserves the unitary (up to global phase)."""
 
@@ -40,44 +59,22 @@ class TestPassSoundness:
     @settings(max_examples=40, deadline=None)
     def test_cancel_inverses(self, seed):
         c = _random_circuit(seed, max_gates=30)
-        dag = CircuitDAG.from_circuit(c)
-        cancel_inverses(dag)
-        assert _dist(c, dag.to_circuit()) < 1e-6
+        _, out = _run_kernel(cancel_inverses_table, c)
+        assert _dist(c, out) < 1e-6
 
     @given(st.integers(0, 1000))
     @settings(max_examples=40, deadline=None)
     def test_merge_rotations(self, seed):
         c = _random_circuit(seed, max_gates=30)
-        dag = CircuitDAG.from_circuit(c)
-        merge_rotations(dag)
-        assert _dist(c, dag.to_circuit()) < 1e-6
+        _, out = _run_kernel(merge_rotations_table, c)
+        assert _dist(c, out) < 1e-6
 
     @given(st.integers(0, 1000))
     @settings(max_examples=40, deadline=None)
     def test_fold_phases_dag(self, seed):
         c = _random_circuit(seed, max_gates=30)
-        dag = CircuitDAG.from_circuit(c)
-        fold_phases_dag(dag)
-        assert _dist(c, dag.to_circuit()) < 1e-6
-
-    @given(st.integers(0, 1000))
-    @settings(max_examples=40, deadline=None)
-    def test_fold_phases_dag_matches_reference(self, seed):
-        # The bit-matrix parity tracker must make the exact decisions
-        # the retained set-based reference makes: same surviving gate
-        # stream, same number of folded-away phase gates.
-        from repro.optimizers.dag_passes import fold_phases_dag_reference
-
-        c = _random_circuit(seed, max_gates=40)
-        vec_dag = CircuitDAG.from_circuit(c)
-        ref_dag = CircuitDAG.from_circuit(c)
-        fold_phases_dag(vec_dag)
-        fold_phases_dag_reference(ref_dag)
-        vec = [(g.name, g.qubits, g.params)
-               for g in vec_dag.to_circuit().gates]
-        ref = [(g.name, g.qubits, g.params)
-               for g in ref_dag.to_circuit().gates]
-        assert vec == ref
+        _, out = _run_kernel(fold_phases_table, c)
+        assert _dist(c, out) < 1e-6
 
     @given(st.integers(0, 1000))
     @settings(max_examples=30, deadline=None)
@@ -93,58 +90,48 @@ class TestCommutationAwareness:
 
     def test_cancel_through_independent_wires(self):
         c = Circuit(2).h(0).x(1).s(1).h(0)
-        dag = CircuitDAG.from_circuit(c)
-        cancel_inverses(dag)
-        out = dag.to_circuit()
+        _, out = _run_kernel(cancel_inverses_table, c)
         assert [g.name for g in out.gates] == ["x", "s"]
 
     def test_cancel_chain_collapse(self):
         c = Circuit(1).h(0).x(0).x(0).h(0)
-        dag = CircuitDAG.from_circuit(c)
-        assert cancel_inverses(dag) == 4
-        assert len(dag) == 0
+        removed, out = _run_kernel(cancel_inverses_table, c)
+        assert removed == 4
+        assert len(out.gates) == 0
 
     def test_cancel_cx_pair_with_spectator(self):
         c = Circuit(3).cx(0, 1).h(2).cx(0, 1)
-        dag = CircuitDAG.from_circuit(c)
-        cancel_inverses(dag)
-        assert [g.name for g in dag.to_circuit().gates] == ["h"]
+        _, out = _run_kernel(cancel_inverses_table, c)
+        assert [g.name for g in out.gates] == ["h"]
 
     def test_cx_reversed_does_not_cancel(self):
         c = Circuit(2).cx(0, 1).cx(1, 0)
-        dag = CircuitDAG.from_circuit(c)
-        cancel_inverses(dag)
-        assert len(dag) == 2
+        _, out = _run_kernel(cancel_inverses_table, c)
+        assert len(out.gates) == 2
 
     def test_swap_cancels_either_orientation(self):
         c = Circuit(2).swap(0, 1).swap(1, 0)
-        dag = CircuitDAG.from_circuit(c)
-        cancel_inverses(dag)
-        assert len(dag) == 0
+        _, out = _run_kernel(cancel_inverses_table, c)
+        assert len(out.gates) == 0
 
     def test_merge_rz_through_independent_wires(self):
         c = Circuit(2)
         c.rz(0.3, 0).h(1).t(1).rz(0.4, 0)
-        dag = CircuitDAG.from_circuit(c)
-        merge_rotations(dag)
-        out = dag.to_circuit()
+        _, out = _run_kernel(merge_rotations_table, c)
         rzs = [g for g in out.gates if g.name == "rz"]
         assert len(rzs) == 1
         assert rzs[0].params[0] == pytest.approx(0.7)
 
     def test_merge_u3_fusion(self):
         c = Circuit(1).u3(0.3, 0.2, 0.1, 0).u3(0.5, -0.4, 0.9, 0)
-        dag = CircuitDAG.from_circuit(c)
-        merge_rotations(dag)
-        out = dag.to_circuit()
+        _, out = _run_kernel(merge_rotations_table, c)
         assert len(out.gates) == 1 and out.gates[0].name == "u3"
         assert _dist(c, out) < 1e-6
 
     def test_merge_inverse_rotation_vanishes(self):
         c = Circuit(1).rz(0.8, 0).rz(-0.8, 0)
-        dag = CircuitDAG.from_circuit(c)
-        merge_rotations(dag)
-        assert len(dag) == 0
+        _, out = _run_kernel(merge_rotations_table, c)
+        assert len(out.gates) == 0
 
     def test_fold_merges_t_through_cx_parity(self):
         # T on q1, CX(0,1) twice restores the parity, T on q1 again:
@@ -157,24 +144,21 @@ class TestCommutationAwareness:
     def test_fold_across_independent_wires(self):
         # The list-based fold also handles this; the DAG pass must too.
         c = Circuit(2).t(0).h(1).s(1).h(1).t(0)
-        dag = CircuitDAG.from_circuit(c)
-        fold_phases_dag(dag)
-        out = dag.to_circuit()
+        _, out = _run_kernel(fold_phases_table, c)
         assert t_count(out) == 0  # merged into a single S
         assert _dist(c, out) < 1e-6
 
     def test_fold_x_conjugation(self):
         c = Circuit(1).t(0).x(0).t(0).x(0)
-        dag = CircuitDAG.from_circuit(c)
-        fold_phases_dag(dag)
-        assert t_count(dag.to_circuit()) == 0
-        assert _dist(c, dag.to_circuit()) < 1e-6
+        _, out = _run_kernel(fold_phases_table, c)
+        assert t_count(out) == 0
+        assert _dist(c, out) < 1e-6
 
 
 class TestTwoQubitBlocks:
     def test_blocks_cover_all_gates(self):
         c = _random_circuit(21, max_qubits=4, max_gates=30)
-        blocks = collect_two_qubit_blocks(CircuitDAG.from_circuit(c))
+        blocks = collect_two_qubit_blocks_table(DAGTable.from_circuit(c))
         assert sum(len(gates) for _, gates in blocks) == len(c.gates)
 
     def test_dag_blocks_group_interleaved_pairs(self):
@@ -183,7 +167,7 @@ class TestTwoQubitBlocks:
         c = Circuit(4)
         c.cx(0, 1).cx(2, 3).t(1).t(3).cx(0, 1).cx(2, 3)
         flat = partition_two_qubit_blocks(c)
-        dag_blocks = collect_two_qubit_blocks(CircuitDAG.from_circuit(c))
+        dag_blocks = collect_two_qubit_blocks_table(DAGTable.from_circuit(c))
         assert len(dag_blocks) <= len(flat)
         assert len(dag_blocks) == 2
 
@@ -311,60 +295,54 @@ h q[1];
         assert "circuit depth" in out
 
 
+def _gates(c: Circuit):
+    return [(g.name, g.qubits, g.params) for g in c.gates]
+
+
+#: Each DAGPass's per-node reference twin, keyed by pass name.
+_REFERENCE_TWINS = {
+    "cancel_inverses": cancel_inverses_reference,
+    "merge_rotations": merge_rotations_reference,
+    "fold_phases": fold_phases_dag_reference,
+    "dag_optimize": optimize_dag_reference,
+}
+
+
+class _ReferenceTwin(Pass):
+    """Runs a DAGPass's ``*_reference`` twin on a CircuitDAG."""
+
+    def __init__(self, dag_pass: DAGPass):
+        self.name = dag_pass.name
+        self.fn = _REFERENCE_TWINS[dag_pass.name]
+
+    def run(self, circuit: Circuit) -> Circuit:
+        dag = CircuitDAG.from_circuit(circuit)
+        self.fn(dag)
+        return dag.to_circuit()
+
+
 class TestEngineEquivalence:
-    """The columnar engine is byte-identical to reference end to end."""
-
-    @pytest.fixture(autouse=True)
-    def _restore_engine(self):
-        from repro.optimizers import dag_engine, set_dag_engine
-
-        previous = dag_engine()
-        yield
-        set_dag_engine(previous)
+    """The table kernels are byte-identical to the reference loops."""
 
     @pytest.mark.parametrize("level", [0, 1, 2, 3, 4])
     def test_presets_identical_across_engines(self, level):
-        from repro.optimizers import set_dag_engine
-
+        passes = list(preset_pipeline("rz", optimization_level=level))
+        assert (level == 4) == any(isinstance(p, DAGPass) for p in passes)
+        reference = PassManager([
+            _ReferenceTwin(p) if isinstance(p, DAGPass) else p
+            for p in passes
+        ])
         for seed in (3, 11, 29):
             c = _random_circuit(seed, max_qubits=4, max_gates=30)
-            set_dag_engine("columnar")
             col = transpile(c, basis="rz", optimization_level=level)
-            set_dag_engine("reference")
-            ref = transpile(c, basis="rz", optimization_level=level)
-            assert [
-                (g.name, g.qubits, g.params) for g in col.gates
-            ] == [(g.name, g.qubits, g.params) for g in ref.gates]
+            assert _gates(col) == _gates(reference.run(c))
 
     def test_optimize_circuit_identical_across_engines(self):
-        from repro.optimizers import set_dag_engine
-
         for seed in range(20):
             c = _random_circuit(seed, max_qubits=5, max_gates=50)
-            set_dag_engine("columnar")
-            col = optimize_circuit(c)
-            set_dag_engine("reference")
-            ref = optimize_circuit(c)
-            assert [
-                (g.name, g.qubits, g.params) for g in col.gates
-            ] == [(g.name, g.qubits, g.params) for g in ref.gates]
-
-    def test_set_dag_engine_rejects_unknown(self):
-        from repro.optimizers import set_dag_engine
-
-        with pytest.raises(ValueError):
-            set_dag_engine("turbo")
-
-    def test_optimize_dag_returns_stats(self):
-        from repro.optimizers import OptimizeStats, optimize_dag
-
-        c = Circuit(2)
-        c.append("h", 0)
-        c.append("h", 0)
-        c.append("cx", (0, 1))
-        stats = optimize_dag(CircuitDAG.from_circuit(c))
-        assert isinstance(stats, OptimizeStats)
-        assert stats.removed == 2 and stats.converged
+            dag = CircuitDAG.from_circuit(c)
+            optimize_dag_reference(dag)
+            assert _gates(optimize_circuit(c)) == _gates(dag.to_circuit())
 
     def test_dag_optimize_pass_surfaces_stats_in_metrics(self):
         pm = PassManager([DagOptimize()], validate="full")
@@ -377,3 +355,21 @@ class TestEngineEquivalence:
         assert metrics.extra["removed"] == 2
         assert metrics.extra["converged"] is True
         assert metrics.extra["rounds"] >= 1
+
+
+class TestOutOfVocabulary:
+    """A gate outside the IR vocabulary fails loudly, never passes through."""
+
+    @staticmethod
+    def _circuit() -> Circuit:
+        return Circuit(2, [Gate("h", (0,)), Gate("weird", (0,)),
+                           Gate("h", (0,))])
+
+    def test_optimize_circuit_raises(self):
+        with pytest.raises(ValueError, match="weird"):
+            optimize_circuit(self._circuit())
+
+    @pytest.mark.parametrize("basis", ["u3", "rz"])
+    def test_level_4_transpile_raises(self, basis):
+        with pytest.raises(ValueError, match="weird"):
+            transpile(self._circuit(), basis=basis, optimization_level=4)

@@ -41,21 +41,6 @@ class TestCircuitRoundtrip:
         assert _gates(out) == _gates(c)
         assert out.n_qubits == c.n_qubits
 
-    @given(st.integers(0, 2000))
-    @settings(max_examples=60, deadline=None)
-    def test_from_dag_to_dag_exact(self, seed):
-        c = _random_circuit(seed, max_qubits=6, max_gates=60)
-        dag = CircuitDAG.from_circuit(c)
-        table = DAGTable.from_dag(dag)
-        back = table.to_dag()
-        assert len(back) == len(dag)
-        for node in dag.nodes():
-            twin = back.node(node.id)
-            assert twin.gate == node.gate
-            assert twin.preds == node.preds
-            assert twin.succs == node.succs
-        assert _gates(back.to_circuit()) == _gates(dag.to_circuit())
-
     def test_idle_markers_round_trip(self):
         c = Circuit(3)
         c.append("h", 0)
@@ -159,7 +144,6 @@ class TestOptimizeStats:
         assert stats.removed == 2
         assert stats.converged is True
         assert stats.rounds >= 1
-        assert int(stats) == 2
         assert stats.per_pass["cancel_inverses"] == 2
 
     def test_round_cap_warns_and_flags(self):
