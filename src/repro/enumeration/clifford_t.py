@@ -123,6 +123,46 @@ class UnitaryTable:
             )
         return lengths
 
+    @functools.cached_property
+    def right_cosets(self) -> np.ndarray:
+        """Right-Clifford cosets: ``(n_cosets, 24)`` rows, ``[r, c]``.
+
+        Every row is its syllable chain times a root Clifford (normal
+        form), so the rows sharing a chain are one right coset
+        ``{X C}``.  Entry ``[r, c]`` is the row with coset ``r``'s chain
+        and root ``cliffords()[c]``; column 0 (the identity) is the
+        transversal, in ascending row order.  Derived from ``parents``
+        and ``prefixes`` alone, one level at a time.
+        """
+        if cliffords()[0].sequence != ():
+            raise RuntimeError("cliffords()[0] is not the identity")
+        n = len(self)
+        roots = np.empty(n, dtype=np.int64)
+        chains = np.empty(n, dtype=np.int64)
+        level = np.nonzero(self.parents < 0)[0]
+        roots[level] = self.prefixes[level]
+        chains[level] = 0  # the empty chain
+        n_cosets = 1
+        for t in range(1, self.budget + 1):
+            level = np.nonzero(self.t_counts == t)[0]
+            parents = self.parents[level]
+            roots[level] = roots[parents]
+            # A chain is its parent's chain and its syllable; the
+            # identity-rooted rows number the new chains in row order.
+            keys = chains[parents] * len(_SYLLABLES) + self.prefixes[level]
+            lead = roots[level] == 0
+            ids = np.full(n_cosets * len(_SYLLABLES), -1, dtype=np.int64)
+            ids[keys[lead]] = n_cosets + np.arange(int(lead.sum()))
+            chains[level] = ids[keys]
+            n_cosets += int(lead.sum())
+            if (chains[level] < 0).any():
+                raise RuntimeError(f"a T-count-{t} coset has no identity root")
+        images = np.full((n_cosets, len(cliffords())), -1, dtype=np.int64)
+        images[chains, roots] = np.arange(n)
+        if images.size != n or (images < 0).any():
+            raise RuntimeError("table rows are not whole right-Clifford cosets")
+        return images
+
     def exact(self, index: int) -> ExactUnitary:
         return vec.coeffs_to_exact(self.coeffs[index], int(self.karr[index]))
 

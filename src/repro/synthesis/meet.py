@@ -18,15 +18,25 @@ exactly, with a canonical tie rule.  :func:`refine_pairs` sweeps it over
 the adjacent pairs of longer layouts (target ``E^dag``), and the joint
 pair optimum is what lets the search reach the information-theoretic
 error floor of its total T budget.
+
+The amplitude is invariant under ``(A, B) -> (A C, C^-1 B)`` for the 24
+Cliffords ``C``, and a T-count slot is closed under Clifford products.
+So only one row per right-Clifford coset of the first slot (see
+:class:`SlotCosets`) queries the second slot's index, and only the pairs
+tying the best are expanded into their 24 images for the tie rule.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
+
+from repro.gates.cliffords import clifford_matrices
 
 # best_pair seeds its search radius from every _SEED_STRIDE-th query row.
 _SEED_STRIDE = 64
@@ -36,6 +46,9 @@ _NEIGHBOURS = 4
 # Pairs within this of the best |Tr| tie: exact ties, e.g. (A C, C^-1 B)
 # for a Clifford C, differ only by float noise.
 _TIE_TOL = 1e-12
+# |Tr(X^dag Y)| of a Clifford image Y and the slot row X found for it
+# is 2 up to rounding; distinct table rows are far further apart.
+_MEMBER_TOL = 1e-9
 # refine_pairs stops after this many sweeps over the adjacent pairs.
 _PAIR_SWEEPS = 4
 # SU(2) matrices of the unit quaternions e_0..e_3 (see to_quaternions).
@@ -67,7 +80,6 @@ class QuaternionIndex:
         q = to_quaternions(mats)
         self._tree = cKDTree(np.concatenate([q, -q], axis=0))
         self._n = mats.shape[0]
-        self.quaternions = self._tree.data[: self._n]  # of ``mats``
 
     def nearest(
         self,
@@ -90,50 +102,75 @@ class QuaternionIndex:
         return np.where(idx < 2 * self._n, idx % self._n, -1)
 
 
+@dataclass(frozen=True)
+class SlotCosets:
+    """Right-Clifford cosets of one slot's rows.
+
+    ``images[r, c]`` is the slot row of coset ``r``'s identity-rooted
+    member times ``cliffords()[c]``, so column 0 is the transversal; see
+    :attr:`repro.enumeration.UnitaryTable.right_cosets`.
+    ``quaternions`` are the transversal rows' (see :func:`to_quaternions`).
+    """
+
+    images: np.ndarray
+    quaternions: np.ndarray
+
+
+@dataclass(frozen=True)
+class PairSlot:
+    """What a pair search reads of one slot.
+
+    ``mats`` are the slot's rows and ``costs`` their (T count, Clifford
+    cost) arrays.  A pair's first slot needs ``cosets``; its second needs
+    ``index``, a :class:`QuaternionIndex` over ``mats``.
+    """
+
+    mats: np.ndarray
+    costs: tuple[np.ndarray, np.ndarray]
+    cosets: SlotCosets | None = None
+    index: QuaternionIndex | None = None
+
+
 def best_pair(
-    target: np.ndarray,
-    mats: Sequence[np.ndarray],
-    indexes: Sequence[QuaternionIndex],
-    costs: Sequence[tuple[np.ndarray, np.ndarray]],
+    target: np.ndarray, slots: Sequence[PairSlot]
 ) -> tuple[int, int, complex]:
     """Canonical exact argmax of ``|Tr(U^dag A B)|`` over two slots.
 
-    ``mats[i]`` are the rows of slot ``i``, ``indexes[i]`` their
-    :class:`QuaternionIndex` and ``costs[i]`` their (T count, Clifford
-    cost) arrays.  Every pair within 1e-12 of the best amplitude ties;
-    among those the lowest T-count sum wins, then the lowest Clifford
-    cost sum, then the lowest slot-0 row, then the lowest slot-1 row.
-    The result depends on the target and the slots alone.
+    Every pair within 1e-12 of the best amplitude ties; among those the
+    lowest T-count sum wins, then the lowest Clifford cost sum, then the
+    lowest slot-0 row, then the lowest slot-1 row.  The result depends
+    on the target and the slots alone.
 
-    The rows of the smaller slot query the other slot's index.  The
-    best partners of every 64th query row seed the search radius; one
-    radius-bounded query over all rows then finds every pair that can
-    reach the best amplitude.  Returns the slot-0 row, the slot-1 row
-    and the pair's amplitude ``Tr(U^dag A B)``.
+    The amplitude is unchanged by ``(A, B) -> (A C, C^-1 B)`` for each
+    Clifford ``C``, and both slots are closed under Clifford products,
+    so one transversal row per right coset of slot 0 queries slot 1's
+    index.  The best partners of every 64th such row seed the search
+    radius; one radius-bounded query over all of them then finds every
+    transversal pair that can reach the best amplitude.  The tied ones
+    are expanded into their 24 images, which are rescored and ranked by
+    the tie rule.  A ``RuntimeError`` is raised when an image is not a
+    slot-1 row.  Returns the slot-0 row, the slot-1 row and the pair's
+    amplitude ``Tr(U^dag A B)``.
     """
+    first, second = slots
     udag = target.conj().T
-    flip = len(mats[1]) < len(mats[0])
-    own, other = (mats[1], mats[0]) if flip else (mats[0], mats[1])
-    own_q, index = (
-        (indexes[1].quaternions, indexes[0]) if flip
-        else (indexes[0].quaternions, indexes[1])
-    )
-    # The ideal partner of a query row X is X^dag U (slot 0 queries) or
-    # U X^dag (slot 1 queries) up to phase; its quaternion is real-linear
-    # in X's, so one 4x4 map sends every row to its query point.
+    transversal = first.cosets.images[:, 0]
+    index = second.index
+    # The ideal partner of a row X is X^dag U up to phase; its quaternion
+    # is real-linear in X's, so one 4x4 map sends every row to its query
+    # point.
     us = target / np.sqrt(np.linalg.det(target))
-    basis_dag = _QUAT_BASIS.conj().transpose(0, 2, 1)
-    to_ideal = to_quaternions(us @ basis_dag if flip else basis_dag @ us)
-    ideal = own_q @ to_ideal
+    to_ideal = to_quaternions(_QUAT_BASIS.conj().transpose(0, 2, 1) @ us)
+    ideal = first.cosets.quaternions @ to_ideal
 
     def scores(rows, cand):
-        """Exact |Tr(U^dag A B)| of each row with its candidates."""
-        left = own[rows] @ udag if flip else udag @ own[rows]
-        s = np.abs(np.einsum("rab,rkba->rk", left, other[cand]))
+        """Exact |Tr(U^dag A B)| of each transversal row with its partners."""
+        left = udag @ first.mats[transversal[rows]]
+        s = np.abs(np.einsum("rab,rkba->rk", left, second.mats[cand]))
         s[cand < 0] = -1.0
         return s
 
-    rows = np.arange(0, len(own), _SEED_STRIDE)
+    rows = np.arange(0, len(transversal), _SEED_STRIDE)
     cand = index.nearest(ideal[rows], k=1)
     found = [(rows, cand, scores(rows, cand))]
     top = float(found[0][2].max())
@@ -142,7 +179,7 @@ def best_pair(
     # rounding).  A row whose last partner still ties the best pair may
     # hide more ties, so it asks again for twice as many.
     radius = math.sqrt(max(2.0 - top + 1e-9, 0.0))
-    rows, k = np.arange(len(own)), _NEIGHBOURS
+    rows, k = np.arange(len(transversal)), _NEIGHBOURS
     while rows.size:
         cand = index.nearest(ideal[rows], k=k, distance_upper_bound=radius)
         live = cand[:, 0] >= 0
@@ -154,30 +191,63 @@ def best_pair(
         k *= 2
     rows = np.concatenate([np.repeat(r, c.shape[1]) for r, c, _ in found])
     cand = np.concatenate([c.ravel() for _, c, _ in found])
-    tie = np.concatenate([s.ravel() for _, _, s in found]) >= top - _TIE_TOL
-    a, b = (cand[tie], rows[tie]) if flip else (rows[tie], cand[tie])
-    (t0, c0), (t1, c1) = costs
+    near = np.concatenate([s.ravel() for _, _, s in found])
+    near = near >= top - 2 * _TIE_TOL
+    a, b = _coset_images(first, second, rows[near], cand[near])
+    s = np.abs(np.einsum("nab,nba->n", udag @ first.mats[a], second.mats[b]))
+    tie = s >= s.max() - _TIE_TOL
+    a, b = a[tie], b[tie]
+    (t0, c0), (t1, c1) = first.costs, second.costs
     pick = np.lexsort((b, a, c0[a] + c1[b], t0[a] + t1[b]))[0]
     a, b = int(a[pick]), int(b[pick])
-    return a, b, complex(np.trace(udag @ mats[0][a] @ mats[1][b]))
+    return a, b, complex(np.trace(udag @ first.mats[a] @ second.mats[b]))
+
+
+def _coset_images(
+    first: PairSlot, second: PairSlot, rows: np.ndarray, cand: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Slot rows of ``(X C, C^-1 B)`` for transversal pairs (X, B), all C.
+
+    ``rows`` index the transversal of ``first``, ``cand`` are the
+    partners' rows of ``second``; returns flat (slot-0, slot-1) rows.
+    """
+    a = first.cosets.images[rows].ravel()
+    # C^-1 B up to phase; its slot-1 row is the nearest one.
+    inverse = _clifford_matrices().conj().transpose(0, 2, 1)
+    want = (inverse[None] @ second.mats[cand][:, None]).reshape(-1, 2, 2)
+    b = second.index.nearest(want, k=1)[:, 0]
+    overlap = np.abs(np.einsum("nab,nab->n", second.mats[b].conj(), want))
+    if (overlap < 2.0 - _MEMBER_TOL).any():
+        raise RuntimeError(
+            "slot 1 is not closed under left Clifford multiplication"
+        )
+    return a, b
+
+
+@functools.cache
+def _clifford_matrices() -> np.ndarray:
+    """The 24 Cliffords (24, 2, 2), in ``cliffords()`` order, read-only."""
+    mats = clifford_matrices()
+    mats.setflags(write=False)
+    return mats
 
 
 def refine_pairs(
     target: np.ndarray,
-    mats: Sequence[np.ndarray],
+    slots: Sequence[PairSlot],
     choice: np.ndarray,
-    indexes: Sequence[QuaternionIndex],
-    costs: Sequence[tuple[np.ndarray, np.ndarray]],
 ) -> tuple[np.ndarray, complex]:
     """Sweep :func:`best_pair` over adjacent slot pairs (coordinate ascent).
 
     With the other slots fixed, the amplitude of slots ``i, i+1`` is
     ``Tr(env A B)``: :func:`best_pair`'s objective for target ``env^dag``
-    (``indexes`` and ``costs`` as there).  A step takes that argmax when
-    it beats the current amplitude by more than 1e-12.  Returns the
-    improved choice vector and its amplitude.
+    (every slot but the last needs ``cosets``, every slot but the first
+    ``index``).  A step takes that argmax when it beats the current
+    amplitude by more than 1e-12.  Returns the improved choice vector and
+    its amplitude.
     """
     choice = np.array(choice, dtype=np.int64)
+    mats = [slot.mats for slot in slots]
     udag = target.conj().T
     best_amp = amplitude(udag, mats, choice)
     # An unchanged environment has the same argmax, which cannot beat
@@ -193,9 +263,7 @@ def refine_pairs(
                 continue
             queried[i] = env.tobytes()
             pair = slice(i, i + 2)
-            a, b, amp = best_pair(
-                env.conj().T, mats[pair], indexes[pair], costs[pair]
-            )
+            a, b, amp = best_pair(env.conj().T, slots[pair])
             if abs(amp) > abs(best_amp) + _TIE_TOL:
                 choice[pair] = a, b
                 best_amp = amp

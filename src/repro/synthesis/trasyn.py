@@ -35,8 +35,9 @@ from repro.enumeration import UnitaryTable, get_table
 from repro.enumeration import vectorized as vec
 from repro.gates.exact import ExactUnitary
 from repro.linalg import check_unitary_2x2
-from repro.synthesis.meet import (QuaternionIndex, amplitude, best_pair,
-                                  product, refine_pairs)
+from repro.synthesis.meet import (PairSlot, QuaternionIndex, SlotCosets,
+                                  amplitude, best_pair, product,
+                                  refine_pairs, to_quaternions)
 from repro.synthesis.sequences import GateSequence, t_count_of
 from repro.tensornet import CanonicalTail, TraceMPS
 
@@ -79,18 +80,21 @@ class SlotLayout:
         return TraceMPS(target, list(self.mats), self.tail)
 
 
+# A slot's table indices, matrices and (T count, Clifford cost) arrays.
+_Slot = tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]
+
+
 @dataclass
 class _TableMemo:
-    slots: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = field(
-        default_factory=dict
-    )
+    slots: dict[tuple[int, int], _Slot] = field(default_factory=dict)
     indexes: dict[tuple[int, int], QuaternionIndex] = field(default_factory=dict)
+    cosets: dict[tuple[int, int], SlotCosets] = field(default_factory=dict)
     layouts: dict[tuple[tuple[int, int], ...], SlotLayout] = field(
         default_factory=dict
     )
 
 
-# Slot matrices, QuaternionIndexes and canonical MPS tails are
+# Slot matrices, QuaternionIndexes, coset maps and canonical MPS tails are
 # deterministic per table; memoize them per live table.  Keying by the
 # table object (weakly) rather than ``id(table)`` matters: id values are
 # reused after garbage collection, so an id-keyed cache can silently
@@ -109,15 +113,16 @@ def _memo(table: UnitaryTable) -> _TableMemo:
         return _TABLE_MEMO.setdefault(table, _TableMemo())
 
 
-def _slot(table: UnitaryTable, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+def _slot(table: UnitaryTable, lo: int, hi: int) -> _Slot:
     slots = _memo(table).slots
     with _MEMO_LOCK:
         if (lo, hi) not in slots:
             idx = table.indices_for_t_range(lo, hi)
             mats = table.mats[idx]
-            idx.setflags(write=False)
-            mats.setflags(write=False)
-            slots[(lo, hi)] = (idx, mats)
+            t, c = table.t_counts[idx], table.hs_costs[idx]
+            for a in (idx, mats, t, c):
+                a.setflags(write=False)
+            slots[(lo, hi)] = (idx, mats, (t, c))
         return slots[(lo, hi)]
 
 
@@ -127,6 +132,27 @@ def _slot_index(table: UnitaryTable, lo: int, hi: int) -> QuaternionIndex:
         if (lo, hi) not in indexes:
             indexes[(lo, hi)] = QuaternionIndex(_slot(table, lo, hi)[1])
         return indexes[(lo, hi)]
+
+
+def _slot_cosets(table: UnitaryTable, lo: int, hi: int) -> SlotCosets:
+    """The right-Clifford cosets of a T-range slot, in slot rows.
+
+    A T range is closed under Clifford products on both sides, so it
+    holds every coset of :attr:`UnitaryTable.right_cosets` whole or not
+    at all.
+    """
+    cosets = _memo(table).cosets
+    with _MEMO_LOCK:
+        if (lo, hi) not in cosets:
+            idx, mats, _ = _slot(table, lo, hi)
+            images = table.right_cosets
+            t = table.t_counts[images[:, 0]]
+            images = np.searchsorted(idx, images[(t >= lo) & (t <= hi)])
+            quaternions = to_quaternions(mats[images[:, 0]])
+            images.setflags(write=False)
+            quaternions.setflags(write=False)
+            cosets[(lo, hi)] = SlotCosets(images, quaternions)
+        return cosets[(lo, hi)]
 
 
 def slot_layout(
@@ -139,7 +165,7 @@ def slot_layout(
         if key not in layouts:
             slots = [_slot(table, lo, hi) for lo, hi in key]
             layouts[key] = SlotLayout(
-                tuple(i for i, _ in slots), tuple(m for _, m in slots)
+                tuple(s[0] for s in slots), tuple(s[1] for s in slots)
             )
         return layouts[key]
 
@@ -216,7 +242,6 @@ def synthesize(
         table = get_table(max_hi)
     _check_table_budget(table, max_hi)
     layout = slot_layout(table, ranges)
-    mats = list(layout.mats)
 
     samples_drawn = 0
     if len(ranges) == 1:
@@ -225,18 +250,20 @@ def synthesize(
         # The exact pair search needs no start: skip the MPS, keep the
         # generator stream.
         rng.random(_rung_draws(len(ranges), n_samples))
-        a, b, best_amp = best_pair(target, mats, *_pair_data(table, ranges))
+        a, b, best_amp = best_pair(target, _pair_data(table, ranges))
         choice = [a, b]
     else:
         choices, amps = layout.mps(target).sample(n_samples, rng)
         samples_drawn = n_samples
         if refine:
             choice, best_amp = _polish_starts(
-                target, mats, *_pair_data(table, ranges), choices, amps
+                target, _pair_data(table, ranges), choices, amps
             )
         else:
             best = int(np.argmax(np.abs(amps)))
-            choice, best_amp = _refine_sweeps(target, mats, choices[best])
+            choice, best_amp = _refine_sweeps(
+                target, list(layout.mats), choices[best]
+            )
 
     gates: list[str] = []
     for rows, row in zip(layout.indices, choice):
@@ -286,18 +313,27 @@ def _check_table_budget(table: UnitaryTable, budget: int) -> None:
 
 def _pair_data(
     table: UnitaryTable, ranges: list[tuple[int, int]]
-) -> tuple[list[QuaternionIndex], list[tuple[np.ndarray, np.ndarray]]]:
-    """The per-slot indexes and (T count, Clifford cost)s of a pair search."""
-    layout = slot_layout(table, ranges)
-    return ([_slot_index(table, lo, hi) for lo, hi in ranges],
-            [(table.t_counts[i], table.hs_costs[i]) for i in layout.indices])
+) -> list[PairSlot]:
+    """The :class:`PairSlot` of every slot of a layout.
+
+    Every slot but the last starts a pair, so it carries its cosets;
+    every slot but the first is queried, so it carries its index.
+    """
+    last = len(ranges) - 1
+    slots = []
+    for i, (lo, hi) in enumerate(ranges):
+        _, mats, costs = _slot(table, lo, hi)
+        slots.append(PairSlot(
+            mats, costs,
+            cosets=_slot_cosets(table, lo, hi) if i < last else None,
+            index=_slot_index(table, lo, hi) if i > 0 else None,
+        ))
+    return slots
 
 
 def _polish_starts(
     target: np.ndarray,
-    mats: list[np.ndarray],
-    indexes: list[QuaternionIndex],
-    costs: list[tuple[np.ndarray, np.ndarray]],
+    slots: list[PairSlot],
     choices: np.ndarray,
     amps: np.ndarray,
 ) -> tuple[np.ndarray, complex]:
@@ -309,18 +345,17 @@ def _polish_starts(
     :func:`_refine_sweeps` and :func:`refine_pairs`; the largest
     ``|amplitude|`` wins, ties going to the earlier start.
     """
+    mats = [slot.mats for slot in slots]
     pad = [int(np.argmax(np.abs(np.trace(m, axis1=1, axis2=2))))
            for m in mats[2:]]
     rest = product(mats[2:], pad)
     # Tr(U^dag A B rest) is best_pair's objective for target U rest^dag.
-    a, b, _ = best_pair(target @ rest.conj().T, mats[:2], indexes[:2],
-                        costs[:2])
+    a, b, _ = best_pair(target @ rest.conj().T, slots[:2])
     order = np.argsort(-np.abs(amps), kind="stable")
     _, first = np.unique(choices[order], axis=0, return_index=True)
     starts = [[a, b, *pad], *choices[order[np.sort(first)[:_STARTS]]]]
     polished = [
-        refine_pairs(target, mats, _refine_sweeps(target, mats, start)[0],
-                     indexes, costs)
+        refine_pairs(target, slots, _refine_sweeps(target, mats, start)[0])
         for start in starts
     ]
     return max(polished, key=lambda p: abs(p[1]))  # the first of equals

@@ -20,8 +20,8 @@ from repro.synthesis.sequences import matrix_of
 from repro.synthesis.trasyn import (
     TrasynArgumentError,
     _amp_to_error,
+    _pair_data,
     _quality,
-    _slot_index,
     schedule_for_threshold,
     slot_layout,
 )
@@ -345,12 +345,10 @@ class TestSamplingFreeTwoSlot:
         targets += [rz(theta) for theta in rng.uniform(0, 2 * np.pi, 6)]
         ranges = [(0, b) for b in layout]
         lay = slot_layout(table6, ranges)
-        indexes = [_slot_index(table6, lo, hi) for lo, hi in ranges]
-        costs = [(table6.t_counts[i], table6.hs_costs[i])
-                 for i in lay.indices]
+        slots = _pair_data(table6, ranges)
         for k, u in enumerate(targets):
             pair = _canonical_pair(u, table6, ranges)
-            a, b, amp = best_pair(u, lay.mats, indexes, costs)
+            a, b, amp = best_pair(u, slots)
             assert (int(lay.indices[0][a]), int(lay.indices[1][b])) == pair
             res = synthesize(u, layout, n_samples=300, postprocess=False,
                              rng=np.random.default_rng(k), table=table6)
@@ -457,11 +455,7 @@ class TestSamplingFreeTwoSlot:
 
 def _padded_start_error(u, table, ranges):
     """Error of the padded two-slot start: best_pair, then the identity."""
-    layout = slot_layout(table, ranges)
-    indexes = [_slot_index(table, lo, hi) for lo, hi in ranges[:2]]
-    costs = [(table.t_counts[i], table.hs_costs[i])
-             for i in layout.indices[:2]]
-    return _amp_to_error(best_pair(u, layout.mats[:2], indexes, costs)[2])
+    return _amp_to_error(best_pair(u, _pair_data(table, ranges[:2]))[2])
 
 
 class TestMultiStartThreeSlot:

@@ -9,7 +9,9 @@ from repro.circuits import Circuit, rotation_count
 from repro.enumeration import get_table
 from repro.linalg import haar_random_u2, rz, trace_distance
 import repro.synthesis.meet as meet
-from repro.synthesis.meet import QuaternionIndex, best_pair, refine_pairs
+from repro.synthesis.meet import (PairSlot, QuaternionIndex, best_pair,
+                                  refine_pairs)
+from repro.synthesis.trasyn import _pair_data
 from repro.experiments.workflows import best_transpile, matched_thresholds
 from repro.pipeline import compile_circuit
 
@@ -20,40 +22,37 @@ def table6():
 
 
 def _slots(table, ranges):
-    """Slot matrices, QuaternionIndexes and (T count, Clifford cost)s."""
-    idx = [table.indices_for_t_range(lo, hi) for lo, hi in ranges]
-    mats = [table.mats[i] for i in idx]
-    costs = [(table.t_counts[i], table.hs_costs[i]) for i in idx]
-    return mats, [QuaternionIndex(m) for m in mats], costs
+    """Slot matrices, PairSlots and (T count, Clifford cost)s."""
+    slots = _pair_data(table, ranges)
+    return [s.mats for s in slots], slots, [s.costs for s in slots]
 
 
 class TestRefinePairs:
     def test_improves_or_keeps_amplitude(self, table6):
         rng = np.random.default_rng(0)
-        mats, indexes, costs = _slots(table6, [(0, 6)] * 2)
+        mats, slots, _ = _slots(table6, [(0, 6)] * 2)
         target = haar_random_u2(rng)
         start = np.array([0, 0])
         udag = target.conj().T
         amp0 = abs(np.trace(udag @ mats[0][0] @ mats[1][0]))
-        choice, amp = refine_pairs(target, mats, start, indexes, costs)
+        choice, amp = refine_pairs(target, slots, start)
         assert abs(amp) >= amp0 - 1e-12
 
     def test_two_slot_near_optimal(self, table6):
         # Pair refinement from any start must land close to the true
         # 2-slot optimum.
         rng = np.random.default_rng(1)
-        mats, indexes, costs = _slots(table6, [(0, 6)] * 2)
+        _, slots, _ = _slots(table6, [(0, 6)] * 2)
         target = haar_random_u2(rng)
-        _, amp = refine_pairs(target, mats, np.array([0, 0]), indexes, costs)
+        _, amp = refine_pairs(target, slots, np.array([0, 0]))
         err = math.sqrt(max(0.0, 1 - (abs(amp) / 2) ** 2))
         assert err < 0.05  # T<=12 affords ~0.02-0.03
 
     def test_amplitude_matches_choice(self, table6):
         rng = np.random.default_rng(2)
-        mats, indexes, costs = _slots(table6, [(0, 4)] * 3)
+        mats, slots, _ = _slots(table6, [(0, 4)] * 3)
         target = haar_random_u2(rng)
-        choice, amp = refine_pairs(target, mats, np.array([1, 2, 3]), indexes,
-                                   costs)
+        choice, amp = refine_pairs(target, slots, np.array([1, 2, 3]))
         prod = target.conj().T
         for i, m in enumerate(mats):
             prod = prod @ m[choice[i]]
@@ -102,7 +101,7 @@ class TestPrunedPairSearch:
     @pytest.mark.parametrize("start", ["random", "runner-up"])
     def test_two_slot_reaches_brute_force_optimum(self, table6, seed, start):
         rng = np.random.default_rng(seed)
-        mats, indexes, costs = _slots(table6, [(0, 3), (1, 2)])
+        mats, slots, _ = _slots(table6, [(0, 3), (1, 2)])
         target = haar_random_u2(rng)
         scores = _all_pair_scores(target.conj().T, mats[0], mats[1])
         brute = scores.max()
@@ -113,7 +112,7 @@ class TestPrunedPairSearch:
             # a winner that beats the start by a hair.
             below = np.where(scores < brute - 1e-9, scores, -1.0)
             start = np.array(np.unravel_index(np.argmax(below), scores.shape))
-        choice, amp = refine_pairs(target, mats, start, indexes, costs)
+        choice, amp = refine_pairs(target, slots, start)
         assert abs(amp) == pytest.approx(brute, abs=1e-9)
         prod = target.conj().T @ mats[0][choice[0]] @ mats[1][choice[1]]
         assert complex(np.trace(prod)) == amp
@@ -122,13 +121,15 @@ class TestPrunedPairSearch:
     def test_matches_unpruned_reference(self, table6, n_slots, monkeypatch):
         # Every pair step is the brute-force canonical argmax of its
         # environment, and the sweeps end where the oracle's do.
-        mats, indexes, costs = _slots(table6, [(0, 3)] * n_slots)
+        mats, slots, costs = _slots(table6, [(0, 3)] * n_slots)
         steps = []
         real = meet.best_pair
 
-        def checked(target, mats, indexes, costs):
-            a, b, amp = real(target, mats, indexes, costs)
-            assert (a, b) == _canonical_rows(target, mats, costs)
+        def checked(target, pair):
+            a, b, amp = real(target, pair)
+            assert (a, b) == _canonical_rows(
+                target, [s.mats for s in pair], [s.costs for s in pair]
+            )
             steps.append((a, b))
             return a, b, amp
 
@@ -137,7 +138,7 @@ class TestPrunedPairSearch:
         for _ in range(6):
             target = haar_random_u2(rng)
             start = rng.integers(0, len(mats[0]), n_slots)
-            choice, amp = refine_pairs(target, mats, start, indexes, costs)
+            choice, amp = refine_pairs(target, slots, start)
             ref_choice, ref_amp = _refine_oracle(target, mats, start, costs)
             assert np.array_equal(choice, ref_choice)
             assert amp == pytest.approx(ref_amp, abs=1e-12)
@@ -146,7 +147,7 @@ class TestPrunedPairSearch:
     def test_two_slot_queries_once(self, table6, monkeypatch):
         # The environment of the only pair is U^dag in every sweep, so a
         # second search could never improve on the first.
-        mats, indexes, costs = _slots(table6, [(0, 4)] * 2)
+        mats, slots, _ = _slots(table6, [(0, 4)] * 2)
         calls = []
         real = meet.best_pair
 
@@ -158,7 +159,7 @@ class TestPrunedPairSearch:
         target = haar_random_u2(np.random.default_rng(3))
         udag = target.conj().T
         amp0 = abs(np.trace(udag @ mats[0][0] @ mats[1][0]))
-        _, amp = refine_pairs(target, mats, np.array([0, 0]), indexes, costs)
+        _, amp = refine_pairs(target, slots, np.array([0, 0]))
         assert abs(amp) > amp0  # the first sweep improved
         assert len(calls) == 1
 
@@ -193,9 +194,11 @@ class TestBestPair:
     @pytest.mark.parametrize("ranges", [[(0, 4), (0, 2)], [(0, 2), (0, 4)]])
     def test_rz_ties_beyond_neighbours(self, ranges, monkeypatch):
         # Rz targets of low T count tie on more partners per row than one
-        # query fetches; the rows that fill up must ask again.
+        # query fetches; the rows that fill up must ask again.  Only the
+        # transversal of slot 0 queries, and with these angles its rows
+        # see more than four ties only when slot 1 is the larger slot.
         table = get_table(4)
-        mats, indexes, costs = _slots(table, ranges)
+        mats, slots, costs = _slots(table, ranges)
         ks = []
         orig = QuaternionIndex.nearest
 
@@ -207,20 +210,65 @@ class TestBestPair:
         rng = np.random.default_rng(7)
         for theta in rng.uniform(0, 2 * np.pi, 12):
             target = rz(theta)
-            a, b, amp = best_pair(target, mats, indexes, costs)
+            a, b, amp = best_pair(target, slots)
             assert (a, b) == _canonical_rows(target, mats, costs)
             prod = target.conj().T @ mats[0][a] @ mats[1][b]
             assert complex(np.trace(prod)) == amp
-        assert max(ks) > 4  # some row asked again
+        if ranges[0] == (0, 2):
+            assert max(ks) > 4  # some row asked again
 
     def test_haar_matches_oracle_both_directions(self, table6):
         rng = np.random.default_rng(8)
         for ranges in ([(0, 6), (1, 3)], [(1, 3), (0, 6)]):
-            mats, indexes, costs = _slots(table6, ranges)
+            mats, slots, costs = _slots(table6, ranges)
             for _ in range(4):
                 target = haar_random_u2(rng)
-                a, b, _ = best_pair(target, mats, indexes, costs)
+                a, b, _ = best_pair(target, slots)
                 assert (a, b) == _canonical_rows(target, mats, costs)
+
+
+def _identity_rooted(table, row):
+    """Whether a table row's normal form ends in the identity Clifford."""
+    while table.parents[row] >= 0:
+        row = table.parents[row]
+    return table.prefixes[row] == 0
+
+
+class TestSlotCosets:
+    """The right-Clifford coset map of a slot against exact arithmetic."""
+
+    @pytest.mark.parametrize(
+        "lo, hi", [(0, 6), (1, 3), (0, 3), (1, 2), (0, 4)]
+    )
+    def test_images_are_exact_clifford_products(self, table6, lo, hi):
+        from repro.enumeration import vectorized as vec
+        from repro.gates.cliffords import cliffords
+
+        rows = table6.indices_for_t_range(lo, hi)
+        images = _pair_data(table6, [(lo, hi), (lo, hi)])[0].cosets.images
+        assert images.shape == (len(rows) // 24, 24)
+        assert 24 * len(images) == len(rows)
+        transversal = rows[images[:, 0]]
+        assert all(_identity_rooted(table6, r) for r in transversal)
+        cliff = np.stack([vec.exact_to_coeffs(c.exact)[0] for c in cliffords()])
+        cliff_k = np.array([c.exact.k for c in cliffords()])
+        r = np.repeat(transversal, 24)
+        c = np.tile(np.arange(24), len(transversal))
+        prod, prod_k = vec.matmul(table6.coeffs[r], table6.karr[r],
+                                  cliff[c], cliff_k[c])
+        found = table6.lookup_batch(prod, prod_k)
+        assert np.array_equal(found, rows[images].ravel())
+
+    def test_unclosed_slot_raises(self, table6):
+        # Slot 1 keeps every other row, so Clifford images of its best
+        # partners go missing.
+        first, second = _pair_data(table6, [(0, 3), (0, 3)])
+        half = second.mats[::2]
+        broken = PairSlot(half, tuple(c[::2] for c in second.costs),
+                          index=QuaternionIndex(half))
+        target = haar_random_u2(np.random.default_rng(9))
+        with pytest.raises(RuntimeError, match="not closed"):
+            best_pair(target, [first, broken])
 
 
 class TestWorkflowInternals:
