@@ -97,7 +97,8 @@ def run_area(
         warmup = 0 if quick else DEFAULT_WARMUP
     if repeats is None:
         repeats = 1 if quick else DEFAULT_REPEATS
-    results = run_specs(suite.specs(quick), warmup, repeats, progress)
+    run = getattr(suite, "run_specs", run_specs)
+    results = run(suite.specs(quick), warmup, repeats, progress)
     finalize = getattr(suite, "finalize", None)
     if finalize is not None:
         finalize(results)

@@ -41,6 +41,7 @@ self-describing.
 
 from __future__ import annotations
 
+import gc
 import statistics
 import time
 from dataclasses import dataclass, field
@@ -112,27 +113,43 @@ class BenchResult:
 
 def run_spec(spec: BenchSpec, warmup: int, repeats: int) -> BenchResult:
     """Time one spec: setup (untimed), ``warmup`` discards, ``repeats``."""
+    return run_interleaved([spec], warmup, repeats)[0]
+
+
+def run_interleaved(
+    specs: list[BenchSpec], warmup: int, repeats: int
+) -> list[BenchResult]:
+    """Time ``specs`` side by side, each thunk once per round.
+
+    Every setup runs first (untimed), then ``warmup`` untimed rounds and
+    ``repeats`` timed ones; odd rounds run the thunks in reverse order,
+    so a slow spell of a shared machine lands on every spec alike and
+    ``times_s[r]`` of every result comes from round ``r``.  As in
+    :mod:`timeit`, the garbage collector is parked during each timed
+    call, so no call pays for a collection of the whole heap.
+    """
     if repeats < 1:
         raise ValueError("need at least one timed repeat")
-    fn = spec.setup()
-    extra = dict(spec.extra)
+    fns = [spec.setup() for spec in specs]
+    results = [
+        BenchResult(spec.name, spec.params, warmup, repeats, [], dict(spec.extra))
+        for spec in specs
+    ]
     for _ in range(warmup):
-        fn()
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        out = fn()
-        times.append(time.perf_counter() - t0)
-        if isinstance(out, dict):
-            extra.update(out)
-    return BenchResult(
-        name=spec.name,
-        params=spec.params,
-        warmup=warmup,
-        repeats=repeats,
-        times_s=times,
-        extra=extra,
-    )
+        for fn in fns:
+            fn()
+    for rnd in range(repeats):
+        for i in range(len(fns))[:: -1 if rnd % 2 else 1]:
+            gc.disable()
+            try:
+                t0 = time.perf_counter()
+                out = fns[i]()
+                results[i].times_s.append(time.perf_counter() - t0)
+            finally:
+                gc.enable()
+            if isinstance(out, dict):
+                results[i].extra.update(out)
+    return results
 
 
 def run_specs(

@@ -6,7 +6,8 @@ benchmarked end-to-end as ``optimize_circuit`` drives it: IR build,
 kernel, linearize.  Each columnar
 :class:`~repro.circuits.dag_table.DAGTable` entry is paired with the
 per-node ``*_reference`` loop on :class:`CircuitDAG` over the same
-mixed workload, and :func:`finalize` records the pass-only
+mixed workload.  :func:`run_specs` times each pair interleaved, round
+by round, and :func:`finalize` records the pass-only
 ``speedup_vs_reference`` on the columnar entry.  The
 ``dag/optimize_fixpoint`` pair is the headline: the incremental
 dirty-wire driver vs the rescan-everything reference fixpoint.
@@ -15,8 +16,10 @@ dirty-wire driver vs the rescan-everything reference fixpoint.
 from __future__ import annotations
 
 import random
+import statistics
+from typing import Callable
 
-from repro.bench.harness import BenchResult, BenchSpec
+from repro.bench.harness import BenchResult, BenchSpec, run_interleaved
 
 
 def _optimizer_workload(n_qubits: int, n_gates: int, seed: int):
@@ -161,21 +164,42 @@ def specs(quick: bool) -> list[BenchSpec]:
     return out
 
 
+def run_specs(
+    specs: list[BenchSpec],
+    warmup: int,
+    repeats: int,
+    progress: Callable[[str], None] | None = None,
+) -> list[BenchResult]:
+    """Time every columnar entry interleaved with its reference twin.
+
+    :func:`specs` lists each columnar entry right before its twin; both
+    thunks run once per round, so a load spike on a shared machine
+    slows the two sides of a speedup together.
+    """
+    results = []
+    for kernel, reference in zip(specs[::2], specs[1::2]):
+        results.extend(run_interleaved([kernel, reference], warmup, repeats))
+        if progress is not None:
+            progress(
+                f"  {kernel.name}: {results[-2].median_s:.4f}s median, "
+                f"reference {results[-1].median_s:.4f}s"
+            )
+    return results
+
+
 def finalize(results: list[BenchResult]) -> None:
     """Derive each pair's columnar-vs-reference speedup.
 
-    Pairs ``<name>`` with ``<name>/reference`` and divides the run
-    medians — each spec's ``run()`` is exactly the end-to-end pass, so
-    ``median_s`` is the pass time and far more repeat-noise-robust
-    than any single-repeat extra would be — recording
-    ``speedup_vs_reference`` on the columnar entry.
+    Pairs ``<name>`` with ``<name>/reference`` and takes the median over
+    rounds of the reference time divided by the columnar time of the
+    same round (:func:`run_specs` times both in every round), recording
+    ``speedup_vs_reference`` on the columnar entry.  Each spec's
+    ``run()`` is exactly the end-to-end pass.
     """
     by_name = {r.name: r for r in results}
     for name, result in by_name.items():
         ref = by_name.get(f"{name}/reference")
         if ref is None:
             continue
-        if result.median_s and ref.median_s:
-            result.extra["speedup_vs_reference"] = round(
-                ref.median_s / result.median_s, 2
-            )
+        ratios = [r / k for k, r in zip(result.times_s, ref.times_s)]
+        result.extra["speedup_vs_reference"] = round(statistics.median(ratios), 2)

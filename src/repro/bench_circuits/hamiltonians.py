@@ -124,7 +124,3 @@ def hamiltonian_circuit(
     circuit = trotter_circuit(terms, time=time * 0.7391, steps=steps)
     circuit.name = f"{kind}_n{n}"
     return circuit
-
-
-QUANTUM_KINDS = ("tfim", "heisenberg", "xy", "random_pauli")
-CLASSICAL_KINDS = ("ising", "maxcut")

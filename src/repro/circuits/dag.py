@@ -124,14 +124,6 @@ class CircuitDAG:
             yield node
             i = node.succs[qubit]
 
-    def front_layer(self) -> list[DAGNode]:
-        """Nodes with no predecessors (every wire pred is the boundary)."""
-        out = []
-        for node in self._nodes.values():
-            if all(p == BOUNDARY for p in node.preds.values()):
-                out.append(node)
-        return sorted(out, key=lambda n: n.id)
-
     # -- traversal ----------------------------------------------------------
     def topological(self) -> Iterator[DAGNode]:
         """Kahn's algorithm with an id-ordered ready heap.

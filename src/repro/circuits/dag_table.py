@@ -292,18 +292,6 @@ class DAGTable:
         return np.nonzero(hit)[0]
 
     # -- wire surgery --------------------------------------------------------
-    def _set_succ(self, node_id: int, qubit: int, value: int) -> None:
-        if self._q0[node_id] == qubit:
-            self._succ0[node_id] = value
-        else:
-            self._succ1[node_id] = value
-
-    def _set_pred(self, node_id: int, qubit: int, value: int) -> None:
-        if self._q0[node_id] == qubit:
-            self._pred0[node_id] = value
-        else:
-            self._pred1[node_id] = value
-
     def remove(self, node_id: int) -> None:
         """Delete a row, splicing its wires (preds link to succs)."""
         if not self._alive[node_id]:

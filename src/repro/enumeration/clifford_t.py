@@ -17,6 +17,9 @@ from __future__ import annotations
 import functools
 import os
 import threading
+import warnings
+import zipfile
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -325,23 +328,48 @@ def _save_table(table: UnitaryTable, path: str) -> None:
 
 
 def _load_table(path: str, budget: int) -> UnitaryTable | None:
+    """The table cached at ``path``, or None (with a warning) if unusable.
+
+    A truncated, corrupt or incomplete file, or one holding another
+    budget or row count, is a cache miss: :func:`get_table` rebuilds the
+    table and overwrites the file.
+    """
+    rows = expected_unique_count(budget)
+
+    def read(data, name: str) -> np.ndarray:
+        arr = data[name]
+        if arr.shape[:1] != (rows,):
+            raise ValueError(f"{name} has shape {arr.shape}, not {rows} rows")
+        return arr
+
     try:
-        data = np.load(path)
-    except (OSError, ValueError):
+        with np.load(path) as data:
+            if int(data["budget"]) != budget:
+                raise ValueError(f"holds budget {int(data['budget'])}")
+            coeffs, karr = read(data, "coeffs"), read(data, "karr")
+            # Keyed and expanded before the other arrays are read, which
+            # keeps them out of the load's memory peak.
+            keys = vec.canonical_keys(coeffs, karr)
+            mats = vec.batch_to_complex(coeffs, karr)
+            t_counts, hs_costs, parents, prefixes = (
+                read(data, name)
+                for name in ("t_counts", "hs_costs", "parents", "prefixes")
+            )
+    except (OSError, ValueError, KeyError, EOFError,
+            zipfile.BadZipFile, zlib.error) as exc:
+        warnings.warn(
+            f"Clifford+T table cache: rebuilding unusable {path}: {exc!r}",
+            stacklevel=3,
+        )
         return None
-    if int(data["budget"]) != budget:
-        return None
-    coeffs = data["coeffs"]
-    karr = data["karr"]
-    keys = vec.canonical_keys(coeffs, karr)
     return UnitaryTable(
         budget=budget,
         coeffs=coeffs,
         karr=karr,
-        mats=vec.batch_to_complex(coeffs, karr),
-        t_counts=data["t_counts"],
-        hs_costs=data["hs_costs"],
-        parents=data["parents"],
-        prefixes=data["prefixes"],
+        mats=mats,
+        t_counts=t_counts,
+        hs_costs=hs_costs,
+        parents=parents,
+        prefixes=prefixes,
         key_to_index={k: i for i, k in enumerate(keys)},
     )

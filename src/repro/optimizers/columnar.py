@@ -82,9 +82,6 @@ for _name in ("rx", "ry", "rz", "u3"):
     _ROT[OPCODE[_name]] = True
 
 #: Diagonal phase gates fold_phases accumulates (plus rz, handled apart).
-_PHASE_OP_ANGLE: dict[int, float] = {
-    OPCODE[_name]: _theta for _name, _theta in _PHASE_ANGLE.items()
-}
 _IS_PHASE = np.zeros(_N_OPS, dtype=bool)
 for _name in _PHASE_ANGLE:
     _IS_PHASE[OPCODE[_name]] = True

@@ -38,9 +38,6 @@ class PauliString:
     def weight(self) -> int:
         return len(self.support)
 
-    def is_identity(self) -> bool:
-        return self.weight == 0
-
     def is_diagonal(self) -> bool:
         """True for Z/I-only strings (classical Hamiltonian terms)."""
         return all(c in "IZ" for c in self.label)

@@ -131,9 +131,6 @@ class ZOmega:
         y = self.mul_sqrt2()
         return ZOmega(y.a // 2, y.b // 2, y.c // 2, y.d // 2)
 
-    def is_divisible_by_2(self) -> bool:
-        return all(v % 2 == 0 for v in (self.a, self.b, self.c, self.d))
-
     # -- Euclidean division -------------------------------------------------
     def divmod(self, other: "ZOmega") -> tuple["ZOmega", "ZOmega"]:
         """Euclidean division with |N(r)| < |N(other)| (norm-Euclidean)."""
@@ -222,7 +219,6 @@ def gcd(x: ZOmega, y: ZOmega) -> ZOmega:
     return x
 
 
-ZERO = ZOmega(0, 0, 0, 0)
 ONE = ZOmega(0, 0, 0, 1)
 OMEGA = ZOmega(0, 0, 1, 0)
 SQRT2_OMEGA = ZOmega(-1, 0, 1, 0)  # sqrt(2) = w - w^3

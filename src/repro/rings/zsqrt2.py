@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,7 @@ class ZSqrt2:
 
     def __pow__(self, n: int) -> "ZSqrt2":
         if n < 0:
-            raise ValueError("use unit_pow for negative powers of units")
+            raise ValueError("negative power: invert a unit with LAMBDA_INV")
         result = ZSqrt2(1, 0)
         base = self
         while n:
@@ -75,9 +74,6 @@ class ZSqrt2:
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
-
-    def is_unit(self) -> bool:
-        return abs(self.norm()) == 1
 
     def is_doubly_positive(self) -> bool:
         """True when both embeddings are nonnegative (x >= 0 and x.conj() >= 0)."""
@@ -137,9 +133,6 @@ class ZSqrt2:
     def __float__(self) -> float:
         return self.a + self.b * math.sqrt(2.0)
 
-    def to_fraction_pair(self) -> tuple[Fraction, Fraction]:
-        return Fraction(self.a), Fraction(self.b)
-
     def __repr__(self) -> str:
         return f"ZSqrt2({self.a}, {self.b})"
 
@@ -170,15 +163,3 @@ def gcd(x: ZSqrt2, y: ZSqrt2) -> ZSqrt2:
         _, r = x.divmod(y)
         x, y = y, r
     return x
-
-
-def unit_pow(n: int) -> tuple[ZSqrt2, ZSqrt2]:
-    """Return (LAMBDA^n, LAMBDA^-n) for any integer n (possibly negative)."""
-    if n >= 0:
-        return LAMBDA**n, LAMBDA_INV**n
-    return LAMBDA_INV ** (-n), LAMBDA ** (-n)
-
-
-def from_dyadic_interval(lo: float, hi: float) -> tuple[float, float]:
-    """Clamp helper kept for interface symmetry (floats pass through)."""
-    return lo, hi

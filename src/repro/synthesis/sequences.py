@@ -19,7 +19,6 @@ from repro.linalg import GATES, trace_distance
 
 _T_GATES = frozenset({"T", "Tdg"})
 _CLIFFORD_GATES = frozenset({"H", "S", "Sdg"})
-_PAULI_GATES = frozenset({"X", "Y", "Z", "I"})
 
 
 def t_count_of(gates) -> int:
@@ -50,10 +49,6 @@ class GateSequence:
     @property
     def clifford_count(self) -> int:
         return clifford_count_of(self.gates)
-
-    @property
-    def total_gates(self) -> int:
-        return len(self.gates)
 
     def matrix(self) -> np.ndarray:
         return matrix_of(self.gates)

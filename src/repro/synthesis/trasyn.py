@@ -41,7 +41,6 @@ from repro.synthesis.meet import (PairSlot, QuaternionIndex, SlotCosets,
 from repro.synthesis.sequences import GateSequence, t_count_of
 from repro.tensornet import CanonicalTail, TraceMPS
 
-DEFAULT_TENSOR_BUDGET = 6
 # Distinct samples polished as starts by layouts of three or more slots.
 _STARTS = 4
 # _refine_sweeps stops after this many sweeps over the slots.

@@ -89,10 +89,6 @@ class EspEstimate:
     total_idle: float
     makespan: float
 
-    @property
-    def log_esp(self) -> float:
-        return math.log(self.esp) if self.esp > 0 else -math.inf
-
     def summary(self) -> str:
         return (
             f"ESP {self.esp:.4f} (gates {self.gate_success:.4f} x "

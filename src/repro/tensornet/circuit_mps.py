@@ -63,11 +63,6 @@ class CircuitMPS:
         # A product state is canonical everywhere; pick site 0.
         self.center = 0
 
-    # -- bond structure ----------------------------------------------------
-    def bond_dimensions(self) -> list[int]:
-        """Current bond dimensions between neighbouring sites."""
-        return [t.shape[2] for t in self.tensors[:-1]]
-
     # -- canonical-form maintenance ----------------------------------------
     def _move_center(self, to: int) -> None:
         """Sweep the orthogonality center to site ``to`` via QR/LQ."""

@@ -15,7 +15,10 @@ Right-canonicalizing the chain (sequential SVDs, paper step 1) makes the
 conditional distributions of step 2 local, so *perfect sampling* from
 ``p proportional to |T|^2`` costs one forward pass per sample batch, and
 every sample's amplitude — hence its synthesis error — comes out of the
-pass for free.
+pass for free.  The conditional weight of a row is linear in its Gram
+row, so each tail site keeps the prefix sums of its Gram rows and a
+sample finds its row by bisecting that cumulative distribution: about
+log2(N) reads of 16 entries per sample, whatever the slot size N.
 """
 
 from __future__ import annotations
@@ -26,24 +29,20 @@ import numpy as np
 
 _EYE2 = np.eye(2, dtype=complex)
 
-# Working-set bound of one sampling chunk: its rows are sized so the
-# (rows x N) complex conditional weights plus their float cumulative sum
-# fit in this many bytes, whatever the slot size N.
-SAMPLE_CHUNK_BYTES = 64 * 2**20
-
 
 @dataclass(frozen=True)
 class CanonicalTail:
     """Target-independent part of a right-canonical :class:`TraceMPS`.
 
     Only site 0 depends on the target.  Sites 1..l-1 after
-    right-canonicalization, their Gram matrices (used by sampling) and
+    right-canonicalization, the prefix sums of their Gram matrices (the
+    cumulative sampling distribution, up to the target's message) and
     the carry into site 0 depend on the slot matrices alone, so one tail
     serves every target synthesized with the same slot layout.
     """
 
     tensors: tuple[np.ndarray, ...]  # sites 1..l-1, each (N, D_left, D_right)
-    grams: tuple[np.ndarray, ...]  # per tail site, (N, D_left**2)
+    gram_prefixes: tuple[np.ndarray, ...]  # per tail site, (N, D_left**2)
     carry: np.ndarray  # (4, D) folded into site 0
 
     @classmethod
@@ -70,15 +69,17 @@ class CanonicalTail:
             carry = u * s
             if i > 0:
                 tensors[i - 1] = np.einsum("slm,mr->slr", tensors[i - 1], carry)
-        # Gram tensor P[s, l, l'] = sum_r A[s,l,r] conj(A[s,l',r]); the
-        # conditional sampling weight of a message m is m^dag P m.
-        grams = [
-            np.einsum("slr,smr->slm", a, a.conj()).reshape(a.shape[0], -1)
-            for a in tensors
-        ]
-        for arr in (*tensors, *grams, carry):
+        # Gram tensor G[s, l, l'] = sum_r A[s,l,r] conj(A[s,l',r]); the
+        # conditional sampling weight of row s for a message m is
+        # Re<m (x) conj(m), G[s]>, so the prefix sums of G over rows
+        # (taken in place) give the cumulative weights of every message.
+        prefixes = []
+        for a in tensors:
+            g = np.einsum("slr,smr->slm", a, a.conj()).reshape(a.shape[0], -1)
+            prefixes.append(np.cumsum(g, axis=0, out=g))
+        for arr in (*tensors, *prefixes, carry):
             arr.setflags(write=False)
-        return cls(tuple(tensors), tuple(grams), carry)
+        return cls(tuple(tensors), tuple(prefixes), carry)
 
 
 class TraceMPS:
@@ -119,7 +120,7 @@ class TraceMPS:
         self.tensors = [
             np.einsum("slm,mr->slr", first, tail.carry), *tail.tensors
         ]
-        self._grams = tail.grams
+        self._gram_prefixes = tail.gram_prefixes
 
     # -- exact contraction (testing / tiny instances) -----------------------
     def full_tensor(self) -> np.ndarray:
@@ -138,18 +139,16 @@ class TraceMPS:
 
     # -- perfect sampling ----------------------------------------------------
     def sample(
-        self,
-        n_samples: int,
-        rng: np.random.Generator,
-        chunk_size: int = 1024,
+        self, n_samples: int, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:
         """Draw samples from p(s_1..s_l) proportional to |T[s_1..s_l]|^2.
 
         Returns ``(choices, amplitudes)`` with ``choices`` of shape
         ``(n_samples, n_sites)`` and exact complex trace values per
-        sample (no renormalization is ever applied to amplitudes).
-        ``chunk_size`` caps the samples advanced together; the chunk is
-        smaller still when needed to stay within ``SAMPLE_CHUNK_BYTES``.
+        sample (no renormalization is ever applied to amplitudes).  Every
+        site draws one uniform per sample; past site 0 a sample's row is
+        found by bisecting the site's Gram prefix sums, so the working
+        set is O(n_samples) whatever the slot sizes.
         """
         first = self.tensors[0][:, 0, :]  # (N1, D)
         probs0 = np.einsum("sd,sd->s", first, first.conj()).real
@@ -164,8 +163,7 @@ class TraceMPS:
         msgs = first[choices[:, 0]]  # (k, D)
         for site in range(1, self.n_sites):
             sel, msgs = self._sample_site(
-                self.tensors[site], self._grams[site - 1], msgs, rng,
-                chunk_size,
+                self.tensors[site], self._gram_prefixes[site - 1], msgs, rng
             )
             choices[:, site] = sel
         amplitudes = msgs[:, 0]
@@ -174,37 +172,35 @@ class TraceMPS:
     @staticmethod
     def _sample_site(
         a: np.ndarray,
-        gram: np.ndarray,
+        prefix: np.ndarray,
         msgs: np.ndarray,
         rng: np.random.Generator,
-        chunk_size: int,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """One conditional-sampling step for a batch of partial chains."""
-        n, dl, dr = a.shape
+        """One conditional-sampling step for a batch of partial chains.
+
+        Each sample takes the first row whose cumulative weight
+        Re<m (x) conj(m), prefix[s]> reaches ``u`` times the total.
+        """
+        n, dl, _ = a.shape
         k = msgs.shape[0]
-        # Per entry: 16 bytes of complex weights, 8 of cumulative sum.
-        rows = max(1, min(chunk_size, SAMPLE_CHUNK_BYTES // (24 * n)))
-        cum = np.empty((min(rows, k), n))
-        sel = np.empty(k, dtype=np.int64)
-        new_msgs = np.empty((k, dr), dtype=complex)
-        for lo in range(0, k, rows):
-            hi = min(lo + rows, k)
-            m = msgs[lo:hi]
-            c = cum[: hi - lo]
-            m2 = (m[:, :, None] * m.conj()[:, None, :]).reshape(hi - lo, dl * dl)
-            np.maximum((m2 @ gram.T).real, 0.0, out=c)
-            np.cumsum(c, axis=1, out=c)
-            norm = c[:, -1]
-            if (norm <= 0).any():
-                raise ArithmeticError("conditional distribution vanished")
-            r = rng.random(hi - lo) * norm
-            chosen = np.array(
-                [np.searchsorted(row, x) for row, x in zip(c, r)],
-                dtype=np.int64,
-            ).clip(max=n - 1)
-            sel[lo:hi] = chosen
-            new_msgs[lo:hi] = np.einsum("cl,clr->cr", m, a[chosen])
-        return sel, new_msgs
+        m2 = (msgs[:, :, None] * msgs.conj()[:, None, :]).reshape(k, dl * dl)
+
+        def cdf(rows: np.ndarray) -> np.ndarray:
+            return np.einsum("kx,kx->k", m2, prefix[rows]).real
+
+        hi = np.full(k, n - 1, dtype=np.int64)
+        norm = cdf(hi)
+        if (norm <= 0).any():
+            raise ArithmeticError("conditional distribution vanished")
+        r = rng.random(k) * norm
+        # cdf(hi) >= r holds throughout; ceil(log2 n) halvings close [lo, hi].
+        lo = np.zeros(k, dtype=np.int64)
+        for _ in range((n - 1).bit_length()):
+            mid = (lo + hi) >> 1
+            reached = cdf(mid) >= r
+            hi = np.where(reached, mid, hi)
+            lo = np.where(reached, lo, mid + 1)
+        return hi, np.einsum("cl,clr->cr", msgs, a[hi])
 
     # -- greedy decoding (extension beyond the paper) -------------------------
     def best_first(self, beam_width: int = 64) -> tuple[np.ndarray, complex]:

@@ -53,6 +53,33 @@ class TestHarness:
         with pytest.raises(ValueError):
             run_spec(spec, warmup=0, repeats=0)
 
+    def test_interleaved_rounds_alternate_order(self):
+        import gc
+
+        from repro.bench.harness import run_interleaved
+
+        log = []
+
+        def logging_spec(name):
+            def setup():
+                log.append(f"setup {name}")
+                # Timed calls run with the garbage collector parked.
+                return lambda: log.append(name if gc.isenabled() else name.upper())
+
+            return BenchSpec(name=name, params={}, setup=setup)
+
+        results = run_interleaved(
+            [logging_spec("a"), logging_spec("b")], warmup=1, repeats=3
+        )
+        assert gc.isenabled()
+        assert log == [
+            "setup a", "setup b",
+            "a", "b",  # warmup
+            "A", "B", "B", "A", "A", "B",  # timed rounds
+        ]
+        assert [r.name for r in results] == ["a", "b"]
+        assert [len(r.times_s) for r in results] == [3, 3]
+
     def test_report_schema_roundtrip(self, tmp_path):
         spec, _ = _counting_spec()
         results = run_specs([spec], warmup=0, repeats=1)
@@ -305,6 +332,42 @@ class TestFailAreaGate:
 
         with pytest.raises(SystemExit):
             main(["--compare", "x.json", "--fail-area", "nonsense"])
+
+
+class TestPassesPairing:
+    def test_speedup_is_median_of_round_ratios(self):
+        from repro.bench import passes_suite
+        from repro.bench.harness import BenchResult
+
+        def result(name, times):
+            return BenchResult(name, {}, 0, len(times), times, {})
+
+        # Round ratios 2, 6, 2 have median 2; the ratio of the medians
+        # would be 0.3 / 0.1 = 3.
+        kernel = result("dag/x/24q", [0.1, 0.05, 0.2])
+        ref = result("dag/x/24q/reference", [0.2, 0.3, 0.4])
+        passes_suite.finalize([kernel, ref])
+        assert kernel.extra["speedup_vs_reference"] == 2.0
+        assert "speedup_vs_reference" not in ref.extra
+
+    def test_run_specs_pairs_each_kernel_with_its_twin(self):
+        from repro.bench import passes_suite
+
+        names = [s.name for s in passes_suite.specs(quick=True)]
+        assert names[1::2] == [f"{n}/reference" for n in names[::2]]
+        calls = []
+
+        def spec(name):
+            def run():
+                calls.append(name)
+
+            return BenchSpec(name=name, params={}, setup=lambda: run)
+
+        results = passes_suite.run_specs(
+            [spec("x"), spec("x/reference")], warmup=0, repeats=2
+        )
+        assert [r.name for r in results] == ["x", "x/reference"]
+        assert calls == ["x", "x/reference", "x/reference", "x"]
 
 
 class TestSpeedupMetricGate:

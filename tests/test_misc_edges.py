@@ -1,6 +1,8 @@
 """Edge-case coverage: daggers, caching, angle normalization, drawing."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +62,60 @@ class TestDiskCache:
         path = str(tmp_path / "t.npz")
         clifford_t._save_table(fresh, path)
         assert clifford_t._load_table(path, 5) is None
+
+    @staticmethod
+    def _assert_miss_then_rebuild(clifford_t, path, budget, monkeypatch):
+        with pytest.warns(UserWarning, match=re.escape(path)):
+            assert clifford_t._load_table(path, budget) is None
+        monkeypatch.setattr(clifford_t, "_TABLE_CACHE", {})
+        with pytest.warns(UserWarning, match=re.escape(path)):
+            rebuilt = clifford_t.get_table(budget)
+        assert len(rebuilt) == clifford_t.expected_unique_count(budget)
+        # The rebuild overwrote the damaged file with a readable one.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reloaded = clifford_t._load_table(path, budget)
+        assert reloaded.key_to_index == rebuilt.key_to_index
+
+    def test_truncated_file_is_a_miss(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        from repro.enumeration import clifford_t
+
+        path = clifford_t._cache_path(3)
+        clifford_t._save_table(clifford_t.build_table(3), path)
+        with open(path, "rb") as fh:
+            head = fh.read(3000)
+        with open(path, "wb") as fh:
+            fh.write(head)
+        self._assert_miss_then_rebuild(clifford_t, path, 3, monkeypatch)
+
+    def test_file_missing_parents_is_a_miss(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        from repro.enumeration import clifford_t
+
+        path = clifford_t._cache_path(3)
+        t = clifford_t.build_table(3)
+        with open(path, "wb") as fh:
+            np.savez_compressed(
+                fh, budget=3, coeffs=t.coeffs, karr=t.karr,
+                t_counts=t.t_counts, hs_costs=t.hs_costs, prefixes=t.prefixes,
+            )
+        self._assert_miss_then_rebuild(clifford_t, path, 3, monkeypatch)
+
+    def test_file_with_wrong_row_count_is_a_miss(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        from repro.enumeration import clifford_t
+
+        path = clifford_t._cache_path(3)
+        # A budget-2 table filed under budget 3 has too few rows.
+        t = clifford_t.build_table(2)
+        with open(path, "wb") as fh:
+            np.savez_compressed(
+                fh, budget=3, coeffs=t.coeffs, karr=t.karr,
+                t_counts=t.t_counts, hs_costs=t.hs_costs,
+                parents=t.parents, prefixes=t.prefixes,
+            )
+        self._assert_miss_then_rebuild(clifford_t, path, 3, monkeypatch)
 
 
 class TestGridsynthAngles:

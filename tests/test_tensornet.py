@@ -70,45 +70,102 @@ class TestSampling:
         tv_dist = 0.5 * np.abs(counts / n - p).sum()
         assert tv_dist < 0.03
 
-    def test_chunked_sampling_consistent(self):
-        rng = np.random.default_rng(3)
+
+def _scan_sample_site(a, gram, msgs, rng, chunk_size=1024):
+    """Reference conditional step: each sample scans all N row weights.
+
+    Clipped weights m^dag G[s] m, their cumulative sum and a per-sample
+    ``searchsorted``, in chunks of at most ``chunk_size`` samples.
+    """
+    n, dl, dr = a.shape
+    k = msgs.shape[0]
+    sel = np.empty(k, dtype=np.int64)
+    new_msgs = np.empty((k, dr), dtype=complex)
+    for lo in range(0, k, chunk_size):
+        hi = min(lo + chunk_size, k)
+        m = msgs[lo:hi]
+        m2 = (m[:, :, None] * m.conj()[:, None, :]).reshape(hi - lo, dl * dl)
+        c = np.cumsum(np.maximum((m2 @ gram.T).real, 0.0), axis=1)
+        norm = c[:, -1]
+        if (norm <= 0).any():
+            raise ArithmeticError("conditional distribution vanished")
+        r = rng.random(hi - lo) * norm
+        chosen = np.array(
+            [np.searchsorted(row, x) for row, x in zip(c, r)], dtype=np.int64
+        ).clip(max=n - 1)
+        sel[lo:hi] = chosen
+        new_msgs[lo:hi] = np.einsum("cl,clr->cr", m, a[chosen])
+    return sel, new_msgs
+
+
+class TestPrefixBisection:
+    """``TraceMPS._sample_site`` bisects Gram prefix sums; the scan is the
+    reference it must agree with pick for pick and draw for draw."""
+
+    @staticmethod
+    def _site(rng, n, dl, dr, zero_rows=()):
+        a = rng.normal(size=(n, dl, dr)) + 1j * rng.normal(size=(n, dl, dr))
+        a[list(zero_rows)] = 0.0
+        gram = np.einsum("slr,smr->slm", a, a.conj()).reshape(n, -1)
+        return a, gram
+
+    @pytest.mark.parametrize(
+        "n, dl, dr, zero_rows",
+        [
+            (1, 4, 4, ()),
+            (2, 4, 1, (0,)),
+            (7, 4, 4, (0, 3, 6)),
+            (33, 4, 4, (5, 6, 7, 8, 31, 32)),
+            (64, 2, 4, ()),
+            (257, 4, 1, tuple(range(0, 257, 3))),
+        ],
+    )
+    def test_matches_scan(self, n, dl, dr, zero_rows):
+        rng = np.random.default_rng(n)
+        a, gram = self._site(rng, n, dl, dr, zero_rows)
+        prefix = np.cumsum(gram, axis=0)
+        for trial in range(4):
+            k = (1, 9, 200, 1000)[trial]
+            msgs = rng.normal(size=(k, dl)) + 1j * rng.normal(size=(k, dl))
+            rng_scan = np.random.default_rng(trial)
+            rng_bis = np.random.default_rng(trial)
+            sel_ref, msg_ref = _scan_sample_site(a, gram, msgs, rng_scan, 7)
+            sel, new = TraceMPS._sample_site(a, prefix, msgs, rng_bis)
+            assert np.array_equal(sel, sel_ref)
+            assert not np.isin(sel, zero_rows).any()
+            assert np.abs(new - msg_ref).max() <= 1e-12 * max(
+                1.0, np.abs(msg_ref).max()
+            )
+            assert rng_bis.bit_generator.state == rng_scan.bit_generator.state
+
+    def test_sample_matches_scan_chain(self):
+        rng = np.random.default_rng(23)
         target = haar_random_u2(rng)
-        mats = _random_sites(rng, (6, 6, 6))
+        mats = _random_sites(rng, (9, 1, 12, 5))
         mps = TraceMPS(target, mats)
-        c1, a1 = mps.sample(50, np.random.default_rng(5), chunk_size=7)
-        c2, a2 = mps.sample(50, np.random.default_rng(5), chunk_size=1024)
-        assert np.array_equal(c1, c2)
-        assert np.allclose(a1, a2)
+        rng_bis = np.random.default_rng(4)
+        choices, amps = mps.sample(300, rng_bis)
+        # Replay the chain with the scan at every site past the first.
+        rng_scan = np.random.default_rng(4)
+        first = mps.tensors[0][:, 0, :]
+        probs0 = np.maximum(np.einsum("sd,sd->s", first, first.conj()).real, 0)
+        sel0 = rng_scan.choice(len(probs0), size=300, p=probs0 / probs0.sum())
+        assert np.array_equal(sel0, choices[:, 0])
+        msgs = first[sel0]
+        for site in range(1, mps.n_sites):
+            a = mps.tensors[site]
+            gram = np.einsum("slr,smr->slm", a, a.conj()).reshape(a.shape[0], -1)
+            sel, msgs = _scan_sample_site(a, gram, msgs, rng_scan)
+            assert np.array_equal(sel, choices[:, site])
+        assert np.abs(msgs[:, 0] - amps).max() <= 1e-12
+        assert rng_bis.bit_generator.state == rng_scan.bit_generator.state
 
-    def test_byte_budget_bounds_chunk_rows(self, monkeypatch):
-        import repro.tensornet.mps as mps_mod
-
-        class Recorder:
-            """Generator proxy logging the size of each uniform draw."""
-
-            def __init__(self, seed):
-                self.rng = np.random.default_rng(seed)
-                self.sizes = []
-
-            def choice(self, *args, **kwargs):
-                return self.rng.choice(*args, **kwargs)
-
-            def random(self, size):
-                self.sizes.append(size)
-                return self.rng.random(size)
-
-        rng = np.random.default_rng(8)
-        target = haar_random_u2(rng)
-        mats = _random_sites(rng, (40, 30, 20))
-        mps = TraceMPS(target, mats)
-        c1, a1 = mps.sample(64, np.random.default_rng(6))
-        # 24 bytes per entry: 2 rows of the 30-wide site, 3 of the 20-wide.
-        monkeypatch.setattr(mps_mod, "SAMPLE_CHUNK_BYTES", 24 * 60)
-        rec = Recorder(6)
-        c2, a2 = mps.sample(64, rec)
-        assert rec.sizes == [2] * 32 + [3] * 21 + [1]
-        assert np.array_equal(c1, c2)
-        assert np.allclose(a1, a2)
+    def test_vanished_distribution_raises(self):
+        rng = np.random.default_rng(2)
+        a, gram = self._site(rng, 5, 4, 4, zero_rows=range(5))
+        msgs = np.ones((3, 4), dtype=complex)
+        with pytest.raises(ArithmeticError, match="vanished"):
+            TraceMPS._sample_site(a, np.cumsum(gram, axis=0), msgs, rng)
 
 
 class TestBeamSearch:
