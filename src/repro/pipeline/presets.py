@@ -127,8 +127,6 @@ def best_preset_lowering(
     circuit: Circuit,
     basis: str,
     commutation: bool | None = None,
-    target=None,
-    layout="dense",
     validate: str = "off",
 ) -> Circuit:
     """Fewest-rotations lowering over the preset grid (Section 3.4).
@@ -136,22 +134,10 @@ def best_preset_lowering(
     The single implementation behind both
     :func:`repro.experiments.workflows.best_transpile` and
     ``compile_circuit(optimization_level='best')``.  ``commutation``
-    pins the commutation pass on/off; ``None`` searches both.
-
-    With a ``target``, the circuit is laid out, routed, and
-    direction-fixed *once* up front (routing is deterministic and
-    independent of the preset knobs), then the grid searches lowerings
-    of the routed circuit.
+    pins the commutation pass on/off; ``None`` searches both.  The grid
+    lowers ``circuit`` as given: :func:`repro.pipeline.compile_circuit`
+    routes before lowering.
     """
-    if target is not None:
-        from repro.target import fix_gate_directions, route_circuit
-
-        routed = route_circuit(circuit, target, layout=layout)
-        circuit, _ = fix_gate_directions(routed.circuit, target)
-        if validate != "off":
-            from repro.analysis.contracts import verify_compiled
-
-            verify_compiled(circuit, target, level=validate)
     best: tuple[int, Circuit] | None = None
     for _, comm, pipeline in iter_presets(basis, validate=validate):
         if commutation is not None and comm != commutation:

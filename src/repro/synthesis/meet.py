@@ -21,21 +21,26 @@ error floor of its total T budget.
 
 The amplitude is invariant under ``(A, B) -> (A C, C^-1 B)`` for the 24
 Cliffords ``C``, and a T-count slot is closed under Clifford products.
-So only one row per right-Clifford coset of the first slot (see
-:class:`SlotCosets`) queries the second slot's index, and only the pairs
-tying the best are expanded into their 24 images for the tie rule.
+So only one row per right-Clifford coset of the first slot queries the
+second slot's index, and only the pairs tying the best are expanded into
+their 24 images for the tie rule.
+
+A :class:`Slot` is what the search reads of one T-count range of a
+table: its rows, matrices, costs and coset map, plus the k-d index and
+transversal quaternions, each built the first time a pair needs it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
+from repro.enumeration import UnitaryTable
 from repro.gates.cliffords import clifford_matrices
 
 # best_pair seeds its search radius from every _SEED_STRIDE-th query row.
@@ -54,6 +59,8 @@ _PAIR_SWEEPS = 4
 # SU(2) matrices of the unit quaternions e_0..e_3 (see to_quaternions).
 _QUAT_BASIS = np.array([[[1, 0], [0, 1]], [[1j, 0], [0, -1j]],
                         [[0, -1], [1, 0]], [[0, 1j], [1j, 0]]])
+# Concurrent compile_batch threads must not build a slot's index twice.
+_BUILD_LOCK = threading.Lock()
 
 
 def to_quaternions(mats: np.ndarray) -> np.ndarray:
@@ -102,37 +109,62 @@ class QuaternionIndex:
         return np.where(idx < 2 * self._n, idx % self._n, -1)
 
 
-@dataclass(frozen=True)
-class SlotCosets:
-    """Right-Clifford cosets of one slot's rows.
+class Slot:
+    """One tensor slot: the rows of one T-count range of a Clifford+T table.
 
-    ``images[r, c]`` is the slot row of coset ``r``'s identity-rooted
-    member times ``cliffords()[c]``, so column 0 is the transversal; see
-    :attr:`repro.enumeration.UnitaryTable.right_cosets`.
-    ``quaternions`` are the transversal rows' (see :func:`to_quaternions`).
+    ``rows`` are the table indices, ``mats`` their matrices and ``costs``
+    their (T count, Clifford cost) arrays.  ``cosets[r, c]`` is the slot
+    row of right coset ``r``'s identity-rooted member times
+    ``cliffords()[c]``, so column 0 is the transversal; see
+    :attr:`repro.enumeration.UnitaryTable.right_cosets`.  All arrays are
+    read-only.  A pair's first slot reads :attr:`quaternions`, its second
+    :attr:`index`; each is built on first use, once.
     """
 
-    images: np.ndarray
-    quaternions: np.ndarray
+    def __init__(self, rows: np.ndarray, mats: np.ndarray,
+                 costs: tuple[np.ndarray, np.ndarray], cosets: np.ndarray):
+        self.rows, self.mats, self.costs, self.cosets = rows, mats, costs, cosets
+        self._index: QuaternionIndex | None = None
+        self._quaternions: np.ndarray | None = None
 
+    @classmethod
+    def from_table(cls, table: UnitaryTable, lo: int, hi: int) -> Slot:
+        """The slot of T counts ``lo..hi`` of ``table``.
 
-@dataclass(frozen=True)
-class PairSlot:
-    """What a pair search reads of one slot.
+        A T range is closed under Clifford products on both sides, so it
+        holds every right coset of the table whole or not at all.
+        """
+        rows = table.indices_for_t_range(lo, hi)
+        mats = table.mats[rows]
+        costs = (table.t_counts[rows], table.hs_costs[rows])
+        cosets = table.right_cosets
+        t = table.t_counts[cosets[:, 0]]
+        cosets = np.searchsorted(rows, cosets[(t >= lo) & (t <= hi)])
+        for a in (rows, mats, *costs, cosets):
+            a.setflags(write=False)
+        return cls(rows, mats, costs, cosets)
 
-    ``mats`` are the slot's rows and ``costs`` their (T count, Clifford
-    cost) arrays.  A pair's first slot needs ``cosets``; its second needs
-    ``index``, a :class:`QuaternionIndex` over ``mats``.
-    """
+    @property
+    def index(self) -> QuaternionIndex:
+        """The :class:`QuaternionIndex` over :attr:`mats`."""
+        with _BUILD_LOCK:
+            if self._index is None:
+                self._index = QuaternionIndex(self.mats)
+            return self._index
 
-    mats: np.ndarray
-    costs: tuple[np.ndarray, np.ndarray]
-    cosets: SlotCosets | None = None
-    index: QuaternionIndex | None = None
+    @property
+    def quaternions(self) -> np.ndarray:
+        """The transversal rows' quaternions (see :func:`to_quaternions`)."""
+        with _BUILD_LOCK:
+            if self._quaternions is None:
+                q = to_quaternions(self.mats[self.cosets[:, 0]])
+                q.setflags(write=False)
+                self._quaternions = q
+            return self._quaternions
 
 
 def best_pair(
-    target: np.ndarray, slots: Sequence[PairSlot]
+    target: np.ndarray, slots: Sequence[Slot]
 ) -> tuple[int, int, complex]:
     """Canonical exact argmax of ``|Tr(U^dag A B)|`` over two slots.
 
@@ -154,14 +186,14 @@ def best_pair(
     """
     first, second = slots
     udag = target.conj().T
-    transversal = first.cosets.images[:, 0]
+    transversal = first.cosets[:, 0]
     index = second.index
     # The ideal partner of a row X is X^dag U up to phase; its quaternion
     # is real-linear in X's, so one 4x4 map sends every row to its query
     # point.
     us = target / np.sqrt(np.linalg.det(target))
     to_ideal = to_quaternions(_QUAT_BASIS.conj().transpose(0, 2, 1) @ us)
-    ideal = first.cosets.quaternions @ to_ideal
+    ideal = first.quaternions @ to_ideal
 
     def scores(rows, cand):
         """Exact |Tr(U^dag A B)| of each transversal row with its partners."""
@@ -204,14 +236,14 @@ def best_pair(
 
 
 def _coset_images(
-    first: PairSlot, second: PairSlot, rows: np.ndarray, cand: np.ndarray
+    first: Slot, second: Slot, rows: np.ndarray, cand: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Slot rows of ``(X C, C^-1 B)`` for transversal pairs (X, B), all C.
 
     ``rows`` index the transversal of ``first``, ``cand`` are the
     partners' rows of ``second``; returns flat (slot-0, slot-1) rows.
     """
-    a = first.cosets.images[rows].ravel()
+    a = first.cosets[rows].ravel()
     # C^-1 B up to phase; its slot-1 row is the nearest one.
     inverse = _clifford_matrices().conj().transpose(0, 2, 1)
     want = (inverse[None] @ second.mats[cand][:, None]).reshape(-1, 2, 2)
@@ -234,17 +266,15 @@ def _clifford_matrices() -> np.ndarray:
 
 def refine_pairs(
     target: np.ndarray,
-    slots: Sequence[PairSlot],
+    slots: Sequence[Slot],
     choice: np.ndarray,
 ) -> tuple[np.ndarray, complex]:
     """Sweep :func:`best_pair` over adjacent slot pairs (coordinate ascent).
 
     With the other slots fixed, the amplitude of slots ``i, i+1`` is
-    ``Tr(env A B)``: :func:`best_pair`'s objective for target ``env^dag``
-    (every slot but the last needs ``cosets``, every slot but the first
-    ``index``).  A step takes that argmax when it beats the current
-    amplitude by more than 1e-12.  Returns the improved choice vector and
-    its amplitude.
+    ``Tr(env A B)``: :func:`best_pair`'s objective for target ``env^dag``.
+    A step takes that argmax when it beats the current amplitude by more
+    than 1e-12.  Returns the improved choice vector and its amplitude.
     """
     choice = np.array(choice, dtype=np.int64)
     mats = [slot.mats for slot in slots]

@@ -11,6 +11,8 @@ the probability simplex that cancel ``sum_i p_i delta_i`` leaves only
 second-order error, so the channel infidelity drops from O(eps^2) to
 O(eps^4) — quadratic improvement in distance terms.  The weights are
 found with nonnegative least squares on the stacked error vectors.
+Candidates come from the slots and MPS tails trasyn memoizes per table
+(:func:`repro.synthesis.trasyn.layout_slots`).
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from scipy.optimize import nnls
 from repro.enumeration import UnitaryTable, get_table
 from repro.sim.fidelity import choi_of_sequence
 from repro.synthesis.sequences import GateSequence
-from repro.synthesis.trasyn import _amp_to_error, slot_layout
+from repro.synthesis.trasyn import (_amp_to_error, budget_ranges,
+                                    layout_mps, layout_slots)
 
 _PAULI = [
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -64,21 +67,20 @@ def top_candidates(
     """Diverse low-error candidates from one error-aware sampling pass."""
     if rng is None:
         rng = np.random.default_rng()
-    max_hi = max(t_budgets)
+    ranges = budget_ranges(t_budgets)
     if table is None:
-        table = get_table(max_hi)
-    layout = slot_layout(table, [(0, b) for b in t_budgets])
-    slot_indices = layout.indices
+        table = get_table(max(hi for _, hi in ranges))
+    slots = layout_slots(table, ranges)
     seen: dict[tuple, complex] = {}
-    if len(t_budgets) == 1:
-        amps = np.einsum("nij,ji->n", layout.mats[0], target.conj().T)
+    if len(slots) == 1:
+        amps = np.einsum("nij,ji->n", slots[0].mats, target.conj().T)
         order = np.argsort(-np.abs(amps))[: n_candidates * 4]
         for idx in order:
-            seen[(int(slot_indices[0][idx]),)] = complex(amps[idx])
+            seen[(int(slots[0].rows[idx]),)] = complex(amps[idx])
     else:
-        choices, amps = layout.mps(target).sample(n_samples, rng)
+        choices, amps = layout_mps(table, ranges, target).sample(n_samples, rng)
         for c, a in zip(choices, amps):
-            key = tuple(int(slot_indices[i][c[i]]) for i in range(len(c)))
+            key = tuple(int(slot.rows[i]) for slot, i in zip(slots, c))
             seen.setdefault(key, complex(a))
     ranked = sorted(seen.items(), key=lambda kv: -abs(kv[1]))
     out = []

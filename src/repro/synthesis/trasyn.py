@@ -6,7 +6,11 @@ The four steps of the paper's Section 3.3:
   matrices per T count, with minimal sequences and a lookup table.
 * **Step 1** (:class:`repro.tensornet.TraceMPS`): stack one table slice
   per tensor slot, attach the target, and canonicalize, so the MPS
-  implicitly holds the trace value of every composite sequence.
+  implicitly holds the trace value of every composite sequence.  A slot
+  is one T-count range of the table, a :class:`repro.synthesis.meet.Slot`;
+  :func:`layout_slots` memoizes them per table and :func:`layout_mps`
+  the target-independent :class:`repro.tensornet.CanonicalTail` of a
+  layout.
 * **Step 2**: perfect sampling from the squared trace values —
   error-aware sampling whose amplitudes come out for free.
 * **Step 3** (:func:`simplify_sequence`): peephole-replace suboptimal
@@ -27,7 +31,7 @@ import functools
 import math
 import threading
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,9 +39,8 @@ from repro.enumeration import UnitaryTable, get_table
 from repro.enumeration import vectorized as vec
 from repro.gates.exact import ExactUnitary
 from repro.linalg import check_unitary_2x2
-from repro.synthesis.meet import (PairSlot, QuaternionIndex, SlotCosets,
-                                  amplitude, best_pair, product,
-                                  refine_pairs, to_quaternions)
+from repro.synthesis.meet import (Slot, amplitude, best_pair, product,
+                                  refine_pairs)
 from repro.synthesis.sequences import GateSequence, t_count_of
 from repro.tensornet import CanonicalTail, TraceMPS
 
@@ -47,126 +50,47 @@ _STARTS = 4
 _SLOT_SWEEPS = 8
 
 
-@dataclass(frozen=True)
-class SlotLayout:
-    """Target-independent data of one T-range layout on one table.
-
-    ``indices[i]`` are the table indices of slot ``i`` and ``mats[i]``
-    their matrices; :attr:`tail` is the layout's :class:`CanonicalTail`.
-    All arrays are read-only and shared.
-    """
-
-    indices: tuple[np.ndarray, ...]
-    mats: tuple[np.ndarray, ...]
-    _tail: CanonicalTail | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    @property
-    def tail(self) -> CanonicalTail:
-        """The :class:`CanonicalTail` of a multi-slot layout, built once.
-
-        Built on first use: two-slot rungs never build a :class:`TraceMPS`
-        (see :func:`synthesize`), so their layouts never hold one.
-        """
-        with _MEMO_LOCK:
-            if self._tail is None:
-                tail = CanonicalTail.build(list(self.mats))
-                object.__setattr__(self, "_tail", tail)
-            return self._tail
-
-    def mps(self, target: np.ndarray) -> TraceMPS:
-        return TraceMPS(target, list(self.mats), self.tail)
-
-
-# A slot's table indices, matrices and (T count, Clifford cost) arrays.
-_Slot = tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]
-
-
-@dataclass
-class _TableMemo:
-    slots: dict[tuple[int, int], _Slot] = field(default_factory=dict)
-    indexes: dict[tuple[int, int], QuaternionIndex] = field(default_factory=dict)
-    cosets: dict[tuple[int, int], SlotCosets] = field(default_factory=dict)
-    layouts: dict[tuple[tuple[int, int], ...], SlotLayout] = field(
-        default_factory=dict
-    )
-
-
-# Slot matrices, QuaternionIndexes, coset maps and canonical MPS tails are
-# deterministic per table; memoize them per live table.  Keying by the
-# table object (weakly) rather than ``id(table)`` matters: id values are
-# reused after garbage collection, so an id-keyed cache can silently
-# serve stale data built from a different, freed table.  The
-# WeakKeyDictionary drops a table's entries the moment the table itself
-# is collected (memo values must never reference their table).
-_TABLE_MEMO: "weakref.WeakKeyDictionary[UnitaryTable, _TableMemo]" = (
+# Per live table, a T range ``(lo, hi)`` maps to its Slot and a layout's
+# tuple of ranges to its CanonicalTail.  The memo is keyed by the table
+# object, weakly: id values are reused after garbage collection, so an
+# id-keyed memo could serve data of a freed table.  A table's entries go
+# with it (memo values must never reference their table).
+_TABLE_MEMO: "weakref.WeakKeyDictionary[UnitaryTable, dict]" = (
     weakref.WeakKeyDictionary()
 )
 # Concurrent compile_batch threads must not build the same entry twice.
-_MEMO_LOCK = threading.RLock()
+_MEMO_LOCK = threading.Lock()
 
 
-def _memo(table: UnitaryTable) -> _TableMemo:
-    with _MEMO_LOCK:
-        return _TABLE_MEMO.setdefault(table, _TableMemo())
-
-
-def _slot(table: UnitaryTable, lo: int, hi: int) -> _Slot:
-    slots = _memo(table).slots
-    with _MEMO_LOCK:
-        if (lo, hi) not in slots:
-            idx = table.indices_for_t_range(lo, hi)
-            mats = table.mats[idx]
-            t, c = table.t_counts[idx], table.hs_costs[idx]
-            for a in (idx, mats, t, c):
-                a.setflags(write=False)
-            slots[(lo, hi)] = (idx, mats, (t, c))
-        return slots[(lo, hi)]
-
-
-def _slot_index(table: UnitaryTable, lo: int, hi: int) -> QuaternionIndex:
-    indexes = _memo(table).indexes
-    with _MEMO_LOCK:
-        if (lo, hi) not in indexes:
-            indexes[(lo, hi)] = QuaternionIndex(_slot(table, lo, hi)[1])
-        return indexes[(lo, hi)]
-
-
-def _slot_cosets(table: UnitaryTable, lo: int, hi: int) -> SlotCosets:
-    """The right-Clifford cosets of a T-range slot, in slot rows.
-
-    A T range is closed under Clifford products on both sides, so it
-    holds every coset of :attr:`UnitaryTable.right_cosets` whole or not
-    at all.
-    """
-    cosets = _memo(table).cosets
-    with _MEMO_LOCK:
-        if (lo, hi) not in cosets:
-            idx, mats, _ = _slot(table, lo, hi)
-            images = table.right_cosets
-            t = table.t_counts[images[:, 0]]
-            images = np.searchsorted(idx, images[(t >= lo) & (t <= hi)])
-            quaternions = to_quaternions(mats[images[:, 0]])
-            images.setflags(write=False)
-            quaternions.setflags(write=False)
-            cosets[(lo, hi)] = SlotCosets(images, quaternions)
-        return cosets[(lo, hi)]
-
-
-def slot_layout(
+def layout_slots(
     table: UnitaryTable, ranges: list[tuple[int, int]]
-) -> SlotLayout:
-    """Memoized :class:`SlotLayout` of T-count ``ranges`` on ``table``."""
-    key = tuple((int(lo), int(hi)) for lo, hi in ranges)
-    layouts = _memo(table).layouts
+) -> list[Slot]:
+    """The memoized :class:`Slot` of every T-count range on ``table``."""
     with _MEMO_LOCK:
-        if key not in layouts:
-            slots = [_slot(table, lo, hi) for lo, hi in key]
-            layouts[key] = SlotLayout(
-                tuple(s[0] for s in slots), tuple(s[1] for s in slots)
-            )
-        return layouts[key]
+        memo = _TABLE_MEMO.setdefault(table, {})
+        for lo, hi in ranges:
+            if (lo, hi) not in memo:
+                memo[(lo, hi)] = Slot.from_table(table, lo, hi)
+        return [memo[(lo, hi)] for lo, hi in ranges]
+
+
+def layout_mps(
+    table: UnitaryTable, ranges: list[tuple[int, int]], target: np.ndarray
+) -> TraceMPS:
+    """The :class:`TraceMPS` of a multi-slot layout for ``target``.
+
+    Its :class:`CanonicalTail` is memoized per layout and built on first
+    use, so a layout that never samples (a two-slot rung, see
+    :func:`synthesize`) never holds one.
+    """
+    mats = [slot.mats for slot in layout_slots(table, ranges)]
+    key = tuple(ranges)
+    with _MEMO_LOCK:
+        memo = _TABLE_MEMO[table]
+        if key not in memo:
+            memo[key] = CanonicalTail.build(mats)
+        tail = memo[key]
+    return TraceMPS(target, mats, tail)
 
 
 def _amp_to_error(amplitude: complex) -> float:
@@ -226,47 +150,41 @@ def synthesize(
         :func:`_polish_starts`).
     """
     check_unitary_2x2(target, "target", TrasynArgumentError)
-    if not t_budgets:
-        raise TrasynArgumentError("t_budgets must name at least one tensor slot")
+    ranges = budget_ranges(t_budgets)
     if n_samples < 1:
         raise TrasynArgumentError(
             f"n_samples must be at least 1, got {n_samples}"
         )
     if rng is None:
         rng = np.random.default_rng()
-    ranges = [(0, b) if isinstance(b, int) else (int(b[0]), int(b[1]))
-              for b in t_budgets]
     max_hi = max(hi for _, hi in ranges)
     if table is None:
         table = get_table(max_hi)
     _check_table_budget(table, max_hi)
-    layout = slot_layout(table, ranges)
+    slots = layout_slots(table, ranges)
 
     samples_drawn = 0
-    if len(ranges) == 1:
-        choice, best_amp = _exhaustive_best(target, table, layout)
-    elif _sampling_free(len(ranges), refine):
+    if len(slots) == 1:
+        choice, best_amp = _exhaustive_best(target, slots[0])
+    elif _sampling_free(len(slots), refine):
         # The exact pair search needs no start: skip the MPS, keep the
         # generator stream.
-        rng.random(_rung_draws(len(ranges), n_samples))
-        a, b, best_amp = best_pair(target, _pair_data(table, ranges))
+        rng.random(_rung_draws(len(slots), n_samples))
+        a, b, best_amp = best_pair(target, slots)
         choice = [a, b]
     else:
-        choices, amps = layout.mps(target).sample(n_samples, rng)
+        choices, amps = layout_mps(table, ranges, target).sample(n_samples, rng)
         samples_drawn = n_samples
         if refine:
-            choice, best_amp = _polish_starts(
-                target, _pair_data(table, ranges), choices, amps
-            )
+            choice, best_amp = _polish_starts(target, slots, choices, amps)
         else:
             best = int(np.argmax(np.abs(amps)))
-            choice, best_amp = _refine_sweeps(
-                target, list(layout.mats), choices[best]
-            )
+            mats = [slot.mats for slot in slots]
+            choice, best_amp = _refine_sweeps(target, mats, choices[best])
 
     gates: list[str] = []
-    for rows, row in zip(layout.indices, choice):
-        gates.extend(table.sequence(int(rows[row])))
+    for slot, row in zip(slots, choice):
+        gates.extend(table.sequence(int(slot.rows[row])))
     raw_t = t_count_of(gates)
     if postprocess:
         gates = simplify_sequence(gates, table)
@@ -310,29 +228,37 @@ def _check_table_budget(table: UnitaryTable, budget: int) -> None:
         )
 
 
-def _pair_data(
-    table: UnitaryTable, ranges: list[tuple[int, int]]
-) -> list[PairSlot]:
-    """The :class:`PairSlot` of every slot of a layout.
+def budget_ranges(t_budgets) -> list[tuple[int, int]]:
+    """The T-count range ``(lo, hi)`` of every slot of a budget list.
 
-    Every slot but the last starts a pair, so it carries its cosets;
-    every slot but the first is queried, so it carries its index.
+    An entry is an integer ``m >= 0``, meaning T counts ``0..m``, or a
+    pair ``(lo, hi)`` with ``0 <= lo <= hi``; Python and NumPy integers
+    both count.  Anything else raises :class:`TrasynArgumentError`.
     """
-    last = len(ranges) - 1
-    slots = []
-    for i, (lo, hi) in enumerate(ranges):
-        _, mats, costs = _slot(table, lo, hi)
-        slots.append(PairSlot(
-            mats, costs,
-            cosets=_slot_cosets(table, lo, hi) if i < last else None,
-            index=_slot_index(table, lo, hi) if i > 0 else None,
-        ))
-    return slots
+    if not isinstance(t_budgets, (tuple, list, np.ndarray)) or not len(t_budgets):
+        raise TrasynArgumentError(
+            f"t_budgets must name at least one tensor slot, got {t_budgets!r}"
+        )
+    return [_budget_range(entry) for entry in t_budgets]
+
+
+def _budget_range(entry) -> tuple[int, int]:
+    pair = (0, entry) if _is_count(entry) else entry
+    if ((isinstance(pair, (tuple, list)) and len(pair) == 2
+         or isinstance(pair, np.ndarray) and pair.shape == (2,))
+            and all(map(_is_count, pair)) and 0 <= pair[0] <= pair[1]):
+        return int(pair[0]), int(pair[1])
+    raise TrasynArgumentError("t_budgets entries must be integers m >= 0 or "
+                              f"pairs 0 <= lo <= hi, got {entry!r}")
+
+
+def _is_count(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _polish_starts(
     target: np.ndarray,
-    slots: list[PairSlot],
+    slots: list[Slot],
     choices: np.ndarray,
     amps: np.ndarray,
 ) -> tuple[np.ndarray, complex]:
@@ -395,7 +321,7 @@ def _refine_sweeps(
 
 
 def _exhaustive_best(
-    target: np.ndarray, table: UnitaryTable, layout: SlotLayout
+    target: np.ndarray, slot: Slot
 ) -> tuple[list[int], complex]:
     """Single-slot synthesis: the MPS degenerates to a table scan.
 
@@ -403,8 +329,8 @@ def _exhaustive_best(
     the precomputed table this is the provably optimal solution (paper
     RQ1 discussion).
     """
-    amps = np.einsum("nij,ji->n", layout.mats[0], target.conj().T)
-    best = np.lexsort((table.t_counts[layout.indices[0]], -np.abs(amps)))[0]
+    amps = np.einsum("nij,ji->n", slot.mats, target.conj().T)
+    best = np.lexsort((slot.costs[0], -np.abs(amps)))[0]
     return [int(best)], complex(amps[best])
 
 
@@ -570,11 +496,7 @@ def trasyn(
     """
     check_unitary_2x2(target, "target", TrasynArgumentError)
     if t_budgets is not None:
-        if not t_budgets:
-            raise TrasynArgumentError(
-                "t_budgets must name at least one tensor slot"
-            )
-        if not 1 <= min_tensors <= len(t_budgets):
+        if not 1 <= min_tensors <= len(budget_ranges(t_budgets)):
             raise TrasynArgumentError(
                 f"min_tensors must be between 1 and len(t_budgets) = "
                 f"{len(t_budgets)}, got {min_tensors}"
@@ -596,7 +518,7 @@ def trasyn(
         )
     if rng is None:
         rng = np.random.default_rng()
-    max_budget = max(_hi(b) for budgets in schedule for b in budgets)
+    max_budget = max(r[1] for b in schedule for r in budget_ranges(b))
     if table is None:
         table = get_table(max_budget)
     _check_table_budget(table, max_budget)
@@ -615,10 +537,6 @@ def trasyn(
                 return best
         rng.random((attempts - runs) * _rung_draws(len(budgets), n_samples))
     return best
-
-
-def _hi(budget) -> int:
-    return budget if isinstance(budget, int) else int(budget[1])
 
 
 def _quality(seq: GateSequence) -> tuple[float, int, int]:

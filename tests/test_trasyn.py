@@ -4,6 +4,7 @@ import importlib
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,12 +19,13 @@ from repro.synthesis import simplify_sequence, synthesize, trasyn
 from repro.synthesis.meet import best_pair
 from repro.synthesis.sequences import matrix_of
 from repro.synthesis.trasyn import (
+    _TABLE_MEMO,
     TrasynArgumentError,
     _amp_to_error,
-    _pair_data,
     _quality,
+    layout_mps,
+    layout_slots,
     schedule_for_threshold,
-    slot_layout,
 )
 from repro.tensornet import TraceMPS
 
@@ -299,6 +301,53 @@ class TestAlgorithm1:
         with pytest.raises(TrasynArgumentError, match="table budget 6"):
             trasyn(np.eye(2), table=table6, **kwargs)
 
+    @pytest.mark.parametrize(
+        "t_budgets",
+        [
+            [(3, 1)],
+            [-1],
+            [(0, 2), (-2, -1)],
+            [(3, 1), (0, 2)],
+            [np.int64(-1), 3],
+            [4.0],
+            [True, 3],
+            [(0, 1, 2)],
+            [(0, 2.5)],
+            ["4"],
+            [None],
+            [],
+            None,
+            4,
+        ],
+    )
+    def test_rejects_bad_budget_entries(self, monkeypatch, table6, t_budgets):
+        # Every bad entry raises the typed error before any table or rung
+        # work, without a NumPy warning.
+        trasyn_mod = importlib.import_module("repro.synthesis.trasyn")
+
+        def no_rungs(*args, **kw):
+            raise AssertionError("rung ran before the budget check")
+
+        u = haar_random_u2(np.random.default_rng(12))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrasynArgumentError, match="t_budgets"):
+                synthesize(u, t_budgets, table=table6)
+            monkeypatch.setattr(trasyn_mod, "synthesize", no_rungs)
+            with pytest.raises(TrasynArgumentError, match="budget"):
+                trasyn(u, schedule=[[6], t_budgets], table=table6)
+
+    @pytest.mark.parametrize(
+        "t_budgets",
+        [[np.int64(4), 3], [(np.int64(0), np.int64(4)), 3], [[0, 4], (0, 3)],
+         np.array([4, 3]), np.array([[0, 4], [0, 3]])],
+    )
+    def test_numpy_and_list_budgets_match_ints(self, table6, t_budgets):
+        u = haar_random_u2(np.random.default_rng(13))
+        want = synthesize(u, [4, 3], rng=np.random.default_rng(1), table=table6)
+        got = synthesize(u, t_budgets, rng=np.random.default_rng(1), table=table6)
+        assert got == want
+
     def test_clifford_target_is_free(self, table6):
         seq = trasyn(GATES["H"], t_budgets=[6], rng=np.random.default_rng(11),
                      table=table6)
@@ -313,11 +362,11 @@ def _canonical_pair(target, table, ranges):
     T-count sum wins, then the lowest Clifford cost sum, then the lowest
     table index of slot 0, then of slot 1.
     """
-    layout = slot_layout(table, ranges)
+    slots = layout_slots(table, ranges)
     # Tr(U^dag A B) = sum_ij (U^dag A)_ij B_ji, one BLAS product per chunk
     # of slot-0 rows; each chunk keeps the pairs tying its own best.
-    left = (target.conj().T @ layout.mats[0]).reshape(-1, 4)
-    right = layout.mats[1].transpose(0, 2, 1).reshape(-1, 4).T
+    left = (target.conj().T @ slots[0].mats).reshape(-1, 4)
+    right = slots[1].mats.transpose(0, 2, 1).reshape(-1, 4).T
     found = []
     for start in range(0, len(left), 512):
         amps = np.abs(left[start:start + 512] @ right)
@@ -325,7 +374,7 @@ def _canonical_pair(target, table, ranges):
         found.append((a + start, b, amps[a, b]))
     a, b, amps = (np.concatenate(col) for col in zip(*found))
     keep = amps >= amps.max() - 1e-12
-    i0, i1 = layout.indices[0][a[keep]], layout.indices[1][b[keep]]
+    i0, i1 = slots[0].rows[a[keep]], slots[1].rows[b[keep]]
     pick = np.lexsort((i1, i0, table.hs_costs[i0] + table.hs_costs[i1],
                        table.t_counts[i0] + table.t_counts[i1]))[0]
     return int(i0[pick]), int(i1[pick])
@@ -344,12 +393,11 @@ class TestSamplingFreeTwoSlot:
         targets = [haar_random_u2(rng) for _ in range(8)]
         targets += [rz(theta) for theta in rng.uniform(0, 2 * np.pi, 6)]
         ranges = [(0, b) for b in layout]
-        lay = slot_layout(table6, ranges)
-        slots = _pair_data(table6, ranges)
+        slots = layout_slots(table6, ranges)
         for k, u in enumerate(targets):
             pair = _canonical_pair(u, table6, ranges)
             a, b, amp = best_pair(u, slots)
-            assert (int(lay.indices[0][a]), int(lay.indices[1][b])) == pair
+            assert (int(slots[0].rows[a]), int(slots[1].rows[b])) == pair
             res = synthesize(u, layout, n_samples=300, postprocess=False,
                              rng=np.random.default_rng(k), table=table6)
             assert res.sequence.gates == _pair_word(table6, pair)
@@ -361,9 +409,9 @@ class TestSamplingFreeTwoSlot:
         u = haar_random_u2(np.random.default_rng(seed))
         res = synthesize(u, [4, 3], n_samples=50, postprocess=False,
                          rng=np.random.default_rng(seed), table=table4)
-        layout = slot_layout(table4, [(0, 4), (0, 3)])
-        left = np.einsum("ij,ajk->aik", u.conj().T, layout.mats[0])
-        amps = np.einsum("aij,bji->ab", left, layout.mats[1])
+        slots = layout_slots(table4, [(0, 4), (0, 3)])
+        left = np.einsum("ij,ajk->aik", u.conj().T, slots[0].mats)
+        amps = np.einsum("aij,bji->ab", left, slots[1].mats)
         tv = np.minimum(np.abs(amps).max() / 2.0, 1.0)
         assert res.sequence.error == pytest.approx(
             np.sqrt(max(0.0, 1.0 - tv * tv)), abs=1e-12
@@ -385,7 +433,19 @@ class TestSamplingFreeTwoSlot:
         table = build_table(3)  # fresh, so its memo holds no tail yet
         u = haar_random_u2(np.random.default_rng(46))
         synthesize(u, [3, 2], rng=np.random.default_rng(9), table=table)
-        assert slot_layout(table, [(0, 3), (0, 2)])._tail is None
+        assert ((0, 3), (0, 2)) not in _TABLE_MEMO[table]
+
+    def test_first_slot_builds_no_index(self):
+        # Only a pair's second slot is queried: the first slot's k-d tree
+        # is never needed, so it is never built.
+        from repro.enumeration import build_table
+
+        table = build_table(3)  # fresh, so its slots hold no index yet
+        u = haar_random_u2(np.random.default_rng(47))
+        synthesize(u, [3, 2], rng=np.random.default_rng(9), table=table)
+        first, second = layout_slots(table, [(0, 3), (0, 2)])
+        assert first._index is None and first._quaternions is not None
+        assert second._index is not None and second._quaternions is None
 
     def test_generator_advances_as_if_sampled(self, table6):
         u = haar_random_u2(np.random.default_rng(42))
@@ -455,7 +515,7 @@ class TestSamplingFreeTwoSlot:
 
 def _padded_start_error(u, table, ranges):
     """Error of the padded two-slot start: best_pair, then the identity."""
-    return _amp_to_error(best_pair(u, _pair_data(table, ranges[:2]))[2])
+    return _amp_to_error(best_pair(u, layout_slots(table, ranges[:2]))[2])
 
 
 class TestMultiStartThreeSlot:
@@ -582,13 +642,12 @@ class TestSlotLayout:
     @pytest.mark.parametrize("seed", [31, 32])
     def test_memoized_tail_matches_fresh_build(self, table6, seed):
         ranges = [(0, 6), (2, 4), (0, 3)]
-        layout = slot_layout(table6, ranges)  # shared by both targets
         target = haar_random_u2(np.random.default_rng(seed))
         fresh = TraceMPS(
             target, [table6.mats[table6.indices_for_t_range(lo, hi)]
                      for lo, hi in ranges]
         )
-        memo = layout.mps(target)
+        memo = layout_mps(table6, ranges, target)  # tail shared by both seeds
         assert len(memo.tensors) == len(fresh.tensors)
         for a, b in zip(memo.tensors, fresh.tensors):
             assert np.array_equal(a, b)
@@ -597,14 +656,20 @@ class TestSlotLayout:
         assert np.array_equal(c1, c2) and np.array_equal(a1, a2)
 
     def test_layout_is_shared_and_read_only(self, table6):
-        layout = slot_layout(table6, [(0, 6), (0, 6)])
-        assert slot_layout(table6, [(0, 6), (0, 6)]) is layout
-        assert layout.mats[0] is layout.mats[1]  # one array per T range
-        assert slot_layout(table6, [(0, 6)]).mats[0] is layout.mats[0]
-        with pytest.raises(ValueError):
-            layout.mats[0][0, 0, 0] = 0.0
-        with pytest.raises(ValueError):
-            layout.tail.tensors[0][0, 0, 0] = 0.0
+        ranges = [(0, 6), (0, 6)]
+        slots = layout_slots(table6, ranges)
+        again = layout_slots(table6, ranges)
+        assert all(a is b for a, b in zip(again, slots))
+        assert slots[0] is slots[1]  # one Slot per T range
+        assert layout_slots(table6, [(0, 6)])[0] is slots[0]
+        u = haar_random_u2(np.random.default_rng(33))
+        tail = layout_mps(table6, ranges, u).tensors[1:]
+        assert layout_mps(table6, ranges, np.eye(2)).tensors[1] is tail[0]
+        slot = slots[0]
+        for a in (slot.rows, slot.mats, *slot.costs, slot.cosets,
+                  slot.quaternions, *tail):
+            with pytest.raises(ValueError):
+                a.flat[0] = 0
 
     def test_concurrent_first_use_builds_one_layout(self):
         import threading
@@ -618,7 +683,12 @@ class TestSlotLayout:
 
         def worker():
             barrier.wait(timeout=30)
-            got.append(slot_layout(table, ranges))
+            slots = layout_slots(table, ranges)
+            got.append((
+                *slots, *(s.index for s in slots),
+                *(s.quaternions for s in slots),
+                layout_mps(table, ranges, np.eye(2)).tensors[1],
+            ))
 
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -632,7 +702,7 @@ class TestSlotLayout:
             sys.setswitchinterval(old)
         assert not any(t.is_alive() for t in threads)
         assert len(got) == 8
-        assert all(layout is got[0] for layout in got)
+        assert all(a is b for built in got for a, b in zip(built, got[0]))
 
 
 class TestIndexCacheLifetime:
@@ -647,14 +717,13 @@ class TestIndexCacheLifetime:
         import gc
 
         from repro.enumeration import build_table
-        from repro.synthesis.trasyn import _slot_index
 
         # Repeatedly build short-lived tables: CPython happily reuses
         # the freed object's address (== its id), which made the old
         # id-keyed cache return a stale index for a *different* slice.
         for lo, hi in [(0, 2), (0, 1), (1, 2), (0, 2)]:
             table = build_table(2)
-            index = _slot_index(table, lo, hi)
+            index = layout_slots(table, [(lo, hi)])[0].index
             expect = table.mats[table.indices_for_t_range(lo, hi)]
             assert index.mats.shape == expect.shape
             assert np.array_equal(index.mats, expect)
@@ -665,10 +734,9 @@ class TestIndexCacheLifetime:
         import gc
 
         from repro.enumeration import build_table
-        from repro.synthesis.trasyn import _TABLE_MEMO, _slot_index
 
         table = build_table(1)
-        _slot_index(table, 0, 1)
+        assert layout_slots(table, [(0, 1)])[0].index is not None
         assert table in _TABLE_MEMO
         before = len(_TABLE_MEMO)
         del table
@@ -680,21 +748,21 @@ class TestIndexCacheLifetime:
         import weakref
 
         from repro.enumeration import build_table
-        from repro.synthesis.trasyn import _TABLE_MEMO
 
         table = build_table(2)
-        layout = slot_layout(table, [(0, 2), (0, 1)])
-        tail = weakref.ref(layout.tail)
-        mats = weakref.ref(layout.mats[0])
+        ranges = [(0, 2), (0, 1)]
+        mps = layout_mps(table, ranges, np.eye(2))
+        tail = weakref.ref(_TABLE_MEMO[table][tuple(ranges)])
+        mats = weakref.ref(layout_slots(table, ranges)[0].mats)
         before = len(_TABLE_MEMO)
-        del table, layout
+        del table, mps
         gc.collect()
         assert tail() is None and mats() is None
         assert len(_TABLE_MEMO) == before - 1
 
     def test_same_table_reuses_index(self):
         from repro.enumeration import build_table
-        from repro.synthesis.trasyn import _slot_index
 
         table = build_table(1)
-        assert _slot_index(table, 0, 1) is _slot_index(table, 0, 1)
+        index = layout_slots(table, [(0, 1)])[0].index
+        assert layout_slots(table, [(0, 1)])[0].index is index

@@ -9,9 +9,8 @@ from repro.circuits import Circuit, rotation_count
 from repro.enumeration import get_table
 from repro.linalg import haar_random_u2, rz, trace_distance
 import repro.synthesis.meet as meet
-from repro.synthesis.meet import (PairSlot, QuaternionIndex, best_pair,
-                                  refine_pairs)
-from repro.synthesis.trasyn import _pair_data
+from repro.synthesis.meet import QuaternionIndex, Slot, best_pair, refine_pairs
+from repro.synthesis.trasyn import layout_slots
 from repro.experiments.workflows import best_transpile, matched_thresholds
 from repro.pipeline import compile_circuit
 
@@ -22,8 +21,8 @@ def table6():
 
 
 def _slots(table, ranges):
-    """Slot matrices, PairSlots and (T count, Clifford cost)s."""
-    slots = _pair_data(table, ranges)
+    """Slot matrices, Slots and (T count, Clifford cost)s."""
+    slots = layout_slots(table, ranges)
     return [s.mats for s in slots], slots, [s.costs for s in slots]
 
 
@@ -245,7 +244,7 @@ class TestSlotCosets:
         from repro.gates.cliffords import cliffords
 
         rows = table6.indices_for_t_range(lo, hi)
-        images = _pair_data(table6, [(lo, hi), (lo, hi)])[0].cosets.images
+        images = layout_slots(table6, [(lo, hi)])[0].cosets
         assert images.shape == (len(rows) // 24, 24)
         assert 24 * len(images) == len(rows)
         transversal = rows[images[:, 0]]
@@ -262,10 +261,9 @@ class TestSlotCosets:
     def test_unclosed_slot_raises(self, table6):
         # Slot 1 keeps every other row, so Clifford images of its best
         # partners go missing.
-        first, second = _pair_data(table6, [(0, 3), (0, 3)])
-        half = second.mats[::2]
-        broken = PairSlot(half, tuple(c[::2] for c in second.costs),
-                          index=QuaternionIndex(half))
+        first, second = layout_slots(table6, [(0, 3), (0, 3)])
+        broken = Slot(second.rows[::2], second.mats[::2],
+                      tuple(c[::2] for c in second.costs), second.cosets[:0])
         target = haar_random_u2(np.random.default_rng(9))
         with pytest.raises(RuntimeError, match="not closed"):
             best_pair(target, [first, broken])
