@@ -27,7 +27,6 @@ from repro.analysis import (
     check_schedule,
     verify_circuit,
     verify_compiled,
-    verify_dag,
 )
 from repro.circuits import Circuit, CircuitDAG
 from repro.enumeration import build_table, get_table
@@ -105,6 +104,5 @@ __all__ = [
     "u3",
     "verify_circuit",
     "verify_compiled",
-    "verify_dag",
     "with_idle_noise",
 ]

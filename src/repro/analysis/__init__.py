@@ -2,8 +2,8 @@
 
 Two halves, per the roadmap's service-grade correctness push:
 
-* Runtime IR checkers (:func:`verify_circuit`, :func:`verify_dag`,
-  :func:`verify_table`, :func:`check_basis`, :func:`check_connectivity`,
+* Runtime IR checkers (:func:`verify_circuit`, :func:`verify_table`,
+  :func:`check_basis`, :func:`check_connectivity`,
   :func:`check_schedule`) and the :class:`ContractChecker` that
   ``PassManager(validate=...)`` drives after every pass.
 * A stdlib-:mod:`ast` project linter (``python -m repro.analysis.lint``)
@@ -32,7 +32,6 @@ from repro.analysis.verify import (
     resolve_basis,
     unitaries_equivalent,
     verify_circuit,
-    verify_dag,
     verify_table,
 )
 
@@ -53,7 +52,6 @@ __all__ = [
     "resolve_basis",
     "unitaries_equivalent",
     "verify_circuit",
-    "verify_dag",
     "verify_compiled",
     "verify_table",
 ]

@@ -1,8 +1,7 @@
 """Structural and target-aware verification of the circuit IR.
 
 Machine-checked invariants for every compilation stage: the structural
-checkers (:func:`verify_circuit`, :func:`verify_dag`,
-:func:`verify_table`) validate what any
+checkers (:func:`verify_circuit`, :func:`verify_table`) validate what any
 well-formed circuit must satisfy — qubit indices in range, known gate
 names with matching arities, finite parameters, wire-consistent acyclic
 DAG edges — while the target-aware checkers (:func:`check_basis`,
@@ -31,7 +30,7 @@ from repro.circuits.circuit import (
     canonical_gate_name,
     is_idle_marker,
 )
-from repro.circuits.dag import BOUNDARY, CircuitDAG
+from repro.circuits.dag import BOUNDARY
 
 #: Gate vocabularies a lowering stage may promise.  ``"u3"`` is the
 #: trasyn workflow IR, ``"rz"`` the gridsynth workflow IR (discrete 1q
@@ -176,118 +175,10 @@ def verify_circuit(circuit: Circuit) -> None:
         _check_gate(gate, circuit.n_qubits, describe_gate(i, gate))
 
 
-def verify_dag(dag: CircuitDAG) -> None:
-    """Structural verification of a dependency DAG.
-
-    Beyond the per-gate checks of :func:`verify_circuit`, validates the
-    wire invariants every pass relies on: each node's pred/succ tables
-    cover exactly its gate's qubits, every wire is a consistent doubly
-    linked chain from ``_first`` to ``_last`` visiting exactly the
-    nodes that touch that qubit, and the graph as a whole is acyclic.
-    Raises :class:`VerificationError` (contract ``"structural"``)
-    naming the offending node id.
-    """
-    if dag.n_qubits < 1:
-        raise VerificationError(
-            f"DAG has {dag.n_qubits} qubits", contract="structural"
-        )
-    nodes = {node.id: node for node in dag.nodes()}
-    for node in nodes.values():
-        where = f"node {node.id}: {describe_gate(node.id, node.gate)[6:]}"
-        _check_gate(node.gate, dag.n_qubits, where)
-        qubits = set(node.gate.qubits)
-        for table_name in ("preds", "succs"):
-            table = getattr(node, table_name)
-            if set(table) != qubits:
-                raise VerificationError(
-                    f"{table_name} wires {sorted(table)} do not match the "
-                    f"gate's qubits {sorted(qubits)}",
-                    contract="structural",
-                    node=where,
-                )
-            for q, other in table.items():
-                if other == BOUNDARY:
-                    continue
-                if other not in nodes:
-                    raise VerificationError(
-                        f"{table_name}[{q}] points at missing node {other}",
-                        contract="structural",
-                        node=where,
-                    )
-                back = getattr(nodes[other],
-                               "succs" if table_name == "preds" else "preds")
-                if back.get(q) != node.id:
-                    raise VerificationError(
-                        f"wire {q} link to node {other} is not mirrored "
-                        f"({table_name} edge without its reverse)",
-                        contract="structural",
-                        node=where,
-                    )
-    # Every wire must be a linear chain visiting exactly the nodes
-    # that touch it (a dangling _first/_last or a spliced-out node
-    # still linked in would show up here).
-    for q in range(dag.n_qubits):
-        expected = {n.id for n in nodes.values() if q in n.gate.qubits}
-        seen: list[int] = []
-        i = dag._first[q]
-        while i != BOUNDARY:
-            if i not in nodes:
-                raise VerificationError(
-                    f"wire {q} chain reaches missing node {i}",
-                    contract="structural",
-                )
-            seen.append(i)
-            if len(seen) > len(expected):
-                raise VerificationError(
-                    f"wire {q} chain cycles or visits foreign nodes "
-                    f"(walked {seen[-4:]} beyond the {len(expected)} "
-                    f"gates on this wire)",
-                    contract="structural",
-                    node=f"node {i}",
-                )
-            i = nodes[i].succs[q]
-        if set(seen) != expected:
-            missing = sorted(expected - set(seen))
-            extra = sorted(set(seen) - expected)
-            raise VerificationError(
-                f"wire {q} chain mismatch: missing nodes {missing}, "
-                f"foreign nodes {extra}",
-                contract="structural",
-            )
-        last = seen[-1] if seen else BOUNDARY
-        if dag._last[q] != last:
-            raise VerificationError(
-                f"wire {q} _last is {dag._last[q]}, chain ends at {last}",
-                contract="structural",
-            )
-    # Global acyclicity via Kahn's count (cross-wire cycles).
-    pending = {
-        i: len({p for p in n.preds.values() if p != BOUNDARY})
-        for i, n in nodes.items()
-    }
-    ready = [i for i, deg in pending.items() if deg == 0]
-    emitted = 0
-    while ready:
-        i = ready.pop()
-        emitted += 1
-        for succ in dag.successors(i):
-            pending[succ.id] -= 1
-            if pending[succ.id] == 0:
-                ready.append(succ.id)
-    if emitted != len(nodes):
-        stuck = sorted(i for i, deg in pending.items() if deg > 0)
-        raise VerificationError(
-            f"cycle in circuit DAG: nodes {stuck[:6]} never become ready",
-            contract="structural",
-            node=f"node {stuck[0]}" if stuck else None,
-        )
-
-
 def verify_table(table) -> None:
     """Structural verification of a columnar :class:`DAGTable`.
 
-    The struct-of-arrays twin of :func:`verify_dag`, run by
-    ``PassManager(validate="full")`` on every DAG pass between a
+    Run by ``PassManager(validate="full")`` on every DAG pass between a
     table kernel and linearization.  Validates the per-gate invariants
     plus the column invariants every vectorized kernel relies on: the
     alive count matches the mask, dead rows are never linked, each
@@ -297,8 +188,6 @@ def verify_table(table) -> None:
     is acyclic).  Raises :class:`VerificationError` (contract
     ``"structural"``).
     """
-    from repro.circuits.dag_table import BOUNDARY as TBOUNDARY
-
     if table.n_qubits < 1:
         raise VerificationError(
             f"table has {table.n_qubits} qubits", contract="structural"
@@ -333,7 +222,7 @@ def verify_table(table) -> None:
         where = f"row {i}"
         for kind, other_kind in (("preds", "succs"), ("succs", "preds")):
             for q, other in tables[kind].items():
-                if other == TBOUNDARY:
+                if other == BOUNDARY:
                     continue
                 if other not in alive:
                     raise VerificationError(
@@ -360,7 +249,7 @@ def verify_table(table) -> None:
         seen: list[int] = []
         i = int(table.first[q])
         prev_pos = -math.inf
-        while i != TBOUNDARY:
+        while i != BOUNDARY:
             if i not in alive:
                 raise VerificationError(
                     f"wire {q} chain reaches dead or missing row {i}",
@@ -392,7 +281,7 @@ def verify_table(table) -> None:
                 f"foreign rows {extra}",
                 contract="structural",
             )
-        last = seen[-1] if seen else TBOUNDARY
+        last = seen[-1] if seen else BOUNDARY
         if int(table.last[q]) != last:
             raise VerificationError(
                 f"wire {q} last is {int(table.last[q])}, chain ends at "

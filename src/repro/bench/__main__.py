@@ -202,7 +202,11 @@ def _run_compare(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    return run(build_parser().parse_args(argv))
+
+
+def run(args: argparse.Namespace) -> int:
+    """Run the harness for parsed :func:`build_parser` arguments."""
     if args.compare:
         return _run_compare(args)
     areas = AREAS if args.area == "all" else (args.area,)

@@ -48,25 +48,6 @@ def _cmd_synth_u3(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench.__main__ import main as bench_main
-
-    argv = ["--area", args.area, "--out-dir", args.out_dir]
-    if args.quick:
-        argv.append("--quick")
-    if args.no_write:
-        argv.append("--no-write")
-    if args.warmup is not None:
-        argv.extend(["--warmup", str(args.warmup)])
-    if args.repeats is not None:
-        argv.extend(["--repeats", str(args.repeats)])
-    for report in args.compare or ():
-        argv.extend(["--compare", report])
-    if args.compare_tolerance is not None:
-        argv.extend(["--compare-tolerance", str(args.compare_tolerance)])
-    return bench_main(argv)
-
-
 def _load_cache(cache_dir: str | None):
     """The synthesis cache backing a compile command.
 
@@ -225,19 +206,6 @@ def _cmd_compile_batch(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_warm_cache(args: argparse.Namespace) -> int:
-    from repro.pipeline.warm import main as warm_main
-
-    argv = ["--cache-dir", args.cache_dir]
-    if args.angles is not None:
-        argv.extend(["--angles", str(args.angles)])
-    for eps in args.eps or ():
-        argv.extend(["--eps", str(eps)])
-    if args.workers is not None:
-        argv.extend(["--workers", args.workers])
-    return warm_main(argv)
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     from repro.analysis import (
         VerificationError,
@@ -370,7 +338,22 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_module_command(sub, name: str, module, help_text: str) -> None:
+    """Subcommand ``name`` taking exactly ``module``'s own options.
+
+    The options come from ``module.build_parser()`` and the command runs
+    ``module.run(args)``, so the two entry points cannot drift apart.
+    """
+    parent = module.build_parser()
+    p = sub.add_parser(name, parents=[parent], add_help=False,
+                       help=help_text, description=parent.description)
+    p.set_defaults(func=module.run)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    from repro.bench import __main__ as bench
+    from repro.pipeline import warm
+
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -463,21 +446,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write each compiled circuit as QASM here")
     p.set_defaults(func=_cmd_compile_batch)
 
-    p = sub.add_parser(
-        "warm-cache",
-        help="precompile a dense Rz catalog into a cross-process store",
+    _add_module_command(
+        sub, "warm-cache", warm,
+        "precompile a dense Rz catalog into a cross-process store",
     )
-    p.add_argument("--cache-dir", required=True,
-                   help="store directory to create or extend")
-    p.add_argument("--angles", type=int, default=None,
-                   help="angle-grid density over one turn (default 64; "
-                        "pi/4 multiples are dropped)")
-    p.add_argument("--eps", type=float, action="append", default=None,
-                   help="epsilon grid point, repeatable (default 1e-2 and "
-                        "1e-3; each is snapped to its band floor)")
-    p.add_argument("--workers", default=None, metavar="N|auto",
-                   help="precompiler processes (default: auto)")
-    p.set_defaults(func=_cmd_warm_cache)
 
     p = sub.add_parser(
         "verify",
@@ -561,31 +533,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="logical error budget")
     p.set_defaults(func=_cmd_estimate)
 
-    p = sub.add_parser(
-        "bench",
-        help="run the standing perf harness (writes BENCH_<area>.json)",
+    _add_module_command(
+        sub, "bench", bench,
+        "run the standing perf harness (writes BENCH_<area>.json)",
     )
-    p.add_argument("--area",
-                   choices=("routing", "synthesis", "sim", "passes",
-                            "cache", "all"),
-                   default="all")
-    p.add_argument("--quick", action="store_true",
-                   help="smoke mode: small sizes, one unwarmed repeat")
-    p.add_argument("--warmup", type=int, default=None)
-    p.add_argument("--repeats", type=int, default=None)
-    p.add_argument("--out-dir", default=".",
-                   help="directory for BENCH_<area>.json (default: cwd)")
-    p.add_argument("--no-write", action="store_true",
-                   help="print medians without writing report files")
-    p.add_argument("--compare", action="append", default=None,
-                   metavar="REPORT",
-                   help="diff a fresh run against this committed "
-                        "BENCH_<area>.json (repeatable; exits 2 on "
-                        "regression beyond the recorded spread)")
-    p.add_argument("--compare-tolerance", type=float, default=None,
-                   help="fraction a fresh median may exceed the committed "
-                        "max before flagging (default 0.25)")
-    p.set_defaults(func=_cmd_bench)
     return parser
 
 

@@ -60,6 +60,9 @@ class UnitaryTable:
         Sequence encoding: entry i is ``SYLLABLE[prefixes[i]] . parents[i]``;
         Clifford roots have ``parents[i] == -1`` and ``prefixes[i]`` indexing
         the Clifford group element.
+    keys:
+        :func:`~repro.enumeration.vectorized.canonical_keys` of every
+        matrix, same order (distinct: one row per phase class).
     """
 
     budget: int
@@ -70,7 +73,7 @@ class UnitaryTable:
     hs_costs: np.ndarray
     parents: np.ndarray
     prefixes: np.ndarray
-    key_to_index: dict[bytes, int] = field(repr=False)
+    keys: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
         return self.coeffs.shape[0]
@@ -105,11 +108,12 @@ class UnitaryTable:
         map to ``-1``.
         """
         coeffs, karr = vec.reduce_batch(coeffs, karr)
-        get = self.key_to_index.get
-        return np.array(
-            [get(key, -1) for key in vec.canonical_keys(coeffs, karr)],
-            dtype=np.int64,
-        )
+        return _find(self.keys, self._key_order,
+                     vec.canonical_keys(coeffs, karr))
+
+    @functools.cached_property
+    def _key_order(self) -> np.ndarray:
+        return np.argsort(self.keys)
 
     @functools.cached_property
     def sequence_lengths(self) -> np.ndarray:
@@ -173,90 +177,74 @@ class UnitaryTable:
         return [int((self.t_counts == t).sum()) for t in range(self.budget + 1)]
 
 
+def _find(keys: np.ndarray, order: np.ndarray, queries: np.ndarray
+          ) -> np.ndarray:
+    """Index of each query in ``keys`` (sorted by ``order``), or -1."""
+    pos = np.searchsorted(keys, queries, sorter=order)
+    rows = order[np.minimum(pos, len(keys) - 1)]
+    return np.where(keys[rows] == queries, rows, -1)
+
+
 def build_table(budget: int) -> UnitaryTable:
     """Enumerate all unique Clifford+T matrices with T count <= budget."""
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     cliffs = cliffords()
-    coeffs_list = []
-    karr_list = []
-    t_list = []
-    cost_list = []
-    parent_list = []
-    prefix_list = []
-    key_to_index: dict[bytes, int] = {}
+    syllables = [vec.exact_to_coeffs(ExactUnitary.from_gates(tokens))
+                 for _, tokens, _ in _SYLLABLES]
+    syl_coeffs = np.stack([c for c, _ in syllables])[:, None]
+    syl_k = np.array([k for _, k in syllables])[:, None]
+    syl_costs = np.array([cost for _, _, cost in _SYLLABLES])
 
-    # Level 0: the 24 Cliffords.
+    # One tuple per T count, rows in table order:
+    # (coeffs, karr, keys, hs_costs, parents, prefixes).
     c0 = np.stack([vec.exact_to_coeffs(c.exact)[0] for c in cliffs])
     k0 = np.array([c.exact.k for c in cliffs], dtype=np.int64)
     c0, k0 = vec.reduce_batch(c0, k0)
-    keys0 = vec.canonical_keys(c0, k0)
-    for i, key in enumerate(keys0):
-        key_to_index[key] = i
-        coeffs_list.append(c0[i])
-        karr_list.append(int(k0[i]))
-        t_list.append(0)
-        cost_list.append(cliffs[i].hs_cost)
-        parent_list.append(-1)
-        prefix_list.append(i)
-
-    frontier = np.arange(len(cliffs))
-    for t in range(1, budget + 1):
-        fr_coeffs = np.stack([coeffs_list[i] for i in frontier])
-        fr_karr = np.array([karr_list[i] for i in frontier], dtype=np.int64)
+    levels = [(c0, k0, vec.canonical_keys(c0, k0),
+               np.array([c.hs_cost for c in cliffs], dtype=np.int64),
+               np.full(len(cliffs), -1, dtype=np.int64),
+               np.arange(len(cliffs)))]
+    first_row = 0  # table row of the previous level's first entry
+    for _ in range(budget):
+        coeffs, karr, _, costs, _, _ = levels[-1]
         # Visit cheaper parents first so ties keep cheap sequences.
-        order = np.argsort([cost_list[i] for i in frontier], kind="stable")
-        fr_coeffs, fr_karr = fr_coeffs[order], fr_karr[order]
-        frontier = frontier[order]
-        # Generate candidates for all three syllables, then deduplicate in
-        # ascending total-cost order so the cheapest sequence is kept.
-        batches = []
-        for syl_idx, (_name, tokens, syl_cost) in enumerate(_SYLLABLES):
-            gate = ExactUnitary.from_gates(tokens)
-            cand, cand_k = vec.left_multiply(gate, fr_coeffs, fr_karr)
-            cand, cand_k = vec.reduce_batch(cand, cand_k)
-            keys = vec.canonical_keys(cand, cand_k)
-            costs = np.array(
-                [cost_list[p] + syl_cost for p in frontier], dtype=np.int64
-            )
-            batches.append((syl_idx, cand, cand_k, keys, costs))
-        all_costs = np.concatenate([b[4] for b in batches])
-        order = np.argsort(all_costs, kind="stable")
-        sizes = [len(b[3]) for b in batches]
-        offsets = np.cumsum([0] + sizes)
-        new_indices: list[int] = []
-        for flat in order:
-            batch_no = int(np.searchsorted(offsets, flat, side="right")) - 1
-            j = int(flat - offsets[batch_no])
-            syl_idx, cand, cand_k, keys, costs = batches[batch_no]
-            key = keys[j]
-            if key in key_to_index:
-                continue
-            idx = len(coeffs_list)
-            key_to_index[key] = idx
-            coeffs_list.append(cand[j])
-            karr_list.append(int(cand_k[j]))
-            t_list.append(t)
-            cost_list.append(int(costs[j]))
-            parent_list.append(int(frontier[j]))
-            prefix_list.append(syl_idx)
-            new_indices.append(idx)
-        frontier = np.array(new_indices, dtype=np.int64)
+        order = np.argsort(costs, kind="stable")
+        cand, cand_k = vec.matmul(syl_coeffs, syl_k,
+                                  coeffs[order], karr[order])
+        cand, cand_k = vec.reduce_batch(cand.reshape(-1, 2, 2, 4),
+                                        cand_k.reshape(-1))
+        prefixes = np.repeat(np.arange(len(_SYLLABLES)), len(order))
+        parents = np.tile(first_row + order, len(_SYLLABLES))
+        costs = np.tile(costs[order], len(_SYLLABLES)) + syl_costs[prefixes]
+        first_row += len(order)
+        # Keep each matrix's first candidate in ascending total cost (its
+        # cheapest sequence) unless a lower T count already holds it.
+        by_cost = np.argsort(costs, kind="stable")
+        keys = vec.canonical_keys(cand[by_cost], cand_k[by_cost])
+        _, first = np.unique(keys, return_index=True)
+        first.sort()
+        seen = np.concatenate([level[2] for level in levels])
+        first = first[_find(seen, np.argsort(seen), keys[first]) < 0]
+        new = by_cost[first]
+        levels.append((cand[new], cand_k[new], keys[first], costs[new],
+                       parents[new], prefixes[new]))
 
-    coeffs = np.stack(coeffs_list)
-    karr = np.array(karr_list, dtype=np.int64)
-    table = UnitaryTable(
+    coeffs, karr, keys, hs_costs, parents, prefixes = (
+        np.concatenate(arrays) for arrays in zip(*levels)
+    )
+    return UnitaryTable(
         budget=budget,
         coeffs=coeffs,
         karr=karr,
         mats=vec.batch_to_complex(coeffs, karr),
-        t_counts=np.array(t_list, dtype=np.int64),
-        hs_costs=np.array(cost_list, dtype=np.int64),
-        parents=np.array(parent_list, dtype=np.int64),
-        prefixes=np.array(prefix_list, dtype=np.int64),
-        key_to_index=key_to_index,
+        t_counts=np.repeat(np.arange(budget + 1),
+                           [len(level[0]) for level in levels]),
+        hs_costs=hs_costs,
+        parents=parents,
+        prefixes=prefixes,
+        keys=keys,
     )
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +286,7 @@ def _cache_path(budget: int) -> str | None:
         os.makedirs(root, exist_ok=True)
     except OSError:
         return None
-    return os.path.join(root, f"clifford_t_table_v1_b{budget}.npz")
+    return os.path.join(root, f"clifford_t_table_v2_b{budget}.npz")
 
 
 def _save_table(table: UnitaryTable, path: str) -> None:
@@ -315,6 +303,7 @@ def _save_table(table: UnitaryTable, path: str) -> None:
             hs_costs=table.hs_costs,
             parents=table.parents,
             prefixes=table.prefixes,
+            keys=table.keys,
         )
         # savez appends .npz when the filename lacks the suffix.
         os.replace(f"{tmp}.npz", path)
@@ -331,8 +320,8 @@ def _load_table(path: str, budget: int) -> UnitaryTable | None:
     """The table cached at ``path``, or None (with a warning) if unusable.
 
     A truncated, corrupt or incomplete file, or one holding another
-    budget or row count, is a cache miss: :func:`get_table` rebuilds the
-    table and overwrites the file.
+    budget, row count or key width, is a cache miss: :func:`get_table`
+    rebuilds the table and overwrites the file.
     """
     rows = expected_unique_count(budget)
 
@@ -347,14 +336,17 @@ def _load_table(path: str, budget: int) -> UnitaryTable | None:
             if int(data["budget"]) != budget:
                 raise ValueError(f"holds budget {int(data['budget'])}")
             coeffs, karr = read(data, "coeffs"), read(data, "karr")
-            # Keyed and expanded before the other arrays are read, which
-            # keeps them out of the load's memory peak.
-            keys = vec.canonical_keys(coeffs, karr)
+            # Expanded before the other arrays are read, which keeps
+            # them out of the load's memory peak.
             mats = vec.batch_to_complex(coeffs, karr)
-            t_counts, hs_costs, parents, prefixes = (
+            t_counts, hs_costs, parents, prefixes, keys = (
                 read(data, name)
-                for name in ("t_counts", "hs_costs", "parents", "prefixes")
+                for name in ("t_counts", "hs_costs", "parents", "prefixes",
+                             "keys")
             )
+        if keys.shape != (rows,) or keys.dtype != np.dtype("S65"):
+            raise ValueError(f"keys are {keys.dtype}{keys.shape}, "
+                             f"not S65 ({rows},)")
     except (OSError, ValueError, KeyError, EOFError,
             zipfile.BadZipFile, zlib.error) as exc:
         warnings.warn(
@@ -371,5 +363,5 @@ def _load_table(path: str, budget: int) -> UnitaryTable | None:
         hs_costs=hs_costs,
         parents=parents,
         prefixes=prefixes,
-        key_to_index={k: i for i, k in enumerate(keys)},
+        keys=keys,
     )

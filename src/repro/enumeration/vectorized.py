@@ -36,11 +36,6 @@ def zmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     )
 
 
-def omega_shift(x: np.ndarray) -> np.ndarray:
-    """Multiply by omega: (a, b, c, d) -> (b, c, d, -a)."""
-    return np.stack([x[..., 1], x[..., 2], x[..., 3], -x[..., 0]], axis=-1)
-
-
 def mul_sqrt2(x: np.ndarray) -> np.ndarray:
     """Multiply by sqrt(2) = w - w^3: (a,b,c,d) -> (b-d, a+c, b+d, c-a)."""
     a, b, c, d = (x[..., i] for i in range(4))
@@ -95,13 +90,6 @@ def matmul(x: np.ndarray, kx, y: np.ndarray, ky) -> tuple[np.ndarray, np.ndarray
     return out, np.asarray(kx + ky)
 
 
-def left_multiply(gate: ExactUnitary, coeffs: np.ndarray, karr: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Left-multiply a batch by a fixed exact gate: G @ M for every M."""
-    g, gk = exact_to_coeffs(gate)
-    return matmul(g, gk, coeffs, karr)
-
-
 def reduce_batch(coeffs: np.ndarray, karr: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Divide out common sqrt(2) factors per matrix (lowest terms)."""
@@ -115,37 +103,33 @@ def reduce_batch(coeffs: np.ndarray, karr: np.ndarray
         karr[mask] -= 1
 
 
-def canonical_keys(coeffs: np.ndarray, karr: np.ndarray) -> list[bytes]:
-    """Per-matrix keys identifying matrices up to global phase omega^j.
+# Phase rotation omega^j maps a coefficient tuple (a, b, c, d) to the
+# window j..j+3 of the cycle (a, b, c, d, -a, -b, -c, -d).
+_PHASE_WINDOWS = (np.arange(8)[:, None] + np.arange(4)) % 8
 
-    Matrices must already be in lowest terms.  The key is ``k`` plus the
-    lexicographically smallest flattened coefficient tuple over the
-    eight phase rotations, encoded order-preservingly as bytes.
+
+def canonical_keys(coeffs: np.ndarray, karr: np.ndarray) -> np.ndarray:
+    """Per-matrix ``S65`` keys identifying matrices up to global phase omega^j.
+
+    Matrices must already be in lowest terms.  A key is the ``k`` byte
+    followed by the lexicographically smallest flattened coefficient
+    tuple over the eight phase rotations, encoded order-preservingly, so
+    keys of independent batches compare (and sort) consistently.
     """
     n = coeffs.shape[0]
-    flat = coeffs.reshape(n, 16)
-    variants = np.empty((8, n, 16), dtype=np.int64)
-    variants[0] = flat
-    cur = coeffs
-    for j in range(1, 8):
-        cur = omega_shift(cur)
-        variants[j] = cur.reshape(n, 16)
-    # Order-preserving byte encoding: shift to unsigned, big-endian.  The
+    # Order-preserving encoding: shift to unsigned, big-endian.  The
     # bound is fixed so keys are comparable across independent batches.
     bound = 2**30
-    if int(np.abs(variants).max(initial=0)) >= bound:
+    if int(np.abs(coeffs).max(initial=0)) >= bound:
         raise OverflowError("coefficients exceed the encodable range")
-    enc = (variants + bound).astype(">u4")
-    as_bytes = np.ascontiguousarray(enc).view("S64")[..., 0]
-    smallest = as_bytes[0]
-    for j in range(1, 8):
-        cand = as_bytes[j]
-        smaller = cand < smallest
-        if smaller.any():
-            smallest = np.where(smaller, cand, smallest)
-    karr8 = karr.astype(np.uint8)
-    smallest_list = smallest.tolist()
-    return [bytes([karr8[i]]) + smallest_list[i] for i in range(n)]
+    cycle = (np.concatenate([coeffs, -coeffs], axis=-1) + bound).astype(">u4")
+    keys = np.full((n, 65), 255, dtype=np.uint8)  # every rotation is smaller
+    keys[:, 0] = karr
+    smallest = keys[:, 1:].view("S64")[:, 0]
+    for window in _PHASE_WINDOWS:
+        rotated = cycle[..., window].reshape(n, 16).view("S64")[:, 0]
+        np.copyto(smallest, rotated, where=rotated < smallest)
+    return keys.view("S65")[:, 0]
 
 
 def batch_to_complex(coeffs: np.ndarray, karr: np.ndarray) -> np.ndarray:

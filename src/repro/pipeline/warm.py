@@ -202,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
              "each is snapped to its band floor)",
     )
     parser.add_argument(
-        "--workers", default="auto",
+        "--workers", default="auto", metavar="N|auto",
         help="worker processes: an integer or 'auto' "
              "(default: auto = scheduler-affinity CPU count)",
     )
@@ -222,7 +222,11 @@ def parse_workers_arg(value: str):
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    return run(build_parser().parse_args(argv))
+
+
+def run(args: argparse.Namespace) -> int:
+    """Warm the catalog for parsed :func:`build_parser` arguments."""
     spec = parse_workers_arg(args.workers)
     workers = default_num_processes() if spec == "process" else spec
     report = warm_rz_catalog(

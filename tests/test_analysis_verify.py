@@ -15,9 +15,8 @@ from repro.analysis import (
     contract_of,
     verify_circuit,
     verify_compiled,
-    verify_dag,
 )
-from repro.circuits import Circuit, CircuitDAG
+from repro.circuits import Circuit
 from repro.circuits.circuit import Gate
 from repro.pipeline import PassManager, preset_pipeline
 from repro.pipeline.passes import DAGPass, MergeRuns, Pass
@@ -88,42 +87,6 @@ class TestVerifyCircuit:
 
     def test_empty_circuit_ok(self):
         verify_circuit(Circuit(1))
-
-
-class TestVerifyDag:
-    def test_accepts_roundtrip(self):
-        dag = CircuitDAG.from_circuit(random_circuit(1, 4))
-        verify_dag(dag)
-
-    def test_cyclic_edge(self):
-        c = Circuit(2)
-        c.cx(0, 1)
-        c.cx(0, 1)
-        dag = CircuitDAG.from_circuit(c)
-        # Point the second node's successor back at the first: a cycle.
-        dag._nodes[1].succs[0] = 0
-        dag._nodes[0].preds[0] = 1
-        with pytest.raises(VerificationError) as exc:
-            verify_dag(dag)
-        assert exc.value.contract == "structural"
-
-    def test_corrupted_wire_link(self):
-        c = Circuit(2)
-        c.h(0)
-        c.cx(0, 1)
-        dag = CircuitDAG.from_circuit(c)
-        # Break the forward link h -> cx on qubit 0.
-        dag._nodes[0].succs[0] = 99
-        with pytest.raises(VerificationError, match="node"):
-            verify_dag(dag)
-
-    def test_stale_last_pointer(self):
-        c = Circuit(1)
-        c.h(0)
-        dag = CircuitDAG.from_circuit(c)
-        dag._last[0] = 42
-        with pytest.raises(VerificationError):
-            verify_dag(dag)
 
 
 class TestCheckBasis:

@@ -277,6 +277,17 @@ class TestCLI:
         report = json.loads((tmp_path / "BENCH_sim.json").read_text())
         validate_report(report)
 
+    def test_cli_bench_takes_every_module_option(self, capsys):
+        # The subcommand is built from the module's own parser, so the
+        # gate options CI passes to ``python -m repro.bench`` parse here.
+        from repro.cli import main
+
+        rc = main(["bench", "--area", "sim", "--quick", "--no-write",
+                   "--fail-area", "sim", "--fail-metric", "speedup",
+                   "--fail-ratio", "2"])
+        assert rc == 0
+        assert "median" in capsys.readouterr().out
+
 
 class TestFailAreaGate:
     def _tampered_report(self, tmp_path):

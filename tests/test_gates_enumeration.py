@@ -1,5 +1,7 @@
 """Tests for exact gates, the Clifford group, and step-0 enumeration."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -97,15 +99,41 @@ class TestVectorizedArithmetic:
             c = a * b
             assert tuple(map(int, prod[i])) == (c.a, c.b, c.c, c.d)
 
-    def test_omega_shift_is_omega_multiplication(self):
+    def test_phase_windows_are_omega_powers(self):
         from repro.rings.zomega import OMEGA, ZOmega
 
-        x = np.array([[1, -2, 3, 4]], dtype=np.int64)
-        shifted = vec.omega_shift(x)
-        expected = ZOmega(1, -2, 3, 4) * OMEGA
-        assert tuple(map(int, shifted[0])) == (
-            expected.a, expected.b, expected.c, expected.d,
-        )
+        x = np.array([1, -2, 3, 4], dtype=np.int64)
+        cycle = np.concatenate([x, -x])
+        expected = ZOmega(1, -2, 3, 4)
+        for window in vec._PHASE_WINDOWS:
+            assert tuple(map(int, cycle[window])) == (
+                expected.a, expected.b, expected.c, expected.d,
+            )
+            expected = expected * OMEGA
+
+    def test_canonical_keys_ignore_global_phase(self):
+        from repro.rings.zomega import OMEGA
+
+        words = [("H", "T", "S"), ("T", "H", "T", "H"), ("S", "S", "H")]
+        units = [ExactUnitary.from_gates(w).reduce() for w in words]
+        for j in range(8):
+            rotated = [
+                ExactUnitary(*(e * OMEGA**j for e in u.entries()), u.k)
+                for u in units
+            ]
+            coeffs = np.stack([vec.exact_to_coeffs(u)[0] for u in rotated])
+            keys = vec.canonical_keys(coeffs, np.array([u.k for u in units]))
+            assert keys.dtype == np.dtype("S65")
+            if j == 0:
+                base = keys
+            assert np.array_equal(keys, base)
+        assert len(set(base.tolist())) == len(units)
+
+    def test_canonical_keys_bound(self):
+        coeffs = np.zeros((1, 2, 2, 4), dtype=np.int64)
+        coeffs[0, 1, 0, 2] = -(2**30)
+        with pytest.raises(OverflowError):
+            vec.canonical_keys(coeffs, np.array([0]))
 
     def test_div_mul_sqrt2_roundtrip(self):
         rng = np.random.default_rng(0)
@@ -127,6 +155,58 @@ class TestVectorizedArithmetic:
             want = (x[i] @ y[i]).reduce()
             assert np.array_equal(prod[i], vec.exact_to_coeffs(want)[0])
             assert k[i] == want.k
+
+
+# sha256 over build_table(8)'s persisted row arrays as int64 bytes,
+# recorded before the index moved to sorted keys: it pins the row order
+# (first occurrence in cost order) every stored index relies on.
+_B8_ROWS_SHA256 = (
+    "52095c5de485c4e0f799d125e007560e2afaf53cea9a7fae476325cb4568a4a2"
+)
+
+
+@pytest.fixture(scope="module")
+def table8():
+    return build_table(8)
+
+
+class TestTableIndex:
+    def test_row_order_is_pinned(self, table8):
+        h = hashlib.sha256()
+        for name in ("coeffs", "karr", "t_counts", "hs_costs", "parents",
+                     "prefixes"):
+            arr = np.ascontiguousarray(getattr(table8, name), dtype=np.int64)
+            h.update(arr.tobytes())
+        assert h.hexdigest() == _B8_ROWS_SHA256
+
+    def test_keys_are_canonical_and_distinct(self, table8):
+        assert table8.keys.dtype == np.dtype("S65")
+        assert np.array_equal(
+            table8.keys, vec.canonical_keys(table8.coeffs, table8.karr)
+        )
+        assert len(np.unique(table8.keys)) == len(table8)
+
+    def test_lookup_batch_maps_rows_to_themselves(self, table8):
+        rows = table8.lookup_batch(table8.coeffs, table8.karr)
+        assert np.array_equal(rows, np.arange(len(table8)))
+
+    def test_t_count_9_products_miss(self, table8):
+        # Syllable times T-count-8 row: T count 9 (beyond the table, -1)
+        # or 7 (a stored row).  The b9 table tells which.
+        table9 = build_table(9)
+        level = table8.indices_for_t_range(8, 8)
+        found8, found9 = [], []
+        for tokens in (("T",), ("H", "T"), ("S", "H", "T")):
+            g, gk = vec.exact_to_coeffs(ExactUnitary.from_gates(tokens))
+            prod, prod_k = vec.matmul(g, gk, table8.coeffs[level],
+                                      table8.karr[level])
+            found8.append(table8.lookup_batch(prod, prod_k))
+            found9.append(table9.lookup_batch(prod, prod_k))
+        found8, found9 = np.concatenate(found8), np.concatenate(found9)
+        assert (found9 >= 0).all()
+        deeper = table9.t_counts[found9] == 9
+        assert deeper.any() and not deeper.all()
+        assert np.array_equal(found8, np.where(deeper, -1, found9))
 
 
 class TestEnumeration:

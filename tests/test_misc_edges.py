@@ -51,8 +51,9 @@ class TestDiskCache:
         assert np.array_equal(loaded.t_counts, fresh.t_counts)
         for i in (0, 50, 500):
             assert loaded.sequence(i) == fresh.sequence(i)
-        # Keys regenerate identically.
-        assert loaded.key_to_index == fresh.key_to_index
+        # The persisted keys come back identically.
+        assert loaded.keys.dtype == fresh.keys.dtype
+        assert np.array_equal(loaded.keys, fresh.keys)
 
     def test_load_rejects_wrong_budget(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
@@ -75,7 +76,7 @@ class TestDiskCache:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             reloaded = clifford_t._load_table(path, budget)
-        assert reloaded.key_to_index == rebuilt.key_to_index
+        assert np.array_equal(reloaded.keys, rebuilt.keys)
 
     def test_truncated_file_is_a_miss(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
@@ -99,6 +100,7 @@ class TestDiskCache:
             np.savez_compressed(
                 fh, budget=3, coeffs=t.coeffs, karr=t.karr,
                 t_counts=t.t_counts, hs_costs=t.hs_costs, prefixes=t.prefixes,
+                keys=t.keys,
             )
         self._assert_miss_then_rebuild(clifford_t, path, 3, monkeypatch)
 
@@ -113,8 +115,51 @@ class TestDiskCache:
             np.savez_compressed(
                 fh, budget=3, coeffs=t.coeffs, karr=t.karr,
                 t_counts=t.t_counts, hs_costs=t.hs_costs,
+                parents=t.parents, prefixes=t.prefixes, keys=t.keys,
+            )
+        self._assert_miss_then_rebuild(clifford_t, path, 3, monkeypatch)
+
+    @staticmethod
+    def _save_with_keys(path, t, keys):
+        with open(path, "wb") as fh:
+            arrays = dict(
+                budget=t.budget, coeffs=t.coeffs, karr=t.karr,
+                t_counts=t.t_counts, hs_costs=t.hs_costs,
                 parents=t.parents, prefixes=t.prefixes,
             )
+            if keys is not None:
+                arrays["keys"] = keys
+            np.savez_compressed(fh, **arrays)
+
+    def test_file_missing_keys_is_a_miss(self, tmp_path, monkeypatch):
+        # A file of the old layout: no persisted keys.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        from repro.enumeration import clifford_t
+
+        path = clifford_t._cache_path(3)
+        self._save_with_keys(path, clifford_t.build_table(3), None)
+        self._assert_miss_then_rebuild(clifford_t, path, 3, monkeypatch)
+
+    @pytest.mark.parametrize("dtype", ["S64", "S66", "V65"])
+    def test_file_with_wrong_key_dtype_is_a_miss(self, tmp_path, monkeypatch,
+                                                 dtype):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        from repro.enumeration import clifford_t
+
+        path = clifford_t._cache_path(3)
+        t = clifford_t.build_table(3)
+        self._save_with_keys(path, t, t.keys.astype(dtype))
+        self._assert_miss_then_rebuild(clifford_t, path, 3, monkeypatch)
+
+    def test_file_with_two_dimensional_keys_is_a_miss(self, tmp_path,
+                                                      monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        from repro.enumeration import clifford_t
+
+        path = clifford_t._cache_path(3)
+        t = clifford_t.build_table(3)
+        keys = t.keys.view(np.uint8).reshape(len(t), 65)
+        self._save_with_keys(path, t, keys)
         self._assert_miss_then_rebuild(clifford_t, path, 3, monkeypatch)
 
 
