@@ -73,7 +73,7 @@ def _suite(area: str):
 
 AREAS = ("routing", "synthesis", "sim", "passes", "cache")
 
-#: Default timing discipline; ``--quick`` drops to one cold repeat.
+#: Default timing discipline; ``--quick`` drops to three cold repeats.
 DEFAULT_WARMUP = 1
 DEFAULT_REPEATS = 5
 
@@ -89,14 +89,14 @@ def run_area(
     """Run one area's suite and write ``BENCH_<area>.json``.
 
     Returns the report dict.  ``out_dir=None`` skips writing (useful
-    for tests); ``quick`` shrinks problem sizes and defaults to a
-    single unwarmed repeat, for smoke validation rather than numbers.
+    for tests); ``quick`` shrinks problem sizes and defaults to three
+    unwarmed repeats, for smoke validation rather than numbers.
     """
     suite = _suite(area)
     if warmup is None:
         warmup = 0 if quick else DEFAULT_WARMUP
     if repeats is None:
-        repeats = 1 if quick else DEFAULT_REPEATS
+        repeats = 3 if quick else DEFAULT_REPEATS
     run = getattr(suite, "run_specs", run_specs)
     results = run(suite.specs(quick), warmup, repeats, progress)
     finalize = getattr(suite, "finalize", None)

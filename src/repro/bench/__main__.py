@@ -36,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--repeats", type=int, default=None,
-        help="timed repeats per benchmark (default: 5, quick: 1)",
+        help="timed repeats per benchmark (default: 5, quick: 3)",
     )
     parser.add_argument(
         "--out-dir", default=".",

@@ -36,7 +36,8 @@ Report schema (``repro-bench/v1``)
 ``median_s`` is the headline number; ``min``/``max``/``stdev`` record
 the spread so noisy runs are visible.  ``extra`` holds benchmark-level
 facts (gate counts, derived speedups) that make the report
-self-describing.
+self-describing.  Optional ``median_rel``/``max_rel`` give the timings
+in units of a fixed kernel timed after every call.
 """
 
 from __future__ import annotations
@@ -90,6 +91,7 @@ class BenchResult:
     repeats: int
     times_s: list[float]
     extra: dict[str, Any]
+    reference_s: list[float] = field(default_factory=list)  # kernel times
 
     @property
     def median_s(self) -> float:
@@ -97,6 +99,7 @@ class BenchResult:
 
     def as_dict(self) -> dict[str, Any]:
         times = self.times_s
+        rel = [t / r for t, r in zip(times, self.reference_s)]
         return {
             "name": self.name,
             "params": self.params,
@@ -108,6 +111,8 @@ class BenchResult:
             "max_s": max(times),
             "stdev_s": statistics.stdev(times) if len(times) > 1 else 0.0,
             "extra": self.extra,
+            **({"median_rel": statistics.median(rel), "max_rel": max(rel)}
+               if rel else {}),
         }
 
 
@@ -126,7 +131,8 @@ def run_interleaved(
     so a slow spell of a shared machine lands on every spec alike and
     ``times_s[r]`` of every result comes from round ``r``.  As in
     :mod:`timeit`, the garbage collector is parked during each timed
-    call, so no call pays for a collection of the whole heap.
+    call, so no call pays for a collection of the whole heap.  A fixed
+    kernel timed after each call records the host's speed then.
     """
     if repeats < 1:
         raise ValueError("need at least one timed repeat")
@@ -147,9 +153,24 @@ def run_interleaved(
                 results[i].times_s.append(time.perf_counter() - t0)
             finally:
                 gc.enable()
+            t0 = time.perf_counter()
+            _reference_kernel()
+            results[i].reference_s.append(time.perf_counter() - t0)
             if isinstance(out, dict):
                 results[i].extra.update(out)
     return results
+
+
+def _reference_kernel() -> None:
+    """~1 ms of Python and small LAPACK work that only the host's speed moves."""
+    import numpy as np
+
+    counts: dict[int, int] = {}
+    for i in range(4000):
+        counts[i % 97] = counts.get(i % 97, 0) + i
+    m = np.arange(576.0).reshape(24, 24) % 7 + 1j
+    for _ in range(4):
+        np.linalg.svd(m @ m)
 
 
 def run_specs(
@@ -207,8 +228,9 @@ def compare_reports(
 
     An entry regresses when its fresh median exceeds the committed
     run's *recorded spread* — ``max_s`` — by more than ``tolerance``
-    (so committed noise is not mistaken for a slowdown).  Returns one
-    row per committed benchmark::
+    (so committed noise is not mistaken for a slowdown), in units of the
+    reference kernel (``*_rel``) when both entries carry them, so host
+    speed cancels.  Returns one row per committed benchmark::
 
         {"name", "committed_median_s", "committed_max_s",
          "fresh_median_s",  # None when the benchmark vanished
@@ -255,16 +277,15 @@ def compare_reports(
         }
         if counterpart is not None:
             fresh_median = counterpart["median_s"]
-            threshold = max(entry["max_s"], entry["median_s"]) * (
-                1.0 + tolerance
-            )
             row["fresh_median_s"] = fresh_median
             if entry["median_s"] > 0:
                 row["ratio"] = fresh_median / entry["median_s"]
             row["fresh_speedup"] = counterpart.get("extra", {}).get(
                 "speedup_vs_reference"
             )
-            row["regressed"] = fresh_median > threshold
+            unit = "_rel" if "max_rel" in entry and "median_rel" in counterpart else "_s"
+            row["regressed"] = counterpart["median" + unit] > max(
+                entry["max" + unit], entry["median" + unit]) * (1.0 + tolerance)
         rows.append(row)
     return rows
 

@@ -8,7 +8,8 @@ slots run the canonical exact pair search (``meet.best_pair``, no MPS),
 and three slots sample the MPS, then polish several starts by pair
 sweeps of ``meet.best_pair``; step-3 simplification follows.  The
 (10,6), (10,10), (12,12) and (12,12,8) layouts are trasyn's multi-slot
-rungs.
+rungs.  ``trasyn/simplify`` times step 3 alone on the (10,10) layout's
+two slot words for the fixed target, joined at their seam.
 """
 
 from __future__ import annotations
@@ -47,7 +48,9 @@ def _gridsynth_spec(eps: float) -> BenchSpec:
     )
 
 
-def _trasyn_spec(budget: int, n_samples: int) -> BenchSpec:
+def _trasyn_layout_spec(
+    layout: tuple[int, ...], n_samples: int, name: str | None = None
+) -> BenchSpec:
     def setup():
         import numpy as np
 
@@ -55,42 +58,7 @@ def _trasyn_spec(budget: int, n_samples: int) -> BenchSpec:
         from repro.linalg import u3
         from repro.synthesis.trasyn import synthesize
 
-        table = get_table(budget)  # prebuilt: the lookup is what we time
-        target = u3(0.3, 0.7, 1.1)
-
-        def run():
-            result = synthesize(
-                target,
-                t_budgets=[budget],
-                n_samples=n_samples,
-                rng=np.random.default_rng(17),
-                table=table,
-            )
-            return {"t_count": result.sequence.t_count}
-
-        return run
-
-    return BenchSpec(
-        name=f"trasyn/lookup/budget={budget}",
-        params={
-            "t_budget": budget,
-            "n_samples": n_samples,
-            "u3": [0.3, 0.7, 1.1],
-            "seed": 17,
-        },
-        setup=setup,
-    )
-
-
-def _trasyn_layout_spec(layout: tuple[int, ...], n_samples: int) -> BenchSpec:
-    def setup():
-        import numpy as np
-
-        from repro.enumeration import get_table
-        from repro.linalg import u3
-        from repro.synthesis.trasyn import synthesize
-
-        table = get_table(max(layout))
+        table = get_table(max(layout))  # prebuilt: a one-off cost
         target = u3(0.3, 0.7, 1.1)
 
         def run():
@@ -109,7 +77,7 @@ def _trasyn_layout_spec(layout: tuple[int, ...], n_samples: int) -> BenchSpec:
         return run
 
     return BenchSpec(
-        name=f"trasyn/layout={'-'.join(map(str, layout))}",
+        name=name or f"trasyn/layout={'-'.join(map(str, layout))}",
         params={
             "t_budgets": list(layout),
             "n_samples": n_samples,
@@ -120,16 +88,36 @@ def _trasyn_layout_spec(layout: tuple[int, ...], n_samples: int) -> BenchSpec:
     )
 
 
+def _trasyn_simplify_spec(layout: tuple[int, ...]) -> BenchSpec:
+    def setup():
+        from repro.enumeration import get_table
+        from repro.linalg import u3
+        from repro.synthesis.meet import best_pair
+        from repro.synthesis.trasyn import budget_ranges, layout_slots, simplify_sequence
+
+        table = get_table(max(layout))
+        slots = layout_slots(table, budget_ranges(list(layout)))
+        pair = best_pair(u3(0.3, 0.7, 1.1), slots)[:2]
+        words = [table.sequence(int(s.rows[r])) for s, r in zip(slots, pair)]
+        gates = [g for word in words for g in word]
+        return lambda: {"gates_out": len(simplify_sequence(
+            gates, table, seams=[len(words[0])]))}
+
+    return BenchSpec(name=f"trasyn/simplify/layout={'-'.join(map(str, layout))}",
+                     params={"t_budgets": list(layout), "u3": [0.3, 0.7, 1.1]}, setup=setup)
+
+
 def specs(quick: bool) -> list[BenchSpec]:
     eps_points = _QUICK_GRIDSYNTH_EPS if quick else _GRIDSYNTH_EPS
     out = [_gridsynth_spec(eps) for eps in eps_points]
-    out.append(
-        _trasyn_spec(_TRASYN_BUDGET[quick], _TRASYN_SAMPLES[quick])
-    )
+    budget = _TRASYN_BUDGET[quick]
+    out.append(_trasyn_layout_spec((budget,), _TRASYN_SAMPLES[quick],
+                                   name=f"trasyn/lookup/budget={budget}"))
     out.extend(
         _trasyn_layout_spec(layout, _TRASYN_SAMPLES[quick])
         for layout in _TRASYN_LAYOUTS[quick]
     )
+    out.append(_trasyn_simplify_spec(_TRASYN_LAYOUTS[quick][1]))
     return out
 
 

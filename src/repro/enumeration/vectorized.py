@@ -36,10 +36,13 @@ def zmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     )
 
 
+# Row i is sqrt(2) times the i-th basis element (w^3, w^2, w, 1).
+_SQRT2 = np.array([[0, 1, 0, -1], [1, 0, 1, 0], [0, 1, 0, 1], [-1, 0, 1, 0]])
+
+
 def mul_sqrt2(x: np.ndarray) -> np.ndarray:
     """Multiply by sqrt(2) = w - w^3: (a,b,c,d) -> (b-d, a+c, b+d, c-a)."""
-    a, b, c, d = (x[..., i] for i in range(4))
-    return np.stack([b - d, a + c, b + d, c - a], axis=-1)
+    return x @ _SQRT2
 
 
 def div_sqrt2(x: np.ndarray) -> np.ndarray:
@@ -51,11 +54,9 @@ def divisible_by_sqrt2(x: np.ndarray) -> np.ndarray:
     """Elementwise divisibility test, reduced over matrix entries.
 
     Input (N, 2, 2, 4); output (N,) bool — True when *all four* entries
-    of the matrix are divisible by sqrt(2).
+    of the matrix are divisible by sqrt(2), i.e. a + c and b + d even.
     """
-    ac = (x[..., 0] + x[..., 2]) % 2 == 0
-    bd = (x[..., 1] + x[..., 3]) % 2 == 0
-    return (ac & bd).all(axis=(1, 2))
+    return ~((x[..., :2] + x[..., 2:]) & 1).any(axis=(1, 2, 3))
 
 
 def exact_to_coeffs(u: ExactUnitary) -> tuple[np.ndarray, int]:
@@ -78,16 +79,21 @@ def coeffs_to_exact(coeffs: np.ndarray, k: int) -> ExactUnitary:
 
 
 # _ZMUL[i, j] = zmul(e_i, e_j): the Z[omega] product as a bilinear map on
-# coefficient vectors, so a batch of matrix products is one contraction.
+# coefficient vectors.  It maps each (i, j) to one signed l, so y's
+# matrix of right multiplication is a signed gather of its coefficients.
 _ZMUL = np.stack([zmul(e, np.eye(4, dtype=np.int64))
                   for e in np.eye(4, dtype=np.int64)])
+_RIGHT_J = np.abs(_ZMUL).argmax(axis=1)
+_RIGHT_SIGN = np.take_along_axis(_ZMUL, _RIGHT_J[:, None], axis=1)[:, 0]
 
 
 def matmul(x: np.ndarray, kx, y: np.ndarray, ky) -> tuple[np.ndarray, np.ndarray]:
     """Exact matrix products ``X @ Y`` of (broadcastable) batches."""
-    terms = np.einsum("...aci,...cbj->...abij", x, y)
-    out = terms.reshape(*terms.shape[:-2], 16) @ _ZMUL.reshape(16, 4)
-    return out, np.asarray(kx + ky)
+    # One integer matmul: rows of X as (c, i) coefficient vectors times
+    # Y's right multiplications as (c, i) x (b, l) matrices.
+    right = np.swapaxes(y[..., _RIGHT_J] * _RIGHT_SIGN, -3, -2)
+    out = x.reshape(*x.shape[:-3], 2, 8) @ right.reshape(*right.shape[:-4], 8, 8)
+    return out.reshape(*out.shape[:-2], 2, 2, 4), np.asarray(kx + ky)
 
 
 def reduce_batch(coeffs: np.ndarray, karr: np.ndarray

@@ -27,7 +27,6 @@ attempts, optionally stopping at an error threshold (Equation (4)).
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 import weakref
@@ -37,7 +36,7 @@ import numpy as np
 
 from repro.enumeration import UnitaryTable, get_table
 from repro.enumeration import vectorized as vec
-from repro.gates.exact import ExactUnitary
+from repro.gates.exact import EXACT_GATES
 from repro.linalg import check_unitary_2x2
 from repro.synthesis.meet import (Slot, amplitude, best_pair, product,
                                   refine_pairs)
@@ -182,12 +181,12 @@ def synthesize(
             mats = [slot.mats for slot in slots]
             choice, best_amp = _refine_sweeps(target, mats, choices[best])
 
-    gates: list[str] = []
-    for slot, row in zip(slots, choice):
-        gates.extend(table.sequence(int(slot.rows[row])))
+    words = [table.sequence(int(slot.rows[row]))
+             for slot, row in zip(slots, choice)]
+    gates = [g for word in words for g in word]
     raw_t = t_count_of(gates)
     if postprocess:
-        gates = simplify_sequence(gates, table)
+        gates = simplify_sequence(gates, table, seams=np.cumsum([len(w) for w in words[:-1]]))
     error = _amp_to_error(best_amp)
     return TrasynResult(
         sequence=GateSequence(gates=tuple(gates), error=error),
@@ -339,7 +338,8 @@ def _exhaustive_best(
 # ---------------------------------------------------------------------------
 
 def simplify_sequence(
-    gates, table: UnitaryTable, max_window_t: int | None = None
+    gates, table: UnitaryTable, max_window_t: int | None = None, *,
+    seams=None,
 ) -> list[str]:
     """Replace subsequences with cheaper table equivalents (paper step 3).
 
@@ -349,86 +349,108 @@ def simplify_sequence(
     such window is substituted and the scan resumes from that start.
     Passes repeat until one makes no change.  Window products are exact,
     so the whole-sequence matrix is preserved up to global phase.
+
+    Only windows crossing a seam are looked up: ``seams`` are sorted
+    offsets splitting ``gates`` into words stored in ``table`` (None:
+    every gate boundary), and no window inside a stored word improves
+    (checked on every row up to budget 12).  A rewritten segment's
+    edges become seams.
     """
     if max_window_t is None:
         max_window_t = table.budget
     gates = list(gates)
-    changed = True
+    n = len(gates)
+    seams = list(range(1, n)) if seams is None else list(seams)
+    if not (all(map(_is_count, seams))
+            and all(0 <= a <= b <= n for a, b in zip([0, *seams], [*seams, n]))):
+        raise TrasynArgumentError(f"seams must be sorted offsets in 0..{n}, got {seams!r}")
+    changed, limit = True, n
     while changed:
         changed = False
         start = 0
-        while (hit := _first_rewrite(gates, start, table, max_window_t)):
+        while (hit := _first_rewrite(gates, seams, start, limit, table, max_window_t)):
             start, end, index = hit
-            gates[start:end] = table.sequence(index)
-            changed = True
+            gates[start:end] = new = table.sequence(index)
+            seams = [s for s in seams if s < start] + [start, start + len(new)] + [
+                s + start + len(new) - end for s in seams if s > end]
+            changed, limit = True, len(gates)
+        limit = start  # windows from the last rewrite on were scanned since
     return [g for g in gates if g != "I"]
 
 
 def _first_rewrite(
-    gates: list[str], start: int, table: UnitaryTable, max_window_t: int
+    gates: list[str], seams: list[int], start: int, limit: int,
+    table: UnitaryTable, max_window_t: int,
 ) -> tuple[int, int, int] | None:
-    """First improving window at or after ``start``: (i, end, table index).
+    """First improving window starting in [start, limit): (i, end, index).
 
-    Every window ``gates[i:j]`` with ``i >= start``, ``j - i >= 2`` and
-    at most ``max_window_t`` T gates is multiplied out and looked up in
-    one batch, one window length per step.
+    Every window ``gates[i:end]`` with ``start <= i < limit``, at most
+    ``max_window_t`` T gates and a seam ``s`` with ``i < s < end`` is
+    looked up in one batch.  With ``s`` the first seam after ``i``, it
+    is ``gates[i:s]`` times ``gates[s:end]``, both from one log-depth
+    product scan outward from every seam.
     """
-    seq = gates[start:]
-    n = len(seq)
-    if n < 2:
+    cut = [s for s in seams if start < s < len(gates)]
+    if not cut:
         return None
-    is_t = np.array([g in ("T", "Tdg") for g in seq], dtype=np.int64)
-    is_c = np.array([g in ("H", "S", "Sdg") for g in seq], dtype=np.int64)
-    t_pre = np.concatenate(([0], np.cumsum(is_t)))
-    c_pre = np.concatenate(([0], np.cumsum(is_c)))
+    codes = np.array([_GATE_CODE[g] for g in gates], dtype=np.int64)
+    t_pre = np.concatenate(([0], np.cumsum(_GATE_T[codes])))
+    c_pre = np.concatenate(([0], np.cumsum(_GATE_C[codes])))
     # Longest window end per start: T count is monotone in the end.
     stop = np.searchsorted(t_pre, t_pre[:-1] + max_window_t, side="right") - 1
-    gate_coeffs = np.stack([_gate_coeffs(g)[0] for g in seq])
-    gate_k = np.array([_gate_coeffs(g)[1] for g in seq], dtype=np.int64)
-    live = np.arange(n)
-    prod, prod_k = gate_coeffs, gate_k
-    found = []
-    for length in range(2, n + 1):
-        keep = stop[live] - live >= length
-        if not keep.any():
-            break
-        live, prod, prod_k = live[keep], prod[keep], prod_k[keep]
-        prod, prod_k = vec.matmul(
-            prod, prod_k, gate_coeffs[live + length - 1],
-            gate_k[live + length - 1],
-        )
-        prod, prod_k = vec.reduce_batch(prod, prod_k)
-        found.append((live, live + length, prod, prod_k))
-    if not found:
+    lo = np.arange(start, min(cut[-1], limit))
+    seam = np.asarray(cut)[np.searchsorted(cut, lo, side="right")]
+    lo, seam = lo[stop[lo] > seam], seam[stop[lo] > seam]
+    if not len(lo):
         return None
-    lo = np.concatenate([f[0] for f in found])
-    hi = np.concatenate([f[1] for f in found])
-    index = table.lookup_batch(
-        np.concatenate([f[2] for f in found]),
-        np.concatenate([f[3] for f in found]),
-    )
-    hit = index >= 0
-    new = (table.t_counts[index], table.hs_costs[index],
-           table.sequence_lengths[index])
-    old = (t_pre[hi] - t_pre[lo], c_pre[hi] - c_pre[lo], hi - lo)
-    better = hit & (
-        (new[0] < old[0])
-        | ((new[0] == old[0])
-           & ((new[1] < old[1]) | ((new[1] == old[1]) & (new[2] < old[2]))))
-    )
+    # Two chains per seam, read outward: the gates before it, right to
+    # left and transposed, and the gates after it up to the longest end.
+    used, first_lo = np.unique(seam, return_index=True)
+    runs = np.stack((used - lo[first_lo], stop[used - 1] - used), axis=1)
+    chain, off = _runs(runs.ravel())
+    right = chain % 2 == 1
+    gate = codes[np.where(right, used[chain // 2] + off, used[chain // 2] - 1 - off)]
+    coeffs, karr = _GATE_COEFFS[gate], _GATE_K[gate]
+    coeffs[~right] = coeffs[~right].swapaxes(1, 2)
+    for d in 1 << np.arange(int(off.max()).bit_length()):  # Hillis-Steele
+        live = np.nonzero(off >= d)[0]
+        coeffs[live], karr[live] = vec.reduce_batch(*vec.matmul(
+            coeffs[live - d], karr[live - d], coeffs[live], karr[live]
+        ))
+        if np.abs(coeffs[live]).max() >= 2**30:  # keeps the int64 products exact
+            raise OverflowError("window coefficients exceed the exact range")
+    # Pair every start with each end in (seam, stop[lo]].
+    head = (np.cumsum(runs) - runs.ravel()).reshape(-1, 2)[np.searchsorted(used, seam)]
+    pair, j = _runs(stop[lo] - seam)
+    a, b = (head[:, 0] + seam - 1 - lo)[pair], head[pair, 1] + j
+    lo, hi = lo[pair], seam[pair] + 1 + j
+    index = table.lookup_batch(*vec.matmul(
+        coeffs[a].swapaxes(1, 2), karr[a], coeffs[b], karr[b]
+    ))
+    # (T count, Clifford count, length), compared lexicographically.
+    new = (table.t_counts[index] << 40) + (table.hs_costs[index] << 20) + (
+        table.sequence_lengths[index])
+    old = ((t_pre[hi] - t_pre[lo]) << 40) + ((c_pre[hi] - c_pre[lo]) << 20) + (
+        hi - lo)
+    better = (index >= 0) & (new < old)
     if not better.any():
         return None
-    first = lo[better].min()
-    pick = np.nonzero(better & (lo == first))[0]
-    w = pick[np.argmax(hi[pick])]
-    return start + int(first), start + int(hi[w]), int(index[w])
+    w = np.flatnonzero(better)[np.lexsort((-hi[better], lo[better]))[0]]
+    return int(lo[w]), int(hi[w]), int(index[w])
 
 
-@functools.lru_cache(maxsize=None)
-def _gate_coeffs(name: str) -> tuple[np.ndarray, int]:
-    coeffs, k = vec.exact_to_coeffs(ExactUnitary.from_gate(name))
-    coeffs.setflags(write=False)  # shared by every caller
-    return coeffs, k
+def _runs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Run index and offset in its run of every element of runs of ``counts``."""
+    run = np.repeat(np.arange(len(counts)), counts)
+    return run, np.arange(len(run)) - (np.cumsum(counts) - counts)[run]
+
+
+# Exact form and T / Clifford flag of every EXACT_GATES name, by _GATE_CODE.
+_GATE_CODE = {name: i for i, name in enumerate(EXACT_GATES)}
+_GATE_COEFFS = np.stack([vec.exact_to_coeffs(u)[0] for u in EXACT_GATES.values()])
+_GATE_K = np.array([u.k for u in EXACT_GATES.values()], dtype=np.int64)
+_GATE_T = np.isin(list(EXACT_GATES), ["T", "Tdg"])
+_GATE_C = np.isin(list(EXACT_GATES), ["H", "S", "Sdg"])
 
 
 # ---------------------------------------------------------------------------

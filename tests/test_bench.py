@@ -1,6 +1,7 @@
 """The standing perf harness: timing discipline, schema, CLI plumbing."""
 
 import json
+import statistics
 
 import pytest
 
@@ -150,7 +151,7 @@ class TestQuickSuites:
         )
 
 
-def _report(area="sim", quick=True, medians=None):
+def _report(area="sim", quick=True, medians=None, reference_s=None):
     benchmarks = []
     for name, median in (medians or {"demo": 0.1}).items():
         spec, _ = _counting_spec(name=name)
@@ -158,6 +159,11 @@ def _report(area="sim", quick=True, medians=None):
         entry["median_s"] = median
         entry["min_s"] = median * 0.9
         entry["max_s"] = median * 1.1
+        # Synthetic timings, in units of ``reference_s`` when given.
+        del entry["median_rel"], entry["max_rel"]
+        if reference_s is not None:
+            entry["median_rel"] = median / reference_s
+            entry["max_rel"] = median * 1.1 / reference_s
         benchmarks.append(entry)
     report = report_dict(area, [], quick, 0, 1)
     report["benchmarks"] = benchmarks
@@ -204,6 +210,32 @@ class TestCompareReports:
         assert ok[0]["regressed"] is False
         assert bad[0]["regressed"] is True
 
+    def test_reference_time_scales_the_threshold(self):
+        # The fresh run's reference kernel took twice as long: the host
+        # ran at half speed, so the 0.1375 s threshold becomes 0.275 s.
+        committed = _report(medians={"a": 0.10}, reference_s=0.001)
+        ok = compare_reports(
+            committed, _report(medians={"a": 0.27}, reference_s=0.002)
+        )
+        bad = compare_reports(
+            committed, _report(medians={"a": 0.28}, reference_s=0.002)
+        )
+        raw = compare_reports(committed, _report(medians={"a": 0.27}))
+        assert ok[0]["regressed"] is False
+        assert bad[0]["regressed"] is True
+        assert raw[0]["regressed"] is True  # one side lacks a reference
+
+    def test_entries_record_the_reference_time(self):
+        spec, _ = _counting_spec()
+        result = run_spec(spec, warmup=1, repeats=3)
+        assert len(result.reference_s) == 3
+        assert all(r > 0 for r in result.reference_s)
+        entry = result.as_dict()
+        relative = [t / r for t, r in zip(result.times_s, result.reference_s)]
+        assert entry["median_rel"] == statistics.median(relative)
+        assert entry["max_rel"] == max(relative)
+        validate_report(report_dict("sim", [result], True, 1, 3))
+
     def test_missing_benchmark_regresses(self):
         committed = _report(medians={"a": 0.1, "b": 0.1})
         fresh = _report(medians={"a": 0.1})
@@ -246,6 +278,8 @@ class TestCompareCLI:
             entry["median_s"] = 1e-9
             entry["min_s"] = 1e-9
             entry["max_s"] = 1e-9
+            entry["median_rel"] = 1e-9
+            entry["max_rel"] = 1e-9
         path.write_text(json.dumps(report))
         assert main(["--compare", str(path)]) == 2
         assert "REGRESSED" in capsys.readouterr().out
@@ -296,6 +330,8 @@ class TestFailAreaGate:
             entry["median_s"] = 1e-9
             entry["min_s"] = 1e-9
             entry["max_s"] = 1e-9
+            entry["median_rel"] = 1e-9
+            entry["max_rel"] = 1e-9
         path = tmp_path / "BENCH_sim.json"
         path.write_text(json.dumps(report))
         return path

@@ -135,6 +135,26 @@ class TestVectorizedArithmetic:
         with pytest.raises(OverflowError):
             vec.canonical_keys(coeffs, np.array([0]))
 
+    def test_matmul_broadcasts_as_entrywise_zmul(self):
+        # Large coefficients and a (3, 1) x (5,) broadcast, as build_table
+        # multiplies syllables by a level.
+        rng = np.random.default_rng(2)
+        x = rng.integers(-2**20, 2**20, size=(3, 1, 2, 2, 4))
+        y = rng.integers(-2**20, 2**20, size=(5, 2, 2, 4))
+        prod, k = vec.matmul(x, np.arange(3)[:, None], y, np.arange(5))
+        want = sum(vec.zmul(x[..., :, c, None, :], y[..., None, c, :, :])
+                   for c in range(2))
+        assert prod.shape == (3, 5, 2, 2, 4)
+        assert np.array_equal(prod, want)
+        assert np.array_equal(k, np.arange(3)[:, None] + np.arange(5))
+
+    def test_divisible_by_sqrt2_iff_sqrt2_times_is_even(self):
+        x = np.random.default_rng(3).integers(-9, 9, size=(200, 2, 2, 4))
+        x[:50] = vec.mul_sqrt2(x[:50])  # make a quarter divisible
+        even = (vec.mul_sqrt2(x) % 2 == 0).all(axis=(1, 2, 3))
+        assert np.array_equal(vec.divisible_by_sqrt2(x), even)
+        assert even[:50].all() and not even.all()
+
     def test_div_mul_sqrt2_roundtrip(self):
         rng = np.random.default_rng(0)
         x = rng.integers(-50, 50, size=(10, 2, 2, 4)).astype(np.int64)

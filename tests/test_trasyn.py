@@ -12,13 +12,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.enumeration import get_table
+from repro.enumeration import build_table, get_table
+from repro.enumeration import vectorized as vec
+from repro.enumeration.clifford_t import _SYLLABLES
 from repro.gates.exact import ExactUnitary
 from repro.linalg import GATES, haar_random_u2, rz, trace_distance
 from repro.synthesis import simplify_sequence, synthesize, trasyn
 from repro.synthesis.meet import best_pair
 from repro.synthesis.sequences import matrix_of
 from repro.synthesis.trasyn import (
+    _GATE_C,
+    _GATE_CODE,
+    _GATE_COEFFS,
+    _GATE_K,
+    _GATE_T,
     _TABLE_MEMO,
     TrasynArgumentError,
     _amp_to_error,
@@ -207,6 +214,132 @@ class TestSimplifyOracle:
             assert simplify_sequence(gates, table6) == (
                 _simplify_reference(gates, table6)
             )
+
+    def test_rescan_covers_the_window_before_the_last_rewrite(self, table6):
+        # A later pass rescans only windows starting before the previous
+        # pass's last rewrite; here the next rewrite starts just before it.
+        gates = ("X T T H X X H T T X X Tdg T X T H S H Tdg H S S H S X S X Tdg "
+                 "S H T H H").split()
+        assert simplify_sequence(gates, table6, 2) == (
+            _simplify_reference(gates, table6, 2)
+        )
+
+    def test_seam_path_matches_reference(self, table6):
+        # Words joined at seams, as synthesize hands them over.  Drawing
+        # Clifford roots (rows 0-23) often makes words that rewrite
+        # across a seam, so the seam bookkeeping after a rewrite runs.
+        rewrites = []
+
+        @settings(max_examples=150, deadline=None, database=None)
+        @given(
+            rows=st.lists(
+                st.one_of(st.integers(0, 23), st.integers(0, len(table6) - 1)),
+                min_size=2, max_size=4,
+            ),
+            max_window_t=st.sampled_from([None, 2, 4]),
+        )
+        def check(rows, max_window_t):
+            words = [table6.sequence(r) for r in rows]
+            gates = [g for word in words for g in word]
+            seams = np.cumsum([len(word) for word in words[:-1]])
+            out = simplify_sequence(gates, table6, max_window_t, seams=seams)
+            assert out == _simplify_reference(gates, table6, max_window_t)
+            rewrites.append(out != gates)
+
+        check()
+        assert any(rewrites)
+
+    def test_one_word_makes_no_lookup(self, monkeypatch, table6):
+        calls = []
+        lookup_batch = table6.lookup_batch
+        monkeypatch.setattr(table6, "lookup_batch",
+                            lambda *a: calls.append(a) or lookup_batch(*a))
+        word = list(table6.sequence(len(table6) - 1))
+        assert simplify_sequence(word, table6, seams=[]) == word
+        # A one-slot rung hands step 3 a single stored word.
+        synthesize(haar_random_u2(np.random.default_rng(3)), [6], table=table6)
+        assert calls == []
+        simplify_sequence(word, table6)  # every gate boundary a seam
+        assert calls
+
+    def test_windows_past_exact_range_raise(self, table6):
+        # (HT)^140 has coefficients past 2^30, beyond which int64
+        # products of two of them could wrap: step 3 raises, as the
+        # reference's lookup does.
+        with pytest.raises(OverflowError):
+            simplify_sequence(["H", "T"] * 140, table6, 140)
+
+    @pytest.mark.parametrize("seams", [[3, 1], [-1], [9], [1.0], [True], ["a"]])
+    def test_bad_seams_raise(self, table6, seams):
+        gates = ["H", "T", "H", "T", "S", "H", "T", "H"]
+        with pytest.raises(TrasynArgumentError, match="seams"):
+            simplify_sequence(gates, table6, seams=seams)
+
+
+def _improving_rows(table, chunk=20_000):
+    """Rows of ``table`` whose stored word has an improving window.
+
+    Improving is step 3's test: the stored word of the window's product
+    is cheaper in (T count, Clifford count, length).  By induction over
+    the parent chain only a few windows per row need a check: row r's
+    word is ``SYLLABLE[prefixes[r]]`` followed by the stored word of
+    ``parents[r]``, so a window either lies in that parent word or
+    starts in the first syllable.  A Clifford root is checked whole.
+    All rows' windows grow one gate per step, in one batch per chunk.
+    """
+    syllable = np.array([len(tokens) for _, tokens, _ in _SYLLABLES])
+    bad = []
+    for part in np.array_split(np.arange(len(table)), -(-len(table) // chunk)):
+        lengths = table.sequence_lengths[part]
+        codes = np.zeros((len(part), lengths.max()), dtype=np.int64)
+        for i, r in enumerate(part):
+            codes[i, :lengths[i]] = [_GATE_CODE[g] for g in table.sequence(r)]
+        root = table.parents[part] < 0
+        starts = np.where(root, lengths,
+                          syllable[np.where(root, 0, table.prefixes[part])])
+        row = np.repeat(np.arange(len(part)), starts)
+        a = np.arange(len(row)) - np.repeat(np.cumsum(starts) - starts, starts)
+        g = codes[row, a]
+        prod, k = _GATE_COEFFS[g], _GATE_K[g]
+        t, c, end = _GATE_T[g].astype(np.int64), _GATE_C[g].astype(np.int64), a + 1
+        while (live := end < lengths[row]).any():
+            row, a, end, prod, k, t, c = (
+                x[live] for x in (row, a, end, prod, k, t, c)
+            )
+            g = codes[row, end]
+            prod, k = vec.reduce_batch(
+                *vec.matmul(prod, k, _GATE_COEFFS[g], _GATE_K[g])
+            )
+            t, c, end = t + _GATE_T[g], c + _GATE_C[g], end + 1
+            index = table.lookup_batch(prod, k)
+            assert (index >= 0).all()  # every T count <= budget is stored
+            new = (table.t_counts[index], table.hs_costs[index],
+                   table.sequence_lengths[index])
+            better = _packed_cost(*new) < _packed_cost(t, c, end - a)
+            bad.extend(part[row[better]].tolist())
+    return sorted(set(bad))
+
+
+def _packed_cost(t, cliffords, length):
+    return (t << 40) + (cliffords << 20) + length
+
+
+class TestSeamInvariant:
+    """No window inside a stored word improves: step 3 scans seams only."""
+
+    def test_no_window_inside_a_b8_word_improves(self):
+        assert _improving_rows(get_table(8)) == []
+
+    @pytest.mark.slow
+    def test_no_window_inside_a_b10_word_improves(self):
+        assert _improving_rows(get_table(10)) == []
+
+    def test_checker_flags_a_cheaper_stored_word(self):
+        table = build_table(3)
+        row = int(np.nonzero(table.t_counts == 1)[0][1])
+        table.hs_costs = table.hs_costs.copy()
+        table.hs_costs[row] = -1
+        assert row in _improving_rows(table)
 
 
 class TestAlgorithm1:
