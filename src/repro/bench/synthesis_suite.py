@@ -1,7 +1,9 @@
 """Synthesis benchmarks: gridsynth Rz approximation and trasyn.
 
 gridsynth is timed at two precision points (a fast everyday epsilon and
-a tight one) on a fixed irrational-ish angle.  trasyn is timed with the
+a tight one) on a fixed irrational-ish angle, and as the RQ1 baseline
+``gridsynth_u3`` (three Rz calls) on one seeded Haar target at the
+end-to-end benchmark's eps.  trasyn is timed with the
 enumeration table prebuilt in setup (table construction is a one-off
 cost amortized by the disk cache): a single slot is a table scan, two
 slots run the canonical exact pair search (``meet.best_pair``, no MPS),
@@ -22,6 +24,8 @@ _THETA = 0.5477  # fixed non-special angle
 
 _GRIDSYNTH_EPS = (1e-3, 1e-5)
 _QUICK_GRIDSYNTH_EPS = (1e-2,)
+_U3_EPS = 2e-2
+_U3_SEED = 1  # the first synth-haar target at seed 1
 
 _TRASYN_BUDGET = {False: 6, True: 3}
 _TRASYN_SAMPLES = {False: 500, True: 50}
@@ -44,6 +48,28 @@ def _gridsynth_spec(eps: float) -> BenchSpec:
     return BenchSpec(
         name=f"gridsynth_rz/eps={eps:g}",
         params={"theta": _THETA, "eps": eps},
+        setup=setup,
+    )
+
+
+def _gridsynth_u3_spec() -> BenchSpec:
+    def setup():
+        import numpy as np
+
+        from repro.linalg import haar_random_u2
+        from repro.synthesis.gridsynth import gridsynth_u3
+
+        target = haar_random_u2(np.random.default_rng(_U3_SEED))
+
+        def run():
+            seq = gridsynth_u3(target, _U3_EPS)
+            return {"t_count": seq.t_count}
+
+        return run
+
+    return BenchSpec(
+        name=f"gridsynth_u3/eps={_U3_EPS:g}",
+        params={"eps": _U3_EPS, "haar_seed": _U3_SEED},
         setup=setup,
     )
 
@@ -110,6 +136,7 @@ def _trasyn_simplify_spec(layout: tuple[int, ...]) -> BenchSpec:
 def specs(quick: bool) -> list[BenchSpec]:
     eps_points = _QUICK_GRIDSYNTH_EPS if quick else _GRIDSYNTH_EPS
     out = [_gridsynth_spec(eps) for eps in eps_points]
+    out.append(_gridsynth_u3_spec())
     budget = _TRASYN_BUDGET[quick]
     out.append(_trasyn_layout_spec((budget,), _TRASYN_SAMPLES[quick],
                                    name=f"trasyn/lookup/budget={budget}"))

@@ -15,28 +15,27 @@ emitted as (optional) X and a T^m power; global phase is discarded.
 
 Each step scores the eight syllables on the first column alone: for a
 unitary over D[omega] the second column is a unit multiple of the
-conjugated first, so the column sde equals the matrix sde.  Only the
-chosen syllable's full product is formed, and the visited matrices are
-keyed up to phase only at a step where the sde stalls.
+conjugated first, so the column sde equals the matrix sde.  The chosen
+syllable's first column is reused and only its second column is formed
+(raising if it does not share the first column's sde).  The sde never
+rises along the walk and a phase key starts with the sde, so the visited
+matrices are keyed up to phase only at a step where the sde stalls, and
+only those stepped from at the current sde.
 
-The output is verified exactly (up to global phase) before returning,
-so a successful return is mathematically correct, not float-correct.
+The walk runs on plain ints: a Z[omega] element ``a w^3 + b w^2 + c w +
+d`` is the tuple ``(a, b, c, d)`` and a matrix is its four entries
+``(z00, z01, z10, z11)`` over ``sqrt(2)^k``.  The output is verified
+exactly (up to global phase) by multiplying the emitted tokens before
+returning, so a successful return is mathematically correct, not
+float-correct.
 """
 
 from __future__ import annotations
 
-from repro.gates.exact import EXACT_GATES, ExactUnitary
-from repro.rings.zomega import ZOmega
+from repro.gates.exact import ExactUnitary
 
-_H = EXACT_GATES["H"]
-_TDG_POWERS: list[ExactUnitary] = []
-_t = ExactUnitary.identity()
-for _ in range(8):
-    _TDG_POWERS.append(_t)
-    _t = (_t @ EXACT_GATES["Tdg"]).reduce()
-del _t
-# The eight syllables H . Tdg^m whose inverses peel one T^m H off the left.
-_SYLLABLES = tuple(_H @ tdg for tdg in _TDG_POWERS)
+_ZERO = (0, 0, 0, 0)
+_ONE = (0, 0, 0, 1)
 
 
 class ExactSynthesisError(RuntimeError):
@@ -58,115 +57,221 @@ def t_power_tokens(m: int) -> list[str]:
     return tokens
 
 
-def _omega_exponent(z: ZOmega) -> int | None:
-    for j in range(8):
-        if z == ZOmega.omega_power(j):
-            return j
-    return None
+# -- Z[omega] on int tuples ---------------------------------------------------
+def _mul(x: tuple, y: tuple) -> tuple:
+    """Product in Z[omega] (polynomial product modulo w^4 = -1)."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return (
+        a * h + b * g + c * f + d * e,
+        b * h + c * g + d * f - a * e,
+        c * h + d * g - a * f - b * e,
+        d * h - a * g - b * f - c * e,
+    )
 
 
-def _monomial_tokens(u: ExactUnitary) -> list[str]:
+def _conj(x: tuple) -> tuple:
+    a, b, c, d = x
+    return (-c, -b, -a, d)
+
+
+def _rotate(x: tuple, j: int) -> tuple:
+    """``x * w^j``: each factor of w maps (a, b, c, d) to (b, c, d, -a)."""
+    a, b, c, d = x
+    j %= 8
+    return (a, b, c, d, -a, -b, -c, -d, a, b, c, d)[j:j + 4]
+
+
+def _divisible(x: tuple) -> bool:
+    return (x[0] + x[2]) % 2 == 0 and (x[1] + x[3]) % 2 == 0
+
+
+def _div_sqrt2(x: tuple) -> tuple:
+    """Exact ``x / sqrt(2) = x * sqrt(2) / 2`` for a divisible ``x``."""
+    a, b, c, d = x
+    return ((b - d) // 2, (a + c) // 2, (b + d) // 2, (c - a) // 2)
+
+
+_OMEGA_EXPONENT = {_rotate(_ONE, j): j for j in range(8)}
+
+
+# -- matrices as (z00, z01, z10, z11), k ---------------------------------------
+def _reduce(z: tuple, k: int) -> tuple[tuple, int]:
+    """Divide out common sqrt(2) factors so ``k`` is minimal (the sde)."""
+    while k > 0 and all(map(_divisible, z)):
+        z = tuple(map(_div_sqrt2, z))
+        k -= 1
+    return z, k
+
+
+def _phase_key(z: tuple, k: int) -> tuple:
+    """``ExactUnitary.canonical_key`` of the reduced matrix ``z / sqrt(2)^k``.
+
+    That key is the smallest of the eight phase rotations of the flat
+    coefficient tuple.  The eight rotations of a nonzero entry are
+    distinct, so the first nonzero entry alone picks the rotation.
+    """
+    lead = next((x for x in z if x != _ZERO), _ZERO)
+    j = min((_rotate(lead, i), i) for i in range(8))[1]
+    z00, z01, z10, z11 = (_rotate(x, j) for x in z)
+    return (k,) + z00 + z01 + z10 + z11
+
+
+def _is_unitary(z: tuple, k: int) -> bool:
+    """Exact unitarity test: M^dag M == 2^k * I."""
+    z00, z01, z10, z11 = z
+    c00, c01, c10, c11 = map(_conj, z)
+    two_k = (0, 0, 0, 2**k)
+
+    def dot(x, y, v, w):
+        return tuple(s + t for s, t in zip(_mul(x, y), _mul(v, w)))
+
+    return (
+        dot(c00, z00, c10, z10) == two_k
+        and dot(c01, z01, c11, z11) == two_k
+        and dot(c00, z01, c10, z11) == _ZERO
+        and dot(c01, z00, c11, z10) == _ZERO
+    )
+
+
+_T_POWER = {"T": 1, "S": 2, "Z": 4}
+
+
+def _word_matrix(tokens) -> tuple[tuple, int]:
+    """Reduced product of ``tokens`` (matrix order, left to right).
+
+    Right multiplication acts on the columns ``(z00, z10)`` and
+    ``(z01, z11)``: H maps them to their sum and difference over one
+    more factor of sqrt(2), X swaps them, and T^j multiplies the second
+    by w^j.
+    """
+    z00, z01, z10, z11 = _ONE, _ZERO, _ZERO, _ONE
+    k = 0
+    for name in tokens:
+        if name == "H":
+            (a0, b0, c0, d0), (a1, b1, c1, d1) = z00, z01
+            z00 = (a0 + a1, b0 + b1, c0 + c1, d0 + d1)
+            z01 = (a0 - a1, b0 - b1, c0 - c1, d0 - d1)
+            (a0, b0, c0, d0), (a1, b1, c1, d1) = z10, z11
+            z10 = (a0 + a1, b0 + b1, c0 + c1, d0 + d1)
+            z11 = (a0 - a1, b0 - b1, c0 - c1, d0 - d1)
+            k += 1
+        elif name == "X":
+            z00, z01, z10, z11 = z01, z00, z11, z10
+        else:
+            j = _T_POWER[name]
+            z01, z11 = _rotate(z01, j), _rotate(z11, j)
+    return _reduce((z00, z01, z10, z11), k)
+
+
+def _monomial_tokens(z: tuple) -> list[str]:
     """Tokens for an sde-0 unitary (always a phase-monomial matrix)."""
-    if not u.z00.is_zero():
-        i = _omega_exponent(u.z00)
-        j = _omega_exponent(u.z11)
-        if i is None or j is None or not u.z01.is_zero() or not u.z10.is_zero():
+    z00, z01, z10, z11 = z
+    if z00 != _ZERO:
+        i = _OMEGA_EXPONENT.get(z00)
+        j = _OMEGA_EXPONENT.get(z11)
+        if i is None or j is None or z01 != _ZERO or z10 != _ZERO:
             raise ExactSynthesisError("sde-0 matrix is not monomial")
         return t_power_tokens(j - i)
-    i = _omega_exponent(u.z01)
-    j = _omega_exponent(u.z10)
-    if i is None or j is None or not u.z00.is_zero() or not u.z11.is_zero():
+    i = _OMEGA_EXPONENT.get(z01)
+    j = _OMEGA_EXPONENT.get(z10)
+    if i is None or j is None or z11 != _ZERO:
         raise ExactSynthesisError("sde-0 matrix is not monomial")
     # U = X . diag(w^j, w^i)
     return ["X"] + t_power_tokens(i - j)
 
 
-def _coeffs(z: ZOmega) -> tuple[int, int, int, int]:
-    return (z.a, z.b, z.c, z.d)
-
-
-def _syllable_sdes(u: ExactUnitary) -> list[int]:
-    """sde of ``H . Tdg^m . u`` for m = 0..7, read off the first column.
+# -- the sde walk ------------------------------------------------------------
+def _syllable_columns(x: tuple, y: tuple, k: int) -> list[tuple]:
+    """``(sde, p, q)`` of the first column of ``H . Tdg^m . M``, m = 0..7.
 
     ``H . Tdg^m`` maps the column ``(x, y)`` to ``(x + w^-m y, x - w^-m y)``
-    over one more factor of sqrt(2).  Multiplying by ``w^-1`` rotates the
+    over one more factor of sqrt(2); ``(p, q)`` is that column in lowest
+    terms over ``sqrt(2)^sde``.  Multiplying by ``w^-1`` rotates the
     coefficients ``(a, b, c, d)`` to ``(-d, a, b, c)``.
     """
-    xa, xb, xc, xd = _coeffs(u.z00)
-    ya, yb, yc, yd = _coeffs(u.z10)
-    sdes = []
+    xa, xb, xc, xd = x
+    ya, yb, yc, yd = y
+    out = []
     for _ in range(8):
-        p = [xa + ya, xb + yb, xc + yc, xd + yd]
-        q = [xa - ya, xb - yb, xc - yc, xd - yd]
-        k = u.k + 1
+        pa, pb, pc, pd = xa + ya, xb + yb, xc + yc, xd + yd
+        qa, qb, qc, qd = xa - ya, xb - yb, xc - yc, xd - yd
+        s = k + 1
         # Divide both entries by sqrt(2) while they stay divisible.
-        while (k > 0 and (p[0] + p[2]) % 2 == 0 and (p[1] + p[3]) % 2 == 0
-               and (q[0] + q[2]) % 2 == 0 and (q[1] + q[3]) % 2 == 0):
-            p = [(p[1] - p[3]) // 2, (p[0] + p[2]) // 2,
-                 (p[1] + p[3]) // 2, (p[2] - p[0]) // 2]
-            q = [(q[1] - q[3]) // 2, (q[0] + q[2]) // 2,
-                 (q[1] + q[3]) // 2, (q[2] - q[0]) // 2]
-            k -= 1
-        sdes.append(k)
+        while (s > 0 and (pa + pc) % 2 == 0 and (pb + pd) % 2 == 0
+               and (qa + qc) % 2 == 0 and (qb + qd) % 2 == 0):
+            pa, pb, pc, pd = (pb - pd) // 2, (pa + pc) // 2, (pb + pd) // 2, (pc - pa) // 2
+            qa, qb, qc, qd = (qb - qd) // 2, (qa + qc) // 2, (qb + qd) // 2, (qc - qa) // 2
+            s -= 1
+        out.append((s, (pa, pb, pc, pd), (qa, qb, qc, qd)))
         ya, yb, yc, yd = -yd, ya, yb, yc
-    return sdes
+    return out
 
 
-def _apply_syllable(m: int, u: ExactUnitary, sde: int) -> ExactUnitary:
-    """``H . Tdg^m . u`` in lowest terms, checked against its column sde."""
-    result = (_SYLLABLES[m] @ u).reduce()
-    if result.k != sde:
-        raise ExactSynthesisError("column and matrix sde disagree")
-    return result
+def _second_column(x: tuple, y: tuple, m: int, n: int) -> tuple[tuple, tuple]:
+    """``(x + w^-m y, x - w^-m y) / sqrt(2)^n``, the chosen syllable's column.
+
+    ``n`` is the first column's division count; the matrix sde agrees
+    with the column sde only when this column divides as often.
+    """
+    y = _rotate(y, -m)
+    p = tuple(s + t for s, t in zip(x, y))
+    q = tuple(s - t for s, t in zip(x, y))
+    for _ in range(n):
+        if not (_divisible(p) and _divisible(q)):
+            raise ExactSynthesisError("column and matrix sde disagree")
+        p, q = _div_sqrt2(p), _div_sqrt2(q)
+    return p, q
 
 
 def exact_synthesize(u: ExactUnitary, max_steps: int | None = None) -> list[str]:
     """Gate tokens (matrix order) whose product equals ``u`` up to phase."""
-    u = u.reduce()
-    if not u.is_unitary():
+    z, k = _reduce(tuple((e.a, e.b, e.c, e.d) for e in u.entries()), u.k)
+    if not _is_unitary(z, k):
         raise ExactSynthesisError("input matrix is not unitary")
     if max_steps is None:
-        max_steps = 8 * u.k + 64
+        max_steps = 8 * k + 64
+    target_key = _phase_key(z, k)
 
     tokens: list[str] = []
-    # Every matrix stepped from; keyed up to phase only when a step stalls.
-    visited: list[ExactUnitary] = []
-    visited_keys: set[tuple] = set()
+    # Matrices stepped from at the current sde; keyed up to phase only
+    # when a step stalls.
+    level: list[tuple] = []
+    level_keys: set[tuple] = set()
     n_keyed = 0
-    current = u
     steps = 0
-    while current.k > 0:
+    while k > 0:
         if steps > max_steps:
             raise ExactSynthesisError("sde reduction did not terminate")
         steps += 1
-        visited.append(current)
-        sdes = _syllable_sdes(current)
-        best_m = min(range(8), key=sdes.__getitem__)  # first minimal m
-        if sdes[best_m] < current.k:
-            best_next = _apply_syllable(best_m, current, sdes[best_m])
+        level.append(z)
+        z00, z01, z10, z11 = z
+        cols = _syllable_columns(z00, z10, k)
+        best_m = min(range(8), key=lambda m: cols[m][0])  # first minimal m
+        sde, p, q = cols[best_m]
+        if sde < k:
+            r0, r1 = _second_column(z01, z11, best_m, k + 1 - sde)
+            level, level_keys, n_keyed = [], set(), 0
         else:
             # Stall: take the first sde-preserving syllable that leads to
             # a matrix not stepped from before.
-            for v in visited[n_keyed:]:
-                visited_keys.add(v.canonical_key())
-            n_keyed = len(visited)
-            best_m = best_next = None
-            for m in range(8):
-                if sdes[m] != current.k:
+            level_keys.update(_phase_key(v, k) for v in level[n_keyed:])
+            n_keyed = len(level)
+            for m, (s, p, q) in enumerate(cols):
+                if s != k:
                     continue
-                cand = _apply_syllable(m, current, sdes[m])
-                if cand.canonical_key() not in visited_keys:
-                    best_m, best_next = m, cand
+                r0, r1 = _second_column(z01, z11, m, 1)
+                if _phase_key((p, r0, q, r1), k) not in level_keys:
+                    best_m = m
                     break
-            if best_next is None:
+            else:
                 raise ExactSynthesisError("stuck: no syllable reduces the sde")
-        # current = T^m H best_next
+        # current = T^m H next
         tokens.extend(t_power_tokens(best_m))
         tokens.append("H")
-        current = best_next
-    tokens.extend(_monomial_tokens(current))
+        z, k = (p, r0, q, r1), sde
+    tokens.extend(_monomial_tokens(z))
 
-    produced = ExactUnitary.from_gates(tokens) if tokens else ExactUnitary.identity()
-    if not produced.equals_up_to_phase(u):
+    if _phase_key(*_word_matrix(tokens)) != target_key:
         raise ExactSynthesisError("verification failed")
     return tokens

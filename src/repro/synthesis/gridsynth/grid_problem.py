@@ -15,10 +15,14 @@ The 1D solver enumerates ``x = p + q sqrt(2)`` with ``x`` in interval I
 and the conjugate in interval J; rescaling by the fundamental unit
 ``lambda = 1 + sqrt(2)`` balances the intervals so the enumeration is
 output-sensitive (Ross-Selinger, Section 5).
+
+Both scans run on plain ints, with the unit ``lambda^-m`` cached per
+``m``; a ``ZSqrt2`` or ``ZOmega`` is built only for an accepted point.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -31,16 +35,21 @@ _LOG_LAMBDA = math.log(1.0 + _SQRT2)
 _TOL = 1e-9
 
 
-def solve_1d_grid(
-    ix: tuple[float, float], jy: tuple[float, float]
-) -> list[ZSqrt2]:
-    """All x in Z[sqrt2] with x in ``ix`` and x.conj() in ``jy``.
+@functools.cache
+def _unit(m: int) -> tuple[int, int]:
+    """``lambda^-m`` as the coefficient pair ``(a, b)`` of ``a + b sqrt2``."""
+    z = LAMBDA_INV**m if m >= 0 else LAMBDA ** (-m)
+    return z.a, z.b
 
-    Output-sensitive: the interval pair is rebalanced with powers of the
-    fundamental unit so the scan length is O(solutions + 1).
+
+def _scan_1d(
+    x0: float, x1: float, y0: float, y1: float
+) -> list[tuple[int, int, float, float]]:
+    """``(a, b, value, conj_value)`` of each ``a + b sqrt2`` in the 1D problem.
+
+    The scan runs on ints; each point is tested with the float
+    expressions ``ZSqrt2.__float__`` evaluates for it and its conjugate.
     """
-    x0, x1 = ix
-    y0, y1 = jy
     if x1 < x0 or y1 < y0:
         return []
     # Rebalance so the two interval lengths are comparable.
@@ -54,20 +63,36 @@ def solve_1d_grid(
     sy0, sy1 = y0 * lam_conj_m, y1 * lam_conj_m
     if sy1 < sy0:
         sy0, sy1 = sy1, sy0
-    unscale = LAMBDA_INV**m if m >= 0 else LAMBDA ** (-m)
-    out: list[ZSqrt2] = []
+    ua, ub = _unit(m)
+    lo_x, hi_x, lo_y, hi_y = x0 - _TOL, x1 + _TOL, y0 - _TOL, y1 + _TOL
+    out = []
     q_lo = math.ceil((sx0 - sy1) / (2 * _SQRT2) - _TOL)
     q_hi = math.floor((sx1 - sy0) / (2 * _SQRT2) + _TOL)
     for q in range(q_lo, q_hi + 1):
         p_lo = math.ceil(max(sx0 - q * _SQRT2, sy0 + q * _SQRT2) - _TOL)
         p_hi = math.floor(min(sx1 - q * _SQRT2, sy1 + q * _SQRT2) + _TOL)
-        for p in range(p_lo, p_hi + 1):
-            cand = ZSqrt2(p, q) * unscale
-            f = float(cand)
-            fc = float(cand.conj())
-            if x0 - _TOL <= f <= x1 + _TOL and y0 - _TOL <= fc <= y1 + _TOL:
-                out.append(cand)
+        # (p + q sqrt2) * lambda^-m, stepped in p.
+        a = p_lo * ua + 2 * q * ub
+        b = p_lo * ub + q * ua
+        for _ in range(p_lo, p_hi + 1):
+            f = a + b * _SQRT2
+            fc = a + (-b) * _SQRT2
+            if lo_x <= f <= hi_x and lo_y <= fc <= hi_y:
+                out.append((a, b, f, fc))
+            a += ua
+            b += ub
     return out
+
+
+def solve_1d_grid(
+    ix: tuple[float, float], jy: tuple[float, float]
+) -> list[ZSqrt2]:
+    """All x in Z[sqrt2] with x in ``ix`` and x.conj() in ``jy``.
+
+    Output-sensitive: the interval pair is rebalanced with powers of the
+    fundamental unit so the scan length is O(solutions + 1).
+    """
+    return [ZSqrt2(a, b) for a, b, _, _ in _scan_1d(*ix, *jy)]
 
 
 def solve_1d_grid_offset(
@@ -75,16 +100,15 @@ def solve_1d_grid_offset(
     jy: tuple[float, float],
     offset: float,
     offset_conj: float,
-) -> list[tuple[ZSqrt2, float, float]]:
-    """Grid solutions of the coset ``Z[sqrt2] + offset``.
+) -> list[tuple[int, int, float, float]]:
+    """Grid solutions ``a + b sqrt2`` of the coset ``Z[sqrt2] + offset``.
 
-    Returns ``(x, value, conj_value)`` triples where ``value = x + offset``
-    lies in ``ix`` and ``x.conj() + offset_conj`` lies in ``jy``.
+    Returns ``(a, b, value, conj_value)`` where ``value = a + b sqrt2 +
+    offset`` lies in ``ix`` and ``a - b sqrt2 + offset_conj`` lies in ``jy``.
     """
-    base = solve_1d_grid(
-        (ix[0] - offset, ix[1] - offset), (jy[0] - offset_conj, jy[1] - offset_conj)
-    )
-    return [(x, float(x) + offset, float(x.conj()) + offset_conj) for x in base]
+    base = _scan_1d(ix[0] - offset, ix[1] - offset,
+                    jy[0] - offset_conj, jy[1] - offset_conj)
+    return [(a, b, f + offset, fc + offset_conj) for a, b, f, fc in base]
 
 
 @dataclass(frozen=True)
@@ -134,14 +158,14 @@ def enumerate_candidates(theta: float, eps: float, k: int) -> Iterator[Candidate
     x_center = cos_half
     x0 = max(-1.0, x_center - eps)
     x1 = min(1.0, x_center + eps)
-    found: list[Candidate] = []
+    found: list[tuple[float, tuple[int, int, int, int]]] = []
     # Real part v = d + e / sqrt(2); parity of e selects the coset.
     for e_parity in (0, 1):
         off = 0.0 if e_parity == 0 else 1.0 / _SQRT2
         vs = solve_1d_grid_offset(
             (x0 * scale, x1 * scale), (-scale, scale), off, -off
         )
-        for v_elem, v_val, v_conj in vs:
+        for va, vb, v_val, v_conj in vs:
             x = v_val / scale
             ybounds = _halfplane_y_interval(x, cos_half, sin_half, bound)
             if ybounds is None:
@@ -151,38 +175,30 @@ def enumerate_candidates(theta: float, eps: float, k: int) -> Iterator[Candidate
             if rem < 0.0:
                 continue
             wlim = math.sqrt(rem)
-            woff = 0.0 if e_parity == 0 else 1.0 / _SQRT2
             ws = solve_1d_grid_offset(
                 (ybounds[0] * scale, ybounds[1] * scale),
                 (-wlim, wlim),
-                woff,
-                -woff,
+                off,
+                -off,
             )
-            for w_elem, w_val, _w_conj in ws:
-                zu = _assemble(v_elem, w_elem, e_parity)
-                if k > 0 and zu.is_divisible_by_sqrt2():
-                    continue
+            # zu = a w^3 + b w^2 + c w + d from the real part d + e/sqrt2
+            # and the imaginary part b + f/sqrt2: a = (f - e)/2, c = (f + e)/2.
+            d = va
+            e = 2 * vb + e_parity
+            for wa, wb, w_val, _w_conj in ws:
+                b = wa
+                f = 2 * wb + e_parity
+                a = (f - e) // 2
+                c = (f + e) // 2
+                if k > 0 and (a + c) % 2 == 0 and (b + d) % 2 == 0:
+                    continue  # divisible by sqrt(2)
                 y = w_val / scale
                 quality = x * cos_half - y * sin_half
                 if quality < bound - _TOL:
                     continue
                 if x * x + y * y > 1.0 + _TOL:
                     continue
-                found.append(Candidate(zu=zu, k=k, quality=quality))
-    found.sort(key=lambda c: -c.quality)
-    yield from found
-
-
-def _assemble(v: ZSqrt2, w: ZSqrt2, parity: int) -> ZOmega:
-    """Rebuild zu from real part d + e/sqrt2 and imaginary part b + f/sqrt2.
-
-    ``v = d + (e // 2) sqrt2 (+ 1/sqrt2 if parity)`` encodes e = 2*v.b +
-    parity, and similarly for w; then a = (f - e) / 2, c = (f + e) / 2.
-    """
-    d = v.a
-    e = 2 * v.b + parity
-    b = w.a
-    f = 2 * w.b + parity
-    a = (f - e) // 2
-    c = (f + e) // 2
-    return ZOmega(a, b, c, d)
+                found.append((quality, (a, b, c, d)))
+    found.sort(key=lambda t: -t[0])
+    for quality, zu in found:
+        yield Candidate(zu=ZOmega(*zu), k=k, quality=quality)

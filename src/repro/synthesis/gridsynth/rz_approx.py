@@ -53,6 +53,13 @@ def rz_distance(theta: float, phi: float) -> float:
     return abs(math.sin((theta - phi) / 2.0))
 
 
+def _check_count(name: str, value, least: int) -> None:
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= least):
+        raise GridsynthArgumentError(
+            f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def gridsynth_rz(
     theta: float,
     eps: float,
@@ -65,6 +72,10 @@ def gridsynth_rz(
         raise GridsynthArgumentError(f"theta must be finite, got {theta}")
     if not 0.0 < eps < 1.0:
         raise GridsynthArgumentError(f"eps must be in (0, 1), got {eps}")
+    if max_k is not None:
+        _check_count("max_k", max_k, 0)
+    _check_count("factor_steps", factor_steps, 1)
+    _check_count("candidate_limit", candidate_limit, 1)
     theta = math.remainder(theta, 4.0 * math.pi)
     # Trivial rotations: integer multiples of pi/4 synthesize exactly.
     j = round(theta / _QUARTER)
@@ -87,10 +98,8 @@ def gridsynth_rz(
             zt = solve_norm_equation(xi, factor_steps=factor_steps)
             if zt is None:
                 continue
-            u = ExactUnitary(
-                cand.zu, -zt.conj(), zt, cand.zu.conj(), k
-            ).reduce()
-            tokens = exact_synthesize(u)
+            u = ExactUnitary(cand.zu, -zt.conj(), zt, cand.zu.conj(), k)
+            tokens = exact_synthesize(u)  # reduces u itself
             err = trace_distance(target, GateSequence(tuple(tokens), 0.0).matrix())
             if err <= eps + 1e-12:
                 return GateSequence(gates=tuple(tokens), error=err)

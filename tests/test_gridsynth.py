@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.enumeration import get_table
-from repro.gates.exact import ExactUnitary
+from repro.gates.exact import EXACT_GATES, ExactUnitary
 from repro.linalg import haar_random_u2, rz, trace_distance
 from repro.rings.zomega import ZOmega
-from repro.rings.zsqrt2 import ZSqrt2
+from repro.rings.zsqrt2 import LAMBDA, LAMBDA_INV, ZSqrt2
 import repro.synthesis.gridsynth.rz_approx as rz_approx
 from repro.synthesis.gridsynth import (
     ExactSynthesisError,
@@ -23,12 +23,20 @@ from repro.synthesis.gridsynth import (
 )
 from repro.synthesis.gridsynth.diophantine import solve_norm_equation
 from repro.synthesis.gridsynth.exact_synthesis import (
-    _H,
-    _TDG_POWERS,
-    _monomial_tokens,
+    _div_sqrt2,
+    _is_unitary,
+    _mul,
+    _phase_key,
+    _reduce,
+    _word_matrix,
     t_power_tokens,
 )
-from repro.synthesis.gridsynth.grid_problem import enumerate_candidates, solve_1d_grid
+from repro.synthesis.gridsynth.grid_problem import (
+    Candidate,
+    _halfplane_y_interval,
+    enumerate_candidates,
+    solve_1d_grid,
+)
 from repro.synthesis.gridsynth.number_theory import (
     factorize,
     is_probable_prime,
@@ -69,6 +77,90 @@ class TestNumberTheory:
             assert pow(a % p, (p - 1) // 2, p) == p - 1
 
 
+_SQRT2 = math.sqrt(2.0)
+_TOL = 1e-9
+
+
+def _solve_1d_grid_reference(ix, jy):
+    """The object-based 1D scan ``solve_1d_grid`` must reproduce in order."""
+    x0, x1 = ix
+    y0, y1 = jy
+    if x1 < x0 or y1 < y0:
+        return []
+    len_i = max(x1 - x0, 1e-300)
+    len_j = max(y1 - y0, 1e-300)
+    m = int(round(math.log(math.sqrt(len_j / len_i)) / math.log(1.0 + _SQRT2)))
+    m = max(-200, min(200, m))
+    lam_m = (1.0 + _SQRT2) ** m
+    lam_conj_m = (1.0 - _SQRT2) ** m
+    sx0, sx1 = x0 * lam_m, x1 * lam_m
+    sy0, sy1 = y0 * lam_conj_m, y1 * lam_conj_m
+    if sy1 < sy0:
+        sy0, sy1 = sy1, sy0
+    unscale = LAMBDA_INV**m if m >= 0 else LAMBDA ** (-m)
+    out = []
+    q_lo = math.ceil((sx0 - sy1) / (2 * _SQRT2) - _TOL)
+    q_hi = math.floor((sx1 - sy0) / (2 * _SQRT2) + _TOL)
+    for q in range(q_lo, q_hi + 1):
+        p_lo = math.ceil(max(sx0 - q * _SQRT2, sy0 + q * _SQRT2) - _TOL)
+        p_hi = math.floor(min(sx1 - q * _SQRT2, sy1 + q * _SQRT2) + _TOL)
+        for p in range(p_lo, p_hi + 1):
+            cand = ZSqrt2(p, q) * unscale
+            f = float(cand)
+            fc = float(cand.conj())
+            if x0 - _TOL <= f <= x1 + _TOL and y0 - _TOL <= fc <= y1 + _TOL:
+                out.append(cand)
+    return out
+
+
+def _enumerate_candidates_reference(theta, eps, k):
+    """Object-based candidate enumeration: ``ZSqrt2``/``ZOmega`` per point."""
+    cos_half = math.cos(theta / 2.0)
+    sin_half = math.sin(theta / 2.0)
+    bound = 1.0 - eps * eps / 2.0
+    scale = _SQRT2**k
+    x0 = max(-1.0, cos_half - eps)
+    x1 = min(1.0, cos_half + eps)
+    found = []
+    for e_parity in (0, 1):
+        off = 0.0 if e_parity == 0 else 1.0 / _SQRT2
+        vs = _solve_1d_grid_reference(
+            (x0 * scale - off, x1 * scale - off), (-scale + off, scale + off))
+        for v in vs:
+            v_val, v_conj = float(v) + off, float(v.conj()) - off
+            x = v_val / scale
+            ybounds = _halfplane_y_interval(x, cos_half, sin_half, bound)
+            if ybounds is None:
+                continue
+            rem = scale * scale - v_conj * v_conj
+            if rem < 0.0:
+                continue
+            wlim = math.sqrt(rem)
+            ws = _solve_1d_grid_reference(
+                (ybounds[0] * scale - off, ybounds[1] * scale - off),
+                (-wlim + off, wlim + off))
+            for w in ws:
+                e = 2 * v.b + e_parity
+                f = 2 * w.b + e_parity
+                zu = ZOmega((f - e) // 2, w.a, (f + e) // 2, v.a)
+                if k > 0 and zu.is_divisible_by_sqrt2():
+                    continue
+                y = (float(w) + off) / scale
+                quality = x * cos_half - y * sin_half
+                if quality < bound - _TOL:
+                    continue
+                if x * x + y * y > 1.0 + _TOL:
+                    continue
+                found.append(Candidate(zu=zu, k=k, quality=quality))
+    found.sort(key=lambda c: -c.quality)
+    return found
+
+
+def _k_cap(eps):
+    """A level k <= 30 with a few hundred candidates (the count grows ~4^k)."""
+    return min(30, 10 + round(5 * math.log10(0.1 / eps)))
+
+
 class TestGridProblem:
     @given(
         st.floats(-10, 10), st.floats(0.1, 8), st.floats(-10, 10), st.floats(0.1, 8)
@@ -76,7 +168,9 @@ class TestGridProblem:
     @settings(max_examples=25, deadline=None)
     def test_1d_matches_brute_force(self, x0, lx, y0, ly):
         x1, y1 = x0 + lx, y0 + ly
-        sols = {(s.a, s.b) for s in solve_1d_grid((x0, x1), (y0, y1))}
+        grid = solve_1d_grid((x0, x1), (y0, y1))
+        assert grid == _solve_1d_grid_reference((x0, x1), (y0, y1))
+        sols = {(s.a, s.b) for s in grid}
         s2 = math.sqrt(2)
         span = int(max(abs(x0), abs(x1), abs(y0), abs(y1))) + 12
         brute = set()
@@ -102,6 +196,28 @@ class TestGridProblem:
         for k in range(2, 12):
             for cand in enumerate_candidates(0.9, 0.1, k):
                 assert not cand.zu.is_divisible_by_sqrt2()
+
+    @given(
+        st.one_of(st.floats(-4 * math.pi, 4 * math.pi),
+                  st.integers(-16, 16).map(lambda j: j * math.pi / 4)),
+        st.floats(1e-6, 0.1),
+        st.integers(0, 4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_candidates_match_reference(self, theta, eps, drop):
+        k = max(0, _k_cap(eps) - drop)
+        got = [(c.zu, c.k, c.quality) for c in enumerate_candidates(theta, eps, k)]
+        want = [(c.zu, c.k, c.quality)
+                for c in _enumerate_candidates_reference(theta, eps, k)]
+        assert got == want
+
+    @pytest.mark.parametrize("theta", [0.0, math.pi / 2, math.pi])
+    def test_tied_candidates_keep_reference_order(self, theta):
+        # On these axes whole rows of points share a quality.
+        got = list(enumerate_candidates(theta, 0.1, 10))
+        qualities = [c.quality for c in got]
+        assert len(set(qualities)) < len(qualities)
+        assert got == _enumerate_candidates_reference(theta, 0.1, 10)
 
 
 class TestDiophantine:
@@ -170,6 +286,37 @@ class TestExactSynthesis:
             exact_synthesize(bad)
 
 
+_H = EXACT_GATES["H"]
+_TDG_POWERS = []
+_t = ExactUnitary.identity()
+for _ in range(8):
+    _TDG_POWERS.append(_t)
+    _t = (_t @ EXACT_GATES["Tdg"]).reduce()
+del _t
+
+
+def _omega_exponent_reference(z):
+    for j in range(8):
+        if z == ZOmega.omega_power(j):
+            return j
+    return None
+
+
+def _monomial_tokens_reference(u):
+    """Tokens for an sde-0 unitary (always a phase-monomial matrix)."""
+    if not u.z00.is_zero():
+        i = _omega_exponent_reference(u.z00)
+        j = _omega_exponent_reference(u.z11)
+        if i is None or j is None or not u.z01.is_zero() or not u.z10.is_zero():
+            raise ExactSynthesisError("sde-0 matrix is not monomial")
+        return t_power_tokens(j - i)
+    i = _omega_exponent_reference(u.z01)
+    j = _omega_exponent_reference(u.z10)
+    if i is None or j is None or not u.z00.is_zero() or not u.z11.is_zero():
+        raise ExactSynthesisError("sde-0 matrix is not monomial")
+    return ["X"] + t_power_tokens(i - j)
+
+
 def _exact_synthesize_reference(u, max_steps=None):
     """Full-matrix sde search that ``exact_synthesize`` must reproduce.
 
@@ -206,7 +353,7 @@ def _exact_synthesize_reference(u, max_steps=None):
         tokens.extend(t_power_tokens(best_m))
         tokens.append("H")
         current = best_next
-    tokens.extend(_monomial_tokens(current))
+    tokens.extend(_monomial_tokens_reference(current))
 
     produced = ExactUnitary.from_gates(tokens) if tokens else ExactUnitary.identity()
     if not produced.equals_up_to_phase(u):
@@ -225,6 +372,54 @@ def _canonical_key_reference(u):
 
 
 _WORD_GATES = ("H", "T", "Tdg", "S", "Sdg", "X", "Z")
+
+
+def _coeffs(z):
+    return (z.a, z.b, z.c, z.d)
+
+
+class TestIntKernel:
+    """The int-tuple Z[omega] kernel agrees with the ``ZOmega`` objects."""
+
+    @given(st.lists(st.sampled_from(_WORD_GATES), max_size=60),
+           st.lists(st.sampled_from(_WORD_GATES), max_size=60))
+    @settings(max_examples=100, deadline=None)
+    def test_ring_ops_on_word_entries(self, word_a, word_b):
+        ents = (ExactUnitary.from_gates(word_a).entries()
+                + ExactUnitary.from_gates(word_b).entries())
+        for x in ents:
+            for y in ents:
+                assert _mul(_coeffs(x), _coeffs(y)) == _coeffs(x * y)
+            doubled = x.mul_sqrt2()
+            assert _div_sqrt2(_coeffs(doubled)) == _coeffs(doubled.div_sqrt2())
+            if x.is_divisible_by_sqrt2():
+                assert _div_sqrt2(_coeffs(x)) == _coeffs(x.div_sqrt2())
+
+    @given(st.lists(st.sampled_from(_WORD_GATES), max_size=120),
+           st.integers(0, 7), st.integers(0, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_phase_key_and_unitarity(self, word, phase, extra_k):
+        u = ExactUnitary.from_gates(word).scale_phase(phase)
+        # Unreduced input: extra sqrt(2) factors on numerators and k.
+        ents = [e for e in u.entries()]
+        for _ in range(extra_k):
+            ents = [e.mul_sqrt2() for e in ents]
+        wide = ExactUnitary(*ents, u.k + extra_k)
+        z, k = _reduce(tuple(map(_coeffs, wide.entries())), wide.k)
+        assert (z, k) == (tuple(map(_coeffs, u.reduce().entries())), u.reduce().k)
+        assert _phase_key(z, k) == wide.canonical_key()
+        assert _is_unitary(z, k)
+        # Doubling a column scales its norm by 4.
+        bad = (z[0], tuple(2 * c for c in z[1]), z[2], tuple(2 * c for c in z[3]))
+        assert not _is_unitary(bad, k)
+        assert not ExactUnitary(*(ZOmega(*e) for e in bad), k).is_unitary()
+
+    @given(st.lists(st.sampled_from(("H", "T", "S", "Z", "X")), max_size=120))
+    @settings(max_examples=100, deadline=None)
+    def test_word_matrix_is_the_token_product(self, word):
+        z, k = _word_matrix(word)
+        ref = ExactUnitary.from_gates(word)
+        assert (z, k) == (tuple(map(_coeffs, ref.entries())), ref.k)
 
 
 class TestExactSynthesisMatchesReference:
@@ -328,6 +523,36 @@ class TestGridsynthRz:
     def test_rejects_non_finite_theta(self, theta):
         with pytest.raises(GridsynthArgumentError, match="theta"):
             gridsynth_rz(theta, 1e-2)
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("candidate_limit", 0),  # used to climb every k level unbounded
+            ("candidate_limit", -3),
+            ("candidate_limit", 2.0),
+            ("max_k", 2.5),  # used to raise a bare TypeError
+            ("max_k", -1),  # used to report a search that never ran
+            ("max_k", True),
+            ("factor_steps", 0),
+            ("factor_steps", False),
+            ("factor_steps", "50"),
+        ],
+    )
+    def test_rejects_bad_search_arguments(self, name, value):
+        with pytest.raises(GridsynthArgumentError, match=name):
+            gridsynth_rz(0.3, 0.01, **{name: value})
+        # Trivial angles return before the search, but not before the check.
+        with pytest.raises(GridsynthArgumentError, match=name):
+            gridsynth_rz(0.0, 0.01, **{name: value})
+        with pytest.raises(GridsynthArgumentError, match=name):
+            gridsynth_u3(haar_random_u2(np.random.default_rng(3)), 0.01,
+                         **{name: value})
+
+    def test_accepts_numpy_integer_search_arguments(self):
+        plain = gridsynth_rz(0.3, 0.01, max_k=20, candidate_limit=8)
+        numpy = gridsynth_rz(0.3, 0.01, max_k=np.int64(20),
+                             candidate_limit=np.int32(8))
+        assert plain == numpy
 
 
 class TestGridsynthU3:
