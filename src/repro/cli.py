@@ -80,6 +80,16 @@ def _parse_level(value: str) -> int | str:
     return value if value == "best" else int(value)
 
 
+def _parse_noise_rate(value: str) -> float:
+    """CLI noise rate: a non-negative number (0 = noiseless)."""
+    rate = float(value)
+    if not rate >= 0.0:
+        raise argparse.ArgumentTypeError(
+            f"noise rate must be a non-negative number, got {value!r}"
+        )
+    return rate
+
+
 def _parse_target_arg(spec: str | None):
     """Resolve a ``--target`` spec (or None) to a Target."""
     if spec is None:
@@ -504,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trajectories", type=int, default=None,
                    help="Monte-Carlo trajectory count for the stochastic "
                         "backends (default: 200 statevector / 50 mps)")
-    p.add_argument("--noise-rate", type=float, default=0.0,
+    p.add_argument("--noise-rate", type=_parse_noise_rate, default=0.0,
                    help="depolarizing logical error rate (0 = noiseless)")
     p.add_argument("--noise-model", choices=("t", "non-pauli"),
                    default="non-pauli",

@@ -9,6 +9,6 @@ tolerances.
 """
 
 from repro.rings.zsqrt2 import LAMBDA, LAMBDA_INV, SQRT2, ZSqrt2
-from repro.rings.zomega import DOmega, ZOmega
+from repro.rings.zomega import ZOmega
 
-__all__ = ["LAMBDA", "LAMBDA_INV", "SQRT2", "ZSqrt2", "DOmega", "ZOmega"]
+__all__ = ["LAMBDA", "LAMBDA_INV", "SQRT2", "ZSqrt2", "ZOmega"]

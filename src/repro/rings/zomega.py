@@ -2,7 +2,7 @@
 
 Elements are written ``a*w^3 + b*w^2 + c*w + d`` with integer
 coefficients, where ``w^4 = -1``.  Clifford+T matrix entries are
-elements of ``Z[omega] / sqrt(2)^k`` (:class:`DOmega`).
+elements of ``Z[omega] / sqrt(2)^k``.
 
 Structure used throughout the synthesis stack:
 
@@ -223,68 +223,3 @@ ONE = ZOmega(0, 0, 0, 1)
 OMEGA = ZOmega(0, 0, 1, 0)
 SQRT2_OMEGA = ZOmega(-1, 0, 1, 0)  # sqrt(2) = w - w^3
 DELTA = ZOmega(0, 0, 1, 1)  # 1 + w; delta^dag * delta = lambda * sqrt(2)
-
-
-@dataclass(frozen=True)
-class DOmega:
-    """Element ``z / sqrt(2)^k`` with z in Z[omega], in lowest terms.
-
-    This is the exact representation of Clifford+T matrix entries.  The
-    reduced denominator exponent ``k`` is the entry's *sde* (smallest
-    denominator exponent), the quantity exact synthesis drives to zero.
-    """
-
-    z: ZOmega
-    k: int
-
-    @staticmethod
-    def make(z: ZOmega, k: int) -> "DOmega":
-        """Construct in lowest terms (divide out common sqrt(2) factors)."""
-        while k > 0 and z.is_divisible_by_sqrt2():
-            z = z.div_sqrt2()
-            k -= 1
-        if z.is_zero():
-            k = 0
-        return DOmega(z, k)
-
-    def with_denom_exp(self, k: int) -> ZOmega:
-        """Numerator when written over denominator sqrt(2)^k (k >= self.k)."""
-        if k < self.k:
-            raise ValueError("requested denominator exponent too small")
-        z = self.z
-        for _ in range(k - self.k):
-            z = z.mul_sqrt2()
-        return z
-
-    def __add__(self, other: "DOmega") -> "DOmega":
-        k = max(self.k, other.k)
-        return DOmega.make(self.with_denom_exp(k) + other.with_denom_exp(k), k)
-
-    def __sub__(self, other: "DOmega") -> "DOmega":
-        k = max(self.k, other.k)
-        return DOmega.make(self.with_denom_exp(k) - other.with_denom_exp(k), k)
-
-    def __neg__(self) -> "DOmega":
-        return DOmega(-self.z, self.k)
-
-    def __mul__(self, other: "DOmega") -> "DOmega":
-        return DOmega.make(self.z * other.z, self.k + other.k)
-
-    def conj(self) -> "DOmega":
-        return DOmega(self.z.conj(), self.k)
-
-    def adj2(self) -> "DOmega":
-        """sqrt(2)-conjugate; flips the sign of odd denominator powers."""
-        z = self.z.adj2()
-        if self.k % 2 == 1:
-            z = -z
-        return DOmega(z, self.k)
-
-    def is_zero(self) -> bool:
-        return self.z.is_zero()
-
-    def __complex__(self) -> complex:
-        return complex(self.z) / math.sqrt(2.0) ** self.k
-
-    def __repr__(self) -> str:
-        return f"DOmega({self.z!r}, k={self.k})"

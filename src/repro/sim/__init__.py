@@ -2,7 +2,10 @@
 
 The engines live behind :mod:`repro.sim.backends` (density matrix,
 statevector trajectories, MPS) with :func:`select_backend` auto-dispatch
-and :func:`evaluate_fidelity` as the circuit-level entry point.
+and :func:`evaluate_fidelity` as the circuit-level entry point.  Each
+engine runs a :class:`SimProgram` that :func:`compile_program` lowers
+once per (circuit, noise, schedule config) and :class:`ProgramCache`
+memoizes.
 """
 
 from repro.sim.backends import (
@@ -13,7 +16,6 @@ from repro.sim.backends import (
     StatevectorTrajectoryBackend,
     select_backend,
 )
-from repro.sim.density_matrix import DensityMatrixSimulator, simulate_noisy
 from repro.sim.evaluate import FidelityEvaluation, evaluate_fidelity
 from repro.sim.fidelity import (
     process_fidelity_1q,
@@ -32,7 +34,6 @@ from repro.sim.program import (
 
 __all__ = [
     "DensityMatrixBackend",
-    "DensityMatrixSimulator",
     "FidelityEvaluation",
     "MPSBackend",
     "NoiseModel",
@@ -50,7 +51,6 @@ __all__ = [
     "program_key",
     "select_backend",
     "sequence_process_infidelity",
-    "simulate_noisy",
     "state_fidelity",
     "state_infidelity",
 ]

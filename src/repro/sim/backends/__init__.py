@@ -13,6 +13,8 @@ Three engines implement the :class:`SimulatorBackend` protocol:
 
 :func:`select_backend` picks one from ``(n_qubits, noise, memory
 budget)``; see the README "Simulation backends" section for the rules.
+All three run a compiled :class:`~repro.sim.program.SimProgram` from a
+:class:`~repro.sim.program.ProgramCache`.
 """
 
 from __future__ import annotations
@@ -64,9 +66,9 @@ def _make(
     max_workers: int | None,
     sim_options: dict | None = None,
 ) -> SimulatorBackend:
-    if name == "density":
-        return DensityMatrixBackend()
     options = dict(sim_options or {})
+    if name == "density":
+        return DensityMatrixBackend(program_cache=options.get("program_cache"))
     if name == "statevector":
         kwargs = {"seed": seed, "max_workers": max_workers, **options}
         if trajectories is not None:
@@ -113,7 +115,8 @@ def select_backend(
 
     ``fuse``/``fuse2q`` configure the statevector engine's gate fusion
     (see :mod:`repro.sim.program`); ``program_cache`` injects a private
-    compiled-program cache in place of the process-wide shared one.
+    compiled-program cache, for every engine, in place of the
+    process-wide shared one.
     """
     sim_options = {
         "fuse": fuse,
@@ -135,7 +138,9 @@ def select_backend(
             )
         return chosen
     noisy = is_noisy(noise)
-    density = _make("density", trajectories, max_bond, seed, max_workers)
+    density = _make(
+        "density", trajectories, max_bond, seed, max_workers, sim_options
+    )
     statevec = _make(
         "statevector", trajectories, max_bond, seed, max_workers, sim_options
     )
@@ -153,7 +158,7 @@ def select_backend(
             return density
     if sv_fits:
         return statevec
-    return _make("mps", trajectories, max_bond, seed, max_workers)
+    return _make("mps", trajectories, max_bond, seed, max_workers, sim_options)
 
 
 __all__ = [

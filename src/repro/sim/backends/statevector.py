@@ -219,10 +219,12 @@ class StatevectorTrajectoryBackend(SimulatorBackend):
     ):
         if trajectories < 1:
             raise ValueError("need at least one trajectory")
+        if chunk_size < 1:
+            raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
         self.trajectories = int(trajectories)
         self.seed = int(seed)
         self.max_qubits = max_qubits
-        self.chunk_size = max(1, int(chunk_size))
+        self.chunk_size = int(chunk_size)
         self.max_workers = max_workers
         # Fuse runs of noise-free 1q gates per wire into single 2x2
         # matrices; ``fuse2q`` additionally collapses same-pair 2q

@@ -75,6 +75,30 @@ class NoiseModel:
     #: key, so two models sharing one factory share channel tables.
     kraus: Callable[[float], list[np.ndarray]] | None = None
 
+    def __post_init__(self) -> None:
+        # A negative or NaN rate would fail every engine's ``rate > 0``
+        # noisy test and simulate silently noiselessly.  Rates above 1
+        # are left to ``depolarizing_kraus``: an idle-only model
+        # legitimately carries ``rate = idle_rate``.
+        named = [("rate", self.rate), ("idle_rate", self.idle_rate)]
+        named += [(f"rates[{k!r}]", r) for k, r in (self.rates or {}).items()]
+        named += [
+            (f"edge_rates[{k!r}]", r)
+            for k, r in (self.edge_rates or {}).items()
+        ]
+        for label, value in named:
+            if not value >= 0.0:
+                raise ValueError(
+                    f"noise {label} must be a non-negative number, "
+                    f"got {value!r}"
+                )
+        if self.rate == 0.0 and any(value > 0.0 for _, value in named):
+            # Engines inject no noise at all when ``rate`` is 0.
+            raise ValueError(
+                "noise rate is 0 but a per-gate or idle rate is positive; "
+                "rate must hold the largest rate of the model"
+            )
+
     def rate_for(self, gate: Gate) -> float:
         """The depolarizing rate following this particular gate."""
         if self.idle_rate > 0.0 and is_idle_marker(gate):

@@ -2,8 +2,8 @@
 
 Rather than re-interpret the gate stream on every chunk of every run —
 ``gate.matrix()`` per gate per chunk, a channel table resolved per
-noise event, one ``searchsorted`` per event column — the stochastic
-engines drive a :class:`SimProgram`: :func:`compile_program` lowers a
+noise event, one ``searchsorted`` per event column — every engine
+drives a :class:`SimProgram`: :func:`compile_program` lowers a
 ``(circuit, noise, schedule-config)`` triple into flat form once:
 
 * every operator is a precomputed dense matrix (including the 1q/2q
@@ -95,7 +95,7 @@ class DepolarizingChannels:
 
     Uniform models hit one entry; target-derived models
     (:meth:`NoiseModel.from_target`) have one entry per distinct
-    calibrated rate.  Shared by the statevector and MPS engines.  A
+    calibrated rate.  Shared by all three engines.  A
     custom ``factory`` (:attr:`NoiseModel.kraus`) swaps the default
     depolarizing construction for an arbitrary channel family.
     """
@@ -230,10 +230,10 @@ def compile_program(
     """Lower a circuit (+ noise model) into a :class:`SimProgram`.
 
     ``layered`` selects DAG front-layer scheduling (the statevector
-    engine) over flat gate order (the MPS engine); ``fuse``/``fuse2q``
-    mirror the engine knobs for 1q and same-pair 2q fusion.  The
-    returned program is self-contained — engines touch neither the
-    circuit nor the noise model again.
+    engine) over flat gate order (the MPS and density engines);
+    ``fuse``/``fuse2q`` mirror the engine knobs for 1q and same-pair 2q
+    fusion.  The returned program is self-contained — engines touch
+    neither the circuit nor the noise model again.
     """
     offsets, n_events = noise_event_layout(circuit, noise)
     schedule = gate_schedule(circuit, layered)
@@ -347,8 +347,8 @@ class ProgramCache:
             }
 
 
-#: Process-wide default cache: chunks, workers, repeated runs, and both
-#: stochastic engines all share it unless a private cache is injected.
+#: Process-wide default cache: chunks, workers, repeated runs, and all
+#: three engines share it unless a private cache is injected.
 _GLOBAL_CACHE = ProgramCache()
 
 

@@ -25,16 +25,14 @@ import math
 
 from repro.rings import zomega as zo
 from repro.rings import zsqrt2 as zs2
-from repro.rings.zomega import ZOmega
+from repro.rings.zomega import DELTA, SQRT2_OMEGA, ZOmega
 from repro.rings.zsqrt2 import LAMBDA, LAMBDA_INV, SQRT2, ZSqrt2
 from repro.synthesis.gridsynth.number_theory import (
     factorize,
     sqrt_mod_prime,
 )
 
-_DELTA = ZOmega(0, 0, 1, 1)  # 1 + omega; conj(delta) * delta = lambda * sqrt(2)
 _I_OMEGA = ZOmega(0, 1, 0, 0)  # omega^2 = i
-_SQRT2_OMEGA = ZOmega(-1, 0, 1, 0)  # omega - omega^3 = sqrt(2)
 
 
 def solve_norm_equation(xi: ZSqrt2, factor_steps: int = 200_000) -> ZOmega | None:
@@ -100,7 +98,7 @@ def _extract(xi: ZSqrt2, eta: ZSqrt2) -> tuple[int, ZSqrt2]:
 def _lift_two(xi: ZSqrt2) -> tuple[ZOmega, ZSqrt2] | None:
     e, reduced = _extract(xi, SQRT2)
     # sqrt(2) = unit * conj(delta) delta with delta = 1 + omega.
-    return _DELTA**e, reduced
+    return DELTA**e, reduced
 
 
 def _lift_split(p: int, xi: ZSqrt2) -> tuple[ZOmega, ZSqrt2] | None:
@@ -142,7 +140,7 @@ def _lift_three(p: int, xi: ZSqrt2) -> tuple[ZOmega, ZSqrt2] | None:
     x = sqrt_mod_prime(p - 2, p)  # x^2 = -2 (mod p)
     if x is None:
         return None
-    target = ZOmega(0, 0, 0, x) - _I_OMEGA * _SQRT2_OMEGA
+    target = ZOmega(0, 0, 0, x) - _I_OMEGA * SQRT2_OMEGA
     s = zo.gcd(ZOmega(0, 0, 0, p), target)
     if abs(s.norm()) != p * p:
         return None

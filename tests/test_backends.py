@@ -1,14 +1,19 @@
 """Tests for the pluggable simulation backends and the sim bugfixes."""
 
+import math
+import random
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.circuits import Circuit
 from repro.circuits.circuit import Gate
 from repro.sim import (
-    DensityMatrixSimulator,
     NoiseModel,
+    ProgramCache,
     canonical_gate_name,
+    depolarizing_kraus,
     evaluate_fidelity,
     select_backend,
 )
@@ -102,20 +107,20 @@ class TestNoisyEquivalence:
             result.statevector()
 
 
+def _damping_kraus(g):
+    k0 = np.array([[1, 0], [0, np.sqrt(1 - g)]], dtype=complex)
+    k1 = np.array([[0, np.sqrt(g)], [0, 0]], dtype=complex)
+    return [k0, k1]
+
+
 class TestGeneralKrausPath:
     """Channels that are not mixtures of unitaries (amplitude damping)."""
-
-    @staticmethod
-    def _damping_kraus(g):
-        k0 = np.array([[1, 0], [0, np.sqrt(1 - g)]], dtype=complex)
-        k1 = np.array([[0, np.sqrt(g)], [0, 0]], dtype=complex)
-        return [k0, k1]
 
     def test_statevector_general_path(self):
         from repro.sim.backends.statevector import _apply_kraus_general
         from repro.sim.program import _as_unitary_mixture
 
-        kraus = self._damping_kraus(0.4)
+        kraus = _damping_kraus(0.4)
         assert _as_unitary_mixture(kraus) is None
         # 500 trajectories of |1>: damping sends ~40% to |0>.
         k = 500
@@ -133,7 +138,7 @@ class TestGeneralKrausPath:
     def test_mps_general_path_matches(self):
         from repro.sim.backends.mps_backend import MPSBackend
 
-        kraus = self._damping_kraus(0.4)
+        kraus = _damping_kraus(0.4)
         counts = 0
         n_traj = 200
         for t in range(n_traj):
@@ -151,7 +156,7 @@ class TestGeneralKrausPath:
         # noise whatever the model's channel factory said.
         noise = NoiseModel(
             0.2, NoiseModel.non_pauli_gates(0.2).applies_to,
-            kraus=self._damping_kraus,
+            kraus=_damping_kraus,
         )
         c = Circuit(2).x(0).h(1).t(1).cx(0, 1).t(0)
         eye = np.eye(2)
@@ -165,7 +170,7 @@ class TestGeneralKrausPath:
             for q in noise.noisy_qubits(g):
                 ops = [
                     np.kron(k, eye) if q == 0 else np.kron(eye, k)
-                    for k in self._damping_kraus(0.2)
+                    for k in _damping_kraus(0.2)
                 ]
                 rho = sum(k @ rho @ k.conj().T for k in ops)
         psi = c.statevector()
@@ -362,29 +367,169 @@ class TestGateNameNormalization:
         assert not np.allclose(noisy, quiet)
 
 
-class TestSetStateValidation:
-    """Regression: set_state must raise, not assert."""
+def _interpret_density(circuit, noise=None):
+    """Gate-by-gate density evolution, resolving noise per gate.
 
-    def test_shape_mismatch(self):
-        sim = DensityMatrixSimulator(2)
-        with pytest.raises(ValueError, match="shape"):
-            sim.set_state(np.eye(8, dtype=complex) / 8)
+    The density engine's execution path before it ran compiled
+    programs, kept as the byte-identity oracle for the program path.
+    """
+    n = circuit.n_qubits
+    dim = 2**n
 
-    def test_non_square(self):
-        sim = DensityMatrixSimulator(2)
-        with pytest.raises(ValueError):
-            sim.set_state(np.ones((4, 2), dtype=complex))
+    def apply(rho, m, axes):
+        k = len(axes)
+        m = m.reshape((2,) * (2 * k))
+        rho = np.tensordot(m, rho, axes=(list(range(k, 2 * k)), axes))
+        return np.moveaxis(rho, list(range(k)), axes)
 
-    def test_non_unit_trace(self):
-        sim = DensityMatrixSimulator(1)
-        with pytest.raises(ValueError, match="trace"):
-            sim.set_state(np.eye(2, dtype=complex))
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[0, 0] = 1.0
+    rho = rho.reshape((2,) * (2 * n))
+    factory = None if noise is None else noise.kraus or depolarizing_kraus
+    for gate in circuit.gates:
+        m = gate.matrix()
+        rho = apply(rho, m, list(gate.qubits))
+        rho = apply(rho, m.conj(), [n + q for q in gate.qubits])
+        if factory is None:
+            continue
+        for q in noise.noisy_qubits(gate):
+            total = None
+            for k in factory(noise.rate_for(gate)):
+                term = apply(apply(rho, k, [q]), k.conj(), [n + q])
+                total = term if total is None else total + term
+            rho = total
+    return rho.reshape(dim, dim)
 
-    def test_valid_state_accepted(self):
-        sim = DensityMatrixSimulator(1)
-        rho = np.array([[0.5, 0.0], [0.0, 0.5]], dtype=complex)
-        sim.set_state(rho)
-        assert np.allclose(sim.rho, rho)
+
+def _random_circuit(n_qubits, n_gates, seed, idle=False):
+    """Clifford+T+Rz gates, CXs on arbitrary pairs, optional idle markers."""
+    rng = random.Random(seed)
+    c = Circuit(n_qubits)
+    for _ in range(n_gates):
+        roll = rng.random()
+        q = rng.randrange(n_qubits)
+        if roll < 0.2:
+            a, b = rng.sample(range(n_qubits), 2)
+            c.cx(a, b)
+        elif roll < 0.3:
+            c.rz(rng.uniform(-math.pi, math.pi), q)
+        elif idle and roll < 0.4:
+            c.gates.append(Gate("i", (q,), (rng.uniform(0.5, 4.0),)))
+        else:
+            c.append(rng.choice(["h", "t", "tdg", "s", "x"]), q)
+    return c
+
+
+_HETEROGENEOUS_TARGET = SimpleNamespace(
+    gate_errors={"t": 1e-3, "tdg": 2e-3, "h": 5e-4, "cx": 4e-3},
+    edge_errors={(1, 2): 0.03, (0, 3): 0.01},
+)
+
+DENSITY_NOISE = {
+    "noiseless": lambda: None,
+    "non_pauli": lambda: NoiseModel.non_pauli_gates(1e-3),
+    "t_only": lambda: NoiseModel.t_gates_only(0.02),
+    "rate_zero": lambda: NoiseModel.non_pauli_gates(0.0),
+    "heterogeneous": lambda: NoiseModel.from_target(_HETEROGENEOUS_TARGET),
+    "amplitude_damping": lambda: NoiseModel(
+        0.05, NoiseModel.non_pauli_gates(0.05).applies_to,
+        kraus=_damping_kraus,
+    ),
+    "idle": lambda: NoiseModel.with_idle(
+        NoiseModel.non_pauli_gates(1e-3), 0.01
+    ),
+    "idle_only": lambda: NoiseModel.with_idle(None, 0.02),
+}
+
+
+class TestDensityProgram:
+    """The density engine runs the compiled program, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("kind", sorted(DENSITY_NOISE))
+    def test_byte_identical_to_interpreter(self, kind, seed):
+        noise = DENSITY_NOISE[kind]()
+        c = _random_circuit(4, 80, seed, idle=kind.startswith("idle"))
+        rho = DensityMatrixBackend(program_cache=ProgramCache()).run(
+            c, noise
+        ).rho
+        assert np.array_equal(rho, _interpret_density(c, noise))
+
+    def test_compiles_once_and_shares_the_mps_entry(self):
+        cache = ProgramCache()
+        c = _test_circuit()
+        noise = NoiseModel.non_pauli_gates(0.01)
+        DensityMatrixBackend(program_cache=cache).run(c, noise)
+        assert (cache.hits, cache.misses) == (0, 1)
+        DensityMatrixBackend(program_cache=cache).run(c, noise)
+        assert (cache.hits, cache.misses) == (1, 1)
+        MPSBackend(trajectories=2, program_cache=cache).run(c, noise)
+        assert (cache.hits, cache.misses, len(cache)) == (2, 1, 1)
+
+    @pytest.mark.parametrize("backend", ["auto", "density"])
+    def test_select_backend_passes_program_cache(self, backend):
+        cache = ProgramCache()
+        noise = NoiseModel.non_pauli_gates(0.01)
+        sim = select_backend(3, noise, backend=backend, program_cache=cache)
+        assert sim.name == "density" and sim.program_cache is cache
+
+
+class TestArgumentValidation:
+    """Bad rates and chunk sizes used to run silently."""
+
+    @pytest.mark.parametrize("kwargs", [
+        {"rate": -0.1},
+        {"rate": float("nan")},
+        {"rate": 1e-3, "idle_rate": -1.0},
+        {"rate": 1e-3, "idle_rate": float("nan")},
+        {"rate": 1e-3, "rates": {"t": -1e-3}},
+        {"rate": 1e-3, "rates": {"t": float("nan")}},
+        {"rate": 1e-3, "edge_rates": {(0, 1): -0.2}},
+        {"rate": 1e-3, "edge_rates": {(0, 1): float("nan")}},
+    ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+    def test_bad_noise_rate_rejected_at_construction(self, kwargs):
+        with pytest.raises(ValueError, match="non-negative"):
+            NoiseModel(applies_to=lambda g: True, **kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"rates": {"t": 0.2}},
+        {"edge_rates": {(0, 1): 0.2}},
+        {"idle_rate": 0.1},
+    ], ids=["rates", "edge_rates", "idle_rate"])
+    def test_zero_rate_with_positive_entry_rejected(self, kwargs):
+        # Every engine skips noise when ``rate`` is 0, so these models
+        # used to simulate noiselessly whatever their tables said.
+        with pytest.raises(ValueError, match="largest rate"):
+            NoiseModel(0.0, lambda g: True, **kwargs)
+        assert NoiseModel(0.0, lambda g: True, rates={"t": 0.0}).rate == 0.0
+
+    @pytest.mark.parametrize("rate", [-0.1, float("nan")])
+    def test_factories_reject(self, rate):
+        with pytest.raises(ValueError, match="rate"):
+            NoiseModel.non_pauli_gates(rate)
+        with pytest.raises(ValueError, match="rate"):
+            NoiseModel.t_gates_only(rate)
+
+    def test_with_idle_rejects_nan(self):
+        # A non-positive idle rate returns the base model unchanged.
+        base = NoiseModel.t_gates_only(1e-3)
+        assert NoiseModel.with_idle(base, -0.1) is base
+        with pytest.raises(ValueError, match="idle_rate"):
+            NoiseModel.with_idle(base, float("nan"))
+
+    def test_rate_zero_and_above_one_construct(self):
+        assert NoiseModel.non_pauli_gates(0.0).rate == 0.0
+        # Rates above 1 fail where the channel is built instead.
+        noise = NoiseModel.non_pauli_gates(1.5)
+        with pytest.raises(ValueError, match="depolarizing rate"):
+            DensityMatrixBackend(program_cache=ProgramCache()).run(
+                Circuit(1).h(0), noise
+            )
+
+    @pytest.mark.parametrize("chunk_size", [0, -3])
+    def test_statevector_rejects_bad_chunk_size(self, chunk_size):
+        with pytest.raises(ValueError, match="chunk_size"):
+            StatevectorTrajectoryBackend(chunk_size=chunk_size)
 
 
 class TestCodeDistanceGuard:

@@ -317,6 +317,16 @@ class TestSimulate:
         assert 0.0 <= fid <= 1.0
         assert fid < 1.0 - 1e-6  # noise at 1% must be visible
 
+    @pytest.mark.parametrize("rate", ["-0.01", "nan"])
+    def test_rejects_negative_or_nan_noise_rate(self, qasm_file, rate, capsys):
+        # Both used to print a noiseless fidelity of 1.
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", str(qasm_file), f"--noise-rate={rate}"])
+        assert exc.value.code == 2
+        assert "noise rate must be a non-negative number" in (
+            capsys.readouterr().err
+        )
+
     def test_auto_dispatches_small_noisy_to_density(self, qasm_file, capsys):
         rc = main(["simulate", str(qasm_file), "--noise-rate", "0.001"])
         out = capsys.readouterr().out

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.rings import zomega, zsqrt2
-from repro.rings.zomega import DOmega, ZOmega
+from repro.rings.zomega import ZOmega
 from repro.rings.zsqrt2 import LAMBDA, LAMBDA_INV, SQRT2, ZSqrt2
 
 small_ints = st.integers(min_value=-50, max_value=50)
@@ -150,28 +150,3 @@ class TestZOmega:
         x = ZSqrt2(3, -2)
         emb = ZOmega.from_zsqrt2(x)
         assert complex(emb) == pytest.approx(float(x))
-
-
-class TestDOmega:
-    def test_make_reduces(self):
-        z = ZOmega(0, 0, 0, 2)  # 2 = sqrt2^2
-        d = DOmega.make(z, 2)
-        assert d.k == 0 and d.z == ZOmega(0, 0, 0, 1)
-
-    def test_arithmetic_matches_complex(self):
-        x = DOmega.make(ZOmega(1, 2, 3, 4), 3)
-        y = DOmega.make(ZOmega(0, -1, 1, 2), 2)
-        assert complex(x + y) == pytest.approx(complex(x) + complex(y))
-        assert complex(x * y) == pytest.approx(complex(x) * complex(y))
-        assert complex(x - y) == pytest.approx(complex(x) - complex(y))
-
-    def test_adj2_odd_denominator_sign(self):
-        x = DOmega.make(ZOmega(0, 0, 0, 1), 1)  # 1/sqrt2
-        # adj2(1/sqrt2) = -1/sqrt2
-        assert complex(x.adj2()) == pytest.approx(-1 / math.sqrt(2))
-
-    @given(zw, st.integers(min_value=0, max_value=6))
-    @settings(max_examples=50)
-    def test_adj2_involution(self, z, k):
-        d = DOmega.make(z, k)
-        assert complex(d.adj2().adj2()) == pytest.approx(complex(d), abs=1e-9)

@@ -11,12 +11,11 @@ from repro.circuits import Circuit, t_count
 from repro.linalg import rz, trace_distance, trace_value
 from repro.optimizers import fold_phases, kak_decompose, resynthesize
 from repro.sim import (
-    DensityMatrixSimulator,
+    DensityMatrixBackend,
     NoiseModel,
     depolarizing_kraus,
     process_fidelity_1q,
     sequence_process_infidelity,
-    simulate_noisy,
     state_fidelity,
 )
 from repro.sim.fidelity import choi_of_sequence
@@ -45,28 +44,31 @@ class TestNoise:
         assert m2.noisy_qubits(Gate("cx", (0, 1))) == (0, 1)
 
 
+def _rho(circuit, noise=None):
+    return DensityMatrixBackend().run(circuit, noise).rho
+
+
 class TestDensityMatrix:
     def test_noiseless_matches_statevector(self):
         c = Circuit(3).h(0).cx(0, 1).t(1).cx(1, 2).rz(0.3, 2)
-        rho = simulate_noisy(c)
+        rho = _rho(c)
         psi = c.statevector()
         assert np.allclose(rho, np.outer(psi, psi.conj()), atol=1e-9)
 
     def test_trace_preserved_under_noise(self):
         c = Circuit(2).h(0).t(0).cx(0, 1).t(1)
-        rho = simulate_noisy(c, NoiseModel.non_pauli_gates(0.05))
+        rho = _rho(c, NoiseModel.non_pauli_gates(0.05))
         assert np.trace(rho).real == pytest.approx(1.0)
 
     def test_full_depolarizing(self):
         c = Circuit(1).t(0)
-        sim = DensityMatrixSimulator(1)
-        sim.run(c, NoiseModel.t_gates_only(1.0))
+        rho = _rho(c, NoiseModel.t_gates_only(1.0))
         # One fully-depolarizing event leaves 1/3 mixture of X,Y,Z rho.
-        assert np.trace(sim.rho).real == pytest.approx(1.0)
+        assert np.trace(rho).real == pytest.approx(1.0)
 
     def test_qubit_guard(self):
-        with pytest.raises(ValueError):
-            DensityMatrixSimulator(13)
+        with pytest.raises(ValueError, match="13 qubits"):
+            DensityMatrixBackend().run(Circuit(13).h(0))
 
     def test_noise_reduces_fidelity_monotonically(self):
         c = Circuit(2).h(0).cx(0, 1)
@@ -74,7 +76,7 @@ class TestDensityMatrix:
             c.t(0).t(1)
         psi = c.statevector()
         fids = [
-            state_fidelity(simulate_noisy(c, NoiseModel.t_gates_only(p)), psi)
+            state_fidelity(_rho(c, NoiseModel.t_gates_only(p)), psi)
             for p in (0.0, 1e-3, 1e-2, 1e-1)
         ]
         assert all(a >= b - 1e-12 for a, b in zip(fids, fids[1:]))
