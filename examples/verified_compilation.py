@@ -1,12 +1,13 @@
 """Contract-verified compilation: a broken custom pass caught in the act.
 
 The :mod:`repro.analysis` layer puts machine-checked contracts on every
-compilation step.  This example compiles a QFT through a routed
-pipeline at ``validate="full"`` — every pass boundary verified — and
-then deliberately drops a buggy custom pass into the pipeline to show
-the resulting :class:`~repro.analysis.VerificationError` naming the
-pass, the offending gate, and the violated contract, instead of a
-silently wrong circuit three stages later.  Run with:
+compilation step.  This example compiles a QFT onto a 2x3 grid with
+``compile_circuit(target=..., validate="full")`` — the routed circuit,
+every lowering pass boundary and the final Clifford+T output verified —
+and then deliberately drops a buggy custom pass into a lowering
+pipeline to show the resulting :class:`~repro.analysis.VerificationError`
+naming the pass, the offending gate, and the violated contract, instead
+of a silently wrong circuit three stages later.  Run with:
 
     PYTHONPATH=src python examples/verified_compilation.py
 """
@@ -14,17 +15,9 @@ silently wrong circuit three stages later.  Run with:
 from repro.analysis import VerificationError
 from repro.bench_circuits import ft_algorithms as ft
 from repro.circuits import Circuit
-from repro.pipeline import (
-    DagOptimize,
-    FixDirections,
-    MergeRuns,
-    PassManager,
-    RouteToTarget,
-    SetLayout,
-    compile_circuit,
-)
+from repro.pipeline import DagOptimize, MergeRuns, PassManager, compile_circuit
 from repro.pipeline.passes import Pass
-from repro.target import parse_target
+from repro.target import on_coupling_edges, parse_target
 
 TARGET = parse_target("grid:2x3")
 
@@ -36,7 +29,8 @@ def verified_compile():
         qft, workflow="gridsynth", eps=0.01,
         target=TARGET, optimization_level=3, validate="full",
     )
-    print(f"qft_n4 on {TARGET.name}: verified at every pass boundary")
+    assert on_coupling_edges(result.circuit, TARGET)
+    print(f"qft_n4 on {TARGET.name}: verified at every compilation stage")
     print(f"  T count  : {result.t_count}")
     print(f"  swaps    : {result.routing.metrics.swaps_inserted}")
     print(f"  makespan : {result.makespan:g}")
@@ -65,19 +59,15 @@ class DropEveryOtherCX(Pass):
 
 
 def broken_pass_is_caught():
-    """The same pipeline with the buggy pass spliced in."""
+    """A lowering pipeline with the buggy pass spliced in."""
     qft = ft.qft(4)
     pipeline = PassManager(
         [
-            SetLayout(TARGET),
-            RouteToTarget(TARGET),
-            FixDirections(TARGET),
             MergeRuns(),
             DropEveryOtherCX(),  # <- the bug
             DagOptimize(),
         ],
         validate="full",
-        target=TARGET,
     )
     try:
         pipeline.run(qft)

@@ -1,14 +1,13 @@
-"""Pass contracts: what each pipeline rewrite requires and ensures.
+"""Pass contracts: what each pipeline rewrite ensures.
 
-Every :class:`repro.pipeline.Pass` declares a contract through two
-class attributes, ``requires`` and ``ensures``, drawn from a small
-vocabulary:
+Every :class:`repro.pipeline.Pass` declares a contract through its
+``ensures`` class attribute, drawn from a small vocabulary:
 
 ``structural``
     The circuit is well-formed (:func:`repro.analysis.verify_circuit`,
     and for DAG passes :func:`repro.analysis.verify_table` on the
-    rewritten columns).  Every pass implicitly requires and ensures
-    this; the checker enforces it.
+    rewritten columns).  Every pass implicitly ensures this; the
+    checker enforces it.
 ``basis``
     Every gate is drawn from a declared vocabulary.  A pass ensuring
     ``basis`` names the vocabulary in its ``basis`` attribute (a
@@ -16,24 +15,22 @@ vocabulary:
     names).  Once established, the property is *persistent*: it is
     re-checked after every later pass until another basis-ensuring
     pass replaces the vocabulary.
-``connectivity``
-    Every 2q gate sits on a coupling edge of the target carried by the
-    ensuring pass (or the :class:`ContractChecker`'s target).  Also
-    persistent.  Orientation on directed couplings is enforced from
-    the first pass with ``fixes_directions = True`` onward, and again
-    on the final pipeline output — routing legitimately emits
-    reversed CXs that :class:`repro.pipeline.FixDirections` repairs.
 ``unitary_preserving``
     The pass's output implements the same unitary as its input up to
     global phase.  Transient (checked at the ensuring pass's own
     boundary only) and size-gated by
     :data:`repro.analysis.verify.UNITARY_CHECK_MAX_QUBITS`.
 
+Passes never route, so connectivity is no pass contract:
+:func:`repro.analysis.check_connectivity` checks it on the routed and
+final circuits of :func:`repro.pipeline.compile_circuit` (through
+:func:`verify_compiled`) and in the CLI ``verify`` command.
+
 :class:`ContractChecker` is the stateful verifier a
 ``PassManager(validate=...)`` run instantiates: ``"structural"`` mode
 runs the cheap structural check after every pass; ``"full"`` mode
-additionally enforces requires/ensures, persistent properties, table
-column consistency for DAG passes, and unitary preservation.
+additionally enforces ensures clauses, the persistent basis property,
+table column consistency for DAG passes, and unitary preservation.
 """
 
 from __future__ import annotations
@@ -52,20 +49,17 @@ from repro.analysis.verify import (
 )
 from repro.circuits import Circuit
 
-#: The contract vocabulary passes may draw ``requires``/``ensures`` from.
-CONTRACT_VOCABULARY = frozenset(
-    {"structural", "basis", "connectivity", "unitary_preserving"}
-)
+#: The contract vocabulary passes may draw ``ensures`` from.
+CONTRACT_VOCABULARY = frozenset({"structural", "basis", "unitary_preserving"})
 
 #: PassManager validation modes.
 VALIDATE_MODES = ("off", "structural", "full")
 
 
-def contract_of(p) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The validated ``(requires, ensures)`` contract of one pass."""
-    requires = tuple(getattr(p, "requires", ()))
+def contract_of(p) -> tuple[str, ...]:
+    """The validated ``ensures`` contract of one pass."""
     ensures = tuple(getattr(p, "ensures", ()))
-    for prop in (*requires, *ensures):
+    for prop in ensures:
         if prop not in CONTRACT_VOCABULARY:
             raise VerificationError(
                 f"pass {getattr(p, 'name', p)!r} declares unknown "
@@ -73,7 +67,7 @@ def contract_of(p) -> tuple[tuple[str, ...], tuple[str, ...]]:
                 f"{sorted(CONTRACT_VOCABULARY)})",
                 contract=prop,
             )
-    return requires, ensures
+    return ensures
 
 
 class ContractChecker:
@@ -81,23 +75,19 @@ class ContractChecker:
 
     One instance per ``PassManager.run_detailed`` call (the manager
     itself stays stateless and thread-shareable).  The checker tracks
-    which persistent properties earlier passes established — and with
-    what context (basis vocabulary, target) — and re-verifies them at
-    every later pass boundary, attributing any violation to the pass
-    that broke the contract.
+    the basis vocabulary an earlier pass established and re-verifies
+    it at every later pass boundary, attributing any violation to the
+    pass that broke the contract.
     """
 
-    def __init__(self, level: str, target=None):
+    def __init__(self, level: str):
         if level not in VALIDATE_MODES:
             raise ValueError(
                 f"validate must be one of {VALIDATE_MODES}, got {level!r}"
             )
         self.level = level
-        self.target = target
-        #: Persistent properties established so far.  ``basis`` maps to
-        #: its vocabulary, ``connectivity`` to the target it holds on.
-        self.established: dict[str, object] = {}
-        self.directions_fixed = False
+        #: The basis vocabulary an earlier pass established, if any.
+        self.basis = None
 
     @property
     def enabled(self) -> bool:
@@ -113,22 +103,6 @@ class ContractChecker:
         if not self.enabled:
             return
         verify_circuit(circuit)
-        self.established["structural"] = True
-
-    def before_pass(self, p, circuit: Circuit) -> None:
-        """Enforce the pass's ``requires`` clause (full mode)."""
-        if not self.full:
-            return
-        requires, _ = contract_of(p)
-        for prop in requires:
-            if prop == "structural":
-                continue  # maintained by check_input/after_pass
-            if prop not in self.established:
-                raise VerificationError(
-                    f"requires {prop!r} but no earlier pass established it",
-                    contract=prop,
-                    pass_name=p.name,
-                )
 
     def check_table(self, p, table) -> None:
         """Verify a DAG pass's mutated :class:`DAGTable`.
@@ -146,7 +120,7 @@ class ContractChecker:
             raise exc.with_pass(p.name) from None
 
     def after_pass(self, p, before: Circuit, after: Circuit) -> None:
-        """Verify the pass output and update the established set."""
+        """Verify the pass output and track a newly ensured basis."""
         if not self.enabled:
             return
         try:
@@ -155,10 +129,9 @@ class ContractChecker:
             raise exc.with_pass(p.name) from None
         if not self.full:
             return
-        _, ensures = contract_of(p)
+        ensures = contract_of(p)
         # Transient contract: the pass's own rewrite preserved the
-        # circuit unitary (size-gated; layout/routing passes change
-        # the wire count and never declare this).
+        # circuit unitary (size-gated).
         if (
             "unitary_preserving" in ensures
             and before.n_qubits == after.n_qubits
@@ -170,40 +143,24 @@ class ContractChecker:
                     contract="unitary_preserving",
                     pass_name=p.name,
                 )
-        # Newly established persistent properties (context from the
-        # ensuring pass itself where it carries one).
         if "basis" in ensures:
-            self.established["basis"] = resolve_basis(
-                getattr(p, "basis", "clifford_t")
-            )
-        if "connectivity" in ensures:
-            target = getattr(p, "target", None) or self.target
-            if target is not None:
-                self.established["connectivity"] = target
-        if getattr(p, "fixes_directions", False):
-            self.directions_fixed = True
-        # Persistent properties must survive every pass that runs after
-        # the one establishing them.
-        self._check_persistent(after, p.name)
+            self.basis = resolve_basis(getattr(p, "basis", "clifford_t"))
+        # The basis must survive every pass that runs after the one
+        # establishing it.
+        self._check_basis(after, p.name)
 
     def final(self, circuit: Circuit) -> None:
         """End-of-pipeline checks on the final output."""
         if not self.full:
             return
-        self._check_persistent(circuit, pass_name=None, at_end=True)
+        self._check_basis(circuit, pass_name=None)
 
     # -- internals ----------------------------------------------------------
-    def _check_persistent(
-        self, circuit: Circuit, pass_name: str | None, at_end: bool = False
-    ) -> None:
+    def _check_basis(self, circuit: Circuit, pass_name: str | None) -> None:
+        if self.basis is None:
+            return
         try:
-            vocab = self.established.get("basis")
-            if vocab is not None:
-                check_basis(circuit, vocab)
-            target = self.established.get("connectivity")
-            if target is not None:
-                directed = self.directions_fixed or at_end
-                check_connectivity(circuit, target, directed=directed)
+            check_basis(circuit, self.basis)
         except VerificationError as exc:
             raise (exc.with_pass(pass_name) if pass_name else exc) from None
 

@@ -18,6 +18,7 @@ bench          Run the standing perf harness (writes BENCH_<area>.json).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -88,6 +89,16 @@ def _parse_noise_rate(value: str) -> float:
             f"noise rate must be a non-negative number, got {value!r}"
         )
     return rate
+
+
+def _parse_threshold(value: str) -> float:
+    """CLI ``--eps``/``--eps-budget``: a finite positive number."""
+    eps = float(value)
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite positive number, got {value!r}"
+        )
+    return eps
 
 
 def _parse_target_arg(spec: str | None):
@@ -384,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--workflow", choices=("trasyn", "gridsynth"),
                    default="trasyn")
-    p.add_argument("--eps", type=float, default=0.007)
+    p.add_argument("--eps", type=_parse_threshold, default=0.007)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-O", "--optimization-level", type=_parse_level,
                    choices=(0, 1, 2, 3, 4, "best"), default="best",
@@ -400,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="variant-selection objective: fewest rotations "
                         "(default), shortest timed schedule, or highest "
                         "predicted success probability")
-    p.add_argument("--eps-budget", type=float, default=None,
+    p.add_argument("--eps-budget", type=_parse_threshold, default=None,
                    help="circuit-level accuracy budget split across "
                         "rotations by schedule criticality (replaces the "
                         "flat per-rotation --eps)")
@@ -421,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("inputs", nargs="+")
     p.add_argument("--workflow", choices=("trasyn", "gridsynth"),
                    default="trasyn")
-    p.add_argument("--eps", type=float, default=0.007)
+    p.add_argument("--eps", type=_parse_threshold, default=0.007)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-O", "--optimization-level", type=_parse_level,
                    choices=(0, 1, 2, 3, 4, "best"), default="best",
@@ -435,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objective", choices=("count", "depth", "esp"),
                    default="count",
                    help="variant-selection objective (see compile)")
-    p.add_argument("--eps-budget", type=float, default=None,
+    p.add_argument("--eps-budget", type=_parse_threshold, default=None,
                    help="circuit-level accuracy budget split across "
                         "rotations by schedule criticality")
     p.add_argument("--validate", choices=("off", "structural", "full"),

@@ -6,28 +6,27 @@ compiler service:
 * :class:`Pass` / :class:`PassManager` — the transpiler rewrites as
   composable objects with per-pass metrics, including the DAG passes
   (:class:`CancelInverses`, :class:`MergeRotations`,
-  :class:`FoldPhases`, :class:`DagOptimize`) running on
-  :class:`repro.circuits.CircuitDAG` and the connectivity stage
-  (:class:`SetLayout`, :class:`RouteToTarget`, :class:`FixDirections`)
-  targeting a :class:`repro.target.Target`,
+  :class:`FoldPhases`, :class:`DagOptimize`) running on the columnar
+  :class:`repro.circuits.DAGTable`,
 * :func:`preset_pipeline` — the paper's optimization levels 0-3 plus
-  the DAG-pass level 4, for both target IRs as ready-made pipelines,
+  the DAG-pass level 4, for both target IRs as ready-made lowering
+  pipelines (connectivity-free: passes never route),
 * :class:`SynthesisCache` — a thread-safe LRU of synthesized rotations;
   attach a :class:`DiskSynthesisStore` (:mod:`repro.pipeline.store`,
   the one persistence format) and it becomes the L1 of a two-tier,
   cross-process hierarchy with epsilon-band reuse,
-* :func:`compile_circuit` / :func:`compile_batch` — the end-to-end
-  transpile→synthesize flow, parallel over circuits on threads or
+* :func:`compile_circuit` / :func:`compile_batch` — the one compile
+  path: route onto a hardware target, lower, synthesize and pick the
+  objective's best variant, parallel over circuits on threads or
   (``workers='process'``) a true process pool sharing the disk store,
 * :mod:`repro.pipeline.warm` — the offline Rz catalog precompiler
   (``python -m repro.pipeline.warm`` / CLI ``warm-cache``) that ships
   warm segments for cold starts.
 
-Every entry point takes ``validate="off"|"structural"|"full"``, which
-runs the :mod:`repro.analysis` contract checkers between passes and on
-the final output.
+The pipeline entry points take ``validate="off"|"structural"|"full"``,
+which runs the :mod:`repro.analysis` contract checkers between passes
+and, in :func:`compile_circuit`, on the routed and final circuits.
 """
-
 from repro.pipeline.batch import (
     DEFAULT_EPS,
     OBJECTIVES,
@@ -63,8 +62,6 @@ from repro.pipeline.passes import (
     DAGPass,
     DagOptimize,
     DecomposeToRzBasis,
-    EstimateESP,
-    FixDirections,
     FoldPhases,
     FunctionPass,
     IsolateU3,
@@ -74,9 +71,6 @@ from repro.pipeline.passes import (
     PassManager,
     PassMetrics,
     PipelineResult,
-    RouteToTarget,
-    SchedulePass,
-    SetLayout,
     SnapTrivialRotations,
 )
 from repro.pipeline.presets import (
@@ -108,8 +102,6 @@ __all__ = [
     "DagOptimize",
     "DEFAULT_EPS",
     "DecomposeToRzBasis",
-    "EstimateESP",
-    "FixDirections",
     "FoldPhases",
     "FunctionPass",
     "IsolateU3",
@@ -121,9 +113,6 @@ __all__ = [
     "PassManager",
     "PassMetrics",
     "PipelineResult",
-    "RouteToTarget",
-    "SchedulePass",
-    "SetLayout",
     "SnapTrivialRotations",
     "SynthesisCache",
     "SynthesizedCircuit",

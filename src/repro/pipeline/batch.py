@@ -1,10 +1,10 @@
 """Circuit-level compilation on top of the pass pipeline and cache.
 
 :func:`compile_circuit` is the full transpile→synthesize flow of paper
-Figure 3(a) as one call: lower through a preset :class:`PassManager`
-(or the best-of-grid search of Section 3.4), then replace every
-nontrivial rotation with a Clifford+T word via the shared
-:class:`SynthesisCache`.  :func:`compile_batch` runs many circuits
+Figure 3(a) as one call and the only place routing, lowering and
+variant selection happen: route onto a target, lower through the preset
+pipelines, then replace every nontrivial rotation with a Clifford+T
+word via the shared :class:`SynthesisCache`.  :func:`compile_batch` runs many circuits
 through it on a ``concurrent.futures`` thread pool — or, with
 ``workers='process'``, on a true process pool whose workers share the
 on-disk segment store (``cache_dir=``) for cross-process reuse.
@@ -23,7 +23,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -36,13 +36,13 @@ from repro.circuits import (
 )
 from repro.circuits.circuit import Gate
 from repro.pipeline.cache import SynthesisCache, bucket_eps, key_rz, key_u3
-from repro.pipeline.passes import PassManager
 from repro.pipeline.presets import (
     best_preset_lowering,
     iter_presets,
     preset_pipeline,
 )
 from repro.synthesis import GateSequence
+from repro.synthesis.budget import check_threshold
 
 DEFAULT_EPS = 0.007  # the paper's RQ3 per-rotation threshold
 
@@ -289,27 +289,6 @@ def synthesize_lowered(
     )
 
 
-def _lower(
-    circuit: Circuit,
-    basis: str,
-    optimization_level: int | str,
-    commutation: bool | None,
-    pipeline: PassManager | None,
-    validate: str = "off",
-) -> Circuit:
-    if pipeline is not None:
-        # An explicit pipeline carries its own validate setting.
-        return pipeline.run(circuit)
-    if optimization_level == "best":
-        return best_preset_lowering(
-            circuit, basis, commutation, validate=validate
-        )
-    pm = preset_pipeline(
-        basis, int(optimization_level), bool(commutation), validate=validate
-    )
-    return pm.run(circuit)
-
-
 def _route_to_target(circuit: Circuit, target, layout, cost_aware=None):
     """Layout + route + direction-fix: ``(RoutingResult, fixed circuit)``."""
     from repro.circuits import depth, two_qubit_depth
@@ -347,7 +326,7 @@ def _routing_variants(target, layout, objective):
     return variants
 
 
-def _variant_score(objective: str, result: SynthesizedCircuit, target):
+def _variant_score(objective: str, result: SynthesizedCircuit):
     """Ranking key (lower is better) for one compiled variant."""
     if objective == "esp":
         esp = result.esp if result.esp is not None else 1.0
@@ -358,6 +337,32 @@ def _variant_score(objective: str, result: SynthesizedCircuit, target):
     return (result.n_rotations, len(result.circuit.gates))
 
 
+def _lowerings(
+    work: Circuit,
+    basis: str,
+    objective: str,
+    optimization_level: int | str,
+    commutation: bool | None,
+    validate: str,
+) -> Iterator[Circuit]:
+    """The lowerings of one route: a fixed level's preset, else the
+    fewest-rotations preset for ``'count'`` (Section 3.4) or every
+    preset ``commutation`` admits for ``'depth'``/``'esp'``."""
+    if optimization_level != "best":
+        yield preset_pipeline(
+            basis, int(optimization_level), bool(commutation),
+            validate=validate,
+        ).run(work)
+    elif objective == "count":
+        yield best_preset_lowering(
+            work, basis, commutation, validate=validate
+        )
+    else:
+        for _, comm, pm in iter_presets(basis, validate=validate):
+            if commutation is None or comm == commutation:
+                yield pm.run(work)
+
+
 def compile_circuit(
     circuit: Circuit,
     workflow: str = "trasyn",
@@ -366,7 +371,6 @@ def compile_circuit(
     seed: int = 0,
     optimization_level: int | str = "best",
     commutation: bool | None = None,
-    pipeline: PassManager | None = None,
     pre_transpiled: bool = False,
     target=None,
     layout="dense",
@@ -375,13 +379,23 @@ def compile_circuit(
     cost_aware: bool | None = None,
     validate: str = "off",
 ) -> SynthesizedCircuit:
-    """Compile one circuit to Clifford+T through the pass pipeline.
+    """Compile one circuit to Clifford+T: route, lower, synthesize, pick.
+
+    **Routes:** the circuit itself without a ``target`` or when
+    ``pre_transpiled``; else the circuit laid out, SABRE-routed and
+    direction-fixed once for ``objective='count'``, or over
+    :func:`_routing_variants` for ``'depth'``/``'esp'``.  **Lowerings:**
+    a ``pre_transpiled`` route is its own; else :func:`_lowerings`.
+    **Selection:** every lowering is synthesized through the shared
+    cache and the first candidate with the lowest objective score wins.
 
     Parameters
     ----------
     workflow:
         ``'trasyn'`` (CX+U3 lowering, direct U3 synthesis) or
         ``'gridsynth'`` (CX+H+Rz lowering, Rz synthesis).
+    eps:
+        Per-rotation synthesis threshold; must be finite and positive.
     optimization_level:
         0-4 selects one preset (4 = the paper's level 3 plus the DAG
         cancel/merge/fold fixpoint); ``'best'`` (default) searches the
@@ -389,43 +403,38 @@ def compile_circuit(
     commutation:
         Pin the commutation pass on/off; ``None`` means "off" for fixed
         levels and "search both" for ``'best'``.
-    pipeline:
-        Explicit :class:`PassManager` overriding the preset choice.
+    pre_transpiled:
+        The circuit is already lowered (and placed): synthesize it as
+        given, with neither routing nor lowering.
     target:
-        A :class:`repro.target.Target`; when given, the circuit is laid
-        out (``layout``), SABRE-routed, and direction-fixed before
-        lowering, and the returned result carries the
-        :class:`~repro.target.RoutingResult` (swap count, permutation,
-        depths) as ``result.routing`` plus the timed schedule and ESP
-        prediction of the final circuit.
+        A :class:`repro.target.Target` routed onto with initial
+        placement ``layout``; the result carries the
+        :class:`~repro.target.RoutingResult` as ``result.routing`` plus
+        the timed schedule and ESP prediction of the final circuit.
     objective:
-        What the preset×target variant grid is ranked by: ``'count'``
-        (fewest nontrivial rotations, the historical behavior and
-        paper Section 3.4), ``'depth'`` (shortest timed schedule
-        under the target's gate durations), or ``'esp'`` (highest
-        predicted success probability under the target's calibration —
-        the search additionally tries the cost-aware routing variants
-        and synthesizes every candidate through the shared cache).
+        What the candidates are ranked by: ``'count'`` (fewest
+        nontrivial rotations, paper Section 3.4), ``'depth'`` (shortest
+        timed schedule under the target's gate durations), or ``'esp'``
+        (highest predicted success probability under the target's
+        calibration).
     eps_budget:
         Circuit-level accuracy budget replacing the flat per-rotation
         ``eps``: :func:`repro.synthesis.allocate_eps_budget` splits it
         across rotations in inverse proportion to their schedule
         criticality, and the allocation is recorded on
-        ``result.eps_allocation``.
+        ``result.eps_allocation``.  Must be finite and positive.
     cost_aware:
-        Error-aware routing tie-breaks for the single-variant path
-        (see :func:`repro.target.route_dag`; ``None`` auto-enables on
+        Error-aware routing tie-breaks for the ``'count'`` route (see
+        :func:`repro.target.route_dag`; ``None`` auto-enables on
         per-edge-calibrated targets).  Pass ``False`` to pin the
         error-agnostic router, e.g. as an experimental baseline.  The
-        objective grid explores both settings regardless.
+        ``'depth'``/``'esp'`` grid explores both settings regardless.
     validate:
-        ``"off"``/``"structural"``/``"full"`` contract verification of
-        every compilation stage (see
-        :class:`repro.pipeline.PassManager`): the lowering pipeline
-        runs under a :class:`repro.analysis.ContractChecker`, the
-        routed circuit and the final Clifford+T output are verified
-        with :func:`repro.analysis.verify_compiled`, and at ``"full"``
-        the attached schedule is checked for per-qubit overlap.
+        ``"off"``/``"structural"``/``"full"``: every routed circuit and
+        Clifford+T output is checked with
+        :func:`repro.analysis.verify_compiled`, the presets run under a
+        :class:`repro.analysis.ContractChecker`, and at ``"full"`` the
+        schedule is checked for per-qubit overlap.
     """
     from repro.analysis.contracts import VALIDATE_MODES
 
@@ -446,6 +455,9 @@ def compile_circuit(
             "objective='esp' needs a target (its calibration defines the "
             "success probability being maximized)"
         )
+    check_threshold("eps", eps)
+    if eps_budget is not None:
+        check_threshold("eps_budget", eps_budget)
     basis = _WORKFLOW_BASIS[workflow]
     start = time.monotonic()
     if cache is None:
@@ -486,68 +498,39 @@ def compile_circuit(
                 check_schedule(result.schedule)
         return result
 
-    single_variant = (
-        objective == "count"
-        or pre_transpiled
-        or pipeline is not None
-    )
-    if single_variant:
-        routing = None
-        work = circuit
-        if target is not None and not pre_transpiled:
-            routing, work = _route_to_target(
-                circuit, target, layout, cost_aware
-            )
-            if validate != "off":
-                from repro.analysis import verify_compiled
-
-                verify_compiled(work, target, level=validate)
-        lowered = work if pre_transpiled else _lower(
-            work, basis, optimization_level, commutation, pipeline,
-            validate=validate,
-        )
-        result = synth(lowered, routing)
+    if target is None or pre_transpiled:
+        routes = [(None, circuit)]
     else:
-        # Objective-driven search: every routing variant × lowering
-        # preset is synthesized (the shared cache de-duplicates the
-        # rotation work) and ranked by the objective's score.  The
-        # error-agnostic dense route + every preset is always in the
-        # grid, so the winner is never worse than the baseline.
-        candidates: list[tuple[tuple, SynthesizedCircuit]] = []
-        route_grid = (
-            _routing_variants(target, layout, objective)
-            if target is not None
-            else [None]
+        variants = (
+            [(layout, cost_aware)] if objective == "count"
+            else _routing_variants(target, layout, objective)
         )
-        for route_variant in route_grid:
-            if route_variant is None:
-                routing, work = None, circuit
-            else:
-                variant_layout, cost_aware = route_variant
-                routing, work = _route_to_target(
-                    circuit, target, variant_layout, cost_aware
-                )
-            if optimization_level == "best":
-                lowerings = [
-                    pm.run(work)
-                    for _, comm, pm in iter_presets(basis, validate=validate)
-                    if commutation is None or comm == commutation
-                ]
-            else:
-                pm = preset_pipeline(
-                    basis, int(optimization_level), bool(commutation),
-                    validate=validate,
-                )
-                lowerings = [pm.run(work)]
-            for lowered in lowerings:
-                result = synth(lowered, routing)
-                candidates.append(
-                    (_variant_score(objective, result, target), result)
-                )
-        if not candidates:
-            raise RuntimeError("objective search produced no candidate")
-        candidates.sort(key=lambda c: c[0])
-        result = candidates[0][1]
+        routes = [
+            _route_to_target(circuit, target, variant_layout, variant_cost)
+            for variant_layout, variant_cost in variants
+        ]
+        if validate != "off":
+            from repro.analysis import verify_compiled
+
+            for _, work in routes:
+                verify_compiled(work, target, level=validate)
+
+    best: tuple[tuple, SynthesizedCircuit] | None = None
+    for routing, work in routes:
+        lowerings = [work] if pre_transpiled else _lowerings(
+            work, basis, objective, optimization_level, commutation,
+            validate,
+        )
+        for lowered in lowerings:
+            result = synth(lowered, routing)
+            score = _variant_score(objective, result)
+            # Strict "<": among equal scores the first candidate wins.
+            if best is None or score < best[0]:
+                best = (score, result)
+    if best is None:
+        # Reachable only when ``commutation`` filters out every preset.
+        raise RuntimeError("compile_circuit produced no candidate")
+    result = best[1]
     result.wall_time = time.monotonic() - start
     return result
 
@@ -653,7 +636,6 @@ def compile_batch(
     max_workers: int | None = None,
     optimization_level: int | str = "best",
     commutation: bool | None = None,
-    pipeline: PassManager | None = None,
     target=None,
     layout="dense",
     objective: str = "count",
@@ -689,7 +671,13 @@ def compile_batch(
     DiskSynthesisStore` under whichever path runs — thread workers
     share it through the one cache, process workers each open it — and
     new results are flushed to it before returning.
+
+    A NaN, infinite or non-positive ``eps``/``eps_budget`` raises
+    ``ValueError`` before any worker starts.
     """
+    check_threshold("eps", eps)
+    if eps_budget is not None:
+        check_threshold("eps_budget", eps_budget)
     n_processes = resolve_workers(workers)
     store = None
     if cache_dir is not None:
@@ -712,7 +700,7 @@ def compile_batch(
             dict(
                 workflow=workflow, eps=eps, seed=seed,
                 optimization_level=optimization_level,
-                commutation=commutation, pipeline=pipeline, target=target,
+                commutation=commutation, target=target,
                 layout=layout, objective=objective, eps_budget=eps_budget,
                 validate=validate,
             ),
@@ -722,7 +710,7 @@ def compile_batch(
             return compile_circuit(
                 circuit, workflow=workflow, eps=eps, cache=cache, seed=seed,
                 optimization_level=optimization_level,
-                commutation=commutation, pipeline=pipeline, target=target,
+                commutation=commutation, target=target,
                 layout=layout, objective=objective, eps_budget=eps_budget,
                 validate=validate,
             )

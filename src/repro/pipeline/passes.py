@@ -38,22 +38,18 @@ class Pass:
     Subclasses implement :meth:`run`; ``name`` identifies the pass in
     metrics and reprs.  Passes must not mutate their input circuit.
 
-    ``requires``/``ensures`` declare the pass's contract from the
+    ``ensures`` declares what the pass guarantees, drawn from
     :data:`repro.analysis.CONTRACT_VOCABULARY` (``structural``,
-    ``basis``, ``connectivity``, ``unitary_preserving``); a pass
-    ensuring ``basis`` names its gate vocabulary in ``basis``, and a
-    pass that repairs CX orientation on directed couplings sets
-    ``fixes_directions``.  ``PassManager(validate=...)`` enforces the
-    contracts (see :class:`repro.analysis.ContractChecker`).
+    ``basis``, ``unitary_preserving``); a pass ensuring ``basis`` names
+    its gate vocabulary in ``basis``.  ``PassManager(validate=...)``
+    enforces the contracts (see :class:`repro.analysis.ContractChecker`).
     """
 
     name: str = "pass"
-    requires: tuple[str, ...] = ()
     ensures: tuple[str, ...] = ()
     #: Gate vocabulary promised by an ``ensures`` containing "basis"
     #: (a ``repro.analysis.BASIS_SETS`` key or iterable of gate names).
     basis: object = "clifford_t"
-    fixes_directions: bool = False
 
     def run(self, circuit: Circuit) -> Circuit:
         raise NotImplementedError
@@ -146,146 +142,6 @@ class IsolateU3(Pass):
 
     def run(self, circuit: Circuit) -> Circuit:
         return _isolate_1q(circuit)
-
-
-class SetLayout(Pass):
-    """Embed the circuit onto a target's physical wires.
-
-    Computes an initial placement (``"trivial"`` or ``"dense"``, or an
-    explicit :class:`repro.target.Layout`) and relabels every gate onto
-    physical qubits; the output circuit has ``target.n_qubits`` wires.
-    Routing the result with a trivial layout equals routing the input
-    with the chosen layout, so this pass always precedes
-    :class:`RouteToTarget` in a pipeline.
-    """
-
-    name = "set_layout"
-
-    def __init__(self, target, layout="dense"):
-        self.target = target
-        self.layout = layout
-
-    def run(self, circuit: Circuit) -> Circuit:
-        from repro.target import apply_layout, resolve_layout
-
-        placed = resolve_layout(self.layout, circuit, self.target)
-        return apply_layout(circuit, placed)
-
-
-class RouteToTarget(Pass):
-    """SABRE-style swap routing onto a target's coupling map.
-
-    Expects the circuit already placed on physical wires (normally by
-    :class:`SetLayout`); smaller circuits are embedded trivially.  Only
-    the routed circuit flows on through the pipeline — callers needing
-    the permutation and swap metrics use
-    :func:`repro.target.route_circuit` directly (as
-    :func:`repro.pipeline.compile_circuit` does).
-    """
-
-    name = "route_to_target"
-    ensures = ("connectivity",)
-
-    def __init__(self, target, lookahead: int | None = None,
-                 lookahead_weight: float | None = None):
-        from repro.target.routing import (
-            DEFAULT_LOOKAHEAD,
-            DEFAULT_LOOKAHEAD_WEIGHT,
-        )
-
-        self.target = target
-        self.lookahead = (
-            DEFAULT_LOOKAHEAD if lookahead is None else int(lookahead)
-        )
-        self.lookahead_weight = (
-            DEFAULT_LOOKAHEAD_WEIGHT
-            if lookahead_weight is None
-            else float(lookahead_weight)
-        )
-
-    def run(self, circuit: Circuit) -> Circuit:
-        from repro.target import route_circuit
-
-        return route_circuit(
-            circuit, self.target, layout="trivial",
-            lookahead=self.lookahead,
-            lookahead_weight=self.lookahead_weight,
-        ).circuit
-
-
-class FixDirections(Pass):
-    """Repair CX orientation on directed couplings (H conjugation)."""
-
-    name = "fix_directions"
-    requires = ("connectivity",)
-    ensures = ("connectivity",)
-    fixes_directions = True
-
-    def __init__(self, target):
-        self.target = target
-
-    def run(self, circuit: Circuit) -> Circuit:
-        from repro.target import fix_gate_directions
-
-        fixed, _ = fix_gate_directions(circuit, self.target)
-        return fixed
-
-
-class SchedulePass(Pass):
-    """Analysis pass: attach an ASAP/ALAP timed schedule.
-
-    The circuit flows through unchanged; the computed
-    :class:`repro.schedule.Schedule` is kept on the pass instance as
-    ``self.schedule`` (an analysis pass in the Qiskit property-set
-    sense, without a property set).  Durations come from the target's
-    calibration, falling back to arity defaults.
-    """
-
-    name = "schedule"
-
-    def __init__(self, target=None, method: str = "asap",
-                 durations=None):
-        self.target = target
-        self.method = method
-        self.durations = durations
-        self.schedule = None
-
-    def run(self, circuit: Circuit) -> Circuit:
-        from repro.schedule import schedule_circuit
-
-        self.schedule = schedule_circuit(
-            circuit, self.target, self.durations, method=self.method
-        )
-        return circuit
-
-
-class EstimateESP(Pass):
-    """Analysis pass: predict the circuit's success probability.
-
-    Stores the :class:`repro.target.EspEstimate` on ``self.estimate``
-    (and the underlying ASAP schedule on ``self.schedule``); the
-    circuit itself is untouched.
-    """
-
-    name = "estimate_esp"
-
-    def __init__(self, target, durations=None):
-        if target is None:
-            raise ValueError("ESP estimation needs a target")
-        self.target = target
-        self.durations = durations
-        self.schedule = None
-        self.estimate = None
-
-    def run(self, circuit: Circuit) -> Circuit:
-        from repro.schedule import schedule_circuit
-        from repro.target.cost import estimate_esp
-
-        self.schedule = schedule_circuit(circuit, self.target, self.durations)
-        self.estimate = estimate_esp(
-            circuit, self.target, schedule=self.schedule
-        )
-        return circuit
 
 
 class DAGPass(Pass):
@@ -408,18 +264,15 @@ class PassManager:
     ``validate`` turns on contract verification between passes:
     ``"off"`` (the default) adds no work, ``"structural"`` runs the
     cheap IR well-formedness check after every pass, and ``"full"``
-    additionally enforces each pass's ``requires``/``ensures``
-    contract, persistent basis/connectivity properties, table column
-    consistency for :class:`DAGPass` rewrites, and unitary
-    preservation on small circuits.  Violations raise
-    :class:`repro.analysis.VerificationError` naming the pass, the
-    offending node, and the broken contract.  ``target`` supplies the
-    coupling map for connectivity checks when the ensuring pass does
-    not carry one.
+    additionally enforces each pass's ``ensures`` contract, the
+    persistent basis property, table column consistency for
+    :class:`DAGPass` rewrites, and unitary preservation on small
+    circuits.  Violations raise :class:`repro.analysis.VerificationError`
+    naming the pass, the offending node, and the broken contract.
     """
 
     def __init__(self, passes: Iterable[Pass] = (), *,
-                 validate: str = "off", target=None):
+                 validate: str = "off"):
         from repro.analysis.contracts import VALIDATE_MODES
 
         if validate not in VALIDATE_MODES:
@@ -428,7 +281,6 @@ class PassManager:
             )
         self.passes: list[Pass] = list(passes)
         self.validate = validate
-        self.target = target
 
     def append(self, p: Pass) -> "PassManager":
         self.passes.append(p)
@@ -462,12 +314,11 @@ class PassManager:
         """
         from repro.analysis.contracts import ContractChecker
 
-        checker = ContractChecker(self.validate, target=self.target)
+        checker = ContractChecker(self.validate)
         checker.check_input(circuit)
         work = circuit
         metrics: list[PassMetrics] = []
         for p in self.passes:
-            checker.before_pass(p, work)
             gates_in = len(work.gates)
             rot_in = rotation_count(work)
             start = time.monotonic()

@@ -21,13 +21,10 @@ from repro.pipeline.passes import (
     CommuteRotations,
     DagOptimize,
     DecomposeToRzBasis,
-    FixDirections,
     IsolateU3,
     MergeRuns,
     Pass,
     PassManager,
-    RouteToTarget,
-    SetLayout,
     SnapTrivialRotations,
 )
 
@@ -57,8 +54,6 @@ def preset_pipeline(
     basis: str = "u3",
     optimization_level: int = 1,
     commutation: bool = False,
-    target=None,
-    layout="dense",
     validate: str = "off",
 ) -> PassManager:
     """The pass sequence lowering a circuit to ``basis`` at a level.
@@ -68,12 +63,9 @@ def preset_pipeline(
     where level 4 re-runs the DAG fixpoint after lowering so phases
     fold through the freshly exposed CX/Rz stream).
 
-    ``target`` (a :class:`repro.target.Target`) composes the
-    connectivity stage — :class:`SetLayout` (``layout`` picks the
-    placement strategy), :class:`RouteToTarget`, and
-    :class:`FixDirections` — *before* the optimization core and basis
-    lowering at every level, so 1q-run merges happen on the routed
-    circuit and survive the inserted SWAPs.
+    A preset only lowers: it never routes.  Compiling against a hardware
+    target goes through :func:`repro.pipeline.compile_circuit`, which
+    routes the circuit first and then lowers it with these presets.
 
     ``validate`` (``"off"``/``"structural"``/``"full"``) turns on
     contract verification between passes; see
@@ -86,10 +78,6 @@ def preset_pipeline(
     passes: list[Pass] = [SnapTrivialRotations()]
     if commutation:
         passes.append(CommuteRotations())
-    if target is not None:
-        passes.append(SetLayout(target, layout=layout))
-        passes.append(RouteToTarget(target))
-        passes.append(FixDirections(target))
     passes.extend(
         _STEP_FACTORY[step]() for step in _LEVEL_PASSES[optimization_level]
     )
@@ -105,7 +93,7 @@ def preset_pipeline(
         passes.append(IsolateU3())
     else:
         passes.append(MergeRuns())
-    return PassManager(passes, validate=validate, target=target)
+    return PassManager(passes, validate=validate)
 
 
 def iter_presets(

@@ -18,6 +18,7 @@ slices sum to the requested budget, so
 
 from __future__ import annotations
 
+import math
 from typing import Mapping, Sequence
 
 from repro.circuits.circuit import Circuit, Gate
@@ -36,6 +37,14 @@ EPS_CEIL = 0.45
 #: synthesis cost explodes as eps shrinks (the RQ2 law), so the spread
 #: is clamped to a factor the synthesizers absorb gracefully.
 MAX_WEIGHT_RATIO = 4.0
+
+
+def check_threshold(name: str, value: float) -> None:
+    """Reject a NaN, infinite, zero or negative accuracy threshold."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(
+            f"{name} must be a finite positive number, got {value!r}"
+        )
 
 
 def is_budgeted_rotation(gate: Gate) -> bool:
@@ -92,10 +101,10 @@ def allocate_eps_budget(
     slices; critical ones are synthesized tightest.  Weights are
     clamped to a spread of :data:`MAX_WEIGHT_RATIO` and slices to
     ``[EPS_FLOOR, EPS_CEIL]`` (clipping only ever lowers the total, so
-    the additive union bound still holds).
+    the additive union bound still holds).  A NaN, infinite or
+    non-positive ``budget`` raises ``ValueError``.
     """
-    if budget <= 0.0:
-        raise ValueError("accuracy budget must be positive")
+    check_threshold("accuracy budget", budget)
     crits = rotation_criticalities(lowered, target, durations)
     if not crits:
         return []

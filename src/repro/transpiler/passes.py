@@ -237,8 +237,6 @@ def transpile(
     basis: str = "u3",
     optimization_level: int = 1,
     commutation: bool = False,
-    target=None,
-    layout="dense",
     validate: str = "off",
 ) -> Circuit:
     """Lower ``circuit`` to the chosen IR at an optimization level (0-4).
@@ -251,11 +249,9 @@ def transpile(
     (cancel inverses / merge rotations / fold phases) of
     :mod:`repro.optimizers.columnar`.
 
-    ``target`` (a :class:`repro.target.Target`) makes the lowering
-    connectivity-constrained: the circuit is placed (``layout`` =
-    ``'trivial'``/``'dense'``/a ``Layout``), SABRE-routed, and
-    direction-fixed before optimization, so every 2q gate of the output
-    lies on a coupling edge.
+    The lowering is connectivity-free; to compile against a hardware
+    target use :func:`repro.pipeline.compile_circuit`, which routes
+    before lowering and reports the swap count and output permutation.
 
     ``validate`` (``"off"``/``"structural"``/``"full"``) verifies the
     IR and each pass's contract between passes; see
@@ -269,8 +265,7 @@ def transpile(
     from repro.pipeline.presets import preset_pipeline
 
     return preset_pipeline(
-        basis, optimization_level, commutation, target=target,
-        layout=layout, validate=validate,
+        basis, optimization_level, commutation, validate=validate
     ).run(circuit)
 
 

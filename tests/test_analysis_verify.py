@@ -221,19 +221,6 @@ class _CorruptDagPass(DAGPass):
         table.succ0[0] = 10_000
 
 
-class _OffEdgePass(Pass):
-    """Moves a 2q gate off the coupling map after routing."""
-
-    name = "off_edge"
-
-    def run(self, circuit):
-        out = Circuit(circuit.n_qubits, name=circuit.name)
-        for g in circuit.gates:
-            out.gates.append(g)
-        out.cx(0, circuit.n_qubits - 1)
-        return out
-
-
 class TestContractChecker:
     def test_modes_validated(self):
         with pytest.raises(ValueError, match="validate"):
@@ -272,22 +259,6 @@ class TestContractChecker:
         assert exc.value.pass_name == "off_basis"
         assert "rx" in str(exc.value)
 
-    def test_connectivity_violation_names_pass(self):
-        from repro.pipeline.passes import RouteToTarget, SetLayout
-
-        tgt = parse_target("line:4")
-        c = Circuit(4)
-        c.cx(0, 1)
-        c.cx(1, 3)
-        pm = PassManager(
-            [SetLayout(tgt), RouteToTarget(tgt), _OffEdgePass()],
-            validate="full",
-        )
-        with pytest.raises(VerificationError) as exc:
-            pm.run(c)
-        assert exc.value.contract == "connectivity"
-        assert exc.value.pass_name == "off_edge"
-
     def test_corrupted_dag_names_pass(self):
         c = Circuit(2)
         c.h(0)
@@ -298,19 +269,6 @@ class TestContractChecker:
             pm.run(c)
         assert exc.value.pass_name == "corrupt_dag"
         assert exc.value.contract == "structural"
-
-    def test_requires_unestablished(self):
-        class Needy(Pass):
-            name = "needy"
-            requires = ("connectivity",)
-
-            def run(self, circuit):
-                return circuit
-
-        c = Circuit(1)
-        c.h(0)
-        with pytest.raises(VerificationError, match="no earlier pass"):
-            PassManager([Needy()], validate="full").run(c)
 
     def test_structural_mode_catches_corruption(self):
         class Corrupt(Pass):
@@ -371,12 +329,22 @@ class TestPresetPipelinesValidateFull:
     @pytest.mark.parametrize("basis", ["u3", "rz"])
     @pytest.mark.parametrize("level", [0, 2, 4])
     def test_presets_with_target(self, basis, level):
+        # Presets never route: compile_circuit routes onto the target,
+        # then every level lowers the routed circuit without breaking
+        # its contracts, and the output stays on the coupling map.
+        from repro.pipeline import compile_circuit
+
         tgt = parse_target("grid:2x3")
+        workflow, eps = ("trasyn", 0.15) if basis == "u3" else (
+            "gridsynth", 0.05
+        )
         for seed, n in ((3, 3), (4, 5), (5, 6)):
             c = random_circuit(seed, n)
-            pm = preset_pipeline(basis, level, target=tgt, validate="full")
-            out = pm.run(c)
-            check_connectivity(out, tgt)
+            r = compile_circuit(
+                c, workflow=workflow, eps=eps, optimization_level=level,
+                target=tgt, validate="full",
+            )
+            check_connectivity(r.circuit, tgt)
 
     @pytest.mark.parametrize("basis", ["u3", "rz"])
     def test_presets_with_commutation(self, basis):
@@ -399,6 +367,35 @@ class TestCompileCircuitValidate:
         check_basis(r.circuit, "clifford_t")
         check_connectivity(r.circuit, tgt)
         check_schedule(r.schedule)
+
+    @pytest.mark.parametrize("objective", ["depth", "esp"])
+    def test_search_verifies_every_routed_variant(
+        self, monkeypatch, objective
+    ):
+        # An off-edge routed variant is rejected before it is lowered
+        # or synthesized, as on the objective='count' route.
+        from repro.pipeline import batch, compile_circuit
+        from tests.test_pipeline import _UnreachableCache
+
+        real_route = batch._route_to_target
+
+        def off_edge_route(circuit, target, layout, cost_aware=None):
+            routing, work = real_route(circuit, target, layout, cost_aware)
+            broken = Circuit(work.n_qubits, name=work.name)
+            broken.gates.extend(work.gates)
+            broken.cx(0, target.n_qubits - 1)
+            return routing, broken
+
+        monkeypatch.setattr(batch, "_route_to_target", off_edge_route)
+        c = Circuit(3)
+        c.h(0).cx(0, 2).rz(0.3, 2)
+        with pytest.raises(VerificationError) as exc:
+            compile_circuit(
+                c, workflow="gridsynth", eps=0.05, cache=_UnreachableCache(),
+                target=parse_target("line:4"), objective=objective,
+                validate="full",
+            )
+        assert exc.value.contract == "connectivity"
 
     def test_bad_validate_value(self):
         from repro.pipeline import compile_circuit

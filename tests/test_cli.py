@@ -70,6 +70,18 @@ class TestCompile:
         assert int(_field(out, "rotations synthesized")) >= 1
         assert int(_field(out, "Clifford count")) >= 0
 
+    @pytest.mark.parametrize("command", ["compile", "compile-batch"])
+    @pytest.mark.parametrize("flag", ["--eps", "--eps-budget"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-0.01"])
+    def test_rejects_bad_threshold(self, qasm_file, command, flag, value,
+                                   capsys):
+        # NaN used to synthesize every rotation at the 1e-10 floor.
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(qasm_file), "--workflow", "gridsynth",
+                  f"{flag}={value}"])
+        assert exc.value.code == 2
+        assert "must be a finite positive number" in capsys.readouterr().err
+
     def test_compile_survives_corrupt_cache_file(self, qasm_file, tmp_path,
                                                  capsys):
         store_dir = tmp_path / "store"

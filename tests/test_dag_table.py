@@ -22,7 +22,7 @@ from repro.optimizers import (
     optimize_table,
 )
 from repro.schedule import insert_idle_markers
-from repro.target import CouplingMap, Target
+from repro.target import CouplingMap, Target, fix_gate_directions, route_circuit
 from repro.transpiler import transpile
 
 from tests.test_dag import _random_circuit
@@ -60,8 +60,9 @@ class TestCircuitRoundtrip:
         c.append("cx", (3, 0))
         c.append("cx", (2, 0))
         c.append("t", 3)
-        routed = transpile(c, basis="rz", optimization_level=2,
-                           target=target)
+        placed = route_circuit(c, target).circuit
+        fixed, _ = fix_gate_directions(placed, target)
+        routed = transpile(fixed, basis="rz", optimization_level=2)
         out = DAGTable.from_circuit(routed).to_circuit()
         assert _gates(out) == _gates(routed)
 

@@ -1,5 +1,7 @@
 """Pass/pipeline invariants: unitary preservation and composition laws."""
 
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -16,11 +18,14 @@ from repro.pipeline import (
     MergeRuns,
     PassManager,
     SnapTrivialRotations,
+    SynthesisCache,
     compile_batch,
     compile_circuit,
     iter_presets,
     preset_pipeline,
 )
+from repro.synthesis import allocate_eps_budget
+from repro.target import Target, route_circuit
 from repro.transpiler import (
     cancel_inverse_pairs,
     merge_1q_runs,
@@ -180,3 +185,197 @@ class TestCompileCircuit:
         ]
         for got, want in zip(batch, singles):
             assert got.circuit.gates == want.circuit.gates
+
+
+class _UnreachableCache(SynthesisCache):
+    """A cache whose lookup fails the test: synthesis must not start."""
+
+    def get_or(self, key, compute):
+        pytest.fail(f"synthesis reached for {key!r}")
+
+
+_BAD_THRESHOLDS = [float("nan"), float("inf"), 0.0, -1.0]
+
+
+class TestThresholdValidation:
+    """Bad ``eps``/``eps_budget`` values fail before any work starts."""
+
+    @pytest.fixture
+    def no_route_or_lower(self, monkeypatch):
+        from repro.pipeline import batch
+
+        def unreachable(*args, **kwargs):
+            pytest.fail("routing or lowering reached")
+
+        monkeypatch.setattr(batch, "_route_to_target", unreachable)
+        monkeypatch.setattr(batch, "_lowerings", unreachable)
+
+    @pytest.mark.parametrize("bad", _BAD_THRESHOLDS)
+    @pytest.mark.parametrize("field", ["eps", "eps_budget"])
+    def test_compile_circuit_rejects(self, field, bad, no_route_or_lower):
+        c = Circuit(2)
+        c.rz(0.3, 0).cx(0, 1)
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            compile_circuit(
+                c, "gridsynth", cache=_UnreachableCache(),
+                target=Target.line(2), **{field: bad},
+            )
+
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, float("nan")])
+    def test_rotation_free_circuit_rejects(self, bad):
+        c = Circuit(1)
+        c.h(0)
+        with pytest.raises(ValueError, match="^eps must be"):
+            compile_circuit(c, "gridsynth", eps=bad)
+
+    @pytest.mark.parametrize("bad", _BAD_THRESHOLDS)
+    @pytest.mark.parametrize("field", ["eps", "eps_budget"])
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_compile_batch_rejects(self, field, bad, workers):
+        c = Circuit(1)
+        c.rz(0.3, 0)
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            compile_batch(
+                [c, c], "gridsynth", cache=_UnreachableCache(),
+                workers=workers, **{field: bad},
+            )
+
+    @pytest.mark.parametrize("bad", _BAD_THRESHOLDS)
+    def test_allocate_eps_budget_rejects(self, bad):
+        c = Circuit(1)
+        c.rz(0.3, 0)
+        with pytest.raises(ValueError, match="accuracy budget"):
+            allocate_eps_budget(c, bad)
+
+
+def _pin_circuit() -> Circuit:
+    c = Circuit(4, name="pin")
+    c.h(0).rz(0.3, 0).cx(0, 2).rx(0.7, 2).cx(1, 3).ry(1.1, 1)
+    c.t(3).cx(2, 3).rz(2.2, 3).cx(0, 3).h(1).rz(0.45, 1).cx(1, 2)
+    return c
+
+
+def _pin_target(kind: str):
+    if kind == "none":
+        return None
+    grid = Target.grid(2, 3)
+    if kind == "grid":
+        return grid
+    return dataclasses.replace(
+        grid,
+        gate_errors={"cx": 1e-3, "t": 2e-4, "tdg": 2e-4, "h": 5e-5,
+                     "swap": 3e-3, "s": 5e-5, "sdg": 5e-5},
+        gate_durations={"cx": 3.0, "swap": 9.0, "t": 4.0, "tdg": 4.0},
+        edge_errors={e: 1e-3 * (i + 1)
+                     for i, e in enumerate(sorted(grid.coupling.edges))},
+        idle_error_rate=1e-4,
+    )
+
+
+def _compile_digest(result) -> str:
+    """Hash of everything a compile result reports."""
+    routing = result.routing
+    payload = (
+        [(g.name, g.qubits, tuple(float(p).hex() for p in g.params))
+         for g in result.circuit.gates],
+        result.n_rotations,
+        float(result.total_synthesis_error).hex(),
+        None if result.eps_allocation is None
+        else tuple(float(e).hex() for e in result.eps_allocation),
+        None if routing is None
+        else (tuple(routing.permutation), routing.swaps_inserted),
+        None if result.makespan is None else float(result.makespan).hex(),
+        None if result.esp is None else float(result.esp).hex(),
+    )
+    return hashlib.sha256(repr(payload).encode()).hexdigest()[:16]
+
+
+#: ``compile_circuit`` digests over (objective, target, optimization
+#: level, pre_transpiled, eps_budget), recorded before routing, lowering
+#: and variant selection were folded into one candidate loop.  Any
+#: change to which candidate wins, or to what it reports, moves one.
+PINNED_COMPILE_DIGESTS = {
+    ('count', 'none', 'best', False, None): "caed8fb4f269c6f4",
+    ('count', 'none', 'best', False, 0.2): "a86677ef5a4749ac",
+    ('count', 'none', 'best', True, None): "28cd6d49fbf88696",
+    ('count', 'none', 'best', True, 0.2): "8520cc009cb85a30",
+    ('count', 'none', 2, False, None): "5223650c44fd483a",
+    ('count', 'none', 2, False, 0.2): "a3f22b0050cf8379",
+    ('count', 'none', 2, True, None): "28cd6d49fbf88696",
+    ('count', 'none', 2, True, 0.2): "8520cc009cb85a30",
+    ('count', 'grid', 'best', False, None): "7b867746743129d6",
+    ('count', 'grid', 'best', False, 0.2): "37ec05e6190fb607",
+    ('count', 'grid', 'best', True, None): "5df49da5d212b9e7",
+    ('count', 'grid', 'best', True, 0.2): "64baf68f163f1fbd",
+    ('count', 'grid', 2, False, None): "2a7298118b58a79c",
+    ('count', 'grid', 2, False, 0.2): "01166c3e589fe4cc",
+    ('count', 'grid', 2, True, None): "5df49da5d212b9e7",
+    ('count', 'grid', 2, True, 0.2): "64baf68f163f1fbd",
+    ('count', 'calibrated', 'best', False, None): "0bdf3e4ce01f16e0",
+    ('count', 'calibrated', 'best', False, 0.2): "371664ad8b5d6a03",
+    ('count', 'calibrated', 'best', True, None): "83e4239f9fab6147",
+    ('count', 'calibrated', 'best', True, 0.2): "7005fb4d17219647",
+    ('count', 'calibrated', 2, False, None): "95f6e0dbc0cf551b",
+    ('count', 'calibrated', 2, False, 0.2): "422e483eb58220dc",
+    ('count', 'calibrated', 2, True, None): "83e4239f9fab6147",
+    ('count', 'calibrated', 2, True, 0.2): "7005fb4d17219647",
+    ('depth', 'none', 'best', False, None): "480170950268a594",
+    ('depth', 'none', 'best', False, 0.2): "f558951c0552ff36",
+    ('depth', 'none', 'best', True, None): "54e9c020c74dd4c6",
+    ('depth', 'none', 'best', True, 0.2): "0ff29df6e89b3b50",
+    ('depth', 'none', 2, False, None): "68538eaaa70ad3f8",
+    ('depth', 'none', 2, False, 0.2): "3f538e1561d4267d",
+    ('depth', 'none', 2, True, None): "54e9c020c74dd4c6",
+    ('depth', 'none', 2, True, 0.2): "0ff29df6e89b3b50",
+    ('depth', 'grid', 'best', False, None): "75afc253b37bf911",
+    ('depth', 'grid', 'best', False, 0.2): "13a2650b980c2858",
+    ('depth', 'grid', 'best', True, None): "5df49da5d212b9e7",
+    ('depth', 'grid', 'best', True, 0.2): "64baf68f163f1fbd",
+    ('depth', 'grid', 2, False, None): "2a7298118b58a79c",
+    ('depth', 'grid', 2, False, 0.2): "01166c3e589fe4cc",
+    ('depth', 'grid', 2, True, None): "5df49da5d212b9e7",
+    ('depth', 'grid', 2, True, 0.2): "64baf68f163f1fbd",
+    ('depth', 'calibrated', 'best', False, None): "0bdf3e4ce01f16e0",
+    ('depth', 'calibrated', 'best', False, 0.2): "371664ad8b5d6a03",
+    ('depth', 'calibrated', 'best', True, None): "83e4239f9fab6147",
+    ('depth', 'calibrated', 'best', True, 0.2): "7005fb4d17219647",
+    ('depth', 'calibrated', 2, False, None): "95f6e0dbc0cf551b",
+    ('depth', 'calibrated', 2, False, 0.2): "422e483eb58220dc",
+    ('depth', 'calibrated', 2, True, None): "83e4239f9fab6147",
+    ('depth', 'calibrated', 2, True, 0.2): "7005fb4d17219647",
+    ('esp', 'grid', 'best', False, None): "6812253fe9a8ac87",
+    ('esp', 'grid', 'best', False, 0.2): "da500ecba1013ce4",
+    ('esp', 'grid', 'best', True, None): "5df49da5d212b9e7",
+    ('esp', 'grid', 'best', True, 0.2): "64baf68f163f1fbd",
+    ('esp', 'grid', 2, False, None): "6812253fe9a8ac87",
+    ('esp', 'grid', 2, False, 0.2): "da500ecba1013ce4",
+    ('esp', 'grid', 2, True, None): "5df49da5d212b9e7",
+    ('esp', 'grid', 2, True, 0.2): "64baf68f163f1fbd",
+    ('esp', 'calibrated', 'best', False, None): "72b42d621911e356",
+    ('esp', 'calibrated', 'best', False, 0.2): "4df5e90be5ab5e45",
+    ('esp', 'calibrated', 'best', True, None): "83e4239f9fab6147",
+    ('esp', 'calibrated', 'best', True, 0.2): "7005fb4d17219647",
+    ('esp', 'calibrated', 2, False, None): "95f6e0dbc0cf551b",
+    ('esp', 'calibrated', 2, False, 0.2): "422e483eb58220dc",
+    ('esp', 'calibrated', 2, True, None): "83e4239f9fab6147",
+    ('esp', 'calibrated', 2, True, 0.2): "7005fb4d17219647",
+}
+
+
+class TestCompileDigests:
+    @pytest.mark.parametrize(
+        "case", sorted(PINNED_COMPILE_DIGESTS, key=repr), ids=repr
+    )
+    def test_pinned(self, case):
+        objective, target, level, pre, budget = case
+        circuit = _pin_circuit()
+        if pre:
+            placed = route_circuit(circuit, Target.grid(2, 3)).circuit
+            circuit = preset_pipeline("rz", 1).run(placed)
+        result = compile_circuit(
+            circuit, workflow="gridsynth", eps=0.05,
+            optimization_level=level, pre_transpiled=pre,
+            target=_pin_target(target), objective=objective,
+            eps_budget=budget,
+        )
+        assert _compile_digest(result) == PINNED_COMPILE_DIGESTS[case]

@@ -7,7 +7,7 @@ import pytest
 
 from repro.bench_circuits import ft_algorithms as ft
 from repro.circuits import Circuit, CircuitDAG
-from repro.pipeline import PassManager, compile_circuit, preset_pipeline
+from repro.pipeline import compile_circuit
 from repro.target import (
     CouplingMap,
     Layout,
@@ -20,7 +20,6 @@ from repro.target import (
     route_dag,
     routed_statevector_equivalent,
 )
-from repro.transpiler import transpile
 
 TARGETS = [Target.line(6), Target.ring(6), Target.grid(2, 3)]
 
@@ -166,25 +165,26 @@ class TestFixDirections:
 
 
 class TestPipelineIntegration:
-    def test_transpile_grid_acceptance(self):
-        # transpile(circ, target=Target.grid(2,3), optimization_level=3)
-        # yields only coupling-edge 2q gates and stays equivalent to the
-        # original up to the routing permutation and a global phase.
+    def test_compile_grid_acceptance(self):
+        # compile_circuit(circ, target=Target.grid(2,3), level 3) yields
+        # only coupling-edge 2q gates and stays equivalent to the
+        # original up to the routing permutation, a global phase and
+        # the synthesis error.
         bench = ft.qft(4)
         target = Target.grid(2, 3)
-        lowered = transpile(
-            bench, target=target, optimization_level=3
+        res = compile_circuit(
+            bench, workflow="gridsynth", eps=0.01,
+            optimization_level=3, target=target,
         )
-        assert lowered.n_qubits == target.n_qubits
-        assert on_coupling_edges(lowered, target)
-        res = route_circuit(bench, target, layout="dense")
+        assert res.circuit.n_qubits == target.n_qubits
+        assert on_coupling_edges(res.circuit, target)
         anc = np.zeros(2 ** (target.n_qubits - bench.n_qubits), dtype=complex)
         anc[0] = 1.0
         expected = permute_statevector(
-            np.kron(bench.statevector(), anc), res.final_layout.as_list()
+            np.kron(bench.statevector(), anc), res.routing.permutation
         )
-        overlap = abs(np.vdot(expected, lowered.statevector()))
-        assert overlap == pytest.approx(1.0, abs=1e-9)
+        overlap = abs(np.vdot(expected, res.circuit.statevector()))
+        assert overlap >= 1.0 - res.total_synthesis_error
 
     @pytest.mark.parametrize("basis", ["u3", "rz"])
     @pytest.mark.parametrize("level", [0, 2, 4])
@@ -192,17 +192,23 @@ class TestPipelineIntegration:
         rng = np.random.default_rng(11)
         c = random_circuit(4, 25, rng)
         target = Target.ring(4)
-        pm = preset_pipeline(basis, level, target=target)
-        assert isinstance(pm, PassManager)
-        out = pm.run(c)
-        assert on_coupling_edges(out, target)
+        workflow, eps = ("trasyn", 0.15) if basis == "u3" else (
+            "gridsynth", 0.05
+        )
+        res = compile_circuit(
+            c, workflow=workflow, eps=eps, optimization_level=level,
+            target=target,
+        )
+        assert on_coupling_edges(res.circuit, target)
 
     def test_directed_target_through_preset(self):
         cmap = CouplingMap(4, [(1, 0), (1, 2), (3, 2)], directed=True)
         target = Target(cmap, name="directed-zigzag")
-        c = ft.qft(4)
-        out = transpile(c, basis="u3", optimization_level=2, target=target)
-        for g in out.gates:
+        res = compile_circuit(
+            ft.qft(4), workflow="gridsynth", eps=0.05,
+            optimization_level=2, target=target,
+        )
+        for g in res.circuit.gates:
             if g.name == "cx":
                 assert cmap.allows(*g.qubits)
             elif len(g.qubits) == 2:

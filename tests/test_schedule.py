@@ -8,9 +8,6 @@ import pytest
 
 from repro.circuits import Circuit, CircuitDAG, depth
 from repro.pipeline import (
-    EstimateESP,
-    PassManager,
-    SchedulePass,
     SynthesisCache,
     compile_circuit,
     synthesize_lowered,
@@ -18,7 +15,6 @@ from repro.pipeline import (
 from repro.schedule import (
     DEFAULT_DURATION_1Q,
     DEFAULT_DURATION_2Q,
-    Schedule,
     duration_of,
     idle_marker,
     insert_idle_markers,
@@ -365,23 +361,6 @@ class TestEpsBudget:
                     c, "rz", 0.1, SynthesisCache(), seed=0,
                     eps_schedule=schedule,
                 )
-
-
-class TestPipelinePasses:
-    def test_schedule_pass_attaches_schedule(self):
-        p = SchedulePass(Target.line(3))
-        out = PassManager([p]).run(ghz(3))
-        assert len(out.gates) == len(ghz(3).gates)
-        assert isinstance(p.schedule, Schedule)
-        assert p.schedule.makespan > 0
-
-    def test_estimate_esp_pass(self):
-        t = calibrated_line(4)
-        p = EstimateESP(t)
-        PassManager([p]).run(ghz(4))
-        assert 0 < p.estimate.esp < 1
-        with pytest.raises(ValueError, match="target"):
-            EstimateESP(None)
 
 
 class TestCompileObjectives:
