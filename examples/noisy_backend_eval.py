@@ -12,12 +12,11 @@ fidelity of the synthesized circuit against the ideal state through
 ``repro.sim.backends``.  This is the per-backend smoke run CI executes
 so all three engines stay green.
 
-The trajectory engines run JIT-compiled simulation programs with 1q+2q
-gate fusion by default (see "Compiled programs & fusion" in the
-README); on the standing ``BENCH_sim.json`` workload (10 qubits, 600
-gates, 50 trajectories) fusion makes noisy trajectories ~1.5x faster.
-Pass ``fuse=False`` to ``evaluate_fidelity`` (or ``--fusion none`` to
-the CLI) to time the unfused program against it.
+Every engine runs a JIT-compiled simulation program under its own fixed
+recipe (see "Compiled programs & fusion" in the README): the statevector
+engine fuses noise-free 1q runs and same-pair 2q blocks, the density and
+MPS engines run the flat gate stream.  ``BENCH_sim.json`` records what
+fusion is worth against the flat recipe (``speedup_vs_unfused``).
 """
 
 import sys

@@ -328,22 +328,17 @@ def check_basis(circuit: Circuit, basis: str | Iterable[str]) -> None:
             )
 
 
-def check_connectivity(
-    circuit: Circuit, target, *, directed: bool | None = None
-) -> None:
+def check_connectivity(circuit: Circuit, target) -> None:
     """Every 2q gate placed on a coupling edge of ``target``.
 
-    ``directed=None`` (default) respects the coupling map's own
-    directedness: on a directed map, ``cx`` must point along a native
-    edge orientation (``cz``/``swap`` are symmetric and only need the
-    edge), exactly what :func:`repro.target.fix_gate_directions`
-    establishes.  Pass ``directed=False`` to accept either orientation
-    — the mid-pipeline state between routing and direction fixing.
+    The coupling map's own directedness decides orientation: on a
+    directed map, ``cx`` must point along a native edge orientation
+    (``cz``/``swap`` are symmetric and only need the edge), exactly
+    what :func:`repro.target.fix_gate_directions` establishes.
     Raises :class:`VerificationError` (contract ``"connectivity"``).
     """
     coupling = target.coupling
-    if directed is None:
-        directed = coupling.directed
+    directed = coupling.directed
     if circuit.n_qubits > target.n_qubits:
         raise VerificationError(
             f"circuit uses {circuit.n_qubits} qubits but the target "

@@ -1,11 +1,13 @@
-"""Simulation benchmarks: statevector layer application and MPS sweeps.
+"""Simulation benchmarks: statevector program execution and MPS sweeps.
 
-The statevector benchmarks time the trajectory engine's layered batch
-application — noiseless (pure layer application, where fusion acts)
-and noisy Monte-Carlo trajectories.  Each headline benchmark (1q+2q
-fusion) is paired with an ``/unfused`` baseline so the fusion speedup
-is recorded as a standing number.  The MPS benchmark sweeps a
-nearest-neighbor circuit through the bond-truncated engine.
+The statevector benchmarks time the trajectory engine's runner on a
+precompiled program — noiseless (pure operator application, where
+fusion acts) and noisy Monte-Carlo trajectories.  Each headline
+benchmark runs the engine's fused recipe and is paired with an
+``/unfused`` baseline that runs the flat recipe through the same
+runner, so the fusion speedup is recorded as a standing number.  The
+MPS benchmark sweeps a nearest-neighbor circuit through the
+bond-truncated engine.
 """
 
 from __future__ import annotations
@@ -39,28 +41,27 @@ def _statevector_spec(
     n_gates: int,
     trajectories: int,
     noisy: bool,
-    fuse: bool,
-    fuse2q: bool = True,
+    fused: bool,
 ) -> BenchSpec:
     def setup():
         from repro.sim.backends.statevector import (
             StatevectorTrajectoryBackend,
         )
         from repro.sim.noise import NoiseModel
-        from repro.sim.program import ProgramCache
+        from repro.sim.program import compile_program
 
         circuit = _clifford_t_circuit(n_qubits, n_gates, seed=11)
         noise = NoiseModel.t_gates_only(1e-3) if noisy else None
-        # A private cache so a warm program is part of the fixture (the
-        # steady state of sweeps) without touching the process cache.
+        # The program is compiled in the fixture (the steady state of
+        # sweeps, where the cache serves it), so both recipes are timed
+        # through the same engine runner.
+        program = compile_program(circuit, noise, fused=fused)
         backend = StatevectorTrajectoryBackend(
             trajectories=trajectories, seed=5,
-            fuse=fuse, fuse2q=fuse2q,
-            program_cache=ProgramCache(),
         )
 
         def run():
-            backend.run(circuit, noise)
+            backend._run_program(program)
 
         return run
 
@@ -71,8 +72,7 @@ def _statevector_spec(
             "n_gates": n_gates,
             "trajectories": trajectories,
             "noise": "t_gates_only(1e-3)" if noisy else None,
-            "fuse": fuse,
-            "fuse2q": fuse2q,
+            "fused": fused,
             "seed": 11,
         },
         setup=setup,
@@ -108,30 +108,30 @@ def specs(quick: bool) -> list[BenchSpec]:
         return [
             _statevector_spec(
                 "statevector/layers/noiseless", 8, 120, 1,
-                noisy=False, fuse=True,
+                noisy=False, fused=True,
             ),
             _statevector_spec(
                 "statevector/trajectories/noisy", 6, 80, 8,
-                noisy=True, fuse=True,
+                noisy=True, fused=True,
             ),
             _mps_spec(8, 80, max_bond=16),
         ]
     return [
         _statevector_spec(
             "statevector/layers/noiseless", 12, 400, 1,
-            noisy=False, fuse=True,
+            noisy=False, fused=True,
         ),
         _statevector_spec(
             "statevector/layers/noiseless/unfused", 12, 400, 1,
-            noisy=False, fuse=False, fuse2q=False,
+            noisy=False, fused=False,
         ),
         _statevector_spec(
             "statevector/trajectories/noisy", 10, 600, 50,
-            noisy=True, fuse=True,
+            noisy=True, fused=True,
         ),
         _statevector_spec(
             "statevector/trajectories/noisy/unfused", 10, 600, 50,
-            noisy=True, fuse=False, fuse2q=False,
+            noisy=True, fused=False,
         ),
         _mps_spec(16, 300, max_bond=32),
     ]

@@ -314,7 +314,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             return 2
         print(f"noise from target: {target.name or args.target} "
               f"(max rate {noise.rate:g})")
-    fusion = args.fusion
     ev = evaluate_fidelity(
         circuit,
         noise=noise,
@@ -322,8 +321,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         trajectories=args.trajectories,
         max_bond=args.max_bond,
         seed=args.seed,
-        fuse=fusion != "none",
-        fuse2q=fusion == "2q",
     )
     print(f"qubits           : {ev.n_qubits}")
     print(f"backend          : {ev.backend}")
@@ -538,10 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(needs a saved Target .json with gate_errors; "
                         "bare topology specs carry no calibration)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fusion", choices=("2q", "1q", "none"), default="2q",
-                   help="gate fusion level for the dense engine: same-pair "
-                        "2q blocks + 1q runs (default), 1q runs only, or "
-                        "off")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("catalog", help="Clifford+T enumeration summary")

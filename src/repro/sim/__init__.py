@@ -4,8 +4,9 @@ The engines live behind :mod:`repro.sim.backends` (density matrix,
 statevector trajectories, MPS) with :func:`select_backend` auto-dispatch
 and :func:`evaluate_fidelity` as the circuit-level entry point.  Each
 engine runs a :class:`SimProgram` that :func:`compile_program` lowers
-once per (circuit, noise, schedule config) and :class:`ProgramCache`
-memoizes.
+once per (circuit, noise) under the engine's fixed recipe — fused
+front layers for the statevector engine, flat source order for the
+density and MPS engines — and :class:`ProgramCache` memoizes.
 """
 
 from repro.sim.backends import (

@@ -14,7 +14,8 @@ Three engines implement the :class:`SimulatorBackend` protocol:
 :func:`select_backend` picks one from ``(n_qubits, noise, memory
 budget)``; see the README "Simulation backends" section for the rules.
 All three run a compiled :class:`~repro.sim.program.SimProgram` from a
-:class:`~repro.sim.program.ProgramCache`.
+:class:`~repro.sim.program.ProgramCache`: the statevector engine the
+fused recipe, the density and MPS engines the flat one.
 """
 
 from __future__ import annotations
@@ -58,34 +59,6 @@ _ALIASES = {
 }
 
 
-def _make(
-    name: str,
-    trajectories: int | None,
-    max_bond: int | None,
-    seed: int,
-    max_workers: int | None,
-    sim_options: dict | None = None,
-) -> SimulatorBackend:
-    options = dict(sim_options or {})
-    if name == "density":
-        return DensityMatrixBackend(program_cache=options.get("program_cache"))
-    if name == "statevector":
-        kwargs = {"seed": seed, "max_workers": max_workers, **options}
-        if trajectories is not None:
-            kwargs["trajectories"] = trajectories
-        return StatevectorTrajectoryBackend(**kwargs)
-    # The MPS engine shares the program cache but not the dense fusion
-    # knobs (fusion would change its truncation sequence).
-    options.pop("fuse", None)
-    options.pop("fuse2q", None)
-    kwargs = {"seed": seed, "max_workers": max_workers, **options}
-    if trajectories is not None:
-        kwargs["trajectories"] = trajectories
-    if max_bond is not None:
-        kwargs["max_bond"] = max_bond
-    return MPSBackend(**kwargs)
-
-
 def select_backend(
     n_qubits: int,
     noise: NoiseModel | None = None,
@@ -96,8 +69,6 @@ def select_backend(
     seed: int = 0,
     memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET,
     max_workers: int | None = None,
-    fuse: bool = True,
-    fuse2q: bool = True,
     program_cache: ProgramCache | None = None,
 ) -> SimulatorBackend:
     """Choose a simulation engine for a problem shape.
@@ -113,37 +84,41 @@ def select_backend(
     common aliases) bypasses the heuristics but still validates the
     qubit count against the engine's own hard limits.
 
-    ``fuse``/``fuse2q`` configure the statevector engine's gate fusion
-    (see :mod:`repro.sim.program`); ``program_cache`` injects a private
-    compiled-program cache, for every engine, in place of the
+    ``program_cache`` injects a private compiled-program cache (see
+    :mod:`repro.sim.program`), for every engine, in place of the
     process-wide shared one.
     """
-    sim_options = {
-        "fuse": fuse,
-        "fuse2q": fuse2q,
-        "program_cache": program_cache,
-    }
+
+    def make(name: str) -> SimulatorBackend:
+        if name == "density":
+            return DensityMatrixBackend(program_cache=program_cache)
+        kwargs = {
+            "seed": seed, "max_workers": max_workers,
+            "program_cache": program_cache,
+        }
+        if trajectories is not None:
+            kwargs["trajectories"] = trajectories
+        if name == "statevector":
+            return StatevectorTrajectoryBackend(**kwargs)
+        if max_bond is not None:
+            kwargs["max_bond"] = max_bond
+        return MPSBackend(**kwargs)
+
     canonical = _ALIASES.get(backend, backend)
     if canonical != "auto":
         if canonical not in ("density", "statevector", "mps"):
             raise ValueError(
                 f"unknown backend {backend!r}; pick from {BACKEND_NAMES}"
             )
-        chosen = _make(
-            canonical, trajectories, max_bond, seed, max_workers, sim_options
-        )
+        chosen = make(canonical)
         if not chosen.supports(n_qubits, is_noisy(noise)):
             raise ValueError(
                 f"backend {canonical!r} cannot simulate {n_qubits} qubits"
             )
         return chosen
     noisy = is_noisy(noise)
-    density = _make(
-        "density", trajectories, max_bond, seed, max_workers, sim_options
-    )
-    statevec = _make(
-        "statevector", trajectories, max_bond, seed, max_workers, sim_options
-    )
+    density = make("density")
+    statevec = make("statevector")
     sv_fits = (
         statevec.supports(n_qubits, noisy)
         and statevec.memory_bytes(n_qubits, noisy) <= memory_budget_bytes
@@ -158,7 +133,7 @@ def select_backend(
             return density
     if sv_fits:
         return statevec
-    return _make("mps", trajectories, max_bond, seed, max_workers, sim_options)
+    return make("mps")
 
 
 __all__ = [

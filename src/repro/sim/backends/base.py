@@ -38,11 +38,9 @@ def _circuit_key(circuit: Circuit) -> tuple:
     )
 
 
-def _compute_gate_schedule(
-    circuit: Circuit, layered: bool
+def _front_layers(
+    circuit: Circuit,
 ) -> tuple[tuple[tuple[int, Gate], ...], ...]:
-    if not layered:
-        return tuple(((i, g),) for i, g in enumerate(circuit.gates))
     layers = CircuitDAG.from_circuit(circuit).as_layers()
     return tuple(
         tuple((n.id, n.gate) for n in layer) for layer in layers
@@ -50,7 +48,7 @@ def _compute_gate_schedule(
 
 
 class ScheduleCache:
-    """Thread-safe LRU of layer schedules.
+    """Thread-safe LRU of front-layer schedules.
 
     The ProgramCache pattern applied one stage earlier: repeated
     program compilation of the same circuit (objective grids, fidelity
@@ -71,9 +69,9 @@ class ScheduleCache:
         self.hits = 0
         self.misses = 0
 
-    def layers(self, circuit: Circuit, layered: bool):
+    def layers(self, circuit: Circuit):
         """The (cached) layer schedule of :func:`gate_schedule`."""
-        key = (layered, _circuit_key(circuit))
+        key = _circuit_key(circuit)
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
@@ -81,7 +79,7 @@ class ScheduleCache:
                 self.hits += 1
                 return entry
             self.misses += 1
-        entry = _compute_gate_schedule(circuit, layered)
+        entry = _front_layers(circuit)
         with self._lock:
             self._entries[key] = entry
             self._entries.move_to_end(key)
@@ -109,8 +107,8 @@ class ScheduleCache:
             }
 
 
-#: Process-wide default cache: every engine's schedule derivation goes
-#: through it unless a private cache is passed explicitly.
+#: Process-wide default cache: the fused recipe's schedule derivation
+#: goes through it unless a private cache is passed explicitly.
 _GLOBAL_SCHEDULE_CACHE = ScheduleCache()
 
 
@@ -119,20 +117,17 @@ def schedule_cache() -> ScheduleCache:
     return _GLOBAL_SCHEDULE_CACHE
 
 
-def gate_schedule(
-    circuit: Circuit, layered: bool, *, cache: ScheduleCache | None = None
-):
-    """The gate stream an engine drives, as layers of ``(position, gate)``.
+def gate_schedule(circuit: Circuit, *, cache: ScheduleCache | None = None):
+    """The front-layer (ASAP) schedule, as layers of ``(position, gate)``.
 
-    ``layered=True`` computes the front-layer (ASAP) schedule from the
-    dependency DAG: gates within a layer act on pairwise-disjoint
-    qubits, so an engine may apply a whole layer — and then the layer's
-    noise events, in flat-list order — without changing the sequential
-    semantics.  ``position`` is the gate's index in ``circuit.gates``,
-    which keys the noise-event offsets: a trajectory consumes the same
-    uniform for the same gate under either schedule, so layered and
-    sequential runs of one seed produce identical fidelities.
-    ``layered=False`` degrades to one gate per layer, in flat order.
+    Computed from the dependency DAG: gates within a layer act on
+    pairwise-disjoint qubits, so an engine may apply a whole layer —
+    and then the layer's noise events, in flat-list order — without
+    changing the sequential semantics.  ``position`` is the gate's
+    index in ``circuit.gates``, which keys the noise-event offsets: a
+    trajectory consumes the same uniform for the same gate whatever
+    the schedule, so layered and flat runs of one seed draw the same
+    noise.
 
     Results are memoized content-keyed in a :class:`ScheduleCache`
     (the process-wide one unless ``cache`` is given) and returned as
@@ -141,161 +136,7 @@ def gate_schedule(
     # Explicit None test: an empty ScheduleCache is falsy via __len__.
     if cache is None:
         cache = _GLOBAL_SCHEDULE_CACHE
-    return cache.layers(circuit, layered)
-
-
-class Fused1Q:
-    """A run of adjacent 1q gates on one wire, collapsed to a 2x2.
-
-    Quacks like a :class:`~repro.circuits.circuit.Gate` as far as
-    program compilation cares (``qubits``/``params``/``matrix()``); it
-    never appears in circuits, only in fused schedules.  Fused entries
-    carry no noise events, so they are scheduled with position ``-1``
-    and the noise loop skips them.
-    """
-
-    __slots__ = ("name", "qubits", "params", "_matrix")
-
-    def __init__(self, qubit: int, matrix: np.ndarray):
-        self.name = "fused1q"
-        self.qubits = (qubit,)
-        self.params = ()
-        self._matrix = matrix
-
-    def matrix(self) -> np.ndarray:
-        return self._matrix
-
-
-class Fused2Q:
-    """A block of same-pair 2q gates and sandwiched 1q runs, as one 4x4.
-
-    ``qubits`` is the sorted pair ``(lo, hi)`` and the matrix lives in
-    that qubit order (first factor = ``lo``), matching how the engines
-    interpret a 2q ``Gate``.  Like :class:`Fused1Q`, fused blocks carry
-    no noise events and are scheduled with position ``-1``.
-    """
-
-    __slots__ = ("name", "qubits", "params", "_matrix")
-
-    def __init__(self, pair: tuple[int, int], matrix: np.ndarray):
-        self.name = "fused2q"
-        self.qubits = pair
-        self.params = ()
-        self._matrix = matrix
-
-    def matrix(self) -> np.ndarray:
-        return self._matrix
-
-
-_EYE2 = np.eye(2, dtype=complex)
-
-
-def _oriented_2q(gate: Gate) -> tuple[tuple[int, int], np.ndarray]:
-    """A 2q gate's matrix re-expressed on its sorted qubit pair."""
-    a, b = gate.qubits
-    m = gate.matrix()
-    if a < b:
-        return (a, b), m
-    return (b, a), m.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
-
-
-def fuse_schedule(
-    schedule: list[list[tuple[int, Gate]]],
-    noise: NoiseModel | None,
-    *,
-    two_qubit: bool = False,
-) -> list[list[tuple[int, Gate]]]:
-    """Fuse runs of noise-free gates into single dense operators.
-
-    With ``two_qubit=False`` this is 1q fusion: consecutive noise-free
-    1q gates per wire collapse into one 2x2 product (the dominant cost
-    of deep Clifford+T streams, where synthesis expands every rotation
-    into long 1q runs); any 2q or noisy gate touching the wire flushes
-    the pending product first, so gate order per wire and the
-    (gate, uniform) noise pairing are unchanged.
-
-    ``two_qubit=True`` additionally collapses adjacent noise-free 2q
-    gates on the *same* qubit pair — plus the noise-free 1q runs
-    sandwiched between them — into single 4x4 operators
-    (:class:`Fused2Q`).  This un-fences exactly the layers where 1q
-    fusion stalls under gate noise: between two noise events the whole
-    entangling block becomes one batched application.  Deferred
-    operators commute with the other-wire gates and noise events that
-    overtake them, because a pending block is flushed right before the
-    first gate (noisy or differently-paired) touching one of its wires.
-    """
-    noisy = is_noisy(noise)
-    pending_1q: dict[int, np.ndarray] = {}
-    pending_2q: dict[tuple[int, int], np.ndarray] = {}
-    wire_pair: dict[int, tuple[int, int]] = {}
-    out: list[list[tuple[int, Gate]]] = []
-
-    def flush(q: int, out_layer: list[tuple[int, Gate]]) -> None:
-        pair = wire_pair.get(q)
-        if pair is not None:
-            out_layer.append((-1, Fused2Q(pair, pending_2q.pop(pair))))
-            for w in pair:
-                del wire_pair[w]
-            return
-        acc = pending_1q.pop(q, None)
-        if acc is not None:
-            out_layer.append((-1, Fused1Q(q, acc)))
-
-    for layer in schedule:
-        out_layer: list[tuple[int, Gate]] = []
-        for pos, gate in layer:
-            gate_noisy = noisy and noise.noisy_qubits(gate)
-            if len(gate.qubits) == 1 and not gate_noisy:
-                q = gate.qubits[0]
-                pair = wire_pair.get(q)
-                if pair is not None:
-                    # Sandwiched 1q gate: fold into the open 4x4 block.
-                    m = gate.matrix()
-                    lift = (
-                        np.kron(m, _EYE2) if q == pair[0]
-                        else np.kron(_EYE2, m)
-                    )
-                    pending_2q[pair] = lift @ pending_2q[pair]
-                else:
-                    acc = pending_1q.get(q)
-                    m = gate.matrix()
-                    pending_1q[q] = m if acc is None else m @ acc
-                continue
-            if two_qubit and len(gate.qubits) == 2 and not gate_noisy:
-                pair, m = _oriented_2q(gate)
-                if wire_pair.get(pair[0]) == pair:
-                    pending_2q[pair] = m @ pending_2q[pair]
-                    continue
-                for q in pair:
-                    if wire_pair.get(q) is not None:
-                        flush(q, out_layer)
-                # Absorb each wire's pending 1q run into the new block.
-                lo1q = pending_1q.pop(pair[0], None)
-                hi1q = pending_1q.pop(pair[1], None)
-                if lo1q is not None or hi1q is not None:
-                    m = m @ np.kron(
-                        _EYE2 if lo1q is None else lo1q,
-                        _EYE2 if hi1q is None else hi1q,
-                    )
-                pending_2q[pair] = m
-                wire_pair[pair[0]] = wire_pair[pair[1]] = pair
-                continue
-            for q in gate.qubits:
-                flush(q, out_layer)
-            out_layer.append((pos, gate))
-        if out_layer:
-            out.append(out_layer)
-    leftovers: list[tuple[int, tuple[int, Gate]]] = [
-        (pair[0], (-1, Fused2Q(pair, m))) for pair, m in pending_2q.items()
-    ]
-    leftovers += [
-        (q, (-1, Fused1Q(q, m))) for q, m in pending_1q.items()
-    ]
-    if leftovers:
-        out.append([entry for _, entry in sorted(
-            leftovers, key=lambda item: item[0]
-        )])
-    return out
+    return cache.layers(circuit)
 
 
 def noise_event_layout(

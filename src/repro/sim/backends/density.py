@@ -96,9 +96,7 @@ class DensityMatrixBackend(SimulatorBackend):
         cache = self.program_cache
         if cache is None:
             cache = default_program_cache()
-        program = cache.get(
-            circuit, noise, layered=False, fuse=False, fuse2q=False,
-        )
+        program = cache.get(circuit, noise, fused=False)
         dim = 2**n
         rho = np.zeros((dim, dim), dtype=complex)
         rho[0, 0] = 1.0

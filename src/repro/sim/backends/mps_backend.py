@@ -223,9 +223,7 @@ class MPSBackend(SimulatorBackend):
                 cache = default_program_cache()
             # Flat order and no fusion: layering or collapsing gates
             # would change the bond-truncation sequence.
-            program = cache.get(
-                circuit, noise, layered=False, fuse=False, fuse2q=False,
-            )
+            program = cache.get(circuit, noise, fused=False)
 
             def job(t: int) -> CircuitMPS:
                 uniforms = np.random.default_rng(

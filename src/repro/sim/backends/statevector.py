@@ -9,9 +9,9 @@ are batched as one stacked ``(n_traj, 2, ..., 2)`` array driven through
 the same BLAS calls — beats the density matrix on wall-clock well below
 it.
 
-Execution is two-phase: the circuit, noise model, and fusion
-configuration are JIT-compiled once per run into a flat
-:class:`~repro.sim.program.SimProgram` — precomputed dense matrices
+Execution is two-phase: the circuit and noise model are JIT-compiled
+once per run into a flat :class:`~repro.sim.program.SimProgram` under
+the engine's fixed ``fused=True`` recipe — precomputed dense matrices
 (including 1q/2q fusion products) in DAG front-layer order, resolved
 channel tables, and per-event uniform columns — memoized in a shared
 :class:`~repro.sim.program.ProgramCache` and driven read-only by every
@@ -213,8 +213,6 @@ class StatevectorTrajectoryBackend(SimulatorBackend):
         max_qubits: int = 24,
         chunk_size: int = 64,
         max_workers: int | None = None,
-        fuse: bool = True,
-        fuse2q: bool = True,
         program_cache: ProgramCache | None = None,
     ):
         if trajectories < 1:
@@ -226,11 +224,6 @@ class StatevectorTrajectoryBackend(SimulatorBackend):
         self.max_qubits = max_qubits
         self.chunk_size = int(chunk_size)
         self.max_workers = max_workers
-        # Fuse runs of noise-free 1q gates per wire into single 2x2
-        # matrices; ``fuse2q`` additionally collapses same-pair 2q
-        # blocks (and sandwiched 1q runs) into 4x4 operators.
-        self.fuse = bool(fuse)
-        self.fuse2q = bool(fuse2q)
         self.program_cache = program_cache
 
     def supports(self, n_qubits: int, noisy: bool) -> bool:
@@ -287,22 +280,26 @@ class StatevectorTrajectoryBackend(SimulatorBackend):
         cache = self.program_cache
         if cache is None:
             cache = default_program_cache()
-        # Compiled once per (circuit, noise, config) — and memoized
-        # across runs — then shared read-only by every chunk/worker.
-        # Layer-batched application: the DAG front-layer schedule is
-        # exact for a dense state, and noise-event columns stay keyed by
-        # flat gate position, so results match the sequential stream.
-        program = cache.get(
-            circuit, noise, layered=True, fuse=self.fuse, fuse2q=self.fuse2q,
+        # Compiled once per (circuit, noise) — and memoized across runs —
+        # then shared read-only by every chunk/worker.  Layer-batched
+        # application: the DAG front-layer schedule is exact for a dense
+        # state, and noise-event columns stay keyed by flat gate
+        # position, so results match the sequential stream.
+        program = cache.get(circuit, noise, fused=True)
+        return TrajectoryResult(
+            self._run_program(program), circuit.n_qubits, self.seed,
+            time.monotonic() - start,
         )
+
+    def _run_program(self, program: SimProgram) -> np.ndarray:
+        """Every trajectory of a compiled program, as ``(k, 2^n)`` rows.
+
+        A noiseless program runs once (every trajectory would be
+        identical); otherwise ``self.trajectories`` rows, in chunks.
+        """
         n_events = program.n_events
         if n_events == 0:
-            # Deterministic evolution: every trajectory is identical.
-            states = self._run_chunk_program(program, np.empty((1, 0)))
-            return TrajectoryResult(
-                states, circuit.n_qubits, self.seed,
-                time.monotonic() - start,
-            )
+            return self._run_chunk_program(program, np.empty((1, 0)))
         # One private uniform stream per trajectory, derived from
         # (seed, trajectory index) — chunking cannot change results.
         uniforms = np.stack(
@@ -314,7 +311,7 @@ class StatevectorTrajectoryBackend(SimulatorBackend):
         # Chunks write straight into one preallocated stack — no
         # concatenate copy doubling peak memory at the end.
         states = np.empty(
-            (self.trajectories, 2**circuit.n_qubits), dtype=complex
+            (self.trajectories, 2**program.n_qubits), dtype=complex
         )
         offsets = list(range(0, self.trajectories, self.chunk_size))
 
@@ -325,6 +322,4 @@ class StatevectorTrajectoryBackend(SimulatorBackend):
             )
 
         map_parallel(job, offsets, self.max_workers)
-        return TrajectoryResult(
-            states, circuit.n_qubits, self.seed, time.monotonic() - start
-        )
+        return states

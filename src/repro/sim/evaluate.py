@@ -75,8 +75,6 @@ def evaluate_fidelity(
     seed: int = 0,
     max_workers: int | None = None,
     reference_state=None,
-    fuse: bool = True,
-    fuse2q: bool = True,
     program_cache=None,
 ) -> FidelityEvaluation:
     """Fidelity of ``circuit`` (under ``noise``) against ``reference``.
@@ -92,9 +90,8 @@ def evaluate_fidelity(
     callers scoring many circuits against one ideal state should
     precompute it once.
 
-    ``fuse``/``fuse2q``/``program_cache`` configure the stochastic
-    engines' JIT-compiled programs (see :mod:`repro.sim.program`); the
-    defaults give the fast path.
+    ``program_cache`` injects a private cache for the engine's
+    JIT-compiled programs (see :mod:`repro.sim.program`).
     """
     if reference is None:
         reference = circuit
@@ -108,8 +105,6 @@ def evaluate_fidelity(
         max_bond=max_bond,
         seed=seed,
         max_workers=max_workers,
-        fuse=fuse,
-        fuse2q=fuse2q,
         program_cache=program_cache,
     )
     ref_state = reference_state

@@ -4,10 +4,18 @@ Rather than re-interpret the gate stream on every chunk of every run —
 ``gate.matrix()`` per gate per chunk, a channel table resolved per
 noise event, one ``searchsorted`` per event column — every engine
 drives a :class:`SimProgram`: :func:`compile_program` lowers a
-``(circuit, noise, schedule-config)`` triple into flat form once:
+``(circuit, noise)`` pair into flat form once, under one of two fixed
+recipes:
 
-* every operator is a precomputed dense matrix (including the 1q/2q
-  fusion products of :func:`repro.sim.backends.base.fuse_schedule`),
+* ``fused=True`` (the statevector engine): DAG front-layer order, with
+  noise-free 1q runs fused into 2x2 products and same-pair 2q blocks
+  into 4x4 products;
+* ``fused=False`` (the density and MPS engines, one shared cache
+  entry): flat source order, one operator per gate.
+
+Under either recipe
+
+* every operator is a precomputed dense matrix,
 * every noise event carries its resolved Kraus/mixture table and its
   column into the pre-drawn ``(n_traj, n_events)`` uniform matrix,
 * mixture events are grouped by channel so a whole run's outcome
@@ -32,9 +40,8 @@ from typing import Callable
 
 import numpy as np
 
-from repro.circuits.circuit import Circuit
+from repro.circuits.circuit import Circuit, Gate
 from repro.sim.backends.base import (
-    fuse_schedule,
     gate_schedule,
     is_noisy,
     noise_event_layout,
@@ -148,15 +155,8 @@ class NoiseEvent:
         self.mixture = mixture
 
 
-def program_key(
-    circuit: Circuit,
-    noise: NoiseModel | None,
-    *,
-    layered: bool,
-    fuse: bool,
-    fuse2q: bool,
-):
-    """Content cache key: gate stream + resolved noise behavior + config.
+def program_key(circuit: Circuit, noise: NoiseModel | None, *, fused: bool):
+    """Content cache key: gate stream + resolved noise behavior + recipe.
 
     The noise model enters through what the engines actually consume —
     per-gate noisy qubits and rates (plus the channel factory's
@@ -173,7 +173,7 @@ def program_key(
             if (qubits := noise.noisy_qubits(g))
         )
         noise_sig = (events, getattr(noise, "kraus", None))
-    return (circuit.n_qubits, gates, noise_sig, layered, fuse, fuse2q)
+    return (circuit.n_qubits, gates, noise_sig, fused)
 
 
 class SimProgram:
@@ -219,52 +219,152 @@ class SimProgram:
         return choices
 
 
+def _oriented_2q(gate: Gate) -> tuple[tuple[int, int], np.ndarray]:
+    """A 2q gate's matrix re-expressed on its sorted qubit pair."""
+    a, b = gate.qubits
+    m = gate.matrix()
+    if a < b:
+        return (a, b), m
+    return (b, a), m.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+
+
+def _fused_layers(circuit, noisy_qubits, gate_events) -> list[tuple]:
+    """The statevector recipe: front layers with noise-free runs fused.
+
+    Consecutive noise-free 1q gates per wire collapse into one 2x2
+    product (the dominant cost of deep Clifford+T streams, where
+    synthesis expands every rotation into long 1q runs).  Adjacent
+    noise-free 2q gates on the *same* qubit pair — plus the noise-free
+    1q runs sandwiched between them — collapse into one 4x4 operator on
+    the sorted pair ``(lo, hi)`` (first factor = ``lo``), so between
+    two noise events a whole entangling block is one batched
+    application.  A pending product is flushed right before the first
+    noisy or differently-paired gate touching one of its wires, so
+    gate order per wire and the (gate, uniform) noise pairing are
+    unchanged; deferred operators commute with the other-wire gates and
+    noise events that overtake them.  Fused operators carry no noise
+    events; what is still pending at the end forms one last layer.
+    """
+    pending_1q: dict[int, np.ndarray] = {}
+    pending_2q: dict[tuple[int, int], np.ndarray] = {}
+    wire_pair: dict[int, tuple[int, int]] = {}
+    layers = []
+
+    def flush(q: int, ops: list[ProgramOp]) -> None:
+        pair = wire_pair.get(q)
+        if pair is not None:
+            ops.append(ProgramOp(pair, pending_2q.pop(pair)))
+            for w in pair:
+                del wire_pair[w]
+            return
+        acc = pending_1q.pop(q, None)
+        if acc is not None:
+            ops.append(ProgramOp((q,), acc))
+
+    for layer in gate_schedule(circuit):
+        ops: list[ProgramOp] = []
+        events: list[NoiseEvent] = []
+        for pos, gate in layer:
+            noisy = noisy_qubits(gate)
+            if len(gate.qubits) == 1 and not noisy:
+                q = gate.qubits[0]
+                m = gate.matrix()
+                pair = wire_pair.get(q)
+                if pair is not None:
+                    # Sandwiched 1q gate: fold into the open 4x4 block.
+                    lift = (
+                        np.kron(m, _EYE2) if q == pair[0]
+                        else np.kron(_EYE2, m)
+                    )
+                    pending_2q[pair] = lift @ pending_2q[pair]
+                else:
+                    acc = pending_1q.get(q)
+                    pending_1q[q] = m if acc is None else m @ acc
+                continue
+            if len(gate.qubits) == 2 and not noisy:
+                pair, m = _oriented_2q(gate)
+                if wire_pair.get(pair[0]) == pair:
+                    pending_2q[pair] = m @ pending_2q[pair]
+                    continue
+                for q in pair:
+                    if wire_pair.get(q) is not None:
+                        flush(q, ops)
+                # Absorb each wire's pending 1q run into the new block.
+                lo1q = pending_1q.pop(pair[0], None)
+                hi1q = pending_1q.pop(pair[1], None)
+                if lo1q is not None or hi1q is not None:
+                    m = m @ np.kron(
+                        _EYE2 if lo1q is None else lo1q,
+                        _EYE2 if hi1q is None else hi1q,
+                    )
+                pending_2q[pair] = m
+                wire_pair[pair[0]] = wire_pair[pair[1]] = pair
+                continue
+            for q in gate.qubits:
+                flush(q, ops)
+            ops.append(ProgramOp(gate.qubits, gate.matrix()))
+            events += gate_events(pos, gate, noisy)
+        if ops:
+            layers.append((tuple(ops), tuple(events)))
+    leftovers = [
+        (pair[0], ProgramOp(pair, m)) for pair, m in pending_2q.items()
+    ]
+    leftovers += [(q, ProgramOp((q,), m)) for q, m in pending_1q.items()]
+    if leftovers:
+        leftovers.sort(key=lambda item: item[0])
+        layers.append((tuple(op for _, op in leftovers), ()))
+    return layers
+
+
 def compile_program(
     circuit: Circuit,
     noise: NoiseModel | None = None,
     *,
-    layered: bool = True,
-    fuse: bool = True,
-    fuse2q: bool = True,
+    fused: bool,
 ) -> SimProgram:
     """Lower a circuit (+ noise model) into a :class:`SimProgram`.
 
-    ``layered`` selects DAG front-layer scheduling (the statevector
-    engine) over flat gate order (the MPS and density engines);
-    ``fuse``/``fuse2q`` mirror the engine knobs for 1q and same-pair 2q
-    fusion.  The returned program is self-contained — engines touch
-    neither the circuit nor the noise model again.
+    Each engine fixes its recipe.  ``fused=True`` is the statevector
+    engine's: DAG front-layer order with noise-free 1q runs and
+    same-pair 2q blocks fused (:func:`_fused_layers`).  ``fused=False``
+    is the flat source order, one operator and one layer per gate,
+    which the density and MPS engines share.  The returned program is
+    self-contained — engines touch neither the circuit nor the noise
+    model again.
     """
     offsets, n_events = noise_event_layout(circuit, noise)
-    schedule = gate_schedule(circuit, layered)
-    if fuse:
-        schedule = fuse_schedule(schedule, noise, two_qubit=fuse2q)
     noisy = is_noisy(noise)
     channels = channels_for(noise) if noisy else None
-    layers = []
     mixture_cols: dict[int, tuple[np.ndarray, list[int]]] = {}
-    for layer in schedule:
-        ops = tuple(
-            ProgramOp(gate.qubits, gate.matrix()) for _, gate in layer
-        )
+
+    def noisy_qubits(gate: Gate) -> tuple[int, ...]:
+        return noise.noisy_qubits(gate) if noisy else ()
+
+    def gate_events(pos: int, gate: Gate, qubits) -> list[NoiseEvent]:
+        if not qubits:
+            return []
+        kraus, mixture = channels.get(noise.rate_for(gate))
         events = []
-        if noisy:
-            for pos, gate in layer:
-                if pos < 0:
-                    continue  # fused operators carry no noise events
-                qubits = noise.noisy_qubits(gate)
-                if not qubits:
-                    continue
-                kraus, mixture = channels.get(noise.rate_for(gate))
-                for j, q in enumerate(qubits):
-                    column = offsets[pos] + j
-                    events.append(NoiseEvent(q, column, kraus, mixture))
-                    if mixture is not None:
-                        group = mixture_cols.setdefault(
-                            id(mixture), (mixture.cum, [])
-                        )
-                        group[1].append(column)
-        layers.append((ops, tuple(events)))
+        for j, q in enumerate(qubits):
+            column = offsets[pos] + j
+            events.append(NoiseEvent(q, column, kraus, mixture))
+            if mixture is not None:
+                group = mixture_cols.setdefault(
+                    id(mixture), (mixture.cum, [])
+                )
+                group[1].append(column)
+        return events
+
+    if fused:
+        layers = _fused_layers(circuit, noisy_qubits, gate_events)
+    else:
+        layers = [
+            (
+                (ProgramOp(gate.qubits, gate.matrix()),),
+                tuple(gate_events(pos, gate, noisy_qubits(gate))),
+            )
+            for pos, gate in enumerate(circuit.gates)
+        ]
     mixture_groups = tuple(
         (cum, np.asarray(cols, dtype=np.intp))
         for cum, cols in mixture_cols.values()
@@ -297,9 +397,7 @@ class ProgramCache:
         circuit: Circuit,
         noise: NoiseModel | None = None,
         *,
-        layered: bool = True,
-        fuse: bool = True,
-        fuse2q: bool = True,
+        fused: bool,
     ) -> SimProgram:
         """The compiled program for this triple, compiling on miss.
 
@@ -307,9 +405,7 @@ class ProgramCache:
         one key may both compile, but the result is identical and the
         last insert wins, so correctness is unaffected.
         """
-        key = program_key(
-            circuit, noise, layered=layered, fuse=fuse, fuse2q=fuse2q
-        )
+        key = program_key(circuit, noise, fused=fused)
         with self._lock:
             program = self._programs.get(key)
             if program is not None:
@@ -317,9 +413,7 @@ class ProgramCache:
                 self.hits += 1
                 return program
             self.misses += 1
-        program = compile_program(
-            circuit, noise, layered=layered, fuse=fuse, fuse2q=fuse2q
-        )
+        program = compile_program(circuit, noise, fused=fused)
         with self._lock:
             self._programs[key] = program
             self._programs.move_to_end(key)

@@ -20,7 +20,6 @@ from repro.target.coupling import CouplingMap
 from repro.target.layout import (
     LAYOUT_METHODS,
     Layout,
-    apply_layout,
     dense_layout,
     resolve_layout,
     trivial_layout,
@@ -47,7 +46,6 @@ __all__ = [
     "RoutingMetrics",
     "RoutingResult",
     "Target",
-    "apply_layout",
     "dense_layout",
     "estimate_esp",
     "fix_gate_directions",

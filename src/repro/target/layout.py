@@ -195,25 +195,6 @@ def dense_layout(circuit: Circuit, target: Target) -> Layout:
     return Layout.from_mapping(placed, target.n_qubits)
 
 
-def apply_layout(circuit: Circuit, layout: Layout) -> Circuit:
-    """Relabel a circuit onto physical wires per an initial layout.
-
-    The result lives on ``len(layout)`` wires with every gate's qubits
-    mapped through ``layout.physical``; routing the relabeled circuit
-    with a trivial layout equals routing the original with ``layout``.
-    """
-    from repro.circuits.circuit import Gate
-
-    if circuit.n_qubits > len(layout):
-        raise ValueError("layout is smaller than the circuit")
-    out = Circuit(len(layout), name=circuit.name)
-    out.gates = [
-        Gate(g.name, tuple(layout.physical(q) for q in g.qubits), g.params)
-        for g in circuit.gates
-    ]
-    return out
-
-
 #: Named layout strategies accepted wherever a layout is configurable.
 LAYOUT_METHODS = {
     "trivial": trivial_layout,

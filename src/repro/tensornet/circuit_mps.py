@@ -153,18 +153,17 @@ class CircuitMPS:
         else:
             self.apply_2q(gate.matrix(), *gate.qubits)
 
-    def run(self, circuit: Circuit, route: bool = True) -> "CircuitMPS":
+    def run(self, circuit: Circuit) -> "CircuitMPS":
         """Apply a whole circuit, pre-routing long-range gates.
 
-        When the circuit contains non-adjacent two-qubit gates and
-        ``route`` is True, the circuit is first routed to a line target
-        with the lookahead router of :mod:`repro.target.routing` —
-        fewer swaps than the per-gate there-and-back chains of
-        :meth:`apply_2q` — and the final qubit permutation is undone
-        with adjacent swaps afterwards, so the resulting state is
-        bit-identical (up to truncation-order effects) to the unrouted
-        path.  ``route=False`` keeps the legacy per-gate chains, which
-        also remain the fallback for tiny circuits.
+        When the circuit contains non-adjacent two-qubit gates, it is
+        first routed to a line target with the lookahead router of
+        :mod:`repro.target.routing` — fewer swaps than the per-gate
+        there-and-back chains of :meth:`apply_2q` — and the final qubit
+        permutation is undone with adjacent swaps afterwards, so the
+        resulting state equals the gate-by-gate one up to
+        truncation-order effects.  Circuits below three qubits apply
+        gate by gate.
         """
         if circuit.n_qubits != self.n:
             raise ValueError("circuit size mismatch")
@@ -172,7 +171,7 @@ class CircuitMPS:
             len(g.qubits) == 2 and abs(g.qubits[0] - g.qubits[1]) != 1
             for g in circuit.gates
         )
-        if route and needs_routing and self.n >= 3:
+        if needs_routing and self.n >= 3:
             from repro.target import Target, route_circuit
 
             routed = route_circuit(

@@ -245,7 +245,9 @@ class TestCircuitMPS:
                 a, b = rng.choice(n, 2, replace=False)
                 c.cx(int(a), int(b))
         routed = CircuitMPS(n, max_bond=128).run(c)
-        legacy = CircuitMPS(n, max_bond=128).run(c, route=False)
+        legacy = CircuitMPS(n, max_bond=128)
+        for gate in c.gates:
+            legacy.apply_gate(gate)
         psi = c.statevector()
         f_routed = abs(np.vdot(psi, routed.to_statevector())) ** 2
         f_legacy = abs(np.vdot(psi, legacy.to_statevector())) ** 2
@@ -563,29 +565,19 @@ class TestScheduleCache:
         from repro.sim.backends import ScheduleCache, gate_schedule
 
         cache = ScheduleCache()
-        a = gate_schedule(self._circuit(), True, cache=cache)
-        b = gate_schedule(self._circuit(), True, cache=cache)
+        a = gate_schedule(self._circuit(), cache=cache)
+        b = gate_schedule(self._circuit(), cache=cache)
         assert a is b
         assert cache.stats() == {
             "hits": 1, "misses": 1, "entries": 1, "maxsize": 128,
         }
-
-    def test_layered_flag_separates_entries(self):
-        from repro.sim.backends import ScheduleCache, gate_schedule
-
-        cache = ScheduleCache()
-        lay = gate_schedule(self._circuit(), True, cache=cache)
-        seq = gate_schedule(self._circuit(), False, cache=cache)
-        assert lay is not seq
-        assert len(seq) == 3  # one gate per layer
-        assert len(cache) == 2
 
     def test_schedule_matches_uncached_semantics(self):
         from repro.circuits import CircuitDAG
         from repro.sim.backends import ScheduleCache, gate_schedule
 
         c = self._circuit()
-        got = gate_schedule(c, True, cache=ScheduleCache())
+        got = gate_schedule(c, cache=ScheduleCache())
         want = [
             [(n.id, n.gate) for n in layer]
             for layer in CircuitDAG.from_circuit(c).as_layers()
@@ -600,7 +592,7 @@ class TestScheduleCache:
         for k in range(4):
             c = Circuit(1)
             c.append("rz", 0, (float(k),))
-            gate_schedule(c, True, cache=cache)
+            gate_schedule(c, cache=cache)
         assert len(cache) == 2
         assert cache.stats()["misses"] == 4
         cache.clear()
@@ -614,7 +606,7 @@ class TestScheduleCache:
         before = cache.stats()["misses"]
         c = self._circuit()
         c.append("rz", 0, (0.12345,))
-        gate_schedule(c, True)
+        gate_schedule(c)
         assert cache.stats()["misses"] == before + 1
 
     def test_maxsize_validated(self):

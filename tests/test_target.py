@@ -9,7 +9,6 @@ from repro.target import (
     CouplingMap,
     Layout,
     Target,
-    apply_layout,
     dense_layout,
     parse_target,
     resolve_layout,
@@ -236,6 +235,8 @@ class TestLayout:
         lay = dense_layout(c, t)
         assert t.coupling.distance(lay.physical(0), lay.physical(1)) == 1
         assert t.coupling.distance(lay.physical(1), lay.physical(2)) == 1
+        for v in range(len(lay)):
+            assert lay.virtual(lay.physical(v)) == v
 
     def test_dense_layout_prefers_low_error_region(self):
         # Same degree everywhere on a ring; edge errors single out the
@@ -246,32 +247,6 @@ class TestLayout:
         lay = dense_layout(c, t)
         pair = {lay.physical(0), lay.physical(1)}
         assert pair != {4, 5}
-
-    def test_apply_layout_relabels(self):
-        c = Circuit(2).h(0).cx(0, 1)
-        lay = Layout([2, 0, 1])
-        placed = apply_layout(c, lay)
-        assert placed.n_qubits == 3
-        assert placed.gates[0].qubits == (2,)
-        assert placed.gates[1].qubits == (2, 0)
-
-    def test_layout_roundtrip_on_heavy_hex(self):
-        # apply_layout must be exactly the layout permutation: the
-        # placed circuit's state equals P(L) applied to the padded
-        # original state, and virtual/physical stay inverse bijections.
-        from repro.target import permute_statevector
-
-        t = Target.heavy_hex(2)
-        c = Circuit(3).h(0).cx(0, 1).cx(1, 2).t(2)
-        lay = dense_layout(c, t)
-        for v in range(len(lay)):
-            assert lay.virtual(lay.physical(v)) == v
-        placed = apply_layout(c, lay)
-        psi = c.statevector()
-        pad = np.zeros(2 ** (t.n_qubits - c.n_qubits), dtype=complex)
-        pad[0] = 1.0
-        expected = permute_statevector(np.kron(psi, pad), lay.as_list())
-        assert np.allclose(placed.statevector(), expected)
 
     def test_layout_roundtrip_on_directed_coupling(self):
         # Routing + direction fixing on a one-way line: the routed
