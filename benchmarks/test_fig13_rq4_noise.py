@@ -5,11 +5,6 @@ consistent infidelity advantage (ratios mostly > 1, up to ~4x-5x),
 stable across logical error rates.
 """
 
-import pytest
-
-# Excluded from the fast PR gate: minutes of noisy density-matrix simulation.
-pytestmark = pytest.mark.slow
-
 from conftest import SCALE, write_result
 
 from repro.bench_circuits import benchmark_suite

@@ -15,8 +15,10 @@ so all three engines stay green.
 Every engine runs a JIT-compiled simulation program under its own fixed
 recipe (see "Compiled programs & fusion" in the README): the statevector
 engine fuses noise-free 1q runs and same-pair 2q blocks, the density and
-MPS engines run the flat gate stream.  ``BENCH_sim.json`` records what
-fusion is worth against the flat recipe (``speedup_vs_unfused``).
+MPS engines run the flat gate stream, and the density engine folds each
+wire's 1q gates and noise channels into one superoperator between 2q
+gates.  ``BENCH_sim.json`` records what fusion is worth
+(``speedup_vs_unfused``).
 """
 
 import sys

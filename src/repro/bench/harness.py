@@ -161,6 +161,43 @@ def run_interleaved(
     return results
 
 
+def run_with_twins(
+    specs: list[BenchSpec],
+    suffix: str,
+    warmup: int,
+    repeats: int,
+    progress: Callable[[str], None] | None = None,
+) -> list[BenchResult]:
+    """Time each spec interleaved with its twin, the next spec if it is
+    named ``<name><suffix>``; a spec with no twin is timed alone.
+
+    Both thunks of a pair run once per round (:func:`run_interleaved`),
+    so a load spike on a shared machine slows the two sides of a
+    speedup together.
+    """
+    results: list[BenchResult] = []
+    i = 0
+    while i < len(specs):
+        paired = (
+            i + 1 < len(specs)
+            and specs[i + 1].name == f"{specs[i].name}{suffix}"
+        )
+        group = run_interleaved(specs[i : i + 1 + paired], warmup, repeats)
+        results.extend(group)
+        i += len(group)
+        if progress is not None:
+            for result in group:
+                progress(f"  {result.name}: {result.median_s:.4f}s median")
+    return results
+
+
+def twin_speedup(result: BenchResult, twin: BenchResult) -> float:
+    """Median over rounds of the twin's time over ``result``'s time in
+    the same round (:func:`run_with_twins` times both every round)."""
+    ratios = [t / r for r, t in zip(result.times_s, twin.times_s)]
+    return round(statistics.median(ratios), 2)
+
+
 def _reference_kernel() -> None:
     """~1 ms of Python and small LAPACK work that only the host's speed moves."""
     import numpy as np

@@ -16,10 +16,14 @@ dirty-wire driver vs the rescan-everything reference fixpoint.
 from __future__ import annotations
 
 import random
-import statistics
 from typing import Callable
 
-from repro.bench.harness import BenchResult, BenchSpec, run_interleaved
+from repro.bench.harness import (
+    BenchResult,
+    BenchSpec,
+    run_with_twins,
+    twin_speedup,
+)
 
 
 def _optimizer_workload(n_qubits: int, n_gates: int, seed: int):
@@ -170,36 +174,22 @@ def run_specs(
     repeats: int,
     progress: Callable[[str], None] | None = None,
 ) -> list[BenchResult]:
-    """Time every columnar entry interleaved with its reference twin.
-
-    :func:`specs` lists each columnar entry right before its twin; both
-    thunks run once per round, so a load spike on a shared machine
-    slows the two sides of a speedup together.
-    """
-    results = []
-    for kernel, reference in zip(specs[::2], specs[1::2]):
-        results.extend(run_interleaved([kernel, reference], warmup, repeats))
-        if progress is not None:
-            progress(
-                f"  {kernel.name}: {results[-2].median_s:.4f}s median, "
-                f"reference {results[-1].median_s:.4f}s"
-            )
-    return results
+    """Time every columnar entry interleaved with its reference twin,
+    which :func:`specs` lists right after it."""
+    return run_with_twins(specs, "/reference", warmup, repeats, progress)
 
 
 def finalize(results: list[BenchResult]) -> None:
     """Derive each pair's columnar-vs-reference speedup.
 
-    Pairs ``<name>`` with ``<name>/reference`` and takes the median over
-    rounds of the reference time divided by the columnar time of the
-    same round (:func:`run_specs` times both in every round), recording
-    ``speedup_vs_reference`` on the columnar entry.  Each spec's
-    ``run()`` is exactly the end-to-end pass.
+    Pairs ``<name>`` with ``<name>/reference`` and records
+    ``speedup_vs_reference``, the median over rounds of the reference
+    time divided by the columnar time of the same round
+    (:func:`~repro.bench.harness.twin_speedup`), on the columnar entry.
+    Each spec's ``run()`` is exactly the end-to-end pass.
     """
     by_name = {r.name: r for r in results}
     for name, result in by_name.items():
         ref = by_name.get(f"{name}/reference")
-        if ref is None:
-            continue
-        ratios = [r / k for k, r in zip(result.times_s, ref.times_s)]
-        result.extra["speedup_vs_reference"] = round(statistics.median(ratios), 2)
+        if ref is not None:
+            result.extra["speedup_vs_reference"] = twin_speedup(result, ref)

@@ -1,20 +1,32 @@
-"""Simulation benchmarks: statevector program execution and MPS sweeps.
+"""Simulation benchmarks: statevector and density program execution, MPS sweeps.
 
 The statevector benchmarks time the trajectory engine's runner on a
 precompiled program — noiseless (pure operator application, where
 fusion acts) and noisy Monte-Carlo trajectories.  Each headline
 benchmark runs the engine's fused recipe and is paired with an
 ``/unfused`` baseline that runs the flat recipe through the same
-runner, so the fusion speedup is recorded as a standing number.  The
-MPS benchmark sweeps a nearest-neighbor circuit through the
-bond-truncated engine.
+runner.  The density benchmark times the exact engine's fused
+superoperator pass on a noisy Clifford+T program, paired with an
+``/unfused`` baseline that applies the same program gate by gate
+(:func:`_density_unfused`).  :func:`run_specs` times each pair
+interleaved, round by round, and :func:`finalize` records the fusion
+speedup as a standing number.  The MPS benchmark sweeps a
+nearest-neighbor circuit through the bond-truncated engine.
 """
 
 from __future__ import annotations
 
 import random
+from typing import Callable
 
-from repro.bench.harness import BenchResult, BenchSpec
+import numpy as np
+
+from repro.bench.harness import (
+    BenchResult,
+    BenchSpec,
+    run_with_twins,
+    twin_speedup,
+)
 
 
 def _clifford_t_circuit(n_qubits: int, n_gates: int, seed: int):
@@ -79,6 +91,71 @@ def _statevector_spec(
     )
 
 
+def _apply_operator(
+    rho: np.ndarray, m: np.ndarray, axes: list[int]
+) -> np.ndarray:
+    """Contract a local operator into ket axes (0..n-1) or bra axes (n..2n-1)."""
+    k = len(axes)
+    m = m.reshape((2,) * (2 * k))
+    rho = np.tensordot(m, rho, axes=(list(range(k, 2 * k)), axes))
+    return np.moveaxis(rho, list(range(k)), axes)
+
+
+def _density_unfused(program) -> np.ndarray:
+    """The density engine's program gate by gate, with no fusion.
+
+    Two state contractions per operator (ket, then bra) and two per
+    Kraus term of each noise event, plus the sum over terms: the
+    engine's execution before it fused superoperators.
+    """
+    n = program.n_qubits
+    dim = 2**n
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[0, 0] = 1.0
+    rho = rho.reshape((2,) * (2 * n))
+    for ops, events in program.layers:
+        for op in ops:
+            rho = _apply_operator(rho, op.matrix, list(op.qubits))
+            rho = _apply_operator(
+                rho, op.matrix.conj(), [n + q for q in op.qubits]
+            )
+        for ev in events:
+            total = None
+            for k in ev.kraus:
+                term = _apply_operator(rho, k, [ev.qubit])
+                term = _apply_operator(term, k.conj(), [n + ev.qubit])
+                total = term if total is None else total + term
+            rho = total
+    return rho.reshape(dim, dim)
+
+
+def _density_spec(
+    name: str, n_qubits: int, n_gates: int, fused: bool
+) -> BenchSpec:
+    def setup():
+        from repro.sim.backends.density import DensityMatrixBackend
+        from repro.sim.noise import NoiseModel
+        from repro.sim.program import compile_program
+
+        circuit = _clifford_t_circuit(n_qubits, n_gates, seed=17)
+        noise = NoiseModel.non_pauli_gates(1e-4)
+        program = compile_program(circuit, noise, fused=False)
+        runner = DensityMatrixBackend()._run_program if fused else _density_unfused
+        return lambda: runner(program)
+
+    return BenchSpec(
+        name=name,
+        params={
+            "n_qubits": n_qubits,
+            "n_gates": n_gates,
+            "noise": "non_pauli_gates(1e-4)",
+            "fused": fused,
+            "seed": 17,
+        },
+        setup=setup,
+    )
+
+
 def _mps_spec(n_qubits: int, n_gates: int, max_bond: int) -> BenchSpec:
     def setup():
         from repro.sim.backends.mps_backend import MPSBackend
@@ -133,24 +210,30 @@ def specs(quick: bool) -> list[BenchSpec]:
             "statevector/trajectories/noisy/unfused", 10, 600, 50,
             noisy=True, fused=False,
         ),
+        _density_spec("density/noisy", 6, 1000, fused=True),
+        _density_spec("density/noisy/unfused", 6, 1000, fused=False),
         _mps_spec(16, 300, max_bond=32),
     ]
 
 
+def run_specs(
+    specs: list[BenchSpec],
+    warmup: int,
+    repeats: int,
+    progress: Callable[[str], None] | None = None,
+) -> list[BenchResult]:
+    """Time each headline entry interleaved with its ``/unfused`` twin,
+    which :func:`specs` lists right after it."""
+    return run_with_twins(specs, "/unfused", warmup, repeats, progress)
+
+
 def finalize(results: list[BenchResult]) -> None:
-    """Record ``speedup_vs_unfused`` (fusion's contribution) from the
-    ``/unfused`` pairs."""
+    """Record ``speedup_vs_unfused`` (fusion's contribution) per pair:
+    the median over rounds of the unfused time over the fused time of
+    the same round (:func:`~repro.bench.harness.twin_speedup`)."""
     by_name = {r.name: r for r in results}
-    for fused_name in (
-        "statevector/layers/noiseless",
-        "statevector/trajectories/noisy",
-    ):
-        fused = by_name.get(fused_name)
-        if fused is None:
-            continue
-        unfused = by_name.get(f"{fused_name}/unfused")
+    for name, fused in by_name.items():
+        unfused = by_name.get(f"{name}/unfused")
         if unfused is not None:
-            fused.extra["speedup_vs_unfused"] = round(
-                unfused.median_s / fused.median_s, 2
-            )
+            fused.extra["speedup_vs_unfused"] = twin_speedup(fused, unfused)
             fused.extra["unfused_median_s"] = unfused.median_s

@@ -74,7 +74,7 @@ def canonical_gate_name(name: str) -> str:
     return name.lower()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     """One circuit operation: ``name`` on ``qubits`` with ``params``."""
 

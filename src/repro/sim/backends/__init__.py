@@ -15,7 +15,8 @@ Three engines implement the :class:`SimulatorBackend` protocol:
 budget)``; see the README "Simulation backends" section for the rules.
 All three run a compiled :class:`~repro.sim.program.SimProgram` from a
 :class:`~repro.sim.program.ProgramCache`: the statevector engine the
-fused recipe, the density and MPS engines the flat one.
+fused recipe, the density and MPS engines the flat one, which the
+density engine folds into per-qubit superoperators as it runs.
 """
 
 from __future__ import annotations

@@ -7,10 +7,19 @@ engines are validated against.
 
 Like the other two engines it runs a compiled
 :class:`~repro.sim.program.SimProgram` rather than the circuit: the
-flat, unfused program the MPS engine uses (same cache entry), whose
-operators act on the ket and bra axes of the rank-2n state tensor and
-whose noise events each apply their Kraus sum.  No fusion, so every
-state is float-for-float the gate-by-gate evolution.
+flat, unfused program the MPS engine uses (same cache entry).  The run
+is one pass over that program in Liouville form.  Each qubit keeps a
+pending 4x4 superoperator on its (ket, bra) axis pair: a 1q operator
+``U`` left-multiplies ``kron(U, U.conj())`` onto it and a noise event
+its channel's ``sum_k kron(K, K.conj())``, each built once per distinct
+matrix or Kraus table per run.  The full rank-2n state is contracted
+once per 2q operator, as one 16x16 superoperator on the pair's ket and
+bra axes with both qubits' pending superoperators folded in, and once
+per qubit with a pending superoperator at the end.  Clifford+T output
+has long 1q runs between CXs, so a run makes about one contraction per
+CX instead of two per gate plus eight per four-Kraus noise event.  Fused
+products reorder floating-point operations: states match gate-by-gate
+evolution to about 1e-14, and repeated runs are identical bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from repro.sim.backends.base import (
     reference_statevector,
 )
 from repro.sim.noise import NoiseModel
-from repro.sim.program import ProgramCache, default_program_cache
+from repro.sim.program import ProgramCache, SimProgram, default_program_cache
 
 
 class DensityMatrixResult(SimulationResult):
@@ -54,13 +63,37 @@ class DensityMatrixResult(SimulationResult):
         return np.ascontiguousarray(vecs[:, -1])
 
 
-def _apply_operator(
-    rho: np.ndarray, m: np.ndarray, axes: list[int]
+_EYE4 = np.eye(4, dtype=complex)
+
+
+def _liouville(m: np.ndarray) -> np.ndarray:
+    """The superoperator of ``rho -> m rho m^dag`` on (ket, bra) indices."""
+    return np.kron(m, m.conj())
+
+
+def _pair_superop(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
+    """1q superoperators on a pair's two qubits as one 16x16 superoperator.
+
+    The result acts on (ket a, ket b, bra a, bra b), the index order of
+    ``_liouville`` of a 2q operator on ``(a, b)``.
+    """
+    return np.einsum(
+        "aceg,bdfh->abcdefgh", sa.reshape(2, 2, 2, 2), sb.reshape(2, 2, 2, 2)
+    ).reshape(16, 16)
+
+
+def _apply_superop(
+    rho: np.ndarray, s: np.ndarray, qubits: tuple[int, ...], n: int
 ) -> np.ndarray:
-    """Contract a local operator into ket axes (0..n-1) or bra axes (n..2n-1)."""
+    """Contract a superoperator into the ket and bra axes of ``qubits``.
+
+    ``s`` acts on the row-major index (kets of ``qubits``, then their
+    bras), which is the index order of :func:`_liouville`.
+    """
+    axes = [*qubits, *(n + q for q in qubits)]
     k = len(axes)
-    m = m.reshape((2,) * (2 * k))
-    rho = np.tensordot(m, rho, axes=(list(range(k, 2 * k)), axes))
+    s = s.reshape((2,) * (2 * k))
+    rho = np.tensordot(s, rho, axes=(list(range(k, 2 * k)), axes))
     return np.moveaxis(rho, list(range(k)), axes)
 
 
@@ -97,23 +130,45 @@ class DensityMatrixBackend(SimulatorBackend):
         if cache is None:
             cache = default_program_cache()
         program = cache.get(circuit, noise, fused=False)
+        return DensityMatrixResult(
+            self._run_program(program), n, time.monotonic() - start
+        )
+
+    def _run_program(self, program: SimProgram) -> np.ndarray:
+        """The final ``(2^n, 2^n)`` density matrix of a compiled program."""
+        n = program.n_qubits
         dim = 2**n
         rho = np.zeros((dim, dim), dtype=complex)
         rho[0, 0] = 1.0
         rho = rho.reshape((2,) * (2 * n))
+        # Superoperators by id of their matrix or Kraus table, which the
+        # program keeps alive for the whole run.
+        supers: dict[int, np.ndarray] = {}
+        pending: dict[int, np.ndarray] = {}
         for ops, events in program.layers:
             for op in ops:
-                ket = list(op.qubits)
-                bra = [n + q for q in op.qubits]
-                rho = _apply_operator(rho, op.matrix, ket)
-                rho = _apply_operator(rho, op.matrix.conj(), bra)
+                s = supers.get(id(op.matrix))
+                if s is None:
+                    s = supers[id(op.matrix)] = _liouville(op.matrix)
+                if len(op.qubits) == 1:
+                    q = op.qubits[0]
+                    acc = pending.get(q)
+                    pending[q] = s if acc is None else s @ acc
+                    continue
+                # Fold the pair's pending superoperators into this one.
+                a, b = op.qubits
+                sa, sb = pending.pop(a, _EYE4), pending.pop(b, _EYE4)
+                if sa is not _EYE4 or sb is not _EYE4:
+                    s = s @ _pair_superop(sa, sb)
+                rho = _apply_superop(rho, s, op.qubits, n)
             for ev in events:
-                total = None
-                for k in ev.kraus:
-                    term = _apply_operator(rho, k, [ev.qubit])
-                    term = _apply_operator(term, k.conj(), [n + ev.qubit])
-                    total = term if total is None else total + term
-                rho = total
-        return DensityMatrixResult(
-            rho.reshape(dim, dim), n, time.monotonic() - start
-        )
+                s = supers.get(id(ev.kraus))
+                if s is None:
+                    s = supers[id(ev.kraus)] = sum(
+                        _liouville(k) for k in ev.kraus
+                    )
+                acc = pending.get(ev.qubit)
+                pending[ev.qubit] = s if acc is None else s @ acc
+        for q in sorted(pending):
+            rho = _apply_superop(rho, pending[q], (q,), n)
+        return rho.reshape(dim, dim)

@@ -11,7 +11,10 @@ recipes:
   noise-free 1q runs fused into 2x2 products and same-pair 2q blocks
   into 4x4 products;
 * ``fused=False`` (the density and MPS engines, one shared cache
-  entry): flat source order, one operator per gate.
+  entry): flat source order, one operator per gate.  The MPS engine
+  runs it as is; the density engine fuses it in its own run, folding
+  each wire's 1q operators and noise channels into one pending
+  superoperator between 2q gates.
 
 Under either recipe
 

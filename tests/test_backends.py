@@ -1,5 +1,6 @@
 """Tests for the pluggable simulation backends and the sim bugfixes."""
 
+import functools
 import math
 import random
 from types import SimpleNamespace
@@ -444,18 +445,108 @@ DENSITY_NOISE = {
 }
 
 
+def _long_run_circuit(n_qubits=6, run=300, segments=2, seed=0):
+    """Runs of ``run`` 1q gates on every wire between layers of CXs."""
+    rng = random.Random(seed)
+    c = Circuit(n_qubits)
+    for seg in range(segments):
+        for q in range(n_qubits):
+            for _ in range(run):
+                c.append(rng.choice(["h", "t", "tdg", "s", "x"]), q)
+        for a in range(seg % 2, n_qubits - 1, 2):
+            c.cx(*((a, a + 1) if rng.random() < 0.5 else (a + 1, a)))
+    return c
+
+
+LONG_RUN_NOISE = {
+    "depolarizing": lambda: NoiseModel.non_pauli_gates(1e-3),
+    "amplitude_damping": lambda: NoiseModel(
+        1e-3, NoiseModel.non_pauli_gates(1e-3).applies_to,
+        kraus=_damping_kraus,
+    ),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _long_run_states(kind):
+    c = _long_run_circuit()
+    noise = LONG_RUN_NOISE[kind]()
+    rho = DensityMatrixBackend(program_cache=ProgramCache()).run(
+        c, noise
+    ).rho
+    return rho, _interpret_density(c, noise)
+
+
 class TestDensityProgram:
-    """The density engine runs the compiled program, bit for bit."""
+    """The density engine's fused superoperators match gate-by-gate evolution."""
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("kind", sorted(DENSITY_NOISE))
-    def test_byte_identical_to_interpreter(self, kind, seed):
+    def test_matches_interpreter(self, kind, seed):
         noise = DENSITY_NOISE[kind]()
         c = _random_circuit(4, 80, seed, idle=kind.startswith("idle"))
         rho = DensityMatrixBackend(program_cache=ProgramCache()).run(
             c, noise
         ).rho
-        assert np.array_equal(rho, _interpret_density(c, noise))
+        assert np.abs(rho - _interpret_density(c, noise)).max() <= 1e-12
+
+    @pytest.mark.parametrize("kind", sorted(LONG_RUN_NOISE))
+    def test_long_1q_runs_match_interpreter(self, kind):
+        # 300-gate runs per wire fuse into one superoperator each, with
+        # noise on every gate and on both qubits of each CX.
+        noise = LONG_RUN_NOISE[kind]()
+        gates = _long_run_circuit().gates
+        assert all(noise.noisy_qubits(g) == g.qubits for g in gates
+                   if g.name == "cx")
+        rho, oracle = _long_run_states(kind)
+        assert np.abs(rho - oracle).max() <= 1e-12
+
+    @pytest.mark.parametrize("kind", sorted(LONG_RUN_NOISE))
+    def test_state_is_a_density_matrix(self, kind):
+        rho, _ = _long_run_states(kind)
+        assert abs(np.trace(rho) - 1.0) <= 1e-12
+        assert np.abs(rho - rho.conj().T).max() <= 1e-12
+
+    def test_empty_circuit_is_the_zero_state(self):
+        rho = DensityMatrixBackend(program_cache=ProgramCache()).run(
+            Circuit(3), NoiseModel.non_pauli_gates(1e-3)
+        ).rho
+        expected = np.zeros((8, 8), dtype=complex)
+        expected[0, 0] = 1.0
+        assert np.array_equal(rho, expected)
+
+    def test_repeated_runs_are_bit_identical(self):
+        c = _random_circuit(4, 200, 7)
+        noise = NoiseModel.from_target(_HETEROGENEOUS_TARGET)
+        cache = ProgramCache()
+        first = DensityMatrixBackend(program_cache=cache).run(c, noise).rho
+        again = DensityMatrixBackend(program_cache=cache).run(c, noise).rho
+        fresh = DensityMatrixBackend(program_cache=ProgramCache()).run(
+            c, noise
+        ).rho
+        assert first.tobytes() == again.tobytes() == fresh.tobytes()
+
+    def test_1q_runs_fuse_into_one_contraction_per_qubit(self, monkeypatch):
+        from repro.sim.backends import density
+
+        calls = []
+        apply = density._apply_superop
+
+        def counted(rho, s, qubits, n):
+            calls.append(qubits)
+            return apply(rho, s, qubits, n)
+
+        monkeypatch.setattr(density, "_apply_superop", counted)
+        rng = random.Random(3)
+        c = Circuit(3)
+        for _ in range(300):
+            c.append(rng.choice(["h", "t", "tdg", "s", "x"]), rng.randrange(3))
+        noise = NoiseModel.non_pauli_gates(1e-3)
+        rho = DensityMatrixBackend(program_cache=ProgramCache()).run(
+            c, noise
+        ).rho
+        assert len(calls) <= 3
+        assert np.abs(rho - _interpret_density(c, noise)).max() <= 1e-12
 
     def test_compiles_once_and_shares_the_mps_entry(self):
         cache = ProgramCache()

@@ -417,6 +417,43 @@ class TestPassesPairing:
         assert calls == ["x", "x/reference", "x/reference", "x"]
 
 
+class TestSimPairing:
+    def test_run_specs_interleaves_unfused_twins_only(self):
+        from repro.bench import sim_suite
+
+        calls = []
+
+        def spec(name):
+            def run():
+                calls.append(name)
+
+            return BenchSpec(name=name, params={}, setup=lambda: run)
+
+        results = sim_suite.run_specs(
+            [spec("a"), spec("a/unfused"), spec("b")], warmup=0, repeats=2
+        )
+        assert [r.name for r in results] == ["a", "a/unfused", "b"]
+        assert calls == ["a", "a/unfused", "a/unfused", "a", "b", "b"]
+        sim_suite.finalize(results)
+        assert "speedup_vs_unfused" in results[0].extra
+        assert "speedup_vs_unfused" not in results[2].extra
+
+    def test_unfused_density_baseline_matches_the_engine(self):
+        import numpy as np
+
+        from repro.bench import sim_suite
+        from repro.sim.backends.density import DensityMatrixBackend
+        from repro.sim.noise import NoiseModel
+        from repro.sim.program import compile_program
+
+        circuit = sim_suite._clifford_t_circuit(4, 120, seed=17)
+        program = compile_program(
+            circuit, NoiseModel.non_pauli_gates(1e-2), fused=False
+        )
+        fused = DensityMatrixBackend()._run_program(program)
+        assert np.abs(fused - sim_suite._density_unfused(program)).max() <= 1e-12
+
+
 class TestSpeedupMetricGate:
     """--fail-metric speedup gates on the machine-relative ratio, so a
     uniformly slower runner cannot fail against medians recorded on a

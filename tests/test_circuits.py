@@ -1,6 +1,7 @@
 """Tests for the circuit IR and resource metrics."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.circuits import (
     Circuit,
+    Gate,
     clifford_count,
     is_trivial_angle,
     rotation_count,
@@ -40,6 +42,16 @@ class TestConstruction:
             Circuit(1).append("rz", 0, ())
         with pytest.raises(ValueError):
             Circuit(1).append("h", 0, (0.1,))
+
+    def test_gate_is_slotted_and_pickles(self):
+        # Gates hold no per-instance dict; compile_batch's process mode
+        # still ships them between workers by pickle.
+        gate = Gate("rz", (1,), (0.25,))
+        assert not hasattr(gate, "__dict__")
+        clone = pickle.loads(pickle.dumps(gate))
+        assert clone == gate and hash(clone) == hash(gate)
+        circuit = Circuit(2).h(0).cx(0, 1).rz(0.5, 1)
+        assert pickle.loads(pickle.dumps(circuit)).gates == circuit.gates
 
 
 class TestSemantics:
