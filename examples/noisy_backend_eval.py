@@ -10,7 +10,9 @@ the last being impossible with the density-matrix engine alone),
 synthesizes it with the trasyn workflow, and evaluates the noisy
 fidelity of the synthesized circuit against the ideal state through
 ``repro.sim.backends``.  This is the per-backend smoke run CI executes
-so all three engines stay green.
+so all three engines stay green.  The statevector case also runs the
+exact density engine on the same circuit and fails unless the
+trajectory estimate lies within 4 standard errors of it.
 
 Every engine runs a JIT-compiled simulation program under its own fixed
 recipe (see "Compiled programs & fusion" in the README): the statevector
@@ -66,6 +68,23 @@ def main() -> int:
     if ev.fidelity < 0.5:
         print("FAILED: implausibly low fidelity for these rates")
         return 1
+    if backend == "statevector":
+        # Cross-check the Monte-Carlo estimate against the exact density
+        # matrix of the same circuit.
+        start = time.monotonic()
+        exact = evaluate_fidelity(
+            synth.circuit, reference=case.circuit, noise=noise,
+            backend="density",
+        )
+        gap, bound = abs(exact.fidelity - ev.fidelity), 4 * ev.std_error
+        print(f"exact     : {exact.summary()} "
+              f"({time.monotonic() - start:.2f}s)")
+        print(f"cross     : |exact - estimate| = {gap:.1e} "
+              f"(bound 4 std errors = {bound:.1e})")
+        if gap > bound:
+            print("FAILED: trajectory estimate off the exact fidelity by "
+                  "more than 4 standard errors")
+            return 1
     print("OK")
     return 0
 

@@ -163,13 +163,14 @@ def run_interleaved(
 
 def run_with_twins(
     specs: list[BenchSpec],
-    suffix: str,
+    suffixes: tuple[str, ...],
     warmup: int,
     repeats: int,
     progress: Callable[[str], None] | None = None,
 ) -> list[BenchResult]:
     """Time each spec interleaved with its twin, the next spec if it is
-    named ``<name><suffix>``; a spec with no twin is timed alone.
+    named ``<name><suffix>`` for one of ``suffixes``; a spec with no
+    twin is timed alone.
 
     Both thunks of a pair run once per round (:func:`run_interleaved`),
     so a load spike on a shared machine slows the two sides of a
@@ -180,7 +181,10 @@ def run_with_twins(
     while i < len(specs):
         paired = (
             i + 1 < len(specs)
-            and specs[i + 1].name == f"{specs[i].name}{suffix}"
+            and any(
+                specs[i + 1].name == f"{specs[i].name}{suffix}"
+                for suffix in suffixes
+            )
         )
         group = run_interleaved(specs[i : i + 1 + paired], warmup, repeats)
         results.extend(group)

@@ -176,7 +176,7 @@ def run_specs(
 ) -> list[BenchResult]:
     """Time every columnar entry interleaved with its reference twin,
     which :func:`specs` lists right after it."""
-    return run_with_twins(specs, "/reference", warmup, repeats, progress)
+    return run_with_twins(specs, ("/reference",), warmup, repeats, progress)
 
 
 def finalize(results: list[BenchResult]) -> None:

@@ -8,9 +8,12 @@ benchmark runs the engine's fused recipe and is paired with an
 runner.  The density benchmark times the exact engine's fused
 superoperator pass on a noisy Clifford+T program, paired with an
 ``/unfused`` baseline that applies the same program gate by gate
-(:func:`_density_unfused`).  :func:`run_specs` times each pair
-interleaved, round by round, and :func:`finalize` records the fusion
-speedup as a standing number.  The MPS benchmark sweeps a
+(:func:`_density_unfused`).  The RQ4 trajectory benchmark runs 200
+trajectories at the calibrated rate, where most draw no error, and is
+paired with an ``/ungrouped`` baseline that evolves one state per
+trajectory (:func:`_run_chunk_ungrouped`).  :func:`run_specs` times
+each pair interleaved, round by round, and :func:`finalize` records
+each speedup as a standing number.  The MPS benchmark sweeps a
 nearest-neighbor circuit through the bond-truncated engine.
 """
 
@@ -86,6 +89,81 @@ def _statevector_spec(
             "noise": "t_gates_only(1e-3)" if noisy else None,
             "fused": fused,
             "seed": 11,
+        },
+        setup=setup,
+    )
+
+
+def _run_chunk_ungrouped(program, uniforms: np.ndarray) -> np.ndarray:
+    """The trajectory engine's chunk loop with one state per trajectory.
+
+    Every operator acts on all ``k`` states and each non-identity
+    mixture outcome on the trajectories that drew it: the engine's
+    execution before trajectories shared a state row per outcome
+    history.
+    """
+    from repro.sim.backends.statevector import (
+        _apply_1q_batch,
+        _apply_kraus_general,
+        _apply_matrix_batch,
+    )
+
+    k = uniforms.shape[0]
+    n = program.n_qubits
+    states = np.zeros((k,) + (2,) * n, dtype=complex)
+    states[(slice(None),) + (0,) * n] = 1.0
+    choices = program.sample_choices(uniforms)
+    for ops, events in program.layers:
+        for op in ops:
+            states = _apply_matrix_batch(states, op.matrix, op.qubits)
+        for ev in events:
+            if ev.mixture is None:
+                states = _apply_kraus_general(
+                    states, ev.kraus, ev.qubit, uniforms[:, ev.column]
+                )
+                continue
+            choice = choices[:, ev.column]
+            for i, u in enumerate(ev.mixture.unitaries):
+                if i == ev.mixture.identity_index:
+                    continue
+                rows = np.nonzero(choice == i)[0]
+                if rows.size:
+                    states[rows] = _apply_1q_batch(states[rows], u, ev.qubit)
+    return states.reshape(k, -1)
+
+
+def _rq4_trajectory_spec(name: str, grouped: bool) -> BenchSpec:
+    """RQ4's calibrated trajectory run: most trajectories draw no error."""
+    n_qubits, n_gates, trajectories = 10, 700, 200
+
+    def setup():
+        from repro.sim.backends.statevector import (
+            StatevectorTrajectoryBackend,
+        )
+        from repro.sim.noise import NoiseModel
+        from repro.sim.program import compile_program
+
+        circuit = _clifford_t_circuit(n_qubits, n_gates, seed=19)
+        noise = NoiseModel.non_pauli_gates(1e-4)
+        program = compile_program(circuit, noise, fused=True)
+        backend = StatevectorTrajectoryBackend(
+            trajectories=trajectories, seed=5,
+        )
+        if not grouped:
+            # The engine's uniforms, chunks and workers around the
+            # one-state-per-trajectory loop.
+            backend._run_chunk_program = _run_chunk_ungrouped
+        return lambda: backend._run_program(program)
+
+    return BenchSpec(
+        name=name,
+        params={
+            "n_qubits": n_qubits,
+            "n_gates": n_gates,
+            "trajectories": trajectories,
+            "noise": "non_pauli_gates(1e-4)",
+            "grouped": grouped,
+            "seed": 19,
         },
         setup=setup,
     )
@@ -210,10 +288,18 @@ def specs(quick: bool) -> list[BenchSpec]:
             "statevector/trajectories/noisy/unfused", 10, 600, 50,
             noisy=True, fused=False,
         ),
+        _rq4_trajectory_spec("statevector/trajectories/rq4", grouped=True),
+        _rq4_trajectory_spec(
+            "statevector/trajectories/rq4/ungrouped", grouped=False
+        ),
         _density_spec("density/noisy", 6, 1000, fused=True),
         _density_spec("density/noisy/unfused", 6, 1000, fused=False),
         _mps_spec(16, 300, max_bond=32),
     ]
+
+
+#: Baseline twin suffixes: the flat recipe, the one-state-per-trajectory loop.
+_TWINS = ("/unfused", "/ungrouped")
 
 
 def run_specs(
@@ -222,18 +308,21 @@ def run_specs(
     repeats: int,
     progress: Callable[[str], None] | None = None,
 ) -> list[BenchResult]:
-    """Time each headline entry interleaved with its ``/unfused`` twin,
-    which :func:`specs` lists right after it."""
-    return run_with_twins(specs, "/unfused", warmup, repeats, progress)
+    """Time each headline entry interleaved with its ``/unfused`` or
+    ``/ungrouped`` twin, which :func:`specs` lists right after it."""
+    return run_with_twins(specs, _TWINS, warmup, repeats, progress)
 
 
 def finalize(results: list[BenchResult]) -> None:
-    """Record ``speedup_vs_unfused`` (fusion's contribution) per pair:
-    the median over rounds of the unfused time over the fused time of
-    the same round (:func:`~repro.bench.harness.twin_speedup`)."""
+    """Record ``speedup_vs_unfused`` (fusion's contribution) or
+    ``speedup_vs_ungrouped`` (shared trajectory rows') per pair: the
+    median over rounds of the baseline's time over the headline's time
+    in the same round (:func:`~repro.bench.harness.twin_speedup`)."""
     by_name = {r.name: r for r in results}
-    for name, fused in by_name.items():
-        unfused = by_name.get(f"{name}/unfused")
-        if unfused is not None:
-            fused.extra["speedup_vs_unfused"] = twin_speedup(fused, unfused)
-            fused.extra["unfused_median_s"] = unfused.median_s
+    for name, result in by_name.items():
+        for suffix in _TWINS:
+            twin = by_name.get(f"{name}{suffix}")
+            if twin is not None:
+                kind = suffix[1:]
+                result.extra[f"speedup_vs_{kind}"] = twin_speedup(result, twin)
+                result.extra[f"{kind}_median_s"] = twin.median_s

@@ -113,6 +113,12 @@ class Gate:
         raise KeyError(f"cannot invert gate {self.name!r}")
 
 
+#: One shared frozen :class:`Gate` per parameterless ``(name, qubits)``
+#: built by :meth:`Circuit.append`: Clifford+T circuits repeat a few
+#: dozen distinct gates thousands of times.
+_SHARED_GATES: dict[tuple[str, tuple[int, ...]], Gate] = {}
+
+
 @dataclass
 class Circuit:
     """An ordered list of gates on ``n_qubits`` wires (time order)."""
@@ -140,7 +146,13 @@ class Circuit:
         params = tuple(float(p) for p in params)
         if len(params) != n_params:
             raise ValueError(f"{name} expects {n_params} parameters")
-        self.gates.append(Gate(name, qubits, params))
+        if params:
+            gate = Gate(name, qubits, params)
+        else:
+            gate = _SHARED_GATES.get((name, qubits))
+            if gate is None:
+                gate = _SHARED_GATES[name, qubits] = Gate(name, qubits)
+        self.gates.append(gate)
         return self
 
     def h(self, q): return self.append("h", q)

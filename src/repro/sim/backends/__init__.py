@@ -42,8 +42,12 @@ from repro.sim.program import ProgramCache
 #: Default working-set ceiling for auto-dispatch: 2 GiB.
 DEFAULT_MEMORY_BUDGET = 2**31
 
-#: Exact density matrices win below this size even when noisy: the 4^n
-#: work is still smaller than a meaningful trajectory count's 2^n work.
+#: Noisy circuits up to this size go to the exact density matrix, larger
+#: ones to trajectories.  At calibrated rates most trajectories draw no
+#: error and share one state row, so the trajectory work is a few rows
+#: of 2^n against the density engine's 4^n; at 10 qubits both take a
+#: fraction of a second.  The value stays 8 because moving it changes
+#: which engine scores a given circuit.
 _DENSITY_PREFERRED_MAX = 8
 
 BACKEND_NAMES = ("auto", "density", "statevector", "mps")

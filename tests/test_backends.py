@@ -7,6 +7,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.circuits import Circuit
 from repro.circuits.circuit import Gate
@@ -23,7 +25,13 @@ from repro.sim.backends import (
     MPSBackend,
     StatevectorTrajectoryBackend,
 )
+from repro.sim.backends.statevector import (
+    _apply_1q_batch,
+    _apply_kraus_general,
+    _apply_matrix_batch,
+)
 from repro.sim.fidelity import choi_of_sequence
+from repro.sim.program import compile_program
 from repro.tensornet import CircuitMPS
 
 
@@ -565,6 +573,211 @@ class TestDensityProgram:
         noise = NoiseModel.non_pauli_gates(0.01)
         sim = select_backend(3, noise, backend=backend, program_cache=cache)
         assert sim.name == "density" and sim.program_cache is cache
+
+
+def _run_chunk_ungrouped(program, uniforms):
+    """The trajectory engine's chunk loop with one state per trajectory.
+
+    Its execution path before trajectories shared rows, kept as the
+    byte-identity oracle for the grouped engine: every operator acts on
+    all ``k`` states, and each non-identity mixture outcome is applied
+    to the trajectories that drew it.
+    """
+    k = uniforms.shape[0]
+    n = program.n_qubits
+    states = np.zeros((k,) + (2,) * n, dtype=complex)
+    states[(slice(None),) + (0,) * n] = 1.0
+    choices = program.sample_choices(uniforms)
+    for ops, events in program.layers:
+        for op in ops:
+            states = _apply_matrix_batch(states, op.matrix, op.qubits)
+        for ev in events:
+            if ev.mixture is None:
+                states = _apply_kraus_general(
+                    states, ev.kraus, ev.qubit, uniforms[:, ev.column]
+                )
+                continue
+            choice = choices[:, ev.column]
+            for i, u in enumerate(ev.mixture.unitaries):
+                if i == ev.mixture.identity_index:
+                    continue
+                rows = np.nonzero(choice == i)[0]
+                if rows.size:
+                    states[rows] = _apply_1q_batch(states[rows], u, ev.qubit)
+    return states.reshape(k, -1)
+
+
+class _UngroupedBackend(StatevectorTrajectoryBackend):
+    """The engine's uniforms, chunks and workers around the oracle loop."""
+
+    def _run_chunk_program(self, program, uniforms):
+        return _run_chunk_ungrouped(program, uniforms)
+
+
+TRAJECTORY_NOISE = {
+    "non_pauli_1e-4": lambda: NoiseModel.non_pauli_gates(1e-4),
+    "non_pauli_1e-3": lambda: NoiseModel.non_pauli_gates(1e-3),
+    "non_pauli_5e-2": lambda: NoiseModel.non_pauli_gates(5e-2),
+    "t_only_1e-2": lambda: NoiseModel.t_gates_only(1e-2),
+    "heterogeneous": lambda: NoiseModel.from_target(_HETEROGENEOUS_TARGET),
+    "idle": lambda: NoiseModel.with_idle(
+        NoiseModel.non_pauli_gates(1e-3), 0.01
+    ),
+    "amplitude_damping": lambda: NoiseModel(
+        0.02, NoiseModel.non_pauli_gates(0.02).applies_to,
+        kraus=_damping_kraus,
+    ),
+}
+
+
+def _max_live_rows(monkeypatch, backend, circuit, noise):
+    """Run ``backend`` and return its states and the most rows any
+    operator was applied to."""
+    from repro.sim.backends import statevector
+
+    widths = []
+    apply = statevector._apply_matrix_batch
+
+    def counted(states, m, qubits):
+        widths.append(states.shape[0])
+        return apply(states, m, qubits)
+
+    monkeypatch.setattr(statevector, "_apply_matrix_batch", counted)
+    states = backend.run(circuit, noise).states
+    return states, max(widths)
+
+
+def _erring_trajectories(backend, circuit, noise):
+    """How many trajectories draw a non-identity outcome at some event."""
+    program = compile_program(circuit, noise, fused=True)
+    uniforms = np.stack([
+        np.random.default_rng([backend.seed, t]).random(program.n_events)
+        for t in range(backend.trajectories)
+    ])
+    choices = program.sample_choices(uniforms)
+    erred = np.zeros(backend.trajectories, dtype=bool)
+    for _, events in program.layers:
+        for ev in events:
+            erred |= choices[:, ev.column] != ev.mixture.identity_index
+    return int(erred.sum())
+
+
+class TestGroupedTrajectories:
+    """Trajectories sharing state rows give the one-state-per-trajectory
+    engine's states, bit for bit."""
+
+    @pytest.mark.parametrize("kind", sorted(TRAJECTORY_NOISE))
+    @given(
+        n_qubits=st.integers(4, 7),
+        n_gates=st.integers(40, 200),
+        trajectories=st.integers(1, 40),
+        chunk_size=st.integers(1, 64),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_matches_ungrouped_oracle(
+        self, kind, n_qubits, n_gates, trajectories, chunk_size, seed
+    ):
+        c = _random_circuit(n_qubits, n_gates, seed, idle=kind == "idle")
+        noise = TRAJECTORY_NOISE[kind]()
+        options = dict(
+            trajectories=trajectories, seed=seed, chunk_size=chunk_size,
+            max_workers=1, program_cache=ProgramCache(),
+        )
+        got = StatevectorTrajectoryBackend(**options).run(c, noise).states
+        want = _UngroupedBackend(**options).run(c, noise).states
+        assert np.array_equal(got, want)
+
+    def test_rows_track_only_the_trajectories_that_erred(self, monkeypatch):
+        c = _random_circuit(6, 400, 5)
+        noise = NoiseModel.non_pauli_gates(1e-4)
+        backend = StatevectorTrajectoryBackend(
+            trajectories=200, seed=2, chunk_size=200,
+            program_cache=ProgramCache(),
+        )
+        erring = _erring_trajectories(backend, c, noise)
+        states, rows = _max_live_rows(monkeypatch, backend, c, noise)
+        assert erring >= 3
+        assert 1 < rows <= 1 + erring
+        want = _UngroupedBackend(
+            trajectories=200, seed=2, chunk_size=200,
+            program_cache=ProgramCache(),
+        ).run(c, noise).states
+        assert np.array_equal(states, want)
+
+    @pytest.mark.parametrize("kind", ["non_pauli_5e-2", "amplitude_damping"])
+    def test_live_rows_never_exceed_the_chunk(self, monkeypatch, kind):
+        c = _random_circuit(5, 300, 9)
+        backend = StatevectorTrajectoryBackend(
+            trajectories=24, seed=4, chunk_size=8,
+            program_cache=ProgramCache(),
+        )
+        _, rows = _max_live_rows(monkeypatch, backend, c, TRAJECTORY_NOISE[kind]())
+        assert rows <= 8
+
+    def test_split_copies_partial_rows_and_drops_emptied_ones(self):
+        from repro.sim.backends.statevector import _HistoryRows
+
+        rows = _HistoryRows(6, 1)
+        x, z = np.array([[0, 1], [1, 0]]), np.diag([1.0, -1.0])
+        # Trajectories 0 and 1 draw X: a partial pair copies row 0.
+        rows.mixture_event(np.array([0, 1]), np.array([1, 1]), [None, x], 0)
+        assert rows.counts.tolist() == [4, 2]
+        assert rows.row.tolist() == [1, 1, 0, 0, 0, 0]
+        # Both members of row 1 draw Z: the pair covers it, in place.
+        rows.mixture_event(np.array([0, 1]), np.array([1, 1]), [None, z], 0)
+        assert rows.counts.tolist() == [4, 2]
+        # Row 0 splits two ways with no member left behind: its two
+        # pairs get new rows and row 0 is compacted away.
+        rows.mixture_event(
+            np.array([2, 3, 4, 5]), np.array([1, 1, 2, 2]), [None, x, z], 0
+        )
+        assert rows.counts.tolist() == [2, 2, 2]
+        assert rows.states.shape[0] == 3
+        got = rows.expand()
+        assert np.array_equal(got[:2], [[0, -1]] * 2)
+        assert np.array_equal(got[2:4], [[0, 1]] * 2)
+        assert np.array_equal(got[4:], [[1, 0]] * 2)
+
+
+def _pinned_damping(g):
+    return NoiseModel(
+        g, NoiseModel.non_pauli_gates(g).applies_to, kraus=_damping_kraus
+    )
+
+
+class TestPinnedTrajectoryFidelities:
+    """Seeded statevector fidelities and standard errors, pinned as
+    ``float.hex`` from the one-state-per-trajectory engine."""
+
+    PINNED = {
+        "non_pauli_1e-4": (
+            lambda: NoiseModel.non_pauli_gates(1e-4),
+            "0x1.f1eb851eb8421p-1", "0x1.72e2c6b51ac7fp-7",
+        ),
+        "t_only_1e-2": (
+            lambda: NoiseModel.t_gates_only(1e-2),
+            "0x1.1a1f45d5663a5p-2", "0x1.f57241788db48p-6",
+        ),
+        "amplitude_damping": (
+            lambda: _pinned_damping(2e-3),
+            "0x1.60c3897428b33p-1", "0x1.03ddf42141823p-5",
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(PINNED))
+    def test_pinned(self, kind):
+        from repro.bench.sim_suite import _clifford_t_circuit
+
+        noise, fidelity, std_error = self.PINNED[kind]
+        c = _clifford_t_circuit(9, 450, seed=23)
+        psi = c.statevector()
+        result = StatevectorTrajectoryBackend(
+            trajectories=200, seed=7, chunk_size=48,
+            program_cache=ProgramCache(),
+        ).run(c, noise())
+        assert result.fidelity(psi).hex() == fidelity
+        assert result.fidelity_std_error(psi).hex() == std_error
 
 
 class TestArgumentValidation:

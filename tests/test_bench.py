@@ -438,6 +438,45 @@ class TestSimPairing:
         assert "speedup_vs_unfused" in results[0].extra
         assert "speedup_vs_unfused" not in results[2].extra
 
+    def test_run_specs_interleaves_ungrouped_twins(self):
+        from repro.bench import sim_suite
+
+        calls = []
+
+        def spec(name):
+            def run():
+                calls.append(name)
+
+            return BenchSpec(name=name, params={}, setup=lambda: run)
+
+        results = sim_suite.run_specs(
+            [spec("a"), spec("a/ungrouped"), spec("b")], warmup=0, repeats=2
+        )
+        assert calls == ["a", "a/ungrouped", "a/ungrouped", "a", "b", "b"]
+        sim_suite.finalize(results)
+        assert "speedup_vs_ungrouped" in results[0].extra
+        assert "ungrouped_median_s" in results[0].extra
+        assert "speedup_vs_unfused" not in results[0].extra
+
+    def test_ungrouped_trajectory_baseline_matches_the_engine(self):
+        import numpy as np
+
+        from repro.bench import sim_suite
+        from repro.sim.backends.statevector import (
+            StatevectorTrajectoryBackend,
+        )
+        from repro.sim.noise import NoiseModel
+        from repro.sim.program import compile_program
+
+        circuit = sim_suite._clifford_t_circuit(5, 150, seed=19)
+        program = compile_program(
+            circuit, NoiseModel.non_pauli_gates(2e-2), fused=True
+        )
+        backend = StatevectorTrajectoryBackend(trajectories=30, seed=5)
+        grouped = backend._run_program(program)
+        backend._run_chunk_program = sim_suite._run_chunk_ungrouped
+        assert np.array_equal(grouped, backend._run_program(program))
+
     def test_unfused_density_baseline_matches_the_engine(self):
         import numpy as np
 

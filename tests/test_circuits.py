@@ -53,6 +53,36 @@ class TestConstruction:
         circuit = Circuit(2).h(0).cx(0, 1).rz(0.5, 1)
         assert pickle.loads(pickle.dumps(circuit)).gates == circuit.gates
 
+    def test_parameterless_appends_share_one_gate(self):
+        a = Circuit(3).h(1).cx(0, 2)
+        b = Circuit(3).h(1).cx(0, 2).h(1)
+        assert a.gates[0] is b.gates[0] is b.gates[2]
+        assert a.gates[1] is b.gates[1]
+        assert b.gates[0] is not Circuit(3).h(2).gates[0]
+        assert b.gates[1] is not Circuit(3).cx(2, 0).gates[0]
+        # Rotations carry their angle and are built fresh.
+        c = Circuit(1).rz(0.5, 0).rz(0.5, 0)
+        assert c.gates[0] == c.gates[1] and c.gates[0] is not c.gates[1]
+
+    def test_idle_markers_are_never_shared(self):
+        from repro.circuits.circuit import is_idle_marker
+        from repro.schedule import idle_marker
+
+        plain = Circuit(2).append("i", 0).gates[0]
+        marks = [idle_marker(0, 2.5), idle_marker(0, 2.5)]
+        assert all(is_idle_marker(m) for m in marks)
+        assert not is_idle_marker(plain)
+        assert marks[0] == marks[1] and marks[0] is not marks[1]
+        assert all(m is not plain and m != plain for m in marks)
+
+    def test_shared_gates_survive_a_pickle_round_trip(self):
+        circuit = Circuit(3).h(0).cx(0, 1).t(1).h(0).rz(0.5, 2).h(0)
+        clone = pickle.loads(pickle.dumps(circuit))
+        assert clone.gates == circuit.gates
+        assert np.allclose(clone.statevector(), circuit.statevector())
+        clone.h(0)
+        assert clone.gates[-1] is circuit.gates[0]
+
 
 class TestSemantics:
     def test_bell_state(self):
