@@ -9,11 +9,12 @@ runner.  The density benchmark times the exact engine's fused
 superoperator pass on a noisy Clifford+T program, paired with an
 ``/unfused`` baseline that applies the same program gate by gate
 (:func:`_density_unfused`).  The RQ4 trajectory benchmark runs 200
-trajectories at the calibrated rate, where most draw no error, and is
-paired with an ``/ungrouped`` baseline that evolves one state per
-trajectory (:func:`_run_chunk_ungrouped`).  :func:`run_specs` times
-each pair interleaved, round by round, and :func:`finalize` records
-each speedup as a standing number.  The MPS benchmark sweeps a
+trajectories at the calibrated rate, where most draw no error, and the
+divergent one at 1e-2, where nearly every trajectory ends on a row of
+its own; each is paired with an ``/ungrouped`` baseline that evolves
+one state per trajectory in chunks (:func:`_run_ungrouped`).
+:func:`run_specs` times each pair interleaved, round by round, and
+:func:`finalize` records each speedup as a standing number.  The MPS benchmark sweeps a
 nearest-neighbor circuit through the bond-truncated engine.
 """
 
@@ -132,8 +133,33 @@ def _run_chunk_ungrouped(program, uniforms: np.ndarray) -> np.ndarray:
     return states.reshape(k, -1)
 
 
-def _rq4_trajectory_spec(name: str, grouped: bool) -> BenchSpec:
-    """RQ4's calibrated trajectory run: most trajectories draw no error."""
+def _run_ungrouped(backend, program) -> tuple[list[np.ndarray], np.ndarray]:
+    """``backend._run_program`` with one state per trajectory.
+
+    The engine's uniforms, split into chunks of ``chunk_size``
+    trajectories that fan out over ``max_workers`` and each run
+    :func:`_run_chunk_ungrouped`; returned in the engine's
+    ``(blocks, row)`` form, as one block with a row per trajectory.
+    """
+    from repro.pipeline.batch import map_parallel
+
+    uniforms = backend._uniforms(program)
+    k, size = uniforms.shape[0], backend.chunk_size
+    states = np.empty((k, 2**program.n_qubits), dtype=complex)
+
+    def job(lo: int) -> None:
+        states[lo : lo + size] = _run_chunk_ungrouped(
+            program, uniforms[lo : lo + size]
+        )
+
+    map_parallel(job, range(0, k, size), backend.max_workers)
+    return [states], np.arange(k)
+
+
+def _trajectory_spec(name: str, rate: str, grouped: bool) -> BenchSpec:
+    """200 trajectories on a 10-qubit, 700-gate circuit at
+    ``non_pauli_gates(rate)``: at RQ4's calibrated rate most draw no
+    error, at 1e-2 nearly every one diverges."""
     n_qubits, n_gates, trajectories = 10, 700, 200
 
     def setup():
@@ -144,16 +170,14 @@ def _rq4_trajectory_spec(name: str, grouped: bool) -> BenchSpec:
         from repro.sim.program import compile_program
 
         circuit = _clifford_t_circuit(n_qubits, n_gates, seed=19)
-        noise = NoiseModel.non_pauli_gates(1e-4)
+        noise = NoiseModel.non_pauli_gates(float(rate))
         program = compile_program(circuit, noise, fused=True)
         backend = StatevectorTrajectoryBackend(
             trajectories=trajectories, seed=5,
         )
-        if not grouped:
-            # The engine's uniforms, chunks and workers around the
-            # one-state-per-trajectory loop.
-            backend._run_chunk_program = _run_chunk_ungrouped
-        return lambda: backend._run_program(program)
+        if grouped:
+            return lambda: backend._run_program(program)
+        return lambda: _run_ungrouped(backend, program)
 
     return BenchSpec(
         name=name,
@@ -161,7 +185,7 @@ def _rq4_trajectory_spec(name: str, grouped: bool) -> BenchSpec:
             "n_qubits": n_qubits,
             "n_gates": n_gates,
             "trajectories": trajectories,
-            "noise": "non_pauli_gates(1e-4)",
+            "noise": f"non_pauli_gates({rate})",
             "grouped": grouped,
             "seed": 19,
         },
@@ -288,9 +312,16 @@ def specs(quick: bool) -> list[BenchSpec]:
             "statevector/trajectories/noisy/unfused", 10, 600, 50,
             noisy=True, fused=False,
         ),
-        _rq4_trajectory_spec("statevector/trajectories/rq4", grouped=True),
-        _rq4_trajectory_spec(
-            "statevector/trajectories/rq4/ungrouped", grouped=False
+        _trajectory_spec("statevector/trajectories/rq4", "1e-4", grouped=True),
+        _trajectory_spec(
+            "statevector/trajectories/rq4/ungrouped", "1e-4", grouped=False
+        ),
+        _trajectory_spec(
+            "statevector/trajectories/divergent", "1e-2", grouped=True
+        ),
+        _trajectory_spec(
+            "statevector/trajectories/divergent/ungrouped", "1e-2",
+            grouped=False,
         ),
         _density_spec("density/noisy", 6, 1000, fused=True),
         _density_spec("density/noisy/unfused", 6, 1000, fused=False),

@@ -66,28 +66,28 @@ def evolution_circuit(
 
 
 def _greedy_order(terms: list[tuple[PauliString, float]]) -> list[tuple[PauliString, float]]:
-    """Order terms so consecutive ones share support (more merges)."""
-    remaining = list(terms)
-    if not remaining:
+    """Order terms so consecutive ones share support (more merges).
+
+    Each step takes the remaining term sharing the most qubits with the
+    last one, then the most (qubit, axis) pairs; ties go to the earliest.
+    Both sets are built once per term.
+    """
+    keyed = [
+        (
+            frozenset(item[0].support),
+            frozenset((q, item[0].label[q]) for q in item[0].support),
+            item,
+        )
+        for item in terms
+    ]
+    if not keyed:
         return []
-    ordered = [remaining.pop(0)]
-    while remaining:
-        last = ordered[-1][0]
-        last_support = set(last.support)
-
-        def overlap(item):
-            p = item[0]
-            shared = len(last_support & set(p.support))
-            same_axis = sum(
-                1
-                for q in p.support
-                if q in last_support and p.label[q] == last.label[q]
-            )
-            return (shared, same_axis)
-
-        best = max(range(len(remaining)), key=lambda i: overlap(remaining[i]))
-        ordered.append(remaining.pop(best))
-    return ordered
+    ordered = [keyed.pop(0)]
+    while keyed:
+        support, axes, _ = ordered[-1]
+        scores = [(len(support & s), len(axes & a)) for s, a, _ in keyed]
+        ordered.append(keyed.pop(scores.index(max(scores))))
+    return [item for _, _, item in ordered]
 
 
 def trotter_circuit(

@@ -301,7 +301,33 @@ class PassManager:
         return f"PassManager([{names}])"
 
     def run(self, circuit: Circuit) -> Circuit:
-        return self.run_detailed(circuit).circuit
+        """Run every pass in order: :meth:`run_detailed`'s circuit,
+        without counting gates and rotations around each pass."""
+        from repro.analysis.contracts import ContractChecker
+
+        checker = ContractChecker(self.validate)
+        checker.check_input(circuit)
+        work = circuit
+        for p in self.passes:
+            out = self._run_pass(p, work, checker)
+            checker.after_pass(p, work, out)
+            work = out
+        checker.final(work)
+        return work
+
+    @staticmethod
+    def _run_pass(p: Pass, work: Circuit, checker) -> Circuit:
+        """One pass; a :class:`DAGPass` has its table checked under
+        full validation."""
+        if checker.full and isinstance(p, DAGPass):
+            # Run the IR rewrite under the manager's control so a
+            # corrupted column is caught (and attributed to the pass)
+            # before linearization crashes on it or hides it.
+            table = DAGTable.from_circuit(work)
+            p.run_table(table)
+            checker.check_table(p, table)
+            return table.to_circuit()
+        return p.run(work)
 
     def run_detailed(self, circuit: Circuit) -> PipelineResult:
         """Run every pass in order, collecting per-pass metrics.
@@ -322,16 +348,7 @@ class PassManager:
             gates_in = len(work.gates)
             rot_in = rotation_count(work)
             start = time.monotonic()
-            if checker.full and isinstance(p, DAGPass):
-                # Run the IR rewrite under the manager's control so a
-                # corrupted column is caught (and attributed to the
-                # pass) before linearization crashes on it or hides it.
-                table = DAGTable.from_circuit(work)
-                p.run_table(table)
-                checker.check_table(p, table)
-                out = table.to_circuit()
-            else:
-                out = p.run(work)
+            out = self._run_pass(p, work, checker)
             elapsed = time.monotonic() - start
             checker.after_pass(p, work, out)
             extra = getattr(p, "metrics_extra", None)

@@ -43,7 +43,11 @@ _DEFAULT_MPS_TRAJECTORIES = 50
 
 
 class MPSResult(SimulationResult):
-    """One MPS per trajectory (a single MPS when noiseless)."""
+    """One MPS per trajectory (a single MPS when noiseless).
+
+    ``sampled`` says whether noise outcomes were drawn: a run with none
+    is deterministic.
+    """
 
     backend = "mps"
 
@@ -53,12 +57,14 @@ class MPSResult(SimulationResult):
         n_qubits: int,
         seed: int,
         wall_time: float,
+        sampled: bool = True,
     ):
         self.trajectories = trajectories
         self.n_qubits = n_qubits
         self.n_trajectories = len(trajectories)
         self.seed = seed
         self.wall_time = wall_time
+        self.sampled = sampled
 
     @property
     def truncation_error(self) -> float:
@@ -98,9 +104,10 @@ class MPSResult(SimulationResult):
         return float(self._sample_fidelities(reference).mean())
 
     def fidelity_std_error(self, reference) -> float | None:
+        if self.n_trajectories < 2:
+            # One sampled trajectory says nothing about its spread.
+            return None if self.sampled else 0.0
         fids = self._sample_fidelities(reference)
-        if fids.shape[0] < 2:
-            return 0.0
         return float(fids.std(ddof=1) / np.sqrt(fids.shape[0]))
 
     def statevector(self) -> np.ndarray:
@@ -235,5 +242,6 @@ class MPSBackend(SimulatorBackend):
                 job, list(range(self.trajectories)), self.max_workers
             )
         return MPSResult(
-            states, circuit.n_qubits, self.seed, time.monotonic() - start
+            states, circuit.n_qubits, self.seed, time.monotonic() - start,
+            sampled=n_events > 0,
         )

@@ -9,12 +9,18 @@ both breaks the 12-qubit density-matrix wall and beats the density
 matrix on wall-clock well below it.
 
 Trajectories share a state row until their noise outcomes differ: a
-chunk starts from one row, and a trajectory moves to a row of its own
-only when it draws a non-identity outcome that the rest of its row does
-not.  At calibrated error rates most trajectories draw no error at all,
-so a chunk of 64 trajectories evolves a handful of rows.  Memory is one
-``2^n`` row per distinct outcome history, ``O(n_traj * 2^n)`` in the
-worst case where every trajectory has diverged, instead of ``4^n``.
+run starts from one row for all its trajectories, and a trajectory
+moves to a row of its own only when it draws a non-identity outcome
+that the rest of its row does not.  At calibrated error rates most
+trajectories draw no error at all, so a 200-trajectory run evolves the
+all-identity trunk once and a handful of rows besides.  Rows are kept
+in blocks of at most ``chunk_size``: a block that outgrows it hands half
+its rows, with their trajectories, to a new block, and blocks fan out
+over worker threads once more than one is live.  Memory is one ``2^n``
+row per distinct outcome history, ``O(n_traj * 2^n)`` in the worst case
+where every trajectory has diverged, instead of ``4^n``; results keep
+the distinct rows and a trajectory → row map, never a per-trajectory
+stack.
 
 Execution is two-phase: the circuit and noise model are JIT-compiled
 once per run into a flat :class:`~repro.sim.program.SimProgram` under
@@ -22,23 +28,25 @@ the engine's fixed ``fused=True`` recipe — precomputed dense matrices
 (including 1q/2q fusion products) in DAG front-layer order, resolved
 channel tables, and per-event uniform columns — memoized in a shared
 :class:`~repro.sim.program.ProgramCache` and driven read-only by every
-chunk and worker.  Mixture outcome choices for a whole chunk come from
-one batched ``searchsorted`` per distinct channel, and the identity
-outcome (the overwhelming majority at calibrated rates) leaves a
-trajectory on its row.
+block and worker.  Mixture outcome choices come from one batched
+``searchsorted`` per distinct channel and chunk of trajectories, and
+the identity outcome (the overwhelming majority at calibrated rates)
+leaves a trajectory on its row.
 
 Determinism
 -----------
 Trajectory ``t`` consumes only the uniform stream of
-``np.random.default_rng([seed, t])``, pre-drawn as one row of a
+``np.random.default_rng([seed, t])``, pre-drawn as one row of an
 ``(n_traj, n_events)`` matrix (the number of noise events per circuit is
 known upfront).  Operator kernels are chosen by matrix and axis
 geometry alone, never by how many rows are live, so a shared row holds
-exactly the state each of its trajectories would have alone.  Results
-are therefore bit-identical regardless of chunk size, worker count, or
-program caching — the same contract :func:`repro.pipeline.compile_batch`
-makes for compilation, and the chunks fan out over the same
-:func:`repro.pipeline.map_parallel` thread-pool machinery.
+exactly the state each of its trajectories would have alone.  A block's
+steps and splits depend on its rows alone, never on scheduling.
+Trajectory states are therefore bit-identical regardless of chunk size,
+worker count, or program caching — the same contract
+:func:`repro.pipeline.compile_batch` makes for compilation, and the
+blocks fan out over the same :func:`repro.pipeline.map_parallel`
+thread-pool machinery.
 
 Channels whose Kraus operators are proportional to unitaries (the
 depolarizing channels of :class:`NoiseModel`) take a fast path: outcome
@@ -50,8 +58,11 @@ each trajectory draws against its row's table with its own uniform.
 
 from __future__ import annotations
 
+import os
+import threading
 import time
-from typing import Callable
+from collections import defaultdict
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -167,19 +178,57 @@ def _apply_kraus_general(
 
 
 class _HistoryRows:
-    """One chunk's trajectories as one state row per outcome history.
+    """A block of a run's trajectories, as one state row per outcome
+    history.
 
-    ``row[t]`` is trajectory ``t``'s row and ``counts[r]`` the number of
-    trajectories on row ``r``.  Every trajectory starts on the single
-    row |0...0>; operators act on the rows, so trajectories that have
-    drawn the same noise outcomes so far share one state and its work.
+    ``row[t]`` is trajectory ``t``'s row in the block (-1 when ``t``
+    lives in another block) and ``counts[r]`` the number of
+    trajectories on row ``r``.  A run starts with one block holding
+    every trajectory on the single row |0...0>; operators act on the
+    rows, so trajectories that have drawn the same noise outcomes so far
+    share one state and its work.  No row is ever emptied: when every
+    trajectory of a row leaves it, the row's last (row, outcome) pair
+    keeps it, so a block's rows are exactly its distinct outcome
+    histories and nothing is compacted.  When a block outgrows its row
+    limit it hands the upper half of its rows, with their trajectories,
+    to a new block (:meth:`halve`); the two never share a row again, as
+    their histories already differ.
     """
 
-    def __init__(self, k: int, n_qubits: int):
-        self.states = np.zeros((1,) + (2,) * n_qubits, dtype=complex)
-        self.states[(0,) * (n_qubits + 1)] = 1.0
-        self.row = np.zeros(k, dtype=np.intp)
-        self.counts = np.array([k], dtype=np.intp)
+    def __init__(self, states: np.ndarray, row: np.ndarray, counts: np.ndarray):
+        self.states = states
+        self.row = row
+        self.counts = counts
+        #: The next program step to run.
+        self.pos = 0
+        #: Sorts the blocks into row order: halves extend their
+        #: block's key with 0 (lower) and 1 (upper).
+        self.key: tuple[int, ...] = ()
+
+    @classmethod
+    def start(cls, k: int, n_qubits: int) -> _HistoryRows:
+        states = np.zeros((1,) + (2,) * n_qubits, dtype=complex)
+        states[(0,) * (n_qubits + 1)] = 1.0
+        return cls(
+            states, np.zeros(k, dtype=np.intp), np.array([k], dtype=np.intp)
+        )
+
+    def run(self, steps: list[tuple], limit: int) -> _HistoryRows | None:
+        """Run ``steps`` from :attr:`pos` to the end, or until the block
+        holds more than ``limit`` rows: then halve it and return the
+        upper half, which resumes where this block stopped."""
+        while self.states.shape[0] <= limit:
+            if self.pos == len(steps):
+                return None
+            kind, data, qubits = steps[self.pos]
+            self.pos += 1
+            if kind == _OP:
+                self.states = _apply_matrix_batch(self.states, data, qubits)
+            elif kind == _MIXTURE:
+                self.mixture_event(*data, qubits)
+            else:
+                self.kraus_event(*data, qubits)
+        return self.halve()
 
     def mixture_event(
         self,
@@ -188,23 +237,34 @@ class _HistoryRows:
         unitaries: list[np.ndarray],
         q: int,
     ) -> None:
-        """Apply each mover's drawn unitary; identity drawers stay put."""
+        """Apply each mover's drawn unitary; identity drawers stay put.
+
+        ``movers`` may include trajectories of other blocks, which are
+        skipped.
+        """
+        r = self.row[movers]
+        mine = r >= 0
+        if not mine.all():
+            movers, outcomes = movers[mine], outcomes[mine]
+            if not movers.size:
+                return
         self.split(
             movers, outcomes,
             lambda i, src: _apply_1q_batch(self.states[src], unitaries[i], q),
         )
 
     def kraus_event(
-        self, kraus: list[np.ndarray], q: int, uniforms: np.ndarray
+        self, uniforms: np.ndarray, kraus: list[np.ndarray], q: int
     ) -> None:
         """A general channel: each row's branch norms are computed once,
         and each trajectory draws against its row's table with its own
         uniform."""
+        members = np.flatnonzero(self.row >= 0)
         flat, norms2, cum = _kraus_branches(self.states, kraus, q)
-        drawn = (cum[:, self.row] < uniforms).sum(axis=0)
+        drawn = (cum[:, self.row[members]] < uniforms[members]).sum(axis=0)
         shape = self.states.shape[1:]
         self.split(
-            np.arange(self.row.size), drawn,
+            members, drawn,
             lambda i, src: (
                 flat[i][src] / np.sqrt(norms2[i, src])[:, None]
             ).reshape((-1,) + shape),
@@ -220,84 +280,229 @@ class _HistoryRows:
 
         ``branch(i, src)`` returns outcome ``i``'s post-event states of
         rows ``src``.  Movers sharing a (row, outcome) pair share one
-        destination: the row itself, updated in place, when the pair
-        holds every trajectory of the row; otherwise a new row.  Rows
-        left with no trajectory are compacted away.  The bookkeeping is
-        O(movers) unless rows are compacted.
+        destination.  A row's last pair keeps the row, updated in place,
+        when no trajectory stays behind on it; every other pair gets a
+        new row.  New rows are computed first, since a kept row may be
+        the source of other pairs, and go on the end in one copy of the
+        block.  The bookkeeping is O(movers).
         """
         r = self.row[movers]
+        fresh = []
         if (self.counts[r] == 1).all():
             # Each mover owns its row: its pair updates the row in place.
-            src, out, dest = r, outcomes, r
-            fresh = None
+            src, out = r, outcomes
         else:
-            src, out, dest, fresh = self._fork(r, movers, outcomes)
-        # A pair writes either its own fully covered row, which no other
-        # pair reads, or a new row, so the pairs can go one by one.
+            src, out, keep = self._pairs(r, movers, outcomes)
+            new_src, new_out = src[~keep], out[~keep]
+            for i in np.unique(new_out).tolist():
+                fresh.append(branch(i, new_src[new_out == i]))
+            src, out = src[keep], out[keep]
         groups = set(out.tolist())
         for i in groups:
             sel = slice(None) if len(groups) == 1 else out == i
-            self.states[dest[sel]] = branch(i, src[sel])
-        if fresh is not None and not self.counts[src[fresh]].all():
-            live = self.counts > 0
-            self.row = (np.cumsum(live) - 1)[self.row]
-            self.states, self.counts = self.states[live], self.counts[live]
+            self.states[src[sel]] = branch(i, src[sel])
+        if fresh:
+            self.states = np.concatenate([self.states, *fresh])
 
-    def _fork(self, r, movers, outcomes):
-        """Pairs of movers on shared rows: each pair that leaves part of
-        its row behind gets a new (still empty) row at the end."""
+    def _pairs(self, r, movers, outcomes):
+        """Group movers on shared rows into (row, outcome) pairs, sorted
+        by (outcome, row), and number the rows of the pairs that do not
+        keep theirs from the end of the block."""
         n_rows = self.states.shape[0]
         pairs, inverse, sizes = np.unique(
             outcomes * n_rows + r, return_inverse=True, return_counts=True
         )
         out, src = np.divmod(pairs, n_rows)
-        fresh = sizes < self.counts[src]
+        gone = np.zeros(n_rows, dtype=np.intp)
+        np.add.at(gone, src, sizes)
+        last = np.zeros(src.size, dtype=bool)
+        last[src.size - 1 - np.unique(src[::-1], return_index=True)[1]] = True
+        keep = last & (gone[src] == self.counts[src])
+        fresh = ~keep
         dest = src.copy()
-        n_fresh = int(np.count_nonzero(fresh))
-        if n_fresh:
-            dest[fresh] = n_rows + np.arange(n_fresh)
-            blank = np.empty((n_fresh,) + self.states.shape[1:], complex)
-            self.states = np.concatenate([self.states, blank])
-            np.subtract.at(self.counts, src[fresh], sizes[fresh])
-            self.counts = np.concatenate([self.counts, sizes[fresh]])
+        dest[fresh] = n_rows + np.arange(np.count_nonzero(fresh))
+        np.subtract.at(self.counts, src[fresh], sizes[fresh])
+        self.counts = np.concatenate([self.counts, sizes[fresh]])
         self.row[movers] = dest[inverse]
-        return src, out, dest, fresh
+        return src, out, keep
 
-    def expand(self) -> np.ndarray:
-        """Every trajectory's state as a ``(k, 2^n)`` stack."""
-        return self.states.reshape(self.states.shape[0], -1)[self.row]
+    def halve(self) -> _HistoryRows:
+        """Hand the upper half of the rows, with their trajectories, to
+        a new block that resumes at this block's step."""
+        h = self.states.shape[0] // 2
+        # The upper half is copied out, so the full array lives only
+        # until this block's next step replaces its lower-half view.
+        upper = _HistoryRows(
+            self.states[h:].copy(),
+            np.where(self.row >= h, self.row - h, -1),
+            self.counts[h:].copy(),
+        )
+        upper.pos, upper.key = self.pos, self.key + (1,)
+        self.states, self.counts = self.states[:h], self.counts[:h]
+        self.row[self.row >= h] = -1
+        self.key += (0,)
+        return upper
+
+
+#: Program step kinds, see :func:`_program_steps`.
+_OP, _MIXTURE, _KRAUS = 0, 1, 2
+
+
+def _program_steps(
+    program: SimProgram, chunks: Iterable[tuple[int, np.ndarray]]
+) -> list[tuple]:
+    """The program as ``(kind, data, qubits)`` steps, in order.
+
+    ``chunks`` yields ``(t0, uniforms)``: the uniforms of trajectories
+    ``t0, t0 + 1, ...``, a chunk of trajectories at a time, so only one
+    chunk's outcome table is ever in memory.  An operator step carries
+    its matrix.  A mixture event carries ``(movers, outcomes,
+    unitaries)``: the trajectories that left the identity outcome and
+    what they drew; an event nobody erred at is dropped.  The identity
+    unitary is exact (see :func:`repro.sim.program._as_unitary_mixture`),
+    so staying on the row equals applying it, value for value.  A
+    general event carries ``(uniforms, kraus)``, its column of uniforms.
+    """
+    identity = np.full(program.n_events, -1)
+    for _, events in program.layers:
+        for ev in events:
+            if ev.mixture is not None:
+                identity[ev.column] = ev.mixture.identity_index
+    general = np.flatnonzero(identity < 0)
+    moves, columns = defaultdict(list), []
+    for t0, uniforms in chunks:
+        columns.append(uniforms[:, general])
+        choices = program.sample_choices(uniforms)
+        if choices is None:
+            continue
+        # Who left the identity outcome, per event column, in one
+        # vectorized pass: column-major nonzero lists each column's
+        # movers together.
+        moved = choices != identity
+        moved[:, general] = False
+        cols, movers = np.nonzero(moved.T)
+        outcomes = choices[movers, cols]
+        starts = np.flatnonzero(np.diff(cols, prepend=-1)).tolist()
+        for lo, hi in zip(starts, starts[1:] + [cols.size]):
+            moves[int(cols[lo])].append(
+                (movers[lo:hi] + t0, outcomes[lo:hi])
+            )
+    columns = dict(zip(general.tolist(), np.concatenate(columns).T))
+    steps = []
+    for ops, events in program.layers:
+        steps += [(_OP, op.matrix, op.qubits) for op in ops]
+        for ev in events:
+            if ev.mixture is None:
+                steps.append((_KRAUS, (columns[ev.column], ev.kraus), ev.qubit))
+            elif ev.column in moves:
+                movers, outcomes = map(np.concatenate, zip(*moves[ev.column]))
+                data = (movers, outcomes, ev.mixture.unitaries)
+                steps.append((_MIXTURE, data, ev.qubit))
+    return steps
+
+
+def _run_blocks(
+    first: _HistoryRows,
+    steps: list[tuple],
+    limit: int,
+    max_workers: int | None,
+) -> list[_HistoryRows]:
+    """Run ``first`` and every block split off it through ``steps``.
+
+    The run stays serial while one block is live — at calibrated rates,
+    the whole run.  Once there are more, worker loops on
+    :func:`~repro.pipeline.map_parallel` take blocks from a shared
+    list; a worker whose block splits pushes the upper half for any
+    idle worker and goes on with the lower.  Results cannot depend on
+    scheduling: a block's steps and splits depend on its rows alone.
+    Returns the finished blocks in row order.
+    """
+    todo, done = [first], []
+    while len(todo) == 1:
+        upper = todo[0].run(steps, limit)
+        if upper is None:
+            done.append(todo.pop())
+        else:
+            todo.append(upper)
+    if todo:
+        cond = threading.Condition()
+        live = len(todo)  # blocks queued or running
+
+        def loop(_):
+            nonlocal live
+            while True:
+                with cond:
+                    while not todo and live:
+                        cond.wait()
+                    if not todo:
+                        return
+                    block = todo.pop(0)
+                try:
+                    while (upper := block.run(steps, limit)) is not None:
+                        with cond:
+                            todo.append(upper)
+                            live += 1
+                            cond.notify()
+                finally:
+                    with cond:
+                        done.append(block)
+                        live -= 1
+                        if not live:
+                            cond.notify_all()
+
+        if max_workers is None:
+            max_workers = os.cpu_count() or 1
+        map_parallel(loop, range(max(max_workers, 1)), max_workers)
+    return sorted(done, key=lambda b: b.key)
 
 
 class TrajectoryResult(SimulationResult):
-    """Stacked trajectory statevectors of shape ``(n_traj, 2^n)``."""
+    """A run's trajectories as distinct state rows plus a row map.
+
+    ``blocks`` are ``(n_b, 2^n)`` arrays holding one row per distinct
+    outcome history between them, and ``row[t]`` is trajectory ``t``'s
+    row in their concatenation.  ``sampled`` says whether noise
+    outcomes were drawn: a run with none is deterministic.
+    """
 
     backend = "statevector"
 
     def __init__(
         self,
-        states: np.ndarray,
+        blocks: list[np.ndarray],
+        row: np.ndarray,
         n_qubits: int,
         seed: int,
         wall_time: float,
+        sampled: bool = True,
     ):
-        self.states = states
+        self.blocks = blocks
+        self.row = row
         self.n_qubits = n_qubits
-        self.n_trajectories = states.shape[0]
+        self.n_trajectories = row.shape[0]
         self.seed = seed
         self.wall_time = wall_time
+        self.sampled = sampled
+
+    @property
+    def states(self) -> np.ndarray:
+        """Every trajectory's state as a ``(n_traj, 2^n)`` stack, built
+        on demand."""
+        return np.concatenate(self.blocks)[self.row]
 
     def _sample_fidelities(self, reference) -> np.ndarray:
-        psi = reference_statevector(reference, self.n_qubits)
-        overlaps = self.states @ psi.conj()
-        return np.abs(overlaps) ** 2
+        psi = reference_statevector(reference, self.n_qubits).conj()
+        overlaps = np.concatenate([b @ psi for b in self.blocks])
+        return (np.abs(overlaps) ** 2)[self.row]
 
     def fidelity(self, reference) -> float:
         return float(self._sample_fidelities(reference).mean())
 
     def fidelity_std_error(self, reference) -> float | None:
+        if self.n_trajectories < 2:
+            # One sampled trajectory says nothing about its spread.
+            return None if self.sampled else 0.0
         fids = self._sample_fidelities(reference)
-        if fids.shape[0] < 2:
-            return 0.0
         return float(fids.std(ddof=1) / np.sqrt(fids.shape[0]))
 
     def statevector(self) -> np.ndarray:
@@ -306,11 +511,18 @@ class TrajectoryResult(SimulationResult):
                 "stochastic trajectory bundle has no single statevector; "
                 "use fidelity() against a reference instead"
             )
-        return self.states[0]
+        return self.blocks[0][self.row[0]]
 
 
 class StatevectorTrajectoryBackend(SimulatorBackend):
-    """Batched pure-state trajectories with Monte-Carlo Kraus noise."""
+    """Batched pure-state trajectories with Monte-Carlo Kraus noise.
+
+    All trajectories of a run share one set of history rows, so the
+    all-identity trunk and every shared history are evolved once per
+    run.  ``chunk_size`` is the most rows one operator is applied to at
+    once: the rows are split into blocks of at most that many, which
+    fan out over ``max_workers`` threads once more than one is live.
+    """
 
     name = "statevector"
 
@@ -341,56 +553,14 @@ class StatevectorTrajectoryBackend(SimulatorBackend):
         if not noisy:
             # One deterministic state plus a same-size gate transient.
             return _ITEMSIZE * 2**n_qubits * 2
-        # The preallocated trajectory stack plus an in-flight chunk of
-        # working states and its same-size gate transient, at the worst
-        # case of one row per trajectory.
+        # One row per trajectory at the worst case, where every
+        # trajectory has diverged, plus an operator's output and
+        # transposed input on one block of rows; each further worker
+        # with a block in flight adds as much again.
         width = self.trajectories + 2 * min(self.trajectories, self.chunk_size)
         return _ITEMSIZE * 2**n_qubits * width
 
     # -- execution ---------------------------------------------------------
-    def _run_chunk_program(
-        self, program: SimProgram, uniforms: np.ndarray
-    ) -> np.ndarray:
-        """Drive one chunk of trajectories through a compiled program.
-
-        Trajectories share a state row until their noise outcomes
-        differ (:class:`_HistoryRows`), so every operator acts on one
-        row per distinct outcome history.  Mixture outcomes come from
-        one batched ``searchsorted`` per distinct channel
-        (:meth:`SimProgram.sample_choices`); trajectories that drew the
-        identity keep their row.
-        """
-        rows = _HistoryRows(uniforms.shape[0], program.n_qubits)
-        choices = program.sample_choices(uniforms)
-        if choices is not None:
-            # Which trajectories leave the identity outcome, per event
-            # column, in one vectorized pass over the chunk.  The
-            # identity unitary is exact (see
-            # :func:`repro.sim.program._as_unitary_mixture`), so staying
-            # on the row equals applying it, value for value.
-            identity = np.full(program.n_events, -1)
-            for _, events in program.layers:
-                for ev in events:
-                    if ev.mixture is not None:
-                        identity[ev.column] = ev.mixture.identity_index
-            moved = choices != identity
-            any_moved = moved.any(axis=0).tolist()
-        for ops, events in program.layers:
-            for op in ops:
-                rows.states = _apply_matrix_batch(
-                    rows.states, op.matrix, op.qubits
-                )
-            for ev in events:
-                if ev.mixture is None:
-                    rows.kraus_event(ev.kraus, ev.qubit, uniforms[:, ev.column])
-                elif any_moved[ev.column]:
-                    movers = np.flatnonzero(moved[:, ev.column])
-                    rows.mixture_event(
-                        movers, choices[movers, ev.column],
-                        ev.mixture.unitaries, ev.qubit,
-                    )
-        return rows.expand()
-
     def run(
         self, circuit: Circuit, noise: NoiseModel | None = None
     ) -> TrajectoryResult:
@@ -404,45 +574,67 @@ class StatevectorTrajectoryBackend(SimulatorBackend):
         if cache is None:
             cache = default_program_cache()
         # Compiled once per (circuit, noise) — and memoized across runs —
-        # then shared read-only by every chunk/worker.  Layer-batched
-        # application: the DAG front-layer schedule is exact for a dense
-        # state, and noise-event columns stay keyed by flat gate
-        # position, so results match the sequential stream.
+        # then driven read-only.  Layer-batched application: the DAG
+        # front-layer schedule is exact for a dense state, and
+        # noise-event columns stay keyed by flat gate position, so
+        # results match the sequential stream.
         program = cache.get(circuit, noise, fused=True)
+        blocks, row = self._run_program(program)
         return TrajectoryResult(
-            self._run_program(program), circuit.n_qubits, self.seed,
-            time.monotonic() - start,
+            blocks, row, circuit.n_qubits, self.seed,
+            time.monotonic() - start, sampled=program.n_events > 0,
         )
 
-    def _run_program(self, program: SimProgram) -> np.ndarray:
-        """Every trajectory of a compiled program, as ``(k, 2^n)`` rows.
-
-        A noiseless program runs once (every trajectory would be
-        identical); otherwise ``self.trajectories`` rows, in chunks.
-        """
-        n_events = program.n_events
-        if n_events == 0:
-            return self._run_chunk_program(program, np.empty((1, 0)))
-        # One private uniform stream per trajectory, derived from
-        # (seed, trajectory index) — chunking cannot change results.
-        uniforms = np.stack(
+    def _uniforms(
+        self, program: SimProgram, lo: int = 0, hi: int | None = None
+    ) -> np.ndarray:
+        """The uniforms of trajectories ``lo..hi`` (default: all), one
+        row of ``n_events`` each: trajectory ``t`` draws from
+        ``default_rng([seed, t])`` alone.  A noiseless program runs one
+        trajectory, since every one would be identical."""
+        if program.n_events == 0:
+            return np.empty((1, 0))
+        hi = self.trajectories if hi is None else min(hi, self.trajectories)
+        return np.stack(
             [
-                np.random.default_rng([self.seed, t]).random(n_events)
-                for t in range(self.trajectories)
+                np.random.default_rng([self.seed, t]).random(program.n_events)
+                for t in range(lo, hi)
             ]
         )
-        # Chunks write straight into one preallocated stack — no
-        # concatenate copy doubling peak memory at the end.
-        states = np.empty(
-            (self.trajectories, 2**program.n_qubits), dtype=complex
+
+    def _run_program(
+        self, program: SimProgram
+    ) -> tuple[list[np.ndarray], np.ndarray]:
+        """Every trajectory of a compiled program, as blocks of distinct
+        rows ``(n_b, 2^n)`` and the trajectory → row map into their
+        concatenation.
+
+        Trajectories share a state row until their noise outcomes
+        differ (:class:`_HistoryRows`), so every operator acts on one
+        row per distinct outcome history, once per run.  Mixture
+        outcomes come from one batched ``searchsorted`` per distinct
+        channel (:meth:`SimProgram.sample_choices`) and chunk of
+        trajectories; trajectories that drew the identity keep their
+        row.
+        """
+        k = self.trajectories if program.n_events else 1
+        size = self.chunk_size
+        steps = _program_steps(
+            program,
+            ((lo, self._uniforms(program, lo, lo + size))
+             for lo in range(0, k, size)),
         )
-        offsets = list(range(0, self.trajectories, self.chunk_size))
-
-        def job(lo: int) -> None:
-            rows = uniforms[lo : lo + self.chunk_size]
-            states[lo : lo + rows.shape[0]] = self._run_chunk_program(
-                program, rows
-            )
-
-        map_parallel(job, offsets, self.max_workers)
-        return states
+        blocks = _run_blocks(
+            _HistoryRows.start(k, program.n_qubits), steps,
+            size, self.max_workers,
+        )
+        row = np.empty(k, dtype=np.intp)
+        offset = 0
+        for j, b in enumerate(blocks):
+            mine = b.row >= 0
+            row[mine] = b.row[mine] + offset
+            offset += b.states.shape[0]
+            # A flat copy only when the rows are a strided view; each
+            # block is dropped as soon as it is flat.
+            blocks[j] = b.states.reshape(b.states.shape[0], -1)
+        return blocks, row

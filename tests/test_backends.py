@@ -608,10 +608,17 @@ def _run_chunk_ungrouped(program, uniforms):
 
 
 class _UngroupedBackend(StatevectorTrajectoryBackend):
-    """The engine's uniforms, chunks and workers around the oracle loop."""
+    """The engine's uniforms around the oracle loop, a chunk of
+    trajectories at a time, one row per trajectory."""
 
-    def _run_chunk_program(self, program, uniforms):
-        return _run_chunk_ungrouped(program, uniforms)
+    def _run_program(self, program):
+        uniforms = self._uniforms(program)
+        k, size = uniforms.shape[0], self.chunk_size
+        states = [
+            _run_chunk_ungrouped(program, uniforms[lo : lo + size])
+            for lo in range(0, k, size)
+        ]
+        return states, np.arange(k)
 
 
 TRAJECTORY_NOISE = {
@@ -672,17 +679,19 @@ class TestGroupedTrajectories:
         n_gates=st.integers(40, 200),
         trajectories=st.integers(1, 40),
         chunk_size=st.integers(1, 64),
+        max_workers=st.sampled_from([1, 2]),
         seed=st.integers(0, 10_000),
     )
     @settings(max_examples=12, deadline=None)
     def test_matches_ungrouped_oracle(
-        self, kind, n_qubits, n_gates, trajectories, chunk_size, seed
+        self, kind, n_qubits, n_gates, trajectories, chunk_size,
+        max_workers, seed,
     ):
         c = _random_circuit(n_qubits, n_gates, seed, idle=kind == "idle")
         noise = TRAJECTORY_NOISE[kind]()
         options = dict(
             trajectories=trajectories, seed=seed, chunk_size=chunk_size,
-            max_workers=1, program_cache=ProgramCache(),
+            max_workers=max_workers, program_cache=ProgramCache(),
         )
         got = StatevectorTrajectoryBackend(**options).run(c, noise).states
         want = _UngroupedBackend(**options).run(c, noise).states
@@ -715,10 +724,10 @@ class TestGroupedTrajectories:
         _, rows = _max_live_rows(monkeypatch, backend, c, TRAJECTORY_NOISE[kind]())
         assert rows <= 8
 
-    def test_split_copies_partial_rows_and_drops_emptied_ones(self):
+    def test_split_copies_partial_rows_and_keeps_drained_ones(self):
         from repro.sim.backends.statevector import _HistoryRows
 
-        rows = _HistoryRows(6, 1)
+        rows = _HistoryRows.start(6, 1)
         x, z = np.array([[0, 1], [1, 0]]), np.diag([1.0, -1.0])
         # Trajectories 0 and 1 draw X: a partial pair copies row 0.
         rows.mixture_event(np.array([0, 1]), np.array([1, 1]), [None, x], 0)
@@ -727,17 +736,114 @@ class TestGroupedTrajectories:
         # Both members of row 1 draw Z: the pair covers it, in place.
         rows.mixture_event(np.array([0, 1]), np.array([1, 1]), [None, z], 0)
         assert rows.counts.tolist() == [4, 2]
-        # Row 0 splits two ways with no member left behind: its two
-        # pairs get new rows and row 0 is compacted away.
+        # Row 0 splits two ways with no member left behind: the first
+        # pair gets a new row and the last keeps row 0, so no row empties.
         rows.mixture_event(
             np.array([2, 3, 4, 5]), np.array([1, 1, 2, 2]), [None, x, z], 0
         )
         assert rows.counts.tolist() == [2, 2, 2]
-        assert rows.states.shape[0] == 3
-        got = rows.expand()
+        assert rows.row.tolist() == [1, 1, 2, 2, 0, 0]
+        got = rows.states.reshape(3, -1)[rows.row]
         assert np.array_equal(got[:2], [[0, -1]] * 2)
         assert np.array_equal(got[2:4], [[0, 1]] * 2)
         assert np.array_equal(got[4:], [[1, 0]] * 2)
+
+    def test_halving_moves_upper_rows_with_their_trajectories(self):
+        from repro.sim.backends.statevector import _HistoryRows
+
+        rows = _HistoryRows.start(6, 1)
+        x, z = np.array([[0, 1], [1, 0]]), np.diag([1.0, -1.0])
+        rows.mixture_event(
+            np.array([1, 2, 4]), np.array([1, 2, 1]), [None, x, z], 0
+        )
+        assert rows.row.tolist() == [0, 1, 2, 0, 1, 0]
+        upper = rows.halve()
+        assert rows.row.tolist() == [0, -1, -1, 0, -1, 0]
+        assert upper.row.tolist() == [-1, 0, 1, -1, 0, -1]
+        assert rows.counts.tolist() == [3]
+        assert upper.counts.tolist() == [2, 1]
+        assert np.array_equal(upper.states.reshape(2, -1), [[0, 1], [1, 0]])
+        # An event reaches only the block's own trajectories.
+        upper.mixture_event(np.array([0, 2]), np.array([1, 1]), [None, x], 0)
+        assert upper.counts.tolist() == [2, 1]
+        assert np.array_equal(upper.states.reshape(2, -1), [[0, 1], [0, 1]])
+
+    @pytest.mark.parametrize("kind", ["non_pauli_1e-3", "non_pauli_5e-2"])
+    @pytest.mark.parametrize("chunk_size,max_workers", [(7, 1), (7, 2), (64, 1)])
+    def test_rows_are_the_distinct_histories(self, kind, chunk_size, max_workers):
+        c = _random_circuit(6, 300, 3)
+        noise = TRAJECTORY_NOISE[kind]()
+        backend = StatevectorTrajectoryBackend(
+            trajectories=120, seed=8, chunk_size=chunk_size,
+            max_workers=max_workers, program_cache=ProgramCache(),
+        )
+        program = compile_program(c, noise, fused=True)
+        choices = program.sample_choices(backend._uniforms(program))
+        histories = np.unique(choices, axis=0).shape[0]
+        result = backend.run(c, noise)
+        assert sum(b.shape[0] for b in result.blocks) == histories
+        assert all(b.shape[0] <= chunk_size for b in result.blocks)
+        assert np.array_equal(
+            result.states,
+            _UngroupedBackend(
+                trajectories=120, seed=8, program_cache=ProgramCache(),
+            ).run(c, noise).states,
+        )
+
+    def test_block_queue_under_many_workers(self):
+        # More workers than cores and a short switch interval: a lost
+        # update to the shared block queue would drop, repeat or strand
+        # a block.
+        import sys
+        import threading
+
+        c = _random_circuit(5, 200, 21)
+        noise = TRAJECTORY_NOISE["non_pauli_5e-2"]()
+        got = {}
+
+        def run():
+            got["result"] = StatevectorTrajectoryBackend(
+                trajectories=64, seed=3, chunk_size=2, max_workers=8,
+                program_cache=ProgramCache(),
+            ).run(c, noise)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(target=run)
+            worker.start()
+            worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        result = got["result"]
+        assert len(result.blocks) > 8
+        want = _UngroupedBackend(
+            trajectories=64, seed=3, program_cache=ProgramCache(),
+        ).run(c, noise).states
+        assert np.array_equal(result.states, want)
+
+    def test_peak_memory_within_memory_bytes(self):
+        # Nearly every trajectory diverges at 1e-2 on this shape.
+        import tracemalloc
+
+        from repro.bench.sim_suite import _clifford_t_circuit
+
+        c = _clifford_t_circuit(10, 700, seed=19)
+        noise = NoiseModel.non_pauli_gates(1e-2)
+        backend = StatevectorTrajectoryBackend(
+            trajectories=200, seed=7, max_workers=1,
+            program_cache=ProgramCache(),
+        )
+        backend.run(c, noise)  # compiles the program outside the window
+        tracemalloc.start()
+        try:
+            result = backend.run(c, noise)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(np.unique(result.row)) > 190
+        assert peak <= backend.memory_bytes(10)
 
 
 def _pinned_damping(g):
@@ -778,6 +884,73 @@ class TestPinnedTrajectoryFidelities:
         ).run(c, noise())
         assert result.fidelity(psi).hex() == fidelity
         assert result.fidelity_std_error(psi).hex() == std_error
+
+    #: 10 qubits, 700 gates, default chunks; at 1e-2 nearly every
+    #: trajectory diverges.
+    PINNED_10Q = {
+        "non_pauli_1e-4": (
+            lambda: NoiseModel.non_pauli_gates(1e-4),
+            "0x1.e4809b526d74dp-1", "0x1.034a4ddcf464dp-6",
+        ),
+        "non_pauli_1e-2": (
+            lambda: NoiseModel.non_pauli_gates(1e-2),
+            "0x1.1c80841ef9b64p-7", "0x1.4f5d247136ae4p-8",
+        ),
+        "amplitude_damping": (
+            lambda: _pinned_damping(2e-3),
+            "0x1.fd0453cc7d112p-2", "0x1.193851cec1fb1p-5",
+        ),
+    }
+
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    @pytest.mark.parametrize("kind", sorted(PINNED_10Q))
+    def test_pinned_10_qubits(self, kind, max_workers):
+        from repro.bench.sim_suite import _clifford_t_circuit
+
+        noise, fidelity, std_error = self.PINNED_10Q[kind]
+        c = _clifford_t_circuit(10, 700, seed=19)
+        psi = c.statevector()
+        result = StatevectorTrajectoryBackend(
+            trajectories=200, seed=7, max_workers=max_workers,
+            program_cache=ProgramCache(),
+        ).run(c, noise())
+        assert result.fidelity(psi).hex() == fidelity
+        assert result.fidelity_std_error(psi).hex() == std_error
+
+
+class TestSingleTrajectoryStdError:
+    """One sampled trajectory has no standard error; a deterministic
+    run's is exactly 0."""
+
+    NOISE = NoiseModel.non_pauli_gates(0.05)
+
+    @pytest.mark.parametrize("engine", [
+        StatevectorTrajectoryBackend, MPSBackend,
+    ], ids=["statevector", "mps"])
+    def test_one_noisy_trajectory_has_none(self, engine):
+        c = _test_circuit()
+        result = engine(trajectories=1, seed=3).run(c, self.NOISE)
+        assert result.n_trajectories == 1
+        assert result.fidelity_std_error(c.statevector()) is None
+
+    @pytest.mark.parametrize("engine", [
+        StatevectorTrajectoryBackend, MPSBackend,
+    ], ids=["statevector", "mps"])
+    def test_noiseless_run_is_exact(self, engine):
+        c = _test_circuit()
+        result = engine(trajectories=1, seed=3).run(c)
+        assert result.fidelity_std_error(c.statevector()) == 0.0
+
+    @pytest.mark.parametrize("backend", ["statevector", "mps"])
+    def test_summary_prints_no_error_bar(self, backend):
+        c = _test_circuit()
+        ev = evaluate_fidelity(
+            c, noise=self.NOISE, backend=backend, trajectories=1, seed=3
+        )
+        assert ev.std_error is None and "+/-" not in ev.summary()
+        assert "+/-" in evaluate_fidelity(
+            c, noise=self.NOISE, backend=backend, trajectories=4, seed=3
+        ).summary()
 
 
 class TestArgumentValidation:

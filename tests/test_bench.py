@@ -472,10 +472,13 @@ class TestSimPairing:
         program = compile_program(
             circuit, NoiseModel.non_pauli_gates(2e-2), fused=True
         )
-        backend = StatevectorTrajectoryBackend(trajectories=30, seed=5)
-        grouped = backend._run_program(program)
-        backend._run_chunk_program = sim_suite._run_chunk_ungrouped
-        assert np.array_equal(grouped, backend._run_program(program))
+        backend = StatevectorTrajectoryBackend(
+            trajectories=30, seed=5, chunk_size=8
+        )
+        blocks, row = backend._run_program(program)
+        (states,), identity = sim_suite._run_ungrouped(backend, program)
+        assert np.array_equal(identity, np.arange(30))
+        assert np.array_equal(np.concatenate(blocks)[row], states)
 
     def test_unfused_density_baseline_matches_the_engine(self):
         import numpy as np

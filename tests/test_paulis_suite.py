@@ -1,5 +1,6 @@
 """Tests for Pauli evolution, Hamiltonian models, and the benchmark suite."""
 
+import networkx as nx
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -16,7 +17,10 @@ from repro.bench_circuits.hamiltonians import (
     hamiltonian_circuit,
     heisenberg_terms,
     ising_terms,
+    maxcut_terms,
+    random_pauli_terms,
     tfim_terms,
+    xy_terms,
 )
 from repro.circuits import rotation_count
 from repro.linalg import trace_distance
@@ -74,6 +78,55 @@ class TestEvolution:
     def test_trotter_empty_raises(self):
         with pytest.raises(ValueError):
             trotter_circuit([])
+
+
+class TestGreedyOrder:
+    """Term orders pinned as indices into the input list; ties go to
+    the earliest remaining term."""
+
+    CASES = {
+        "tfim_5": (
+            lambda: tfim_terms(5), [0, 1, 2, 3, 7, 4, 5, 6, 8],
+        ),
+        "heisenberg_4": (
+            lambda: heisenberg_terms(4),
+            [0, 1, 2, 5, 3, 4, 7, 6, 8, 11, 9, 10, 12],
+        ),
+        "xy_5": (
+            lambda: xy_terms(5), [0, 1, 3, 2, 4, 5, 7, 6, 11, 8, 9, 10, 12],
+        ),
+        "ising_5": (
+            lambda: ising_terms(5, np.random.default_rng(4)),
+            [0, 1, 2, 3, 7, 4, 5, 6, 8],
+        ),
+        "maxcut_8": (
+            lambda: maxcut_terms(nx.random_regular_graph(3, 8, seed=2), 8),
+            [0, 1, 2, 4, 3, 5, 8, 9, 6, 7, 10, 11],
+        ),
+        "random_pauli_6": (
+            lambda: random_pauli_terms(6, 18, np.random.default_rng(3)),
+            [0, 6, 15, 16, 11, 2, 9, 10, 5, 3, 13, 4, 7, 1, 8, 12, 14, 17],
+        ),
+        "random_pauli_8": (
+            lambda: random_pauli_terms(8, 24, np.random.default_rng(11)),
+            [0, 7, 9, 22, 2, 6, 21, 13, 15, 12, 23, 20, 3, 5, 17, 19, 8,
+             14, 1, 4, 10, 11, 16, 18],
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_pinned(self, name):
+        from repro.paulis.evolution import _greedy_order
+
+        make, want = self.CASES[name]
+        terms = make()
+        got = _greedy_order(terms)
+        assert [next(i for i, t in enumerate(terms) if t is g) for g in got] == want
+
+    def test_empty(self):
+        from repro.paulis.evolution import _greedy_order
+
+        assert _greedy_order([]) == []
 
 
 class TestHamiltonians:

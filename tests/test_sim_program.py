@@ -74,12 +74,14 @@ def _sv(circuit, noise, **kw):
 
 
 def _run_recipe(circuit, noise, *, fused, **kw):
-    """The statevector engine's runner on one compile recipe."""
-    return StatevectorTrajectoryBackend(
+    """The statevector engine's runner on one compile recipe, as the
+    ``(n_traj, 2^n)`` stack of trajectory states."""
+    blocks, row = StatevectorTrajectoryBackend(
         trajectories=kw.pop("trajectories", 12),
         seed=kw.pop("seed", 7),
         **kw,
     )._run_program(compile_program(circuit, noise, fused=fused))
+    return np.concatenate(blocks)[row]
 
 
 def _apply(psi, m, qubits):
