@@ -63,6 +63,9 @@ class UnitaryTable:
     keys:
         :func:`~repro.enumeration.vectorized.canonical_keys` of every
         matrix, same order (distinct: one row per phase class).
+    key_order:
+        ``np.argsort(keys)``, the sorter of every lookup: computed by
+        :func:`build_table`, read (and checked) by the disk-cache loader.
     """
 
     budget: int
@@ -74,6 +77,7 @@ class UnitaryTable:
     parents: np.ndarray
     prefixes: np.ndarray
     keys: np.ndarray = field(repr=False)
+    key_order: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
         return self.coeffs.shape[0]
@@ -108,12 +112,8 @@ class UnitaryTable:
         map to ``-1``.
         """
         coeffs, karr = vec.reduce_batch(coeffs, karr)
-        return _find(self.keys, self._key_order,
+        return _find(self.keys, self.key_order,
                      vec.canonical_keys(coeffs, karr))
-
-    @functools.cached_property
-    def _key_order(self) -> np.ndarray:
-        return np.argsort(self.keys)
 
     @functools.cached_property
     def sequence_lengths(self) -> np.ndarray:
@@ -244,6 +244,7 @@ def build_table(budget: int) -> UnitaryTable:
         parents=parents,
         prefixes=prefixes,
         keys=keys,
+        key_order=np.argsort(keys),
     )
 
 
@@ -286,24 +287,37 @@ def _cache_path(budget: int) -> str | None:
         os.makedirs(root, exist_ok=True)
     except OSError:
         return None
-    return os.path.join(root, f"clifford_t_table_v2_b{budget}.npz")
+    return os.path.join(root, f"clifford_t_table_v3_b{budget}.npz")
+
+
+#: The cache file's integer arrays: each is stored in the narrowest
+#: signed dtype that holds its values and read back as int64.
+_INT_ARRAYS = ("coeffs", "karr", "t_counts", "hs_costs", "parents",
+               "prefixes", "key_order")
+
+
+def _narrowest(arr: np.ndarray) -> np.ndarray:
+    """int64 ``arr`` in the narrowest signed dtype holding its values."""
+    lo, hi = (int(arr.min()), int(arr.max())) if arr.size else (0, 0)
+    for dtype in (np.int8, np.int16, np.int32):
+        info = np.iinfo(dtype)
+        if info.min <= lo and hi <= info.max:
+            return arr.astype(dtype)
+    return arr
 
 
 def _save_table(table: UnitaryTable, path: str) -> None:
+    # Uncompressed: a load is then one read per array, with no inflate,
+    # and the narrow dtypes keep the file small (b10: 6.9 MB).
     # Write-then-rename: a concurrent reader (another process) must
     # never observe a truncated npz at the final path.
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
-        np.savez_compressed(
+        np.savez(
             tmp,
             budget=table.budget,
-            coeffs=table.coeffs,
-            karr=table.karr,
-            t_counts=table.t_counts,
-            hs_costs=table.hs_costs,
-            parents=table.parents,
-            prefixes=table.prefixes,
             keys=table.keys,
+            **{name: _narrowest(getattr(table, name)) for name in _INT_ARRAYS},
         )
         # savez appends .npz when the filename lacks the suffix.
         os.replace(f"{tmp}.npz", path)
@@ -316,11 +330,29 @@ def _save_table(table: UnitaryTable, path: str) -> None:
             pass
 
 
+def _check_key_order(keys: np.ndarray, order: np.ndarray) -> None:
+    """Raise ValueError unless ``order`` sorts ``keys`` strictly.
+
+    Keys are distinct, so a strictly ascending ``keys[order]`` proves
+    ``order`` a permutation equal to ``np.argsort(keys)``.
+    """
+    if order.shape != keys.shape:
+        raise ValueError(f"key_order has shape {order.shape}, "
+                         f"not {keys.shape}")
+    # Checked before indexing: an out-of-range index is an IndexError.
+    if order.size and (order.min() < 0 or order.max() >= order.size):
+        raise ValueError("key_order indexes outside the table")
+    ranked = keys[order]
+    if not (ranked[:-1] < ranked[1:]).all():
+        raise ValueError("key_order does not sort the keys")
+
+
 def _load_table(path: str, budget: int) -> UnitaryTable | None:
     """The table cached at ``path``, or None (with a warning) if unusable.
 
     A truncated, corrupt or incomplete file, or one holding another
-    budget, row count or key width, is a cache miss: :func:`get_table`
+    budget, row count or key width, a non-integer array or a key order
+    that does not sort the keys, is a cache miss: :func:`get_table`
     rebuilds the table and overwrites the file.
     """
     rows = expected_unique_count(budget)
@@ -331,22 +363,30 @@ def _load_table(path: str, budget: int) -> UnitaryTable | None:
             raise ValueError(f"{name} has shape {arr.shape}, not {rows} rows")
         return arr
 
+    def read_int(data, name: str) -> np.ndarray:
+        arr = read(data, name)
+        if arr.dtype.kind not in "iu":
+            raise ValueError(f"{name} has dtype {arr.dtype}, not an integer")
+        return arr.astype(np.int64, copy=False)
+
     try:
         with np.load(path) as data:
             if int(data["budget"]) != budget:
                 raise ValueError(f"holds budget {int(data['budget'])}")
-            coeffs, karr = read(data, "coeffs"), read(data, "karr")
+            coeffs, karr = read_int(data, "coeffs"), read_int(data, "karr")
             # Expanded before the other arrays are read, which keeps
             # them out of the load's memory peak.
             mats = vec.batch_to_complex(coeffs, karr)
-            t_counts, hs_costs, parents, prefixes, keys = (
-                read(data, name)
+            t_counts, hs_costs, parents, prefixes, key_order = (
+                read_int(data, name)
                 for name in ("t_counts", "hs_costs", "parents", "prefixes",
-                             "keys")
+                             "key_order")
             )
+            keys = read(data, "keys")
         if keys.shape != (rows,) or keys.dtype != np.dtype("S65"):
             raise ValueError(f"keys are {keys.dtype}{keys.shape}, "
                              f"not S65 ({rows},)")
+        _check_key_order(keys, key_order)
     except (OSError, ValueError, KeyError, EOFError,
             zipfile.BadZipFile, zlib.error) as exc:
         warnings.warn(
@@ -364,4 +404,5 @@ def _load_table(path: str, budget: int) -> UnitaryTable | None:
         parents=parents,
         prefixes=prefixes,
         keys=keys,
+        key_order=key_order,
     )

@@ -748,9 +748,12 @@ _PINNED_DIGESTS = [
 class TestByteIdentity:
     """Pinned outputs at fixed seeds: hot-path rewrites must not move them.
 
-    The BLAS thread count changes float reduction order and with it the
-    sampled words, so the calls run in a subprocess with single-threaded
-    BLAS (the digests are those of single-threaded OpenBLAS on x86-64).
+    The calls run in a subprocess with single-threaded BLAS (the digests
+    are those of single-threaded OpenBLAS on x86-64).  The pinning is a
+    guard, not a known need: with OpenBLAS 0.3.31 on x86-64 the script
+    prints these same nine lines at ``OPENBLAS_NUM_THREADS`` 1, 2 and 4.
+    A BLAS whose thread count changes float reduction order could still
+    move the sampled words.
     """
 
     def test_synthesize_and_ladder_digests(self):
