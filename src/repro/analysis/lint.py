@@ -33,9 +33,7 @@ enforces the invariants PRs 1-6 established by hand and review alone:
     loops survive only as the byte-identical reference oracles.
 
 Suppression: append ``# repro-lint: disable=<rule>[,<rule>...]`` (or
-``disable=all``) to the offending line.  A committed baseline file
-(``--write-baseline`` / ``--baseline``) grandfathers existing findings
-by content fingerprint so new code is held to the rules immediately.
+``disable=all``) to the offending line.
 
 Output is human-readable by default or JSON with ``--format json``;
 the exit code is 0 when clean, 1 with findings, 2 on usage errors.
@@ -46,7 +44,6 @@ from __future__ import annotations
 
 import argparse
 import ast
-import hashlib
 import json
 import os
 import re
@@ -109,16 +106,6 @@ class Finding:
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule}: {self.message}"
-
-    def fingerprint(self, line_text: str) -> str:
-        """Content-based identity for the baseline mechanism.
-
-        Hashing the stripped source line (not the line number) keeps a
-        baselined finding suppressed when unrelated edits shift it.
-        """
-        basename = os.path.basename(self.path)
-        payload = f"{basename}|{self.rule}|{line_text.strip()}"
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 def _dotted_name(node: ast.expr) -> str | None:
@@ -463,15 +450,6 @@ def lint_paths(
     return findings
 
 
-def _line_text(finding: Finding) -> str:
-    try:
-        with open(finding.path, encoding="utf-8") as f:
-            lines = f.read().splitlines()
-        return lines[finding.line - 1]
-    except (OSError, IndexError):
-        return ""
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.lint",
@@ -484,10 +462,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--rule", action="append", dest="rules",
                         metavar="RULE", choices=sorted(RULES),
                         help="run only this rule (repeatable)")
-    parser.add_argument("--baseline", default=None,
-                        help="JSON baseline of fingerprints to ignore")
-    parser.add_argument("--write-baseline", default=None, metavar="PATH",
-                        help="write current findings as a baseline and exit")
     parser.add_argument("--list-rules", action="store_true")
     args = parser.parse_args(argv)
 
@@ -502,34 +476,6 @@ def main(argv: list[str] | None = None) -> int:
     except (FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    if args.write_baseline:
-        from repro.analysis.atomic_io import atomic_write_json
-
-        fingerprints = sorted(
-            f.fingerprint(_line_text(f)) for f in findings
-        )
-        atomic_write_json(
-            args.write_baseline,
-            {"version": 1, "fingerprints": fingerprints},
-            indent=2, trailing_newline=True,
-        )
-        print(f"wrote {len(fingerprints)} baseline entries "
-              f"to {args.write_baseline}")
-        return 0
-
-    if args.baseline:
-        try:
-            with open(args.baseline, encoding="utf-8") as f:
-                baseline = set(json.load(f).get("fingerprints", []))
-        except (OSError, ValueError) as exc:
-            print(f"error: unreadable baseline {args.baseline}: {exc}",
-                  file=sys.stderr)
-            return 2
-        findings = [
-            f for f in findings
-            if f.fingerprint(_line_text(f)) not in baseline
-        ]
 
     if args.format == "json":
         print(json.dumps({

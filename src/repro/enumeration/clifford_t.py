@@ -250,7 +250,7 @@ def build_table(budget: int) -> UnitaryTable:
 
 # ---------------------------------------------------------------------------
 # Cached access: tables are deterministic per budget, so memoize in-process
-# and (optionally) on disk for reuse across benchmark invocations.
+# and on disk for reuse across benchmark invocations.
 # ---------------------------------------------------------------------------
 
 _TABLE_CACHE: dict[int, UnitaryTable] = {}
@@ -259,7 +259,7 @@ _TABLE_CACHE: dict[int, UnitaryTable] = {}
 _TABLE_LOCK = threading.Lock()
 
 
-def get_table(budget: int, use_disk_cache: bool = True) -> UnitaryTable:
+def get_table(budget: int) -> UnitaryTable:
     """Memoized :func:`build_table` (in-process and on-disk caches)."""
     if budget in _TABLE_CACHE:
         return _TABLE_CACHE[budget]
@@ -267,14 +267,14 @@ def get_table(budget: int, use_disk_cache: bool = True) -> UnitaryTable:
         if budget in _TABLE_CACHE:
             return _TABLE_CACHE[budget]
         path = _cache_path(budget)
-        if use_disk_cache and path and os.path.exists(path):
+        if path and os.path.exists(path):
             table = _load_table(path, budget)
             if table is not None:
                 _TABLE_CACHE[budget] = table
                 return table
         table = build_table(budget)
         _TABLE_CACHE[budget] = table
-        if use_disk_cache and path:
+        if path:
             _save_table(table, path)
         return table
 

@@ -49,7 +49,7 @@ class CircuitComparison:
 
 
 def _state_infidelity(
-    case_circuit, synthesized, max_qubits: int, backend: str = "auto"
+    case_circuit, synthesized, max_qubits: int
 ) -> float | None:
     """Noiseless synthesis infidelity through the backend protocol.
 
@@ -59,7 +59,7 @@ def _state_infidelity(
     """
     if case_circuit.n_qubits > max_qubits:
         return None
-    ev = evaluate_fidelity(synthesized, reference=case_circuit, backend=backend)
+    ev = evaluate_fidelity(synthesized, reference=case_circuit)
     return ev.infidelity
 
 
@@ -68,7 +68,6 @@ def run_rq3(
     base_eps: float = DEFAULT_EPS,
     seed: int = 3,
     fidelity_max_qubits: int = 16,
-    sim_backend: str = "auto",
 ) -> list[CircuitComparison]:
     cache = SynthesisCache()
     out = []
@@ -89,10 +88,10 @@ def run_rq3(
             n_qubits=case.n_qubits, trasyn_flow=tra, gridsynth_flow=grid,
         )
         comp.trasyn_infidelity = _state_infidelity(
-            case.circuit, tra.circuit, fidelity_max_qubits, sim_backend
+            case.circuit, tra.circuit, fidelity_max_qubits
         )
         comp.gridsynth_infidelity = _state_infidelity(
-            case.circuit, grid.circuit, fidelity_max_qubits, sim_backend
+            case.circuit, grid.circuit, fidelity_max_qubits
         )
         out.append(comp)
     return out

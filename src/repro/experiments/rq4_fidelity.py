@@ -25,6 +25,8 @@ from repro.sim.evaluate import evaluate_fidelity, make_reference_state
 
 # Paper RQ4: thresholds derived from logical rates via the Fig. 9 fit.
 RATE_TO_EPS = {1e-4: 0.0122, 1e-5: 0.00386, 1e-6: 0.00122}
+#: Cases this small run on the exact density engine under ``'auto'``.
+EXACT_MAX_QUBITS = 12
 
 
 @dataclass
@@ -49,22 +51,14 @@ def run_rq4(
     logical_rates: tuple[float, ...] = (1e-4, 1e-5, 1e-6),
     seed: int = 5,
     max_qubits: int = 16,
-    sim_backend: str = "auto",
-    trajectories: int | None = None,
-    max_bond: int | None = None,
-    exact_max_qubits: int = 12,
 ) -> list[NoisyComparison]:
     """Noisy fidelity comparison of both workflows over ``cases``.
 
-    ``sim_backend``/``trajectories``/``max_bond`` select and configure
-    the simulation engine (``'auto'`` dispatches per circuit size).
-
     The paper's lower rates (1e-5, 1e-6) produce infidelities far below
-    Monte-Carlo sampling resolution, so with ``sim_backend='auto'``
-    cases up to ``exact_max_qubits`` are pinned to the exact
-    density-matrix engine; only larger circuits — unreachable at seed —
-    use the stochastic backends.  Pass an explicit ``sim_backend`` to
-    override.
+    Monte-Carlo sampling resolution, so cases up to
+    :data:`EXACT_MAX_QUBITS` are pinned to the exact density-matrix
+    engine; only larger circuits — unreachable at seed — go to
+    :func:`~repro.sim.backends.select_backend`'s ``'auto'`` choice.
     """
     unknown = [r for r in logical_rates if r not in RATE_TO_EPS]
     if unknown:
@@ -76,9 +70,7 @@ def run_rq4(
     cases = [c for c in cases if c.n_qubits <= max_qubits]
 
     def backend_for(case: BenchmarkCase) -> str:
-        if sim_backend == "auto" and case.n_qubits <= exact_max_qubits:
-            return "density"
-        return sim_backend
+        return "density" if case.n_qubits <= EXACT_MAX_QUBITS else "auto"
 
     cache = SynthesisCache()
     # The ideal state per case is rate-independent: compute it once.
@@ -100,9 +92,7 @@ def run_rq4(
             case_backend = backend_for(case)
             if case.name not in reference_states:
                 sim = select_backend(
-                    case.n_qubits, noise, backend=case_backend,
-                    trajectories=trajectories, max_bond=max_bond,
-                    seed=seed,
+                    case.n_qubits, noise, backend=case_backend, seed=seed,
                 )
                 reference_states[case.name] = make_reference_state(
                     case.circuit, sim
@@ -110,8 +100,7 @@ def run_rq4(
             ev_t, ev_g = (
                 evaluate_fidelity(
                     res.circuit, reference=case.circuit, noise=noise,
-                    backend=case_backend, trajectories=trajectories,
-                    max_bond=max_bond, seed=seed,
+                    backend=case_backend, seed=seed,
                     reference_state=reference_states[case.name],
                 )
                 for res in (tra, grid)

@@ -47,26 +47,26 @@ CAL_GATE_ERRORS = {
 CAL_IDLE_RATE = 1e-5
 
 
-def calibrate(target: Target, seed: int = 0, scale: float = 1.0) -> Target:
+def calibrate(target: Target) -> Target:
     """A reproducible synthetic calibration snapshot of ``target``.
 
-    Per-gate rates/durations come from the module defaults (times
-    ``scale``); per-edge CX errors are jittered uniformly in
-    [0.5x, 2x] of the CX rate so the cost-aware layout/routing
-    tie-breaks have a real gradient to follow.
+    Per-gate rates/durations come from the module defaults; per-edge CX
+    errors are jittered uniformly in [0.5x, 2x] of the CX rate (seeded
+    by the qubit count) so the cost-aware layout/routing tie-breaks
+    have a real gradient to follow.
     """
-    rng = np.random.default_rng([seed, target.n_qubits])
-    cx = CAL_GATE_ERRORS["cx"] * scale
+    rng = np.random.default_rng([0, target.n_qubits])
+    cx = CAL_GATE_ERRORS["cx"]
     edge_errors = {
         (min(a, b), max(a, b)): float(cx * rng.uniform(0.5, 2.0))
         for a, b in target.coupling.edge_pairs()
     }
     return replace(
         target,
-        gate_errors={k: v * scale for k, v in CAL_GATE_ERRORS.items()},
+        gate_errors=dict(CAL_GATE_ERRORS),
         gate_durations=dict(CAL_GATE_DURATIONS),
         edge_errors=edge_errors,
-        idle_error_rate=CAL_IDLE_RATE * scale,
+        idle_error_rate=CAL_IDLE_RATE,
     )
 
 
@@ -98,20 +98,14 @@ def run_rq7(
     eps: float = 0.01,
     optimization_level: int | str = 2,
     seed: int = 7,
-    cal_seed: int = 0,
-    cal_scale: float = 1.0,
     trajectories: int = 300,
-    sim_backend: str = "statevector",
 ) -> list[ScheduleCase]:
     """Compile + simulate every (circuit, topology) cell (see module doc)."""
     cache = SynthesisCache()
     out: list[ScheduleCase] = []
     for case in cases:
         for topology in topologies:
-            target = calibrate(
-                target_for(case.circuit.n_qubits, topology),
-                seed=cal_seed, scale=cal_scale,
-            )
+            target = calibrate(target_for(case.circuit.n_qubits, topology))
             # cost_aware=False pins the error-agnostic PR-4 router so
             # esp_baseline measures exactly the pre-cost-model stack.
             baseline = compile_circuit(
@@ -127,7 +121,7 @@ def run_rq7(
             noise = NoiseModel.from_target(target)
             marked, noise = with_idle_noise(tuned.circuit, target, noise)
             ev = evaluate_fidelity(
-                marked, noise=noise, backend=sim_backend,
+                marked, noise=noise, backend="statevector",
                 trajectories=trajectories, seed=seed,
             )
             out.append(

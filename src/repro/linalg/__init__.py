@@ -9,7 +9,6 @@ Euler-angle decompositions used by the transpiler.
 from repro.linalg.su2 import (
     GATES,
     check_unitary_2x2,
-    closest_u3_angles,
     haar_random_su2,
     haar_random_u2,
     is_unitary,
@@ -26,7 +25,6 @@ from repro.linalg.su2 import (
 __all__ = [
     "GATES",
     "check_unitary_2x2",
-    "closest_u3_angles",
     "haar_random_su2",
     "haar_random_u2",
     "is_unitary",

@@ -170,9 +170,3 @@ def zyz_angles(u: np.ndarray) -> tuple[float, float, float, float]:
         phi = cmath.phase(b) - cmath.phase(a)
         lam = -cmath.phase(b) - cmath.phase(a)
     return theta, phi, lam, alpha
-
-
-def closest_u3_angles(u: np.ndarray) -> tuple[float, float, float]:
-    """Return (theta, phi, lam) with u3(...) equal to ``u`` up to phase."""
-    theta, phi, lam, _alpha = zyz_angles(u)
-    return theta, phi, lam

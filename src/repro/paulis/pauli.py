@@ -42,16 +42,6 @@ class PauliString:
         """True for Z/I-only strings (classical Hamiltonian terms)."""
         return all(c in "IZ" for c in self.label)
 
-    def commutes_with(self, other: "PauliString") -> bool:
-        if self.n_qubits != other.n_qubits:
-            raise ValueError("mismatched lengths")
-        anti = sum(
-            1
-            for a, b in zip(self.label, other.label)
-            if a != "I" and b != "I" and a != b
-        )
-        return anti % 2 == 0
-
     def matrix(self) -> np.ndarray:
         """Dense matrix; qubit 0 is the most significant tensor factor."""
         return reduce(np.kron, (_PAULI_MATS[c] for c in self.label))

@@ -130,11 +130,6 @@ class CacheStats:
     store_attached: bool = False
 
     @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    @property
     def computes(self) -> int:
         """Synthesis invocations: L2 misses when a store is attached."""
         return self.l2_misses if self.store_attached else self.misses

@@ -249,10 +249,6 @@ class PipelineResult:
     circuit: Circuit
     metrics: list[PassMetrics] = field(default_factory=list)
 
-    @property
-    def total_time(self) -> float:
-        return sum(m.wall_time for m in self.metrics)
-
 
 class PassManager:
     """An ordered, user-configurable sequence of passes.

@@ -4,8 +4,8 @@ The paper's caching argument is that Clifford+T synthesis results are
 worth keeping far beyond one circuit.  This package keeps them beyond
 one *process*: a content-addressed on-disk store of
 :class:`~repro.synthesis.GateSequence` results built from immutable,
-atomically-published segment files plus a compact index
-(:mod:`repro.pipeline.store.segments`), served through
+atomically-published segment files, indexed only by their directory
+listing (:mod:`repro.pipeline.store.segments`), served through
 :class:`DiskSynthesisStore` (:mod:`repro.pipeline.store.disk`) with
 lazy sharded loading, snapshot-read determinism, and epsilon-band
 fallback (a request at ``eps=1e-3`` reuses a cataloged ``1e-4`` word).

@@ -12,16 +12,17 @@ that makes it safe under many concurrent compiler processes:
   readers need no locks and crashes can never corrupt published data.
 
 * **Snapshot reads.**  A store instance serves lookups from the set of
-  segments present when it was opened (or last :meth:`refresh`-ed), and
-  its own unflushed writes stay invisible to lookups (the L1 above
-  holds them).  Results therefore depend only on the snapshot — never
-  on how concurrent writers interleave — which is what keeps a
-  process-pool batch byte-identical to a serial run.
+  segment files its directory listing showed when it was opened (or
+  last :meth:`refresh`-ed), and its own unflushed writes stay invisible
+  to lookups (the L1 above holds them).  Results therefore depend only
+  on the snapshot — never on how concurrent writers interleave — which
+  is what keeps a process-pool batch byte-identical to a serial run.
 
 * **Lazy, sharded loading.**  Keys hash onto a fixed shard fan-out and
   a shard's segments are parsed only on the first lookup that touches
   it — opening a store with a multi-thousand-entry catalog costs one
-  ``listdir``, in the spirit of mmap-style laziness.
+  ``listdir``, in the spirit of mmap-style laziness.  That listing is
+  the store's only index.
 
 * **Epsilon-band fallback.**  :meth:`get_fallback` probes the same
   rotation at stricter epsilon bands (see
@@ -50,7 +51,6 @@ class StoreStats:
     """Snapshot of one store instance's shape and activity."""
 
     root: str
-    n_shards: int
     n_segments: int
     loaded_shards: int
     entries_loaded: int
@@ -67,41 +67,19 @@ class DiskSynthesisStore:
     opens its own instance over the same directory.
     """
 
-    def __init__(
-        self,
-        root: str | os.PathLike,
-        fallback_bands: int = DEFAULT_FALLBACK_BANDS,
-    ):
-        if fallback_bands < 0:
-            raise ValueError("fallback_bands must be >= 0")
+    def __init__(self, root: str | os.PathLike):
         self.root = os.fspath(root)
-        self.fallback_bands = fallback_bands
         self._lock = threading.RLock()
         self._pending: dict[int, dict[str, dict]] = {}
         self._published = 0
         self._skipped = 0
         os.makedirs(self.root, exist_ok=True)
-        index = seg.read_index(self.root)
-        if index is None:
-            index = seg.write_index(self.root, seg.DEFAULT_N_SHARDS)
-        self.n_shards = int(index["n_shards"])
-        if self.n_shards < 1:
-            raise ValueError(
-                f"store {self.root!r} has invalid n_shards {self.n_shards}"
-            )
-        self._scan(index)
+        self._scan()
 
-    def _scan(self, index: dict | None = None) -> None:
-        """(Re)build the segment snapshot: index union directory listing."""
-        listed = seg.list_segments(self.root)
-        named = set(listed)
-        if index is not None:
-            named.update(
-                n for n in index["segments"]
-                if seg.shard_of_segment(n) is not None
-            )
+    def _scan(self) -> None:
+        """(Re)build the segment snapshot from the directory listing."""
         by_shard: dict[int, list[str]] = {}
-        for name in sorted(named):
+        for name in seg.list_segments(self.root):
             by_shard.setdefault(seg.shard_of_segment(name), []).append(name)
         self._segments_by_shard = by_shard
         self._shards: dict[int, dict[str, GateSequence]] = {}
@@ -133,18 +111,17 @@ class DiskSynthesisStore:
         """Exact-key lookup against the open snapshot."""
         kstr = seg.key_str(tuple(key))
         with self._lock:
-            return self._shard_table(seg.shard_of(kstr, self.n_shards)).get(
-                kstr
-            )
+            return self._shard_table(seg.shard_of(kstr)).get(kstr)
 
     def get_fallback(self, key: Key) -> GateSequence | None:
         """Stricter-band lookup: any hit satisfies a request at ``key``.
 
-        Probes the same rotation's keys up to ``fallback_bands`` bands
-        below the requested epsilon, nearest band first, so the hit
-        with the least surplus precision (fewest extra T gates) wins.
+        Probes the same rotation's keys up to
+        :data:`DEFAULT_FALLBACK_BANDS` bands below the requested epsilon,
+        nearest band first, so the hit with the least surplus precision
+        (fewest extra T gates) wins.
         """
-        for candidate in stricter_keys(tuple(key), self.fallback_bands):
+        for candidate in stricter_keys(tuple(key), DEFAULT_FALLBACK_BANDS):
             seq = self.get(candidate)
             if seq is not None:
                 return seq
@@ -160,7 +137,7 @@ class DiskSynthesisStore:
         key = tuple(key)
         kstr = seg.key_str(key)
         with self._lock:
-            shard = seg.shard_of(kstr, self.n_shards)
+            shard = seg.shard_of(kstr)
             self._pending.setdefault(shard, {})[kstr] = seg.entry_dict(
                 key, sequence
             )
@@ -170,8 +147,7 @@ class DiskSynthesisStore:
 
         One segment per touched shard, entries sorted for a stable
         content address — two processes flushing identical results
-        publish identical files.  The index is rewritten from a fresh
-        directory listing afterwards.
+        publish identical files.
         """
         with self._lock:
             pending, self._pending = self._pending, {}
@@ -183,7 +159,6 @@ class DiskSynthesisStore:
                 pending[shard][kstr] for kstr in sorted(pending[shard])
             ]
             names.append(seg.write_segment(self.root, shard, entries))
-        seg.write_index(self.root, self.n_shards)
         with self._lock:
             self._published += len(names)
         return names
@@ -194,7 +169,7 @@ class DiskSynthesisStore:
         Drops loaded shard tables; pending writes are kept.
         """
         with self._lock:
-            self._scan(seg.read_index(self.root))
+            self._scan()
 
     # -- introspection -----------------------------------------------------
     def __len__(self) -> int:
@@ -202,7 +177,7 @@ class DiskSynthesisStore:
         with self._lock:
             return sum(
                 len(self._shard_table(s))
-                for s in range(self.n_shards)
+                for s in range(seg.DEFAULT_N_SHARDS)
             )
 
     def __contains__(self, key: Key) -> bool:
@@ -212,7 +187,6 @@ class DiskSynthesisStore:
         with self._lock:
             return StoreStats(
                 root=self.root,
-                n_shards=self.n_shards,
                 n_segments=sum(
                     len(v) for v in self._segments_by_shard.values()
                 ),

@@ -3,7 +3,6 @@
 A store directory looks like::
 
     <root>/
-      index.json                  # {"format", "n_shards", "segments"}
       segments/
         seg-03-4f2a9c1d77e0.json  # immutable, content-addressed
         seg-0b-90ee12aa34cd.json
@@ -21,10 +20,10 @@ where the digest hashes the canonical entry payload — so two processes
 that synthesize the same keys publish the *same file name with the same
 bytes* and converge instead of conflicting.
 
-``index.json`` is a compact accelerator, not the source of truth: it is
-rewritten (atomically) from a fresh directory listing after every
-publish, and readers union it with their own listing on open, so an
-index lost to a concurrent rewrite costs nothing.  A damaged or partial
+The directory listing is the only index: a reader's snapshot is the
+set of segment files :func:`list_segments` finds, so there is no second
+record to fall out of step with it.  (Stores written by older versions
+also hold an ``index.json``; nothing reads it.)  A damaged or partial
 segment (e.g. truncated by a copy gone wrong) is skipped with a
 :class:`UserWarning` instead of poisoning the store.
 """
@@ -41,11 +40,11 @@ from repro.synthesis.sequences import GateSequence
 FORMAT_VERSION = "repro-segstore/v1"
 
 #: Fixed shard fan-out: keys hash onto this many buckets, each loaded
-#: lazily as one dict.  Recorded in the index so every process hashing
-#: into a store agrees (a mismatch is a hard error, not silent misses).
+#: lazily as one dict.  Every process hashing into a store must agree
+#: on it, and the files do not record it, so changing it needs a new
+#: :data:`FORMAT_VERSION`.
 DEFAULT_N_SHARDS = 16
 
-INDEX_NAME = "index.json"
 SEGMENT_DIR = "segments"
 
 
@@ -59,15 +58,9 @@ def key_str(key: tuple) -> str:
     return json.dumps(list(key), separators=(",", ":"))
 
 
-def key_from_str(text: str) -> tuple:
-    return tuple(
-        tuple(p) if isinstance(p, list) else p for p in json.loads(text)
-    )
-
-
-def shard_of(kstr: str, n_shards: int) -> int:
+def shard_of(kstr: str) -> int:
     digest = hashlib.sha256(kstr.encode()).digest()
-    return int.from_bytes(digest[:4], "big") % n_shards
+    return int.from_bytes(digest[:4], "big") % DEFAULT_N_SHARDS
 
 
 def segment_name(shard: int, entries: list[dict]) -> str:
@@ -170,44 +163,3 @@ def list_segments(root: str) -> list[str]:
         return []
     return sorted(n for n in names if shard_of_segment(n) is not None)
 
-
-def read_index(root: str) -> dict | None:
-    """The index accelerator, or None when missing/unreadable."""
-    path = os.path.join(root, INDEX_NAME)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if payload.get("format") != FORMAT_VERSION:
-            raise ValueError(f"format {payload.get('format')!r}")
-        int(payload["n_shards"])
-        list(payload["segments"])
-        return payload
-    except FileNotFoundError:
-        return None
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        warnings.warn(
-            f"synthesis store: rebuilding unreadable index "
-            f"{path}: {exc}",
-            stacklevel=2,
-        )
-        return None
-
-
-def write_index(root: str, n_shards: int) -> dict:
-    """Atomically rewrite the index from a fresh directory listing.
-
-    Concurrent writers may race on this rewrite; whichever listing
-    lands last is at worst *missing* a segment published in the race
-    window, never wrong about one it names — and readers union the
-    index with their own listing, so convergence only needs any later
-    publish (or open) to observe the full directory.
-    """
-    from repro.analysis.atomic_io import atomic_write_json
-
-    payload = {
-        "format": FORMAT_VERSION,
-        "n_shards": n_shards,
-        "segments": list_segments(root),
-    }
-    atomic_write_json(os.path.join(root, INDEX_NAME), payload)
-    return payload

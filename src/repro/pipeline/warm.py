@@ -148,9 +148,7 @@ def warm_rz_catalog(
     by_shard: dict[int, list[tuple[float, float]]] = {}
     for theta, eps_b in tasks:
         kstr = seg.key_str(key_rz(theta, eps_b))
-        by_shard.setdefault(
-            seg.shard_of(kstr, store.n_shards), []
-        ).append((theta, eps_b))
+        by_shard.setdefault(seg.shard_of(kstr), []).append((theta, eps_b))
     groups = [by_shard[s] for s in sorted(by_shard)]
     workers = min(workers, len(groups)) if groups else 1
     if workers == 1:

@@ -119,14 +119,3 @@ def estimate_resources(
         execution_seconds=seconds,
         magic_states=n_t,
     )
-
-
-def compare_estimates(
-    a: ResourceEstimate, b: ResourceEstimate
-) -> dict[str, float]:
-    """Resource ratios b/a — the planning view of a T-count reduction."""
-    return {
-        "t_count": b.t_count / max(1, a.t_count),
-        "execution_time": b.execution_seconds / max(1e-12, a.execution_seconds),
-        "magic_states": b.magic_states / max(1, a.magic_states),
-    }

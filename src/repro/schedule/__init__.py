@@ -2,7 +2,7 @@
 
 The scheduler subsystem turns a circuit plus a target's
 ``gate_durations`` into per-qubit timelines (:class:`Schedule`):
-makespan/critical-path-time metrics, idle-slack accounting, an ASCII
+makespan (the critical-path time), idle-slack accounting, an ASCII
 timeline renderer, and idle-marker insertion so the simulation
 backends can apply duration-scaled idle noise.  The ESP cost model
 (:mod:`repro.target.cost`) and the epsilon-budget allocator
@@ -20,7 +20,6 @@ from repro.schedule.scheduler import (
     idle_marker,
     insert_idle_markers,
     node_slacks,
-    resolve_durations,
     schedule_circuit,
     schedule_dag,
     strip_idle_markers,
@@ -38,7 +37,6 @@ __all__ = [
     "idle_marker",
     "insert_idle_markers",
     "node_slacks",
-    "resolve_durations",
     "schedule_circuit",
     "schedule_dag",
     "strip_idle_markers",

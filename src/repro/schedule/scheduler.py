@@ -42,6 +42,8 @@ DEFAULT_DURATION_2Q = 3.0
 DEFAULT_DURATIONS: dict[str, float] = {"swap": 3.0 * DEFAULT_DURATION_2Q}
 
 SCHEDULE_METHODS = ("asap", "alap")
+#: Idle gaps no longer than this (float round-off) get no marker.
+MIN_IDLE_DURATION = 1e-12
 
 
 def duration_of(gate: Gate, durations: Mapping[str, float] | None = None) -> float:
@@ -62,15 +64,6 @@ def duration_of(gate: Gate, durations: Mapping[str, float] | None = None) -> flo
     if hit is not None:
         return hit
     return DEFAULT_DURATION_1Q if len(gate.qubits) == 1 else DEFAULT_DURATION_2Q
-
-
-def resolve_durations(
-    target=None, durations: Mapping[str, float] | None = None
-) -> Mapping[str, float]:
-    """The duration table from an explicit mapping or a target."""
-    if durations is not None:
-        return durations
-    return getattr(target, "gate_durations", None) or {}
 
 
 @dataclass(frozen=True)
@@ -115,11 +108,6 @@ class Schedule:
 
     def span(self, node_id: int) -> GateSpan:
         return self._by_node[node_id]
-
-    @property
-    def critical_path_time(self) -> float:
-        """Length of the heaviest dependency chain == the makespan."""
-        return self.makespan
 
     # -- per-qubit accounting ------------------------------------------------
     def qubit_spans(self, qubit: int) -> list[GateSpan]:
@@ -205,12 +193,12 @@ class Schedule:
 
 
 def schedule_dag(
-    dag: CircuitDAG,
-    target=None,
-    durations: Mapping[str, float] | None = None,
-    method: str = "asap",
+    dag: CircuitDAG, target=None, method: str = "asap"
 ) -> Schedule:
-    """Timed schedule of ``dag`` under a duration table.
+    """Timed schedule of ``dag`` under ``target``'s duration table.
+
+    Durations come from ``target.gate_durations`` (see
+    :func:`duration_of`); with no target every gate takes its default.
 
     ``asap`` starts every gate as early as its wire predecessors allow;
     ``alap`` anchors to the ASAP makespan and starts every gate as late
@@ -222,7 +210,7 @@ def schedule_dag(
             f"unknown schedule method {method!r} "
             f"(expected one of {SCHEDULE_METHODS})"
         )
-    table = resolve_durations(target, durations)
+    table = getattr(target, "gate_durations", None) or {}
     order = list(dag.topological())
     end_asap: dict[int, float] = {}
     for node in order:
@@ -269,21 +257,14 @@ def schedule_dag(
 
 
 def schedule_circuit(
-    circuit: Circuit,
-    target=None,
-    durations: Mapping[str, float] | None = None,
-    method: str = "asap",
+    circuit: Circuit, target=None, method: str = "asap"
 ) -> Schedule:
     """Timed schedule of a flat circuit (see :func:`schedule_dag`)."""
-    return schedule_dag(
-        CircuitDAG.from_circuit(circuit), target, durations, method
-    )
+    return schedule_dag(CircuitDAG.from_circuit(circuit), target, method)
 
 
 def node_slacks(
-    dag: CircuitDAG,
-    target=None,
-    durations: Mapping[str, float] | None = None,
+    dag: CircuitDAG, target=None
 ) -> tuple[float, dict[int, float]]:
     """Per-node schedule slack: ALAP start minus ASAP start.
 
@@ -293,8 +274,8 @@ def node_slacks(
     behind the epsilon-budget allocator
     (:func:`repro.synthesis.budget.allocate_eps_budget`).
     """
-    asap = schedule_dag(dag, target, durations, method="asap")
-    alap = schedule_dag(dag, target, durations, method="alap")
+    asap = schedule_dag(dag, target, method="asap")
+    alap = schedule_dag(dag, target, method="alap")
     slacks = {
         s.node_id: max(0.0, alap.span(s.node_id).start - s.start)
         for s in asap.spans
@@ -313,11 +294,7 @@ def idle_marker(qubit: int, duration: float) -> Gate:
 
 
 def insert_idle_markers(
-    circuit: Circuit,
-    target=None,
-    durations: Mapping[str, float] | None = None,
-    schedule: Schedule | None = None,
-    min_duration: float = 1e-12,
+    circuit: Circuit, target=None, schedule: Schedule | None = None
 ) -> Circuit:
     """Materialize every idle period of the ASAP schedule as a marker.
 
@@ -328,10 +305,12 @@ def insert_idle_markers(
     (markers are identities) but lets a :class:`repro.sim.NoiseModel`
     with ``idle_rate`` set apply duration-scaled idle decoherence, so
     simulated fidelity accounts for exactly the slack the ESP cost
-    model penalizes.
+    model penalizes.  Gaps of :data:`MIN_IDLE_DURATION` or less get no
+    marker.  The schedule is computed from ``target`` unless one is
+    passed in.
     """
     if schedule is None:
-        schedule = schedule_circuit(circuit, target, durations, method="asap")
+        schedule = schedule_circuit(circuit, target, method="asap")
     elif schedule.method != "asap":
         raise ValueError("idle insertion expects an ASAP schedule")
     # (start time, tie-break, gate): original gates keep their flat
@@ -343,13 +322,13 @@ def insert_idle_markers(
     for q in range(circuit.n_qubits):
         cursor = 0.0
         for s in schedule.qubit_spans(q):
-            if s.start - cursor > min_duration:
+            if s.start - cursor > MIN_IDLE_DURATION:
                 events.append(
                     (cursor, 1, marker_seq, idle_marker(q, s.start - cursor))
                 )
                 marker_seq += 1
             cursor = max(cursor, s.end)
-        if schedule.makespan - cursor > min_duration:
+        if schedule.makespan - cursor > MIN_IDLE_DURATION:
             events.append(
                 (cursor, 1, marker_seq,
                  idle_marker(q, schedule.makespan - cursor))
@@ -374,12 +353,7 @@ def strip_idle_markers(circuit: Circuit) -> Circuit:
     return out
 
 
-def with_idle_noise(
-    circuit: Circuit,
-    target,
-    base_noise=None,
-    durations: Mapping[str, float] | None = None,
-):
+def with_idle_noise(circuit: Circuit, target, base_noise=None):
     """Idle-aware simulation setup: ``(marked_circuit, noise_model)``.
 
     Inserts idle markers per the ASAP schedule and extends
@@ -393,5 +367,5 @@ def with_idle_noise(
     idle_rate = float(getattr(target, "idle_error_rate", 0.0) or 0.0)
     if idle_rate <= 0.0:
         return circuit, base_noise
-    marked = insert_idle_markers(circuit, target, durations)
+    marked = insert_idle_markers(circuit, target)
     return marked, NoiseModel.with_idle(base_noise, idle_rate)

@@ -22,7 +22,6 @@ from repro.sim.fidelity import (
     process_fidelity_1q,
     sequence_process_infidelity,
     state_fidelity,
-    state_infidelity,
 )
 from repro.sim.noise import NoiseModel, canonical_gate_name, depolarizing_kraus
 from repro.sim.program import (
@@ -53,5 +52,4 @@ __all__ = [
     "select_backend",
     "sequence_process_infidelity",
     "state_fidelity",
-    "state_infidelity",
 ]

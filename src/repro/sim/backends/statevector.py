@@ -555,10 +555,12 @@ class StatevectorTrajectoryBackend(SimulatorBackend):
             return _ITEMSIZE * 2**n_qubits * 2
         # One row per trajectory at the worst case, where every
         # trajectory has diverged, plus an operator's output and
-        # transposed input on one block of rows; each further worker
-        # with a block in flight adds as much again.
-        width = self.trajectories + 2 * min(self.trajectories, self.chunk_size)
-        return _ITEMSIZE * 2**n_qubits * width
+        # transposed input on the rows of each block in flight: one
+        # block of at most ``chunk_size`` rows per worker, and never
+        # more rows than trajectories between them.
+        workers = max(self.max_workers or os.cpu_count() or 1, 1)
+        in_flight = min(self.trajectories, workers * self.chunk_size)
+        return _ITEMSIZE * 2**n_qubits * (self.trajectories + 2 * in_flight)
 
     # -- execution ---------------------------------------------------------
     def run(

@@ -38,10 +38,6 @@ def state_fidelity(rho: np.ndarray, psi: np.ndarray) -> float:
     return float(np.real(psi.conj() @ rho @ psi))
 
 
-def state_infidelity(rho: np.ndarray, psi: np.ndarray) -> float:
-    return max(0.0, 1.0 - state_fidelity(rho, psi))
-
-
 def process_fidelity_1q(choi: np.ndarray, target: np.ndarray) -> float:
     """Process fidelity from a 1q Choi state (4x4, trace 1)."""
     phi = np.zeros(4, dtype=complex)

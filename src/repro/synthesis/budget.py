@@ -19,7 +19,7 @@ slices sum to the requested budget, so
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from repro.circuits.circuit import Circuit, Gate
 from repro.circuits.dag import CircuitDAG
@@ -60,20 +60,17 @@ def is_budgeted_rotation(gate: Gate) -> bool:
     return False
 
 
-def rotation_criticalities(
-    lowered: Circuit,
-    target=None,
-    durations: Mapping[str, float] | None = None,
-) -> list[float]:
+def rotation_criticalities(lowered: Circuit, target=None) -> list[float]:
     """Criticality in (0, 1] of each budgeted rotation, in gate order.
 
     A rotation's criticality is the length of the longest schedule path
     through it divided by the makespan — equivalently ``1 - slack /
     makespan`` with slack from the ASAP/ALAP spread.  Critical-path
-    rotations score 1.0.
+    rotations score 1.0.  Durations come from ``target.gate_durations``
+    (defaults without a target).
     """
     dag = CircuitDAG.from_circuit(lowered)
-    makespan, slacks = node_slacks(dag, target, durations)
+    makespan, slacks = node_slacks(dag, target)
     out: list[float] = []
     for node in dag.nodes():
         if not is_budgeted_rotation(node.gate):
@@ -87,25 +84,23 @@ def rotation_criticalities(
 
 
 def allocate_eps_budget(
-    lowered: Circuit,
-    budget: float,
-    target=None,
-    durations: Mapping[str, float] | None = None,
+    lowered: Circuit, budget: float, target=None
 ) -> list[float]:
     """Split a circuit-level accuracy budget across rotations.
 
     Returns one epsilon per budgeted rotation (flat gate order, the
     order :func:`repro.pipeline.synthesize_lowered` consumes them in):
     ``eps_i = budget * (1/c_i) / sum_j (1/c_j)`` with ``c_i`` the
-    schedule criticality — slack-rich rotations take the big, cheap
-    slices; critical ones are synthesized tightest.  Weights are
-    clamped to a spread of :data:`MAX_WEIGHT_RATIO` and slices to
-    ``[EPS_FLOOR, EPS_CEIL]`` (clipping only ever lowers the total, so
-    the additive union bound still holds).  A NaN, infinite or
+    schedule criticality under ``target``'s gate durations — slack-rich
+    rotations take the big, cheap slices; critical ones are synthesized
+    tightest.  Weights are clamped to a spread of
+    :data:`MAX_WEIGHT_RATIO` and slices to ``[EPS_FLOOR, EPS_CEIL]``
+    (clipping only ever lowers the total, so the additive union bound
+    still holds).  A NaN, infinite or
     non-positive ``budget`` raises ``ValueError``.
     """
     check_threshold("accuracy budget", budget)
-    crits = rotation_criticalities(lowered, target, durations)
+    crits = rotation_criticalities(lowered, target)
     if not crits:
         return []
     weights = [min(1.0 / c, MAX_WEIGHT_RATIO) for c in crits]

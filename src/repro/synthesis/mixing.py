@@ -29,6 +29,9 @@ from repro.synthesis.sequences import GateSequence
 from repro.synthesis.trasyn import (_amp_to_error, budget_ranges,
                                     layout_mps, layout_slots)
 
+#: Candidates whose error is within this factor of the best are mixed.
+MIX_ERROR_WINDOW = 2.5
+
 _PAULI = [
     np.array([[0, 1], [1, 0]], dtype=complex),
     np.array([[0, -1j], [1j, 0]], dtype=complex),
@@ -155,12 +158,11 @@ def trasyn_mixed(
     n_samples: int = 600,
     table: UnitaryTable | None = None,
     rng: np.random.Generator | None = None,
-    error_window: float = 2.5,
 ) -> MixedSynthesis:
     """Synthesize a *channel* mixing trasyn candidates.
 
-    Candidates within ``error_window`` times the best error are mixed
-    with weights that cancel the summed coherent-error vector, turning
+    Candidates within :data:`MIX_ERROR_WINDOW` times the best error are
+    mixed with weights that cancel the summed coherent-error vector, turning
     coherent error into incoherent error: the worst-case (diamond-scale)
     distance drops quadratically while the expected T count stays at the
     single-candidate level.
@@ -169,7 +171,7 @@ def trasyn_mixed(
         target, t_budgets, n_candidates * 3, n_samples, table, rng
     )
     best_err = min(c.error for c in candidates)
-    pool = [c for c in candidates if c.error <= error_window * best_err]
+    pool = [c for c in candidates if c.error <= MIX_ERROR_WINDOW * best_err]
     pool = pool[: max(n_candidates, 2)]
     vectors = np.stack([error_vector(target, c.matrix()) for c in pool])
     probs = mixing_weights(vectors)

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 from repro.circuits.circuit import (
     Circuit,
@@ -102,17 +101,15 @@ def estimate_esp(
     circuit: Circuit,
     target: Target,
     schedule: Schedule | None = None,
-    durations: Mapping[str, float] | None = None,
-    include_idle: bool = True,
 ) -> EspEstimate:
     """Predicted success probability of ``circuit`` on ``target``.
 
     The gate term multiplies per-gate survival probabilities from the
     calibration tables; the idle term charges ``exp(-idle_error_rate *
-    slack)`` per qubit, with slack read off the ASAP schedule
-    (computed here unless one is passed in).  Idle markers already
-    present in the circuit are charged as gates, not double-counted
-    through the schedule.
+    slack)`` per qubit, with slack read off the ASAP schedule under
+    ``target``'s gate durations (computed here unless one is passed
+    in).  Idle markers already present in the circuit are charged as
+    gates, not double-counted through the schedule.
     """
     gate_term = 1.0
     n_noisy = 0
@@ -127,8 +124,8 @@ def estimate_esp(
     idle_term = 1.0
     total_idle = 0.0
     if schedule is None:
-        schedule = schedule_circuit(circuit, target, durations)
-    if include_idle and not has_markers and target.idle_error_rate > 0.0:
+        schedule = schedule_circuit(circuit, target)
+    if not has_markers and target.idle_error_rate > 0.0:
         total_idle = schedule.total_idle
         idle_term = math.exp(-target.idle_error_rate * total_idle)
     return EspEstimate(

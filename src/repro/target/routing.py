@@ -80,8 +80,6 @@ def route_dag(
     dag: CircuitDAG,
     target: Target,
     layout: Layout | None = None,
-    lookahead: int = DEFAULT_LOOKAHEAD,
-    lookahead_weight: float = DEFAULT_LOOKAHEAD_WEIGHT,
     cost_aware: bool | None = None,
     scorer: str = "vector",
 ) -> tuple[CircuitDAG, Layout, int]:
@@ -215,7 +213,7 @@ def route_dag(
             cache_key = key
             cache_front = [dag.node(i).gate.qubits for i in blocked]
             cache_extended = _extended_set(
-                dag, blocked, pending, lookahead, succ_map
+                dag, blocked, pending, succ_map
             )
             if scorer == "vector":
                 # The vector scorer gathers through arrays; build them
@@ -228,8 +226,7 @@ def route_dag(
             force_route()
         else:
             edge = best_swap(
-                cmap, lay, cache_front, cache_extended,
-                lookahead_weight, last_swap,
+                cmap, lay, cache_front, cache_extended, last_swap,
                 target if cost_aware else None,
             )
             if edge is None:
@@ -287,7 +284,6 @@ def _best_swap(
     lay: Layout,
     front: list[tuple[int, int]],
     extended: list[tuple[int, int]],
-    lookahead_weight: float,
     last_swap: tuple[int, int] | None,
     cost_target: Target | None = None,
 ) -> tuple[int, int] | None:
@@ -369,7 +365,7 @@ def _best_swap(
         ma = np.where(a == p, q, np.where(a == q, p, a))
         mb = np.where(b == p, q, np.where(b == q, p, b))
         ext_sums = dist[ma, mb].sum(axis=1)
-        scores = scores + (lookahead_weight * ext_sums) / len(extended)
+        scores = scores + (DEFAULT_LOOKAHEAD_WEIGHT * ext_sums) / len(extended)
     best = np.flatnonzero(scores == scores.min())
     if cost_target is not None and best.size > 1:
         errs = np.asarray(
@@ -388,7 +384,6 @@ def _best_swap_reference(
     lay: Layout,
     front: list[tuple[int, int]],
     extended: list[tuple[int, int]],
-    lookahead_weight: float,
     last_swap: tuple[int, int] | None,
     cost_target: Target | None = None,
 ) -> tuple[int, int] | None:
@@ -417,7 +412,7 @@ def _best_swap_reference(
             cmap.distance(mapped(a), mapped(b)) for a, b in front
         ) / len(front)
         if extended:
-            total += lookahead_weight * sum(
+            total += DEFAULT_LOOKAHEAD_WEIGHT * sum(
                 cmap.distance(mapped(a), mapped(b)) for a, b in extended
             ) / len(extended)
         return total
@@ -434,10 +429,10 @@ def _extended_set(
     dag: CircuitDAG,
     blocked: list[int],
     pending: dict[int, int],
-    lookahead: int,
     succ_map: dict[int, list[int]] | None = None,
 ) -> list[tuple[int, int]]:
-    """Qubit pairs of the next ``lookahead`` 2q gates past the front.
+    """Qubit pairs of the next :data:`DEFAULT_LOOKAHEAD` 2q gates past
+    the front.
 
     ``succ_map`` optionally supplies precomputed successor-id lists
     (the routing loop builds one; standalone callers may omit it).
@@ -445,7 +440,7 @@ def _extended_set(
     out: list[tuple[int, int]] = []
     seen = set(blocked)
     queue = deque(blocked)
-    while queue and len(out) < lookahead:
+    while queue and len(out) < DEFAULT_LOOKAHEAD:
         nid = queue.popleft()
         succ_ids = (
             succ_map[nid]
@@ -460,7 +455,7 @@ def _extended_set(
             qubits = dag.node(sid).gate.qubits
             if len(qubits) == 2:
                 out.append(qubits)
-                if len(out) >= lookahead:
+                if len(out) >= DEFAULT_LOOKAHEAD:
                     break
     return out
 
@@ -469,8 +464,6 @@ def route_circuit(
     circuit: Circuit,
     target: Target,
     layout: str | Layout | None = "dense",
-    lookahead: int = DEFAULT_LOOKAHEAD,
-    lookahead_weight: float = DEFAULT_LOOKAHEAD_WEIGHT,
     cost_aware: bool | None = None,
     scorer: str = "vector",
 ) -> RoutingResult:
@@ -484,8 +477,7 @@ def route_circuit(
     initial = resolve_layout(layout, circuit, target)
     dag = CircuitDAG.from_circuit(circuit)
     routed_dag, final, swaps = route_dag(
-        dag, target, initial, lookahead, lookahead_weight,
-        cost_aware=cost_aware, scorer=scorer,
+        dag, target, initial, cost_aware=cost_aware, scorer=scorer,
     )
     routed = routed_dag.to_circuit()
     metrics = RoutingMetrics(

@@ -824,6 +824,14 @@ class TestGroupedTrajectories:
         assert np.array_equal(result.states, want)
 
     def test_peak_memory_within_memory_bytes(self):
+        self._check_peak_memory(max_workers=1)
+
+    def test_peak_memory_within_memory_bytes_two_workers(self):
+        # Each worker with a block in flight holds its own operator
+        # transients.
+        self._check_peak_memory(max_workers=2)
+
+    def _check_peak_memory(self, max_workers):
         # Nearly every trajectory diverges at 1e-2 on this shape.
         import tracemalloc
 
@@ -832,7 +840,7 @@ class TestGroupedTrajectories:
         c = _clifford_t_circuit(10, 700, seed=19)
         noise = NoiseModel.non_pauli_gates(1e-2)
         backend = StatevectorTrajectoryBackend(
-            trajectories=200, seed=7, max_workers=1,
+            trajectories=200, seed=7, max_workers=max_workers,
             program_cache=ProgramCache(),
         )
         backend.run(c, noise)  # compiles the program outside the window

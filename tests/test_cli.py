@@ -218,7 +218,7 @@ class TestWarmCache:
         out = capsys.readouterr().out
         assert rc == 0
         assert "warmed 8 of 8" in out
-        assert (store_dir / "index.json").exists()
+        assert [p.name for p in store_dir.iterdir()] == ["segments"]
 
 
 class TestCompileBatch:

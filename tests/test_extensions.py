@@ -12,7 +12,6 @@ from repro.enumeration import get_table
 from repro.linalg import haar_random_u2, trace_distance
 from repro.resources import (
     SurfaceCodeModel,
-    compare_estimates,
     estimate_resources,
 )
 from repro.synthesis.mixing import (
@@ -108,11 +107,9 @@ class TestResources:
         many = Circuit(2)
         for _ in range(50):
             many.t(0)
-        ratios = compare_estimates(
-            estimate_resources(few), estimate_resources(many)
-        )
-        assert ratios["t_count"] == 50
-        assert ratios["execution_time"] > 5
+        cheap, costly = estimate_resources(few), estimate_resources(many)
+        assert costly.t_count == 50 * cheap.t_count
+        assert costly.execution_seconds > 5 * cheap.execution_seconds
 
     def test_distance_grows_with_budget(self):
         m = SurfaceCodeModel()

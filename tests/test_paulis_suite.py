@@ -41,11 +41,6 @@ class TestPauliString:
         assert not p.is_diagonal()
         assert PauliString("IZZI").is_diagonal()
 
-    def test_commutation(self):
-        assert PauliString("XX").commutes_with(PauliString("ZZ"))
-        assert not PauliString("XI").commutes_with(PauliString("ZI"))
-        assert PauliString("XY").commutes_with(PauliString("XY"))
-
     def test_matrix(self):
         m = PauliString("ZX").matrix()
         assert m.shape == (4, 4)

@@ -139,7 +139,6 @@ class TestPassManager:
         # Chained accounting: each pass starts where the previous ended.
         for prev, cur in zip(res.metrics, res.metrics[1:]):
             assert prev.gates_out == cur.gates_in
-        assert res.total_time >= 0.0
 
     def test_empty_manager_is_identity(self):
         c = _random_circuit(14)

@@ -355,10 +355,10 @@ class TestScorerEquivalence:
                 for _ in range(int(rng.integers(0, 5)))
             ]
             got = _best_swap(
-                cmap, lay, front, extended, 0.5, None, cost
+                cmap, lay, front, extended, None, cost
             )
             want = _best_swap_reference(
-                cmap, lay, front, extended, 0.5, None, cost
+                cmap, lay, front, extended, None, cost
             )
             assert got == want
 
@@ -379,7 +379,7 @@ class TestOscillationGuard:
         lay = Layout.trivial(2)
         for scorer in (_best_swap, _best_swap_reference):
             assert (
-                scorer(cmap, lay, [(0, 1)], [], 0.5, (0, 1), None) is None
+                scorer(cmap, lay, [(0, 1)], [], (0, 1), None) is None
             )
 
     @pytest.mark.parametrize("n", [4, 6, 10, 16])

@@ -125,16 +125,18 @@ class TestSegments:
         assert restored.gates == ("H", "T", "T", "T", "H")
         assert restored.error == 0.004
 
+    def test_key_str_roundtrips(self):
+        # Store lookups rebuild each key from its JSON list, so the
+        # canonical form must carry every float exactly.
+        key = key_rz(0.123456789, 0.007)
+        assert tuple(json.loads(seg.key_str(key))) == key
+
     def test_content_addressed_names_are_deterministic(self, tmp_path):
         entries = [seg.entry_dict(key_rz(0.7, 1e-2), _seq())]
         a = seg.write_segment(str(tmp_path), 3, entries)
         b = seg.write_segment(str(tmp_path), 3, entries)
         assert a == b
         assert len(seg.list_segments(str(tmp_path))) == 1
-
-    def test_key_str_roundtrips(self):
-        key = key_rz(0.123456789, 0.007)
-        assert seg.key_from_str(seg.key_str(key)) == key
 
     def test_truncated_segment_skipped_with_warning(self, tmp_path):
         root = str(tmp_path)
@@ -195,9 +197,6 @@ class TestDiskStore:
         # the second publish is a harmless same-bytes replace.
         assert names_a == names_b
         assert len(seg.list_segments(str(tmp_path))) == 1
-        index = seg.read_index(str(tmp_path))
-        assert index is not None
-        assert index["segments"] == seg.list_segments(str(tmp_path))
 
     def test_concurrent_distinct_writers_union(self, tmp_path):
         a = DiskSynthesisStore(tmp_path)
@@ -229,15 +228,40 @@ class TestDiskStore:
         assert len(found) == 1  # the intact segment still serves
         assert fresh.stats().skipped_segments == 1
 
-    def test_lost_index_is_rebuilt_from_listing(self, tmp_path):
-        store = DiskSynthesisStore(tmp_path)
-        key = key_rz(0.5, 1e-2)
-        store.put(key, _seq())
-        store.flush()
-        os.remove(os.path.join(str(tmp_path), seg.INDEX_NAME))
-        fresh = DiskSynthesisStore(tmp_path)  # index rewritten on open
-        assert fresh.get(key) is not None
-        assert seg.read_index(str(tmp_path)) is not None
+    def test_listing_is_the_only_index(self, tmp_path):
+        # Older versions also kept an index.json naming the segments
+        # and the shard count.  Readers ignore it, even when it names a
+        # vanished segment and another shard count, and no store
+        # writes one.
+        writer = DiskSynthesisStore(tmp_path)
+        keys = [key_rz(0.1 * (i + 1), 1e-2) for i in range(12)]
+        for i, key in enumerate(keys):
+            writer.put(key, _seq(t=i % 5 + 1))
+        writer.flush()
+        assert os.listdir(tmp_path) == [seg.SEGMENT_DIR]
+        listed = seg.list_segments(str(tmp_path))
+        index = tmp_path / "index.json"
+        index.write_text(json.dumps({
+            "format": seg.FORMAT_VERSION,
+            "n_shards": 4,
+            "segments": listed + ["seg-07-000000000000.json"],
+        }))
+        fresh = DiskSynthesisStore(tmp_path)
+        assert fresh.stats().n_segments == len(listed)
+        for i, key in enumerate(keys):
+            assert fresh.get(key).t_count == i % 5 + 1
+        assert len(fresh) == len(keys)
+        assert fresh.stats().skipped_segments == 0
+        index.unlink()
+        assert len(DiskSynthesisStore(tmp_path)) == len(keys)
+        # A process-pool batch publishes segments and nothing else.
+        batch_dir = tmp_path / "batch"
+        DiskSynthesisStore(batch_dir)
+        compile_batch(_batch_circuits(4), workflow="gridsynth", eps=0.05,
+                      workers=2, cache_dir=str(batch_dir),
+                      optimization_level=1)
+        assert os.listdir(batch_dir) == [seg.SEGMENT_DIR]
+        assert seg.list_segments(str(batch_dir))
 
     def test_lazy_shard_loading(self, tmp_path):
         store = DiskSynthesisStore(tmp_path)
@@ -248,10 +272,6 @@ class TestDiskStore:
         assert fresh.stats().loaded_shards == 0
         fresh.get(key_rz(0.1, 1e-2))
         assert fresh.stats().loaded_shards == 1
-
-    def test_invalid_fallback_bands(self, tmp_path):
-        with pytest.raises(ValueError):
-            DiskSynthesisStore(tmp_path, fallback_bands=-1)
 
 
 class TestTieredCache:
