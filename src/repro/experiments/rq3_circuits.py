@@ -20,7 +20,8 @@ from repro.pipeline import (
     SynthesizedCircuit,
     compile_circuit,
 )
-from repro.sim.evaluate import evaluate_fidelity
+from repro.sim.backends import select_backend
+from repro.sim.evaluate import evaluate_fidelity, make_reference_state
 
 
 @dataclass
@@ -48,19 +49,27 @@ class CircuitComparison:
         )
 
 
-def _state_infidelity(
-    case_circuit, synthesized, max_qubits: int
-) -> float | None:
-    """Noiseless synthesis infidelity through the backend protocol.
+def _state_infidelities(
+    case_circuit, synthesized: tuple, max_qubits: int
+) -> tuple[float | None, ...]:
+    """Noiseless synthesis infidelities through the backend protocol,
+    all scored against one reference state of ``case_circuit``.
 
     Dispatch means circuits past the dense-statevector range fall back
     to MPS instead of being skipped; ``max_qubits`` stays as a
     wall-clock bound for time-boxed runs.
     """
     if case_circuit.n_qubits > max_qubits:
-        return None
-    ev = evaluate_fidelity(synthesized, reference=case_circuit)
-    return ev.infidelity
+        return (None,) * len(synthesized)
+    reference = make_reference_state(
+        case_circuit, select_backend(case_circuit.n_qubits)
+    )
+    return tuple(
+        evaluate_fidelity(
+            circuit, reference=case_circuit, reference_state=reference
+        ).infidelity
+        for circuit in synthesized
+    )
 
 
 def run_rq3(
@@ -87,11 +96,11 @@ def run_rq3(
             name=case.name, category=case.category,
             n_qubits=case.n_qubits, trasyn_flow=tra, gridsynth_flow=grid,
         )
-        comp.trasyn_infidelity = _state_infidelity(
-            case.circuit, tra.circuit, fidelity_max_qubits
-        )
-        comp.gridsynth_infidelity = _state_infidelity(
-            case.circuit, grid.circuit, fidelity_max_qubits
+        comp.trasyn_infidelity, comp.gridsynth_infidelity = (
+            _state_infidelities(
+                case.circuit, (tra.circuit, grid.circuit),
+                fidelity_max_qubits,
+            )
         )
         out.append(comp)
     return out

@@ -18,7 +18,11 @@ order or cache warmth.
 from __future__ import annotations
 
 from repro.circuits import Circuit, rotation_count
-from repro.pipeline import DEFAULT_EPS, best_preset_lowering
+from repro.pipeline import (
+    DEFAULT_EPS,
+    best_preset_lowering,
+    best_preset_lowerings,
+)
 
 __all__ = ["best_transpile", "matched_thresholds"]
 
@@ -36,10 +40,10 @@ def matched_thresholds(
     Following the paper's RQ3 setup: trasyn synthesizes U3 rotations at
     ``base_eps``; gridsynth's per-rotation threshold is scaled by the
     rotation-count ratio so both flows land at the same circuit-level
-    error budget (n_u3 * base_eps).
+    error budget (n_u3 * base_eps).  Both IRs come from one preset-grid
+    call, so the passes the two bases share run once.
     """
-    u3_circ = best_transpile(circuit, "u3")
-    rz_circ = best_transpile(circuit, "rz")
+    u3_circ, rz_circ = best_preset_lowerings(circuit, ("u3", "rz"))
     n_u3 = max(1, rotation_count(u3_circ))
     n_rz = max(1, rotation_count(rz_circ))
     grid_eps = base_eps * n_u3 / n_rz

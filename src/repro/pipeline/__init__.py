@@ -77,6 +77,7 @@ from repro.pipeline.presets import (
     BASES,
     OPTIMIZATION_LEVELS,
     best_preset_lowering,
+    best_preset_lowerings,
     iter_presets,
     preset_pipeline,
 )
@@ -90,6 +91,7 @@ __all__ = [
     "StoreStats",
     "band_eps",
     "best_preset_lowering",
+    "best_preset_lowerings",
     "bucket_eps",
     "default_num_processes",
     "eps_band",

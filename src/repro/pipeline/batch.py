@@ -37,8 +37,8 @@ from repro.circuits import (
 from repro.circuits.circuit import Gate
 from repro.pipeline.cache import SynthesisCache, bucket_eps, key_rz, key_u3
 from repro.pipeline.presets import (
+    _preset_grid,
     best_preset_lowering,
-    iter_presets,
     preset_pipeline,
 )
 from repro.synthesis import GateSequence
@@ -358,9 +358,10 @@ def _lowerings(
             work, basis, commutation, validate=validate
         )
     else:
-        for _, comm, pm in iter_presets(basis, validate=validate):
-            if commutation is None or comm == commutation:
-                yield pm.run(work)
+        for _, lowered in _preset_grid(
+            work, (basis,), commutation, validate
+        ):
+            yield lowered
 
 
 def compile_circuit(

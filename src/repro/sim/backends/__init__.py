@@ -22,6 +22,8 @@ density engine folds into per-qubit superoperators as it runs.
 
 from __future__ import annotations
 
+import os
+
 from repro.sim.backends.base import (
     ScheduleCache,
     SimulationResult,
@@ -53,6 +55,11 @@ DEFAULT_MEMORY_BUDGET = 2**31
 #: the default 200 take 0.10 s (standard error 0.022).  The value stays
 #: 8 because moving it changes which engine scores a given circuit.
 _DENSITY_PREFERRED_MAX = 8
+
+#: The worker count ``'auto'`` sizes the trajectory engine at when it
+#: picks an engine, so the pick does not depend on the host's CPU
+#: count; the chosen engine's pool is then capped to fit the budget.
+_SELECTION_WORKERS = 1
 
 BACKEND_NAMES = ("auto", "density", "statevector", "mps")
 
@@ -89,6 +96,12 @@ def select_backend(
       then statevector trajectories while one row per trajectory plus
       one block's operator transients fits, then MPS trajectories.
 
+    The choice sizes the trajectory engine at one worker, whatever
+    ``max_workers`` or the host's CPU count, so every host picks the
+    same engine for a problem and so computes the same bytes.  A
+    chosen trajectory engine then runs on the most workers, up to
+    ``max_workers``, whose blocks in flight still fit the budget.
+
     Any explicit name (``density`` / ``statevector`` / ``mps``, plus
     common aliases) bypasses the heuristics but still validates the
     qubit count against the engine's own hard limits.
@@ -98,11 +111,11 @@ def select_backend(
     process-wide shared one.
     """
 
-    def make(name: str) -> SimulatorBackend:
+    def make(name: str, workers: int | None = max_workers) -> SimulatorBackend:
         if name == "density":
             return DensityMatrixBackend(program_cache=program_cache)
         kwargs = {
-            "seed": seed, "max_workers": max_workers,
+            "seed": seed, "max_workers": workers,
             "program_cache": program_cache,
         }
         if trajectories is not None:
@@ -127,7 +140,7 @@ def select_backend(
         return chosen
     noisy = is_noisy(noise)
     density = make("density")
-    statevec = make("statevector")
+    statevec = make("statevector", _SELECTION_WORKERS)
     sv_fits = (
         statevec.supports(n_qubits, noisy)
         and statevec.memory_bytes(n_qubits, noisy) <= memory_budget_bytes
@@ -141,8 +154,32 @@ def select_backend(
         if dm_fits:
             return density
     if sv_fits:
-        return statevec
+        return _fit_pool(make("statevector"), n_qubits, noisy,
+                         memory_budget_bytes)
     return make("mps")
+
+
+def _fit_pool(
+    engine: StatevectorTrajectoryBackend,
+    n_qubits: int,
+    noisy: bool,
+    budget: int,
+) -> StatevectorTrajectoryBackend:
+    """Cap ``engine``'s worker pool so its footprint fits ``budget``.
+
+    Only called on an engine that fits at one worker.  Worker counts
+    never change results, since a block's steps depend on its rows
+    alone.
+    """
+    if engine.memory_bytes(n_qubits, noisy) <= budget:
+        return engine
+    workers = engine.max_workers or os.cpu_count() or 1
+    while workers > 1:
+        workers -= 1
+        engine.max_workers = workers
+        if engine.memory_bytes(n_qubits, noisy) <= budget:
+            break
+    return engine
 
 
 __all__ = [

@@ -17,7 +17,6 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.circuits.circuit import Circuit, Gate
-from repro.circuits.dag import CircuitDAG
 from repro.sim.noise import NoiseModel
 from repro.tensornet.circuit_mps import CircuitMPS
 
@@ -41,10 +40,25 @@ def _circuit_key(circuit: Circuit) -> tuple:
 def _front_layers(
     circuit: Circuit,
 ) -> tuple[tuple[tuple[int, Gate], ...], ...]:
-    layers = CircuitDAG.from_circuit(circuit).as_layers()
-    return tuple(
-        tuple((n.id, n.gate) for n in layer) for layer in layers
-    )
+    """ASAP layers from one scan over the gates: each gate lands one
+    level past the last gate on any of its wires."""
+    free = [0] * circuit.n_qubits  # the first level open on each wire
+    layers: list[list[tuple[int, Gate]]] = []
+    for pos, gate in enumerate(circuit.gates):
+        qubits = gate.qubits
+        if len(qubits) == 1:
+            (q,) = qubits
+            level = free[q]
+            free[q] = level + 1
+        else:
+            level = max([free[q] for q in qubits], default=0)
+            for q in qubits:
+                free[q] = level + 1
+        if level == len(layers):
+            layers.append([(pos, gate)])
+        else:
+            layers[level].append((pos, gate))
+    return tuple(map(tuple, layers))
 
 
 class ScheduleCache:
@@ -52,12 +66,12 @@ class ScheduleCache:
 
     The ProgramCache pattern applied one stage earlier: repeated
     program compilation of the same circuit (objective grids, fidelity
-    sweeps, differing noise models) skips the ``as_layers()``
-    front-layer scan by keying on gate-stream content rather than
-    object identity.  Entries are immutable tuple-of-tuples
-    layers, shared read-only by every consumer; gates are immutable, so
-    sharing is safe.  Two threads missing one key may both compute, but
-    the results are identical and the last insert wins.
+    sweeps, differing noise models) skips the front-layer wire scan by
+    keying on gate-stream content rather than object identity.  Entries
+    are immutable tuple-of-tuples layers, shared read-only by every
+    consumer; gates are immutable, so sharing is safe.  Two threads
+    missing one key may both compute, but the results are identical and
+    the last insert wins.
     """
 
     def __init__(self, maxsize: int = 128):
@@ -120,7 +134,11 @@ def schedule_cache() -> ScheduleCache:
 def gate_schedule(circuit: Circuit, *, cache: ScheduleCache | None = None):
     """The front-layer (ASAP) schedule, as layers of ``(position, gate)``.
 
-    Computed from the dependency DAG: gates within a layer act on
+    Computed in one scan over the gates that keeps, per qubit, the
+    level after the wire's last gate; each gate lands on the highest
+    such level among its qubits.  This is
+    ``CircuitDAG.as_layers()``'s layering, since a fresh DAG's
+    topological order is source order.  Gates within a layer act on
     pairwise-disjoint qubits, so an engine may apply a whole layer —
     and then the layer's noise events, in flat-list order — without
     changing the sequential semantics.  ``position`` is the gate's

@@ -25,7 +25,7 @@ stack.
 Execution is two-phase: the circuit and noise model are JIT-compiled
 once per run into a flat :class:`~repro.sim.program.SimProgram` under
 the engine's fixed ``fused=True`` recipe — precomputed dense matrices
-(including 1q/2q fusion products) in DAG front-layer order, resolved
+(including 1q/2q fusion products) in front-layer order, resolved
 channel tables, and per-event uniform columns — memoized in a shared
 :class:`~repro.sim.program.ProgramCache` and driven read-only by every
 block and worker.  Mixture outcome choices come from one batched
@@ -576,7 +576,7 @@ class StatevectorTrajectoryBackend(SimulatorBackend):
         if cache is None:
             cache = default_program_cache()
         # Compiled once per (circuit, noise) — and memoized across runs —
-        # then driven read-only.  Layer-batched application: the DAG
+        # then driven read-only.  Layer-batched application: the
         # front-layer schedule is exact for a dense state, and
         # noise-event columns stay keyed by flat gate position, so
         # results match the sequential stream.

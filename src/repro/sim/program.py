@@ -7,9 +7,9 @@ drives a :class:`SimProgram`: :func:`compile_program` lowers a
 ``(circuit, noise)`` pair into flat form once, under one of two fixed
 recipes:
 
-* ``fused=True`` (the statevector engine): DAG front-layer order, with
-  noise-free 1q runs fused into 2x2 products and same-pair 2q blocks
-  into 4x4 products;
+* ``fused=True`` (the statevector engine): front-layer (ASAP) order
+  from one wire scan, with noise-free 1q runs fused into 2x2 products
+  and same-pair 2q blocks into 4x4 products;
 * ``fused=False`` (the density and MPS engines, one shared cache
   entry): flat source order, one operator per gate.  The MPS engine
   runs it as is; the density engine fuses it in its own run, folding
@@ -43,12 +43,8 @@ from typing import Callable
 
 import numpy as np
 
-from repro.circuits.circuit import Circuit, Gate
-from repro.sim.backends.base import (
-    gate_schedule,
-    is_noisy,
-    noise_event_layout,
-)
+from repro.circuits.circuit import Circuit
+from repro.sim.backends.base import gate_schedule, is_noisy
 from repro.sim.noise import NoiseModel, depolarizing_kraus
 
 _EYE2 = np.eye(2, dtype=complex)
@@ -222,16 +218,16 @@ class SimProgram:
         return choices
 
 
-def _oriented_2q(gate: Gate) -> tuple[tuple[int, int], np.ndarray]:
-    """A 2q gate's matrix re-expressed on its sorted qubit pair."""
-    a, b = gate.qubits
-    m = gate.matrix()
+def _oriented_2q(op: ProgramOp) -> tuple[tuple[int, int], np.ndarray]:
+    """A 2q operator's matrix re-expressed on its sorted qubit pair."""
+    a, b = op.qubits
+    m = op.matrix
     if a < b:
         return (a, b), m
     return (b, a), m.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
 
 
-def _fused_layers(circuit, noisy_qubits, gate_events) -> list[tuple]:
+def _fused_layers(circuit, resolved, gate_events) -> list[tuple]:
     """The statevector recipe: front layers with noise-free runs fused.
 
     Consecutive noise-free 1q gates per wire collapse into one 2x2
@@ -247,10 +243,18 @@ def _fused_layers(circuit, noisy_qubits, gate_events) -> list[tuple]:
     unchanged; deferred operators commute with the other-wire gates and
     noise events that overtake them.  Fused operators carry no noise
     events; what is still pending at the end forms one last layer.
+
+    ``resolved[pos]`` is gate ``pos``'s ``(noisy qubits, channel,
+    operator)`` entry from :func:`compile_program`.  Each 4x4 lift of a
+    sandwiched 1q matrix is built once per (matrix, side): synthesized
+    circuits repeat a few shared Clifford+T matrices.
     """
     pending_1q: dict[int, np.ndarray] = {}
     pending_2q: dict[tuple[int, int], np.ndarray] = {}
     wire_pair: dict[int, tuple[int, int]] = {}
+    # (id(matrix), lifted onto the pair's low qubit) -> lift; every
+    # matrix lives in ``resolved`` for the whole compile.
+    lifts: dict[tuple[int, bool], np.ndarray] = {}
     layers = []
 
     def flush(q: int, ops: list[ProgramOp]) -> None:
@@ -268,24 +272,27 @@ def _fused_layers(circuit, noisy_qubits, gate_events) -> list[tuple]:
         ops: list[ProgramOp] = []
         events: list[NoiseEvent] = []
         for pos, gate in layer:
-            noisy = noisy_qubits(gate)
+            entry = resolved[pos]
+            noisy, _, op = entry
             if len(gate.qubits) == 1 and not noisy:
                 q = gate.qubits[0]
-                m = gate.matrix()
+                m = op.matrix
                 pair = wire_pair.get(q)
                 if pair is not None:
                     # Sandwiched 1q gate: fold into the open 4x4 block.
-                    lift = (
-                        np.kron(m, _EYE2) if q == pair[0]
-                        else np.kron(_EYE2, m)
-                    )
+                    low = q == pair[0]
+                    lift = lifts.get((id(m), low))
+                    if lift is None:
+                        lift = lifts[(id(m), low)] = (
+                            np.kron(m, _EYE2) if low else np.kron(_EYE2, m)
+                        )
                     pending_2q[pair] = lift @ pending_2q[pair]
                 else:
                     acc = pending_1q.get(q)
                     pending_1q[q] = m if acc is None else m @ acc
                 continue
             if len(gate.qubits) == 2 and not noisy:
-                pair, m = _oriented_2q(gate)
+                pair, m = _oriented_2q(op)
                 if wire_pair.get(pair[0]) == pair:
                     pending_2q[pair] = m @ pending_2q[pair]
                     continue
@@ -305,8 +312,8 @@ def _fused_layers(circuit, noisy_qubits, gate_events) -> list[tuple]:
                 continue
             for q in gate.qubits:
                 flush(q, ops)
-            ops.append(ProgramOp(gate.qubits, gate.matrix()))
-            events += gate_events(pos, gate, noisy)
+            ops.append(op)
+            events += gate_events(pos, entry)
         if ops:
             layers.append((tuple(ops), tuple(events)))
     leftovers = [
@@ -328,45 +335,59 @@ def compile_program(
     """Lower a circuit (+ noise model) into a :class:`SimProgram`.
 
     Each engine fixes its recipe.  ``fused=True`` is the statevector
-    engine's: DAG front-layer order with noise-free 1q runs and
-    same-pair 2q blocks fused (:func:`_fused_layers`).  ``fused=False``
-    is the flat source order, one operator and one layer per gate,
-    which the density and MPS engines share.  The returned program is
+    engine's: front-layer order with noise-free 1q runs and same-pair
+    2q blocks fused (:func:`_fused_layers`).  ``fused=False`` is the
+    flat source order, one operator and one layer per gate, which the
+    density and MPS engines share.  The returned program is
     self-contained — engines touch neither the circuit nor the noise
     model again.
+
+    One scan over the gates lays out the noise-event columns (as
+    :func:`~repro.sim.backends.base.noise_event_layout` does) and
+    resolves each distinct ``Gate`` object once: its noisy qubits, its
+    channel entry and its operator, which every position of that gate
+    shares.  Parameterless gates are shared objects, so a Clifford+T
+    circuit resolves a few dozen gates, whatever its length.
     """
-    offsets, n_events = noise_event_layout(circuit, noise)
     noisy = is_noisy(noise)
     channels = channels_for(noise) if noisy else None
+    by_gate: dict[int, tuple] = {}
+    resolved: list[tuple] = []
+    offsets: list[int] = []
+    n_events = 0
+    for gate in circuit.gates:
+        entry = by_gate.get(id(gate))
+        if entry is None:
+            qubits = noise.noisy_qubits(gate) if noisy else ()
+            channel = channels.get(noise.rate_for(gate)) if qubits else None
+            entry = by_gate[id(gate)] = (
+                qubits, channel, ProgramOp(gate.qubits, gate.matrix())
+            )
+        resolved.append(entry)
+        offsets.append(n_events)
+        n_events += len(entry[0])
     mixture_cols: dict[int, tuple[np.ndarray, list[int]]] = {}
 
-    def noisy_qubits(gate: Gate) -> tuple[int, ...]:
-        return noise.noisy_qubits(gate) if noisy else ()
-
-    def gate_events(pos: int, gate: Gate, qubits) -> list[NoiseEvent]:
+    def gate_events(pos: int, entry: tuple) -> list[NoiseEvent]:
+        qubits, channel, _ = entry
         if not qubits:
             return []
-        kraus, mixture = channels.get(noise.rate_for(gate))
-        events = []
-        for j, q in enumerate(qubits):
-            column = offsets[pos] + j
-            events.append(NoiseEvent(q, column, kraus, mixture))
-            if mixture is not None:
-                group = mixture_cols.setdefault(
-                    id(mixture), (mixture.cum, [])
-                )
-                group[1].append(column)
-        return events
+        kraus, mixture = channel
+        first = offsets[pos]
+        if mixture is not None:
+            group = mixture_cols.setdefault(id(mixture), (mixture.cum, []))
+            group[1].extend(range(first, first + len(qubits)))
+        return [
+            NoiseEvent(q, first + j, kraus, mixture)
+            for j, q in enumerate(qubits)
+        ]
 
     if fused:
-        layers = _fused_layers(circuit, noisy_qubits, gate_events)
+        layers = _fused_layers(circuit, resolved, gate_events)
     else:
         layers = [
-            (
-                (ProgramOp(gate.qubits, gate.matrix()),),
-                tuple(gate_events(pos, gate, noisy_qubits(gate))),
-            )
-            for pos, gate in enumerate(circuit.gates)
+            ((entry[2],), tuple(gate_events(pos, entry)))
+            for pos, entry in enumerate(resolved)
         ]
     mixture_groups = tuple(
         (cum, np.asarray(cols, dtype=np.intp))

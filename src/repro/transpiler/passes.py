@@ -237,7 +237,6 @@ def transpile(
     basis: str = "u3",
     optimization_level: int = 1,
     commutation: bool = False,
-    validate: str = "off",
 ) -> Circuit:
     """Lower ``circuit`` to the chosen IR at an optimization level (0-4).
 
@@ -253,20 +252,18 @@ def transpile(
     target use :func:`repro.pipeline.compile_circuit`, which routes
     before lowering and reports the swap count and output permutation.
 
-    ``validate`` (``"off"``/``"structural"``/``"full"``) verifies the
-    IR and each pass's contract between passes; see
-    :class:`repro.pipeline.PassManager`.
-
     The pass sequence per level lives in
     :mod:`repro.pipeline.presets`; this function is sugar for
-    ``preset_pipeline(basis, optimization_level, commutation).run(...)``.
+    ``preset_pipeline(basis, optimization_level, commutation).run(...)``,
+    which also takes a ``validate`` mode for contract checks between
+    passes.
     """
     # Imported lazily: repro.pipeline wraps this module's pass functions.
     from repro.pipeline.presets import preset_pipeline
 
-    return preset_pipeline(
-        basis, optimization_level, commutation, validate=validate
-    ).run(circuit)
+    return preset_pipeline(basis, optimization_level, commutation).run(
+        circuit
+    )
 
 
 def _isolate_1q(circuit: Circuit) -> Circuit:

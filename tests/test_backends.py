@@ -21,6 +21,7 @@ from repro.sim import (
     select_backend,
 )
 from repro.sim.backends import (
+    DEFAULT_MEMORY_BUDGET,
     DensityMatrixBackend,
     MPSBackend,
     StatevectorTrajectoryBackend,
@@ -297,6 +298,32 @@ class TestSelectBackend:
     def test_memory_budget_forces_mps(self):
         sim = select_backend(16, memory_budget_bytes=2**20)
         assert sim.name == "mps"
+
+    @pytest.mark.parametrize("n_qubits", [10, 14, 18])
+    def test_engine_choice_independent_of_worker_count(self, n_qubits):
+        import threading
+
+        noise = NoiseModel.non_pauli_gates(1e-4)
+        threads = threading.active_count()
+        picks = {
+            w: select_backend(n_qubits, noise, max_workers=w)
+            for w in [None, *range(1, 17)]
+        }
+        assert threading.active_count() == threads
+        assert len({sim.name for sim in picks.values()}) == 1
+        assert picks[1].name == "statevector"
+        for w, sim in picks.items():
+            # The pool is capped so the footprint fits the budget.
+            assert sim.memory_bytes(n_qubits) <= DEFAULT_MEMORY_BUDGET
+            if w is not None:
+                assert 1 <= sim.max_workers <= w
+
+    def test_pool_capped_to_budget_at_18_qubits(self):
+        noise = NoiseModel.non_pauli_gates(1e-4)
+        assert select_backend(18, noise, max_workers=1).max_workers == 1
+        assert select_backend(18, noise, max_workers=2).max_workers == 2
+        # A third 64-row block in flight would pass 2 GiB.
+        assert select_backend(18, noise, max_workers=8).max_workers == 2
 
     def test_explicit_names_and_aliases(self):
         assert select_backend(4, backend="density").name == "density"
@@ -1036,6 +1063,34 @@ class TestCodeDistanceGuard:
         assert d % 2 == 1 and 3 <= d <= 99
 
 
+def _dag_layers(circuit) -> list[list[tuple[int, Gate]]]:
+    """The layering oracle: ``CircuitDAG.as_layers()`` on a fresh DAG,
+    whose node ids are gate positions."""
+    from repro.circuits import CircuitDAG
+
+    return [
+        [(n.id, n.gate) for n in layer]
+        for layer in CircuitDAG.from_circuit(circuit).as_layers()
+    ]
+
+
+@st.composite
+def _random_gate_streams(draw):
+    n = draw(st.integers(1, 5))
+    c = Circuit(n)
+    for _ in range(draw(st.integers(0, 40))):
+        if n > 1 and draw(st.booleans()):
+            a, b = draw(st.permutations(range(n)))[:2]
+            c.append(draw(st.sampled_from(["cx", "cz", "swap"])), (a, b))
+        elif draw(st.booleans()):
+            c.append(draw(st.sampled_from(["h", "t", "s", "x"])),
+                      draw(st.integers(0, n - 1)))
+        else:
+            c.append("rz", draw(st.integers(0, n - 1)),
+                     (draw(st.floats(-3.0, 3.0)),))
+    return c
+
+
 class TestScheduleCache:
     def _circuit(self):
         from repro.circuits import Circuit
@@ -1068,6 +1123,15 @@ class TestScheduleCache:
             for layer in CircuitDAG.from_circuit(c).as_layers()
         ]
         assert [list(layer) for layer in got] == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_wire_scan_equals_dag_layers(self, data):
+        from repro.sim.backends import ScheduleCache, gate_schedule
+
+        c = data.draw(_random_gate_streams())
+        got = gate_schedule(c, cache=ScheduleCache())
+        assert [list(layer) for layer in got] == _dag_layers(c)
 
     def test_lru_eviction_and_clear(self):
         from repro.circuits import Circuit

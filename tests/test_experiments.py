@@ -21,6 +21,7 @@ from repro.experiments.rq4_fidelity import RATE_TO_EPS, run_rq4
 from repro.experiments.rq5_postopt import run_rq5
 from repro.experiments.workflows import matched_thresholds
 from repro.pipeline import compile_circuit
+from repro.sim.evaluate import evaluate_fidelity
 from repro.synthesis import GateSequence
 
 
@@ -162,6 +163,20 @@ class TestRunnerContracts:
 
         cases = small_cases[:3]
         assert gate_lists(cases[::-1]) == gate_lists(cases)
+
+    def test_rq3_shared_reference_matches_per_flow_scoring(self, small_cases):
+        # One reference state per case scores each flow exactly as a
+        # reference simulated for that flow alone.
+        for r, case in zip(
+            run_rq3(small_cases[:2], base_eps=0.1, fidelity_max_qubits=6),
+            small_cases,
+        ):
+            for flow, infidelity in (
+                (r.trasyn_flow, r.trasyn_infidelity),
+                (r.gridsynth_flow, r.gridsynth_infidelity),
+            ):
+                alone = evaluate_fidelity(flow.circuit, reference=case.circuit)
+                assert infidelity.hex() == alone.infidelity.hex()
 
     def test_rq4_rejects_unknown_rate(self, small_cases):
         with pytest.raises(ValueError, match="known rates") as err:

@@ -7,9 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from repro.circuits import Circuit
+from repro.bench_circuits import full_suite
+from repro.circuits import Circuit, rotation_count
+from repro.circuits.circuit import Gate
+from repro.experiments.workflows import matched_thresholds
 from repro.linalg import trace_distance
 from repro.pipeline import (
+    BASES,
     CancelInversePairs,
     CommuteRotations,
     DecomposeToRzBasis,
@@ -19,11 +23,14 @@ from repro.pipeline import (
     PassManager,
     SnapTrivialRotations,
     SynthesisCache,
+    best_preset_lowering,
+    best_preset_lowerings,
     compile_batch,
     compile_circuit,
     iter_presets,
     preset_pipeline,
 )
+from repro.pipeline.presets import _PassMemo, _preset_grid
 from repro.synthesis import allocate_eps_budget
 from repro.target import Target, route_circuit
 from repro.transpiler import (
@@ -87,6 +94,128 @@ class TestPassInvariants:
         c = _random_circuit(7)
         out = preset_pipeline(basis, level, commutation).run(c)
         assert trace_distance(c.unitary(), out.unitary()) < 1e-7
+
+
+def _exact(circuit: Circuit) -> tuple:
+    """A circuit's content with every parameter's type and bits."""
+    return (
+        circuit.n_qubits,
+        circuit.name,
+        [
+            (g.name, g.qubits,
+             tuple((type(x).__name__, float(x).hex()) for x in g.params))
+            for g in circuit.gates
+        ],
+    )
+
+
+def _unshared_grid(circuit, bases, commutation, validate="off"):
+    """Each preset's own ``PassManager.run``, with nothing shared."""
+    return [
+        _exact(pm.run(circuit))
+        for basis in bases
+        for _, comm, pm in iter_presets(basis, validate=validate)
+        if commutation is None or comm == commutation
+    ]
+
+
+def _unshared_best(circuit, basis):
+    best = None
+    for _, _, pm in iter_presets(basis):
+        cand = pm.run(circuit)
+        n = rotation_count(cand)
+        if best is None or n < best[0]:
+            best = (n, cand)
+    return _exact(best[1])
+
+
+class TestSharedPresetGrid:
+    """The preset grid's shared pass memo changes no lowering."""
+
+    @pytest.mark.parametrize("commutation", [None, False, True])
+    @pytest.mark.parametrize("seed", [0, 3, 8])
+    def test_grid_equals_unshared_runs(self, seed, commutation):
+        c = _random_circuit(seed, n=4, depth=40)
+        got = [
+            _exact(low) for _, low in _preset_grid(c, BASES, commutation)
+        ]
+        assert got == _unshared_grid(c, BASES, commutation)
+
+    @pytest.mark.parametrize("commutation", [None, True])
+    def test_grid_equals_unshared_runs_under_full_validation(
+        self, commutation
+    ):
+        c = _random_circuit(4, n=3, depth=20)
+        got = [
+            _exact(low)
+            for _, low in _preset_grid(c, BASES, commutation, "full")
+        ]
+        assert got == _unshared_grid(c, BASES, commutation, "full")
+
+    def test_every_step_is_contract_checked(self, monkeypatch):
+        from repro.analysis.contracts import ContractChecker
+
+        steps = []
+        orig = ContractChecker.after_pass
+
+        def counting(self, p, before, after):
+            steps.append(p.name)
+            return orig(self, p, before, after)
+
+        monkeypatch.setattr(ContractChecker, "after_pass", counting)
+        c = _random_circuit(2, n=3, depth=15)
+        list(_preset_grid(c, BASES, None, "structural"))
+        assert len(steps) == sum(
+            len(pm) for basis in BASES for _, _, pm in iter_presets(basis)
+        )
+
+    def test_best_lowerings_equal_per_basis_search(self):
+        c = _random_circuit(6, n=4, depth=40)
+        u3, rz = best_preset_lowerings(c, ("u3", "rz"))
+        assert _exact(u3) == _unshared_best(c, "u3")
+        assert _exact(rz) == _unshared_best(c, "rz")
+        assert _exact(best_preset_lowering(c, "rz")) == _exact(rz)
+
+    @pytest.mark.parametrize("other", [-0.0, 0])
+    def test_equal_but_distinct_params_are_not_conflated(self, other):
+        # ``==`` conflates 0.0 with -0.0 and with 0, yet a pass that
+        # keeps parameters keeps the difference.
+        a = Circuit(1, [Gate("u3", (0,), (0.3, 0.0, 0.5))])
+        b = Circuit(1, [Gate("u3", (0,), (0.3, other, 0.5))])
+        pm = PassManager([CancelInversePairs()])
+        memo = _PassMemo()
+        out_a, out_b = memo.run(pm, a), memo.run(pm, b)
+        assert _exact(out_a) == _exact(pm.run(a))
+        assert _exact(out_b) == _exact(pm.run(b)) != _exact(out_a)
+
+    def test_matched_thresholds_runs_each_shared_pass_once(
+        self, monkeypatch
+    ):
+        runs = []
+        orig = PassManager._run_pass
+
+        def counting(p, work, checker):
+            runs.append(p.name)
+            return orig(p, work, checker)
+
+        monkeypatch.setattr(PassManager, "_run_pass", staticmethod(counting))
+        circuit = {c.name: c for c in full_suite()}["xy_n6"].circuit
+        matched_thresholds(circuit)
+        unshared = sum(
+            len(pm) for basis in BASES for _, _, pm in iter_presets(basis)
+        )
+        # Each basis alone would run its whole grid of presets.
+        assert 0 < len(runs) < unshared / 2
+
+    def test_unknown_basis_raises(self):
+        with pytest.raises(ValueError):
+            best_preset_lowerings(_random_circuit(0), ("u3", "zz"))
+
+    @pytest.mark.slow
+    def test_full_suite_grid_equals_unshared_runs(self):
+        for case in full_suite():
+            got = [_exact(low) for _, low in _preset_grid(case.circuit, BASES)]
+            assert got == _unshared_grid(case.circuit, BASES, None), case.name
 
 
 class TestPresetsMatchTranspile:
