@@ -12,13 +12,22 @@ sweeps of ``meet.best_pair``; step-3 simplification follows.  The
 (10,6), (10,10), (12,12) and (12,12,8) layouts are trasyn's multi-slot
 rungs.  ``trasyn/simplify`` times step 3 alone on the (10,10) layout's
 two slot words for the fixed target, joined at their seam.
+
+``trasyn/ladder`` times Algorithm 1 in threshold mode on seeded Haar
+targets at the compile-cold workload's per-rotation threshold, which
+defers the rungs that provably cannot meet it.  Its ``/eager`` twin
+runs every rung in order, the loop the deferral must equal;
+:func:`run_specs` times the two interleaved and :func:`finalize`
+records ``speedup_vs_reference``.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable
 
-from repro.bench.harness import BenchResult, BenchSpec
+from repro.bench.harness import (BenchResult, BenchSpec, run_with_twins,
+                                 twin_speedup)
 
 _THETA = 0.5477  # fixed non-special angle
 
@@ -33,6 +42,12 @@ _TRASYN_LAYOUTS = {
     False: ((10, 6), (10, 10), (12, 12), (12, 12, 8)),
     True: ((4, 3), (4, 4), (4, 4, 3)),
 }
+# Threshold-mode ladder: the compile-cold threshold (0.007 snapped to
+# its band floor) on its default ladder, or a budget-4 ladder in quick.
+_LADDER_EPS = {False: 0.005623413251903491, True: 0.05}
+_LADDER_QUICK = [[3], [4, 3], [4, 4]]
+_LADDER_TARGETS = {False: 12, True: 4}
+_LADDER_SEED = 5
 
 
 def _gridsynth_spec(eps: float) -> BenchSpec:
@@ -133,6 +148,60 @@ def _trasyn_simplify_spec(layout: tuple[int, ...]) -> BenchSpec:
                      params={"t_budgets": list(layout), "u3": [0.3, 0.7, 1.1]}, setup=setup)
 
 
+def _eager_ladder(target, schedule, error_threshold, n_samples, rng, table):
+    """Threshold-mode Algorithm 1 with every rung run in order."""
+    from repro.synthesis.trasyn import _quality, synthesize
+
+    best = None
+    for budgets in schedule:
+        cand = synthesize(target, budgets, n_samples=n_samples, rng=rng,
+                          table=table).sequence
+        if best is None or _quality(cand) < _quality(best):
+            best = cand
+        if best.error < error_threshold:
+            break
+    return best
+
+
+def _trasyn_ladder_spec(quick: bool, eager: bool) -> BenchSpec:
+    eps, n_targets = _LADDER_EPS[quick], _LADDER_TARGETS[quick]
+
+    def setup():
+        import numpy as np
+
+        from repro.enumeration import get_table
+        from repro.linalg import haar_random_u2
+        from repro.synthesis.trasyn import schedule_for_threshold, trasyn
+
+        schedule = _LADDER_QUICK if quick else schedule_for_threshold(eps)
+        table = get_table(max(max(b) for b in schedule))
+        rng = np.random.default_rng(_LADDER_SEED)
+        targets = [haar_random_u2(rng) for _ in range(n_targets)]
+        # Every rung of both ladders has one or two slots, so the eager
+        # twin runs each once and skips no draws.
+
+        def run():
+            t = 0
+            for i, u in enumerate(targets):
+                rng = np.random.default_rng([_LADDER_SEED, i])
+                if eager:
+                    seq = _eager_ladder(u, schedule, eps, 500, rng, table)
+                else:
+                    seq = trasyn(u, error_threshold=eps, schedule=schedule,
+                                 rng=rng, table=table)
+                t += seq.t_count
+            return {"t_count": t}
+
+        run()  # untimed: builds the ladder's memoized slots and indexes
+        return run
+
+    return BenchSpec(
+        name="trasyn/ladder" + ("/eager" if eager else ""),
+        params={"eps": eps, "n_targets": n_targets, "haar_seed": _LADDER_SEED},
+        setup=setup,
+    )
+
+
 def specs(quick: bool) -> list[BenchSpec]:
     eps_points = _QUICK_GRIDSYNTH_EPS if quick else _GRIDSYNTH_EPS
     out = [_gridsynth_spec(eps) for eps in eps_points]
@@ -145,10 +214,25 @@ def specs(quick: bool) -> list[BenchSpec]:
         for layout in _TRASYN_LAYOUTS[quick]
     )
     out.append(_trasyn_simplify_spec(_TRASYN_LAYOUTS[quick][1]))
+    out.extend(_trasyn_ladder_spec(quick, eager) for eager in (False, True))
     return out
 
 
+def run_specs(
+    specs: list[BenchSpec],
+    warmup: int,
+    repeats: int,
+    progress: Callable[[str], None] | None = None,
+) -> list[BenchResult]:
+    """Time ``trasyn/ladder`` interleaved with its ``/eager`` twin."""
+    return run_with_twins(specs, ("/eager",), warmup, repeats, progress)
+
+
 def finalize(results: list[BenchResult]) -> None:
+    by_name = {r.name: r for r in results}
     for r in results:
         if r.name.startswith("gridsynth_rz/"):
             r.extra.setdefault("theta_over_pi", round(_THETA / math.pi, 6))
+        eager = by_name.get(f"{r.name}/eager")
+        if eager is not None:
+            r.extra["speedup_vs_reference"] = twin_speedup(r, eager)

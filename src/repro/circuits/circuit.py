@@ -119,6 +119,14 @@ class Gate:
 _SHARED_GATES: dict[tuple[str, tuple[int, ...]], Gate] = {}
 
 
+def shared_gate(name: str, qubits: tuple[int, ...]) -> Gate:
+    """The shared parameterless :class:`Gate` ``(name, qubits)``, unchecked."""
+    gate = _SHARED_GATES.get((name, qubits))
+    if gate is None:
+        gate = _SHARED_GATES[name, qubits] = Gate(name, qubits)
+    return gate
+
+
 @dataclass
 class Circuit:
     """An ordered list of gates on ``n_qubits`` wires (time order)."""
@@ -146,13 +154,8 @@ class Circuit:
         params = tuple(float(p) for p in params)
         if len(params) != n_params:
             raise ValueError(f"{name} expects {n_params} parameters")
-        if params:
-            gate = Gate(name, qubits, params)
-        else:
-            gate = _SHARED_GATES.get((name, qubits))
-            if gate is None:
-                gate = _SHARED_GATES[name, qubits] = Gate(name, qubits)
-        self.gates.append(gate)
+        self.gates.append(Gate(name, qubits, params) if params
+                          else shared_gate(name, qubits))
         return self
 
     def h(self, q): return self.append("h", q)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import struct
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
@@ -34,7 +35,7 @@ from repro.circuits import (
     t_count,
     t_depth,
 )
-from repro.circuits.circuit import Gate
+from repro.circuits.circuit import Gate, shared_gate
 from repro.pipeline.cache import SynthesisCache, bucket_eps, key_rz, key_u3
 from repro.pipeline.presets import (
     _preset_grid,
@@ -99,10 +100,10 @@ def map_parallel(fn, items: Sequence, max_workers: int | None = None) -> list:
 
 _WORKFLOW_BASIS = {"trasyn": "u3", "gridsynth": "rz"}
 
-# Gate-name mapping from synthesis tokens to the circuit IR.
+# Gate-name mapping from synthesis tokens to the circuit IR ("I" is dropped).
 _TOKEN_TO_IR = {
     "H": "h", "S": "s", "Sdg": "sdg", "T": "t", "Tdg": "tdg",
-    "X": "x", "Y": "y", "Z": "z", "I": "i",
+    "X": "x", "Y": "y", "Z": "z",
 }
 
 
@@ -158,11 +159,15 @@ class SynthesizedCircuit:
 
 
 def append_sequence(circuit: Circuit, seq_gates, qubit: int) -> None:
-    """Splice a matrix-ordered gate sequence onto one wire (time order)."""
-    for token in reversed(list(seq_gates)):
-        name = _TOKEN_TO_IR[token]
-        if name != "i":
-            circuit.append(name, qubit)
+    """Splice a matrix-ordered gate sequence onto one wire (time order).
+
+    The qubit is checked once; every token is a shared parameterless gate.
+    """
+    qubits = (int(qubit),)
+    if not 0 <= qubits[0] < circuit.n_qubits:
+        raise ValueError(f"qubit {qubit} out of range for {circuit.n_qubits}")
+    circuit.gates.extend([shared_gate(_TOKEN_TO_IR[token], qubits)
+                          for token in reversed(list(seq_gates)) if token != "I"])
 
 
 def trivial_u3_sequence(g: Gate) -> GateSequence:
@@ -226,6 +231,9 @@ def synthesize_lowered(
     out = Circuit(lowered.n_qubits, name=name or lowered.name)
     n_rot = 0
     total_err = 0.0
+    # Exact words of pi/4-multiple U3s, by the parameters' packed bits
+    # (0.0 and -0.0 stay apart); this call's alone, so nothing warms.
+    trivial: dict[bytes, GateSequence] = {}
 
     def next_eps() -> float:
         if eps_schedule is None:
@@ -241,7 +249,10 @@ def synthesize_lowered(
         if basis == "u3" and g.name == "u3":
             q = g.qubits[0]
             if all(is_trivial_angle(p) for p in g.params):
-                append_sequence(out, trivial_u3_sequence(g).gates, q)
+                bits = struct.pack("3d", *g.params)
+                if bits not in trivial:
+                    trivial[bits] = trivial_u3_sequence(g)
+                append_sequence(out, trivial[bits].gates, q)
                 continue
             n_rot += 1
             eps_g = bucket_eps(next_eps())

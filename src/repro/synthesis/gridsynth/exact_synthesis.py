@@ -20,7 +20,8 @@ syllable's first column is reused and only its second column is formed
 (raising if it does not share the first column's sde).  The sde never
 rises along the walk and a phase key starts with the sde, so the visited
 matrices are keyed up to phase only at a step where the sde stalls, and
-only those stepped from at the current sde.
+only those stepped from at the current sde, once there are three of them
+(a shorter stall walk can only step back by two H syllables).
 
 The walk runs on plain ints: a Z[omega] element ``a w^3 + b w^2 + c w +
 d`` is the tuple ``(a, b, c, d)`` and a matrix is its four entries
@@ -235,11 +236,12 @@ def exact_synthesize(u: ExactUnitary, max_steps: int | None = None) -> list[str]
 
     tokens: list[str] = []
     # Matrices stepped from at the current sde; keyed up to phase only
-    # when a step stalls.
+    # when a step stalls with three or more of them.
     level: list[tuple] = []
     level_keys: set[tuple] = set()
     n_keyed = 0
     steps = 0
+    prev_m = 0  # the syllable of the last step
     while k > 0:
         if steps > max_steps:
             raise ExactSynthesisError("sde reduction did not terminate")
@@ -254,19 +256,25 @@ def exact_synthesize(u: ExactUnitary, max_steps: int | None = None) -> list[str]
             level, level_keys, n_keyed = [], set(), 0
         else:
             # Stall: take the first sde-preserving syllable that leads to
-            # a matrix not stepped from before.
-            level_keys.update(_phase_key(v, k) for v in level[n_keyed:])
-            n_keyed = len(level)
+            # a matrix not stepped from before.  No H T^-m is a scalar and
+            # (H T^-a)(H T^-b) is one only for a = b = 0, so a walk of one
+            # matrix cannot revisit and one of two only by m = 0 after 0.
+            keyed = len(level) > 2
+            if keyed:
+                level_keys.update(_phase_key(v, k) for v in level[n_keyed:])
+                n_keyed = len(level)
+            back = len(level) == 2 and prev_m == 0
             for m, (s, p, q) in enumerate(cols):
-                if s != k:
+                if s != k or back and m == 0:
                     continue
                 r0, r1 = _second_column(z01, z11, m, 1)
-                if _phase_key((p, r0, q, r1), k) not in level_keys:
+                if not keyed or _phase_key((p, r0, q, r1), k) not in level_keys:
                     best_m = m
                     break
             else:
                 raise ExactSynthesisError("stuck: no syllable reduces the sde")
         # current = T^m H next
+        prev_m = best_m
         tokens.extend(t_power_tokens(best_m))
         tokens.append("H")
         z, k = (p, r0, q, r1), sde

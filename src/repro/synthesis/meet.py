@@ -188,12 +188,7 @@ def best_pair(
     udag = target.conj().T
     transversal = first.cosets[:, 0]
     index = second.index
-    # The ideal partner of a row X is X^dag U up to phase; its quaternion
-    # is real-linear in X's, so one 4x4 map sends every row to its query
-    # point.
-    us = target / np.sqrt(np.linalg.det(target))
-    to_ideal = to_quaternions(_QUAT_BASIS.conj().transpose(0, 2, 1) @ us)
-    ideal = first.quaternions @ to_ideal
+    ideal = _ideal_partners(target, first)
 
     def scores(rows, cand):
         """Exact |Tr(U^dag A B)| of each transversal row with its partners."""
@@ -233,6 +228,38 @@ def best_pair(
     pick = np.lexsort((b, a, c0[a] + c1[b], t0[a] + t1[b]))[0]
     a, b = int(a[pick]), int(b[pick])
     return a, b, complex(np.trace(udag @ first.mats[a] @ second.mats[b]))
+
+
+def pair_reaches(
+    target: np.ndarray, slots: Sequence[Slot], floor: float,
+    reverse: bool = False,
+) -> bool:
+    """Whether some pair of two slots has ``|Tr(U^dag A B)| >= floor``.
+
+    Between unit quaternions ``dist^2 = 2 - |Tr|``: one query per coset
+    within ``sqrt(2 - floor)``.  Slot 0's transversal queries slot 1's
+    index as in :func:`best_pair`; or, ``reverse``, slot 1's transversal
+    rows X query slot 0's index at ``U X``, since every slot-1 row is
+    ``C X^dag`` and ``(A, C X^dag)`` scores as ``(A C, X^dag)``.
+    """
+    first, second = slots
+    if reverse:
+        rows = second.mats[second.cosets[:, 0]]
+        query, index = to_quaternions(target @ rows), first.index
+    else:
+        query, index = _ideal_partners(target, first), second.index
+    radius = math.sqrt(max(2.0 - floor, 0.0))
+    return bool((index.nearest(query, k=1, distance_upper_bound=radius) >= 0).any())
+
+
+def _ideal_partners(target: np.ndarray, first: Slot) -> np.ndarray:
+    """Quaternions of ``X^dag U``, the ideal partner of each transversal row.
+
+    They are real-linear in X's quaternion: one 4x4 map sends every row.
+    """
+    us = target / np.sqrt(np.linalg.det(target))
+    return first.quaternions @ to_quaternions(
+        _QUAT_BASIS.conj().transpose(0, 2, 1) @ us)
 
 
 def _coset_images(

@@ -38,8 +38,8 @@ from repro.enumeration import UnitaryTable, get_table
 from repro.enumeration import vectorized as vec
 from repro.gates.exact import EXACT_GATES
 from repro.linalg import check_unitary_2x2
-from repro.synthesis.meet import (Slot, amplitude, best_pair, product,
-                                  refine_pairs)
+from repro.synthesis.meet import (Slot, amplitude, best_pair, pair_reaches,
+                                  product, refine_pairs)
 from repro.synthesis.sequences import GateSequence, t_count_of
 from repro.tensornet import CanonicalTail, TraceMPS
 
@@ -333,6 +333,29 @@ def _exhaustive_best(
     return [int(best)], complex(amps[best])
 
 
+def _can_reach(
+    target: np.ndarray, table: UnitaryTable, budgets, error: float,
+    indexed: set[tuple[int, int]],
+) -> bool:
+    """Whether a sampling-free layout may synthesize below ``error``.
+
+    That needs ``|Tr(U^dag V)| > 2 sqrt(1 - error^2)``; the floor is
+    lowered by 1e-9, so rounding can only run a rung in vain.  Two slots
+    query from the one with fewer cosets if the other's range is in
+    ``indexed``, the ranges whose index the ladder builds anyway.
+    False proves the layout's error is at least ``error``.
+    """
+    ranges = budget_ranges(budgets)
+    slots = layout_slots(table, ranges)
+    floor = 2.0 * math.sqrt(max(0.0, 1.0 - error * error)) - 1e-9
+    if len(slots) == 1:
+        amps = np.einsum("nij,ji->n", slots[0].mats, target.conj().T)
+        return bool(np.abs(amps).max() >= floor)
+    reverse = (len(slots[1].cosets) < len(slots[0].cosets)
+               and ranges[0] in indexed)
+    return pair_reaches(target, slots, floor, reverse)
+
+
 # ---------------------------------------------------------------------------
 # Step 3: exact peephole simplification
 # ---------------------------------------------------------------------------
@@ -513,6 +536,11 @@ def trasyn(
     (Equation (4) mode); otherwise every layout is explored and the best
     sequence wins (Equation (3) mode).
 
+    A sampling-free layout other than the last is deferred, its draws
+    skipped, when :func:`_can_reach` proves it misses the threshold: it
+    can then matter only if every layout misses, and runs only then.
+    Words and generator state equal those of running every layout.
+
     ``t_budgets`` reproduces the paper interface exactly: the ladder is
     then ``t_budgets[:min_tensors], ..., t_budgets[:len(t_budgets)]``.
     """
@@ -544,21 +572,34 @@ def trasyn(
     if table is None:
         table = get_table(max_budget)
     _check_table_budget(table, max_budget)
-    best: GateSequence | None = None
-    for budgets in schedule:
+    words: list[list[GateSequence]] = [[] for _ in schedule]
+    indexed = {r for budgets in schedule for r in budget_ranges(budgets)[1:]}
+    for i, budgets in enumerate(schedule):
         # Further attempts of a sampling-free rung would repeat its word.
-        runs = 1 if _sampling_free(len(budgets), refine=True) else attempts
+        free = _sampling_free(len(budgets), refine=True)
+        runs = 1 if free else attempts
+        if (error_threshold is not None and free and i < len(schedule) - 1
+                and not _can_reach(target, table, budgets, error_threshold,
+                                   indexed)):
+            runs = 0  # deferred: its word misses the threshold
         for _ in range(runs):
-            result = synthesize(
+            cand = synthesize(
                 target, budgets, n_samples=n_samples, rng=rng, table=table
-            )
-            cand = result.sequence
-            if best is None or _quality(cand) < _quality(best):
-                best = cand
-            if error_threshold is not None and best.error < error_threshold:
-                return best
+            ).sequence
+            # Every earlier word missed, so a hit is also the best word.
+            if error_threshold is not None and cand.error < error_threshold:
+                return cand
+            words[i].append(cand)
         rng.random((attempts - runs) * _rung_draws(len(budgets), n_samples))
-    return best
+    # Every rung missed (or no threshold).  A deferred rung's word does not
+    # depend on the generator, which is past it; it runs if it may win.
+    error = min(w.error for ws in words for w in ws)
+    for i, ws in enumerate(words):
+        if not ws and _can_reach(target, table, schedule[i], error, indexed):
+            ws.append(synthesize(target, schedule[i], table=table,
+                                 rng=np.random.default_rng(0)).sequence)
+            error = min(error, ws[0].error)
+    return min((w for ws in words for w in ws), key=_quality)  # first best
 
 
 def _quality(seq: GateSequence) -> tuple[float, int, int]:

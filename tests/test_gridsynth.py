@@ -454,6 +454,31 @@ class TestExactSynthesisMatchesReference:
             exact_synthesize(u, max_steps=3)
 
 
+def _syllables(*ms):
+    """Exact phase key of the product H T^-m_1 . H T^-m_2 . ... (matrix order)."""
+    return _phase_key(*_word_matrix(
+        [g for m in ms for g in ["H", *t_power_tokens(-m)]]))
+
+
+class TestStallSyllableRelations:
+    """The relations that let a stall walk skip keys at levels 1 and 2."""
+
+    IDENTITY = _phase_key(*_word_matrix([]))
+
+    def test_no_syllable_is_a_scalar(self):
+        assert all(_syllables(m) != self.IDENTITY for m in range(8))
+
+    def test_two_syllables_are_a_scalar_only_for_zero_zero(self):
+        scalar = [(a, b) for a in range(8) for b in range(8)
+                  if _syllables(a, b) == self.IDENTITY]
+        assert scalar == [(0, 0)]
+
+    def test_three_cycles_exist(self):
+        # Why a walk of three or more matrices is still keyed.
+        assert _syllables(2, 2, 2) == self.IDENTITY
+        assert _syllables(6, 6, 6) == self.IDENTITY
+
+
 def _digest(seqs):
     h = hashlib.sha256()
     for s in seqs:

@@ -30,6 +30,7 @@ from repro.pipeline import (
     iter_presets,
     preset_pipeline,
 )
+import repro.pipeline.batch as batch_mod
 from repro.pipeline.presets import _PassMemo, _preset_grid
 from repro.synthesis import allocate_eps_budget
 from repro.target import Target, route_circuit
@@ -313,6 +314,63 @@ class TestCompileCircuit:
         ]
         for got, want in zip(batch, singles):
             assert got.circuit.gates == want.circuit.gates
+
+
+class TestSynthesizedWordSplicing:
+    """``append_sequence`` and the trivial-U3 memo of ``synthesize_lowered``."""
+
+    TOKENS = ["H", "S", "Sdg", "T", "Tdg", "X", "Y", "Z", "I"]
+
+    def test_append_sequence_matches_validating_append(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            tokens = list(rng.choice(self.TOKENS, size=int(rng.integers(0, 30))))
+            q = int(rng.integers(3))
+            got, want = Circuit(3), Circuit(3)
+            batch_mod.append_sequence(got, tokens, q)
+            for token in reversed(tokens):
+                if token != "I":
+                    want.append(token.lower(), q)
+            assert len(got.gates) == len(want.gates)
+            assert all(a is b for a, b in zip(got.gates, want.gates))
+
+    @pytest.mark.parametrize("qubit", [-1, 2, 7])
+    def test_append_sequence_rejects_out_of_range_qubit(self, qubit):
+        with pytest.raises(ValueError, match="out of range"):
+            batch_mod.append_sequence(Circuit(2), ["H", "T"], qubit)
+
+    def test_trivial_u3_words_computed_once_per_parameter_bits(self, monkeypatch):
+        q4 = math.pi / 4
+        params = [(q4, 0.0, q4), (2 * q4, q4, 0.0), (q4, 0.0, q4),
+                  (q4, -0.0, q4), (2 * q4, q4, 0.0), (q4, 0.0, q4)]
+        lowered = Circuit(2)
+        for i, p in enumerate(params):
+            lowered.append("u3", i % 2, p)
+            lowered.cx(0, 1)
+        want = Circuit(2)
+        for g in lowered.gates:
+            if g.name == "u3":
+                batch_mod.append_sequence(
+                    want, batch_mod.trivial_u3_sequence(g).gates, g.qubits[0])
+            else:
+                want.gates.append(g)
+        calls = []
+        real = batch_mod.trivial_u3_sequence
+
+        def counting(g):
+            calls.append(g.params)
+            return real(g)
+
+        monkeypatch.setattr(batch_mod, "trivial_u3_sequence", counting)
+        for _ in range(2):  # the memo does not outlive a call
+            calls.clear()
+            got = batch_mod.synthesize_lowered(
+                lowered, "u3", 0.01, _UnreachableCache(), seed=0)
+            assert got.circuit.gates == want.gates
+            assert got.n_rotations == 0
+            # -0.0 keeps its own entry: three distinct bit patterns.
+            assert len(calls) == 3
+            assert [math.copysign(1, p[1]) for p in calls] == [1, 1, -1]
 
 
 class _UnreachableCache(SynthesisCache):

@@ -18,7 +18,7 @@ from repro.enumeration.clifford_t import _SYLLABLES
 from repro.gates.exact import ExactUnitary
 from repro.linalg import GATES, haar_random_u2, rz, trace_distance
 from repro.synthesis import simplify_sequence, synthesize, trasyn
-from repro.synthesis.meet import best_pair
+from repro.synthesis.meet import best_pair, pair_reaches
 from repro.synthesis.sequences import matrix_of
 from repro.synthesis.trasyn import (
     _GATE_C,
@@ -29,6 +29,7 @@ from repro.synthesis.trasyn import (
     _TABLE_MEMO,
     TrasynArgumentError,
     _amp_to_error,
+    _can_reach,
     _quality,
     layout_mps,
     layout_slots,
@@ -632,7 +633,11 @@ class TestSamplingFreeTwoSlot:
                      table=table6, error_threshold=error_threshold)
         assert seq == best
         assert rng.bit_generator.state == loop_rng.bit_generator.state
-        assert calls == [1, 2, 3, 3, 3]  # sampling-free rungs run once
+        # Sampling-free rungs run once.  At a threshold every rung misses,
+        # the 1- and 2-slot rungs are deferred, then skipped: neither may
+        # beat the 3-slot word.
+        assert calls == ([1, 2, 3, 3, 3] if error_threshold is None
+                         else [3, 3, 3])
 
     def test_attempts_stop_at_threshold_without_advancing(self, table6):
         u = haar_random_u2(np.random.default_rng(45))
@@ -644,6 +649,112 @@ class TestSamplingFreeTwoSlot:
                      rng=rng, table=table6, error_threshold=first.error * 1.01)
         assert seq == first
         assert rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+def _eager_trasyn(u, schedule, error_threshold, attempts, n_samples, rng,
+                  table):
+    """Algorithm 1 with every rung run in order: the deferral's oracle."""
+    best = None
+    for budgets in schedule:
+        runs = 1 if len(budgets) <= 2 else attempts
+        for _ in range(runs):
+            cand = synthesize(u, budgets, n_samples=n_samples, rng=rng,
+                              table=table).sequence
+            if best is None or _quality(cand) < _quality(best):
+                best = cand
+            if error_threshold is not None and best.error < error_threshold:
+                return best
+        draws = 0 if len(budgets) == 1 else n_samples * len(budgets)
+        rng.random((attempts - runs) * draws)
+    return best
+
+
+# Rungs a budget-6 table serves; the last samples an MPS.
+_RUNG_POOL = ([3], [6], [4, 3], [6, 4], [3, 6], [6, 6], [4, 4, 3])
+
+
+@st.composite
+def _ladders(draw):
+    rungs = draw(st.lists(st.sampled_from(_RUNG_POOL[:-1]), max_size=4,
+                          unique_by=tuple))
+    rungs.insert(draw(st.integers(0, len(rungs))), _RUNG_POOL[-1])
+    return [list(r) for r in rungs]
+
+
+class TestLadderDeferral:
+    """Threshold-mode rungs that cannot meet it are deferred, exactly."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           thresholds=st.lists(st.floats(1e-4, 0.2), min_size=2, max_size=2),
+           schedule=_ladders(), attempts=st.integers(1, 3))
+    def test_matches_eager_ladder(self, table6, seed, thresholds, schedule,
+                                  attempts):
+        targets = [haar_random_u2(np.random.default_rng([seed, i]))
+                   for i in range(2)]
+        # One generator shared by consecutive calls on each side.
+        eager_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for u, thr in zip(targets, thresholds):
+            want = _eager_trasyn(u, schedule, thr, attempts, 12, eager_rng,
+                                 table6)
+            got = trasyn(u, schedule=schedule, error_threshold=thr,
+                         attempts=attempts, n_samples=12, rng=rng,
+                         table=table6)
+            assert got == want
+            assert rng.bit_generator.state == eager_rng.bit_generator.state
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           rung=st.sampled_from(_RUNG_POOL[:-1]),
+           scale=st.floats(0.5, 2.0), reverse=st.booleans())
+    def test_cannot_meet_is_sound_and_exact(self, table6, seed, rung, scale,
+                                            reverse):
+        u = haar_random_u2(np.random.default_rng(seed))
+        error = synthesize(u, list(rung), rng=np.random.default_rng(0),
+                           table=table6).sequence.error
+        thr = error * scale
+        indexed = {(0, rung[0])} if reverse else set()
+        can = _can_reach(u, table6, list(rung), thr, indexed)
+        if not can:
+            assert error >= thr
+        if abs(error - thr) > 1e-6 * thr:
+            assert can == (error < thr)
+
+    def test_both_query_directions_match_brute_force(self, table4):
+        rng = np.random.default_rng(46)
+        slots = layout_slots(table4, [(0, 4), (0, 2)])
+        for _ in range(20):
+            u = haar_random_u2(rng)
+            left = np.einsum("ij,ajk->aik", u.conj().T, slots[0].mats)
+            top = np.abs(np.einsum("aij,bji->ab", left, slots[1].mats)).max()
+            for floor in (top - 1e-6, top + 1e-6):
+                assert pair_reaches(u, slots, floor) == (floor < top)
+                assert pair_reaches(u, slots, floor, reverse=True) == (floor < top)
+
+    def test_all_miss_fallback_returns_deferred_rung(self, monkeypatch,
+                                                     table6):
+        trasyn_mod = importlib.import_module("repro.synthesis.trasyn")
+        u = haar_random_u2(np.random.default_rng(49))
+        schedule = [[3], [6, 6], [6]]
+        eager_rng = np.random.default_rng(9)
+        want = _eager_trasyn(u, schedule, 1e-9, 2, 50, eager_rng, table6)
+        assert want == synthesize(u, [6, 6], table=table6,
+                                  rng=np.random.default_rng(0)).sequence
+        calls = []
+        real = trasyn_mod.synthesize
+
+        def counting(target, budgets, **kw):
+            calls.append(budgets)
+            return real(target, budgets, **kw)
+
+        monkeypatch.setattr(trasyn_mod, "synthesize", counting)
+        rng = np.random.default_rng(9)
+        got = trasyn(u, schedule=schedule, error_threshold=1e-9, attempts=2,
+                     n_samples=50, rng=rng, table=table6)
+        assert got == want
+        # The last rung runs first; [3] cannot beat it, [6, 6] can.
+        assert calls == [[6], [6, 6]]
+        assert rng.bit_generator.state == eager_rng.bit_generator.state
 
 
 def _padded_start_error(u, table, ranges):
